@@ -335,9 +335,11 @@ def cmd_projector_expectations(args) -> int:
         n_max=n_max,
         format=fmt_name,
     )
+    # nu_tilde-major, so every t at one q reuses that q's cached eigensystem;
+    # the rows below are still emitted t-major
     results = {}
-    for t in t_values:
-        for nut in nut_values:
+    for nut in nut_values:
+        for t in t_values:
             params = ModelParams.from_reduced(t, nut)
             results[(t, nut)] = spectrum.projector_expectations(params, n_max)
     if fmt_name == "svg":

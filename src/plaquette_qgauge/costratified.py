@@ -111,8 +111,14 @@ def norm_squared(t: float) -> float:
     """N^2 = sum n^2 exp(-t n^2), cross-checked against (1/2) e^-t theta3'(e^-t)."""
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
+    nome = math.exp(-t)
+    if _SERIES_CUTOFF * nome == 0.0:
+        # N^2 ~ exp(-t): its series cannot be summed to relative accuracy
+        raise FloatingPointError(
+            f"normalization series cannot converge at t={t}: {_SERIES_CUTOFF:g} * exp(-t) underflows"
+        )
     series = _norm_squared_series(t)
-    via_theta = 0.5 * math.exp(-t) * theta3_prime(math.exp(-t))
+    via_theta = 0.5 * nome * theta3_prime(nome)
     return _agree(series, via_theta, "norm_squared")
 
 

@@ -21,6 +21,18 @@ Conventions: sum c_k^2 = 1, and the sign is anchored to the q = 0 limit where
 c = e_n exactly (the component c_n is kept positive; it stays bounded away
 from zero for q <= 30 on all levels used here, and a sign flip at larger q
 only flips the global sign of se).
+
+Solve path: every level at one (q, truncation) comes from a single full
+eigendecomposition of the truncated matrix.  It is kept in a small LRU
+cache, and its levels are built on first use.  ``solve`` and ``solve_many``
+share one growth loop that doubles the truncation until the coefficient
+tails of the requested levels fall below 1e-12.  With trunc=None, ``solve``
+starts at ``default_trunc(n, q)``, which depends on n only for
+n > 2 sqrt(q); all lower levels share one eigendecomposition.  An
+explicit ``solve`` trunc is used as given and only warns on a fat tail; an
+explicit ``solve_many`` trunc is a starting size and still grows.  Because
+the cache is small, a sweep should iterate q-major: all levels (and all
+other parameters) at one q before the next q.
 """
 
 from __future__ import annotations
@@ -39,6 +51,9 @@ _RESIDUAL_RTOL = 1e-13
 #: tail coefficients above this trigger truncation growth (or a warning)
 _TAIL_TOL = 1e-12
 _MAX_DOUBLINGS = 5
+#: eigensystems kept; a q-major sweep needs only the current q's entries (an
+#: entry at q = 8000 holds a 195 x 195 eigenvector matrix)
+_CACHE_SIZE = 8
 
 
 class ConvergenceError(RuntimeError):
@@ -116,31 +131,61 @@ def _fix_sign(vec: np.ndarray, n: int) -> np.ndarray:
     return -vec if anchor < 0 else vec
 
 
-def _check_residual(d, q, b, vec, trunc):
-    tv = d * vec
-    tv[1:] += q * vec[:-1]
-    tv[:-1] += q * vec[1:]
-    residual = float(np.max(np.abs(tv - b * vec)))
-    scale = max(1.0, float(d[-1]) + 2.0 * abs(q))
-    if residual > _RESIDUAL_RTOL * scale:
-        raise ConvergenceError(
-            f"tridiagonal eigensolve residual {residual:.3e} exceeds "
-            f"{_RESIDUAL_RTOL:.0e} * {scale:.3e} (q={q}, trunc={trunc})"
-        )
-    return residual
+class _Eigensystem:
+    """Every level at (q, trunc) from one full tridiagonal eigendecomposition.
+
+    The residual of all eigenpairs is checked once, on construction.
+    ``level(n)`` normalizes, sign-anchors and freezes column n on first use
+    and memoizes the result, so repeated requests return the same object.
+    """
+
+    def __init__(self, q: float, trunc: int):
+        d = (2.0 * np.arange(trunc) + 2.0) ** 2
+        w, v = scipy.linalg.eigh_tridiagonal(d, np.full(trunc - 1, q))
+        tv = d[:, None] * v
+        tv[1:] += q * v[:-1]
+        tv[:-1] += q * v[1:]
+        residual = float(np.max(np.abs(tv - v * w)))
+        scale = max(1.0, float(d[-1]) + 2.0 * abs(q))
+        if residual > _RESIDUAL_RTOL * scale:
+            raise ConvergenceError(
+                f"tridiagonal eigensolve residual {residual:.3e} exceeds "
+                f"{_RESIDUAL_RTOL:.0e} * {scale:.3e} (q={q}, trunc={trunc})"
+            )
+        self.q = q
+        self.values = w
+        self.vectors = v
+        self._levels: dict[int, MathieuSolution] = {}
+
+    def level(self, n: int) -> MathieuSolution:
+        sol = self._levels.get(n)
+        if sol is None:
+            vec = self.vectors[:, n]
+            vec = vec / np.linalg.norm(vec)
+            sol = MathieuSolution(
+                n=n, q=self.q, b=float(self.values[n]), coeffs=_freeze(_fix_sign(vec, n))
+            )
+            self._levels[n] = sol
+        return sol
 
 
-@lru_cache(maxsize=4096)
-def _solve_cached(n: int, q: float, trunc: int) -> MathieuSolution:
-    k = np.arange(trunc)
-    d = (2.0 * k + 2.0) ** 2
-    e = np.full(trunc - 1, q)
-    w, v = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(n, n))
-    b = float(w[0])
-    vec = v[:, 0]
-    vec = vec / np.linalg.norm(vec)
-    _check_residual(d, q, b, vec, trunc)
-    return MathieuSolution(n=n, q=q, b=b, coeffs=_freeze(_fix_sign(vec, n)))
+_eigensystem = lru_cache(maxsize=_CACHE_SIZE)(_Eigensystem)
+
+
+def _converged(q: float, size: int, levels: range) -> _Eigensystem:
+    """Eigensystem at q whose ``levels`` all have tails below ``_TAIL_TOL``.
+
+    The truncation starts at ``size`` rows and doubles until the tails fall.
+    """
+    for _ in range(_MAX_DOUBLINGS):
+        system = _eigensystem(q, size)
+        if max(system.level(n).tail for n in levels) <= _TAIL_TOL:
+            return system
+        size *= 2
+    raise ConvergenceError(
+        f"coefficient tail did not fall below {_TAIL_TOL} "
+        f"(levels {levels.start}..{levels.stop - 1}, q={q})"
+    )
 
 
 def solve(n: int, q: float, trunc: int | None = None) -> MathieuSolution:
@@ -162,70 +207,37 @@ def solve(n: int, q: float, trunc: int | None = None) -> MathieuSolution:
         coeffs = np.zeros(size)
         coeffs[n] = 1.0
         return MathieuSolution(n=n, q=0.0, b=float((2 * n + 2) ** 2), coeffs=_freeze(coeffs))
-    if trunc is not None:
-        if trunc < n + 16:
-            raise ValueError(f"trunc={trunc} too small for level n={n}; need >= n + 16")
-        sol = _solve_cached(n, q, trunc)
-        if sol.tail > _TAIL_TOL:
-            warnings.warn(
-                f"tail coefficient {sol.tail:.2e} at trunc={trunc} (n={n}, q={q})",
-                TruncationWarning,
-                stacklevel=2,
-            )
-        return sol
-    size = default_trunc(n, q)
-    for _ in range(_MAX_DOUBLINGS):
-        sol = _solve_cached(n, q, size)
-        if sol.tail <= _TAIL_TOL:
-            return sol
-        size *= 2
-    raise ConvergenceError(f"coefficient tail did not fall below {_TAIL_TOL} (n={n}, q={q})")
-
-
-@lru_cache(maxsize=512)
-def _solve_many_cached(count: int, q: float, trunc: int) -> tuple[MathieuSolution, ...]:
-    k = np.arange(trunc)
-    d = (2.0 * k + 2.0) ** 2
-    e = np.full(trunc - 1, q)
-    w, v = scipy.linalg.eigh_tridiagonal(d, e)
-    order = np.argsort(w)
-    out = []
-    for n in range(count):
-        b = float(w[order[n]])
-        vec = v[:, order[n]]
-        vec = vec / np.linalg.norm(vec)
-        _check_residual(d, q, b, vec, trunc)
-        out.append(MathieuSolution(n=n, q=q, b=b, coeffs=_freeze(_fix_sign(vec, n))))
-    return tuple(out)
+    if trunc is None:
+        return _converged(q, default_trunc(n, q), range(n, n + 1)).level(n)
+    if trunc < n + 16:
+        raise ValueError(f"trunc={trunc} too small for level n={n}; need >= n + 16")
+    sol = _eigensystem(q, trunc).level(n)
+    if sol.tail > _TAIL_TOL:
+        warnings.warn(
+            f"tail coefficient {sol.tail:.2e} at trunc={trunc} (n={n}, q={q})",
+            TruncationWarning,
+            stacklevel=2,
+        )
+    return sol
 
 
 def solve_many(count: int, q: float, trunc: int | None = None) -> tuple[MathieuSolution, ...]:
-    """Levels 0..count-1 at parameter q from a single eigendecomposition.
+    """Levels 0..count-1 at parameter q, all read from one eigendecomposition.
 
-    Cheaper than repeated ``solve`` calls when whole spectra are swept.
+    Unlike ``solve``, an explicit trunc is only the starting size: the
+    truncation doubles from it (or from ``default_trunc(count - 1, q)``)
+    until every level's tail coefficient drops below 1e-12.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     q = float(q)
-    if q == 0.0:
-        size = trunc if trunc is not None else default_trunc(count - 1, 0.0)
-        return tuple(solve(n, 0.0, size) for n in range(count))
     size = trunc if trunc is not None else default_trunc(count - 1, q)
     if size < count:
         raise ValueError(f"trunc={size} cannot hold {count} levels")
-    for _ in range(_MAX_DOUBLINGS):
-        sols = _solve_many_cached(count, q, size)
-        if max(s.tail for s in sols) <= _TAIL_TOL:
-            return sols
-        if trunc is not None:
-            warnings.warn(
-                f"tail coefficient {max(s.tail for s in sols):.2e} at trunc={size} (q={q})",
-                TruncationWarning,
-                stacklevel=2,
-            )
-            return sols
-        size *= 2
-    raise ConvergenceError(f"coefficient tail did not fall below {_TAIL_TOL} (count={count}, q={q})")
+    if q == 0.0:
+        return tuple(solve(n, 0.0, size) for n in range(count))
+    system = _converged(q, size, range(count))
+    return tuple(system.level(n) for n in range(count))
 
 
 def se(n: int, q: float, y):

@@ -87,6 +87,36 @@ def shooting_characteristic_values(
     return {q: roots[i * count : (i + 1) * count] for i, q in enumerate(qs)}
 
 
+def character_hamiltonian(nu_tilde: float, dim: int) -> np.ndarray:
+    """Dense Hamiltonian in the character basis, in units of hbar^2 beta2.
+
+    Diagonal k(k+2)/2 + 3 nu_tilde / 2, off-diagonal -nu_tilde / 2; built
+    directly as a dense matrix, apart from the package's tridiagonal solvers.
+    """
+    k = np.arange(dim, dtype=float)
+    off = np.full(dim - 1, -0.5 * nu_tilde)
+    return np.diag(0.5 * k * (k + 2.0) + 1.5 * nu_tilde) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def dense_dim(nu_tilde: float) -> int:
+    """Dense size that leaves the lowest ~60 levels exact to rounding.
+
+    Eigenvectors of the low levels decay beyond k ~ 2 sqrt(4 nu_tilde).
+    """
+    return 2 * int(np.ceil(2.0 * np.sqrt(4.0 * nu_tilde))) + 120
+
+
+def dense_projectors(t: float, nu_tilde: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """P_plus and P_minus of levels 0..count-1 from a dense eigendecomposition."""
+    dim = dense_dim(nu_tilde)
+    _, vectors = np.linalg.eigh(character_hamiltonian(nu_tilde, dim))
+    k = np.arange(dim, dtype=float)
+    plus = (k + 1.0) * np.exp(-t * (k + 1.0) ** 2 / 2.0)
+    plus /= np.sqrt(np.sum(plus * plus))
+    minus = plus * (-1.0) ** k
+    return (vectors[:, :count].T @ plus) ** 2, (vectors[:, :count].T @ minus) ** 2
+
+
 def bounded_partitions(k: int, max_part: int) -> list[tuple[int, ...]]:
     """All partitions of k into parts of size at most max_part (brute force)."""
     if k == 0:

@@ -5,6 +5,8 @@ import pytest
 
 from plaquette_qgauge import cli, spectrum
 
+from oracles import dense_projectors
+
 
 def run_cli(args, capsys):
     code = cli.main(args)
@@ -41,6 +43,12 @@ class TestTunneling:
 
     def test_invalid_range_exits_2(self, capsys):
         assert cli.main(["tunneling", "--hbar-beta2", "5:1:10"]) == 2
+
+    def test_underflowing_t_exits_3(self, capsys):
+        # exp(-t) leaves the double range: a one-line refusal, not a traceback
+        assert cli.main(["tunneling", "--hbar-beta2", "800"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
 
 
 class TestSpectrum:
@@ -126,6 +134,24 @@ class TestProjectorExpectations:
             p_plus, p_minus, total = float(row[3]), float(row[4]), float(row[5])
             assert 0.0 <= p_plus <= 1.0 and 0.0 <= p_minus <= 1.0
             assert total >= 1.0 - 1e-6
+
+
+    def test_large_nu_tilde_matches_dense_reference(self, capsys):
+        # the batch Mathieu solve must grow past the starting truncation here
+        code, out = run_cli(
+            ["projector-expectations", "--hbar-beta2", "0.125", "--nu-tilde", "138,150"], capsys
+        )
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 12
+        for nut in (138.0, 150.0):
+            plus, minus = dense_projectors(0.125, nut, 6)
+            for row in [r for r in rows if float(r[1]) == nut]:
+                n, p_plus, p_minus, total = int(row[2]), float(row[3]), float(row[4]), float(row[5])
+                assert 0.0 <= p_plus <= 1.0 and 0.0 <= p_minus <= 1.0
+                assert total >= 1.0 - 1e-6
+                assert abs(p_plus - plus[n]) <= 1e-10
+                assert abs(p_minus - minus[n]) <= 1e-10
 
 
 class TestDecomp:

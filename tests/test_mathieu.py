@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plaquette_qgauge import mathieu
+from plaquette_qgauge import ModelParams, mathieu, spectrum
 
 from oracles import shooting_characteristic_values
 
@@ -75,12 +75,36 @@ class TestSolve:
             first.coeffs[0] = 0.0
 
     def test_solve_many_matches_individual_solves(self):
-        many = mathieu.solve_many(6, 24.0)
-        for n in range(6):
-            single = mathieu.solve(n, 24.0)
-            assert math.isclose(many[n].b, single.b, rel_tol=1e-13)
-            m = min(many[n].trunc, single.trunc)
-            assert np.max(np.abs(many[n].coeffs[:m] - single.coeffs[:m])) < 1e-12
+        for q in (24.0, 2000.0, 8000.0):
+            many = mathieu.solve_many(6, q)
+            for n in range(6):
+                single = mathieu.solve(n, q)
+                assert math.isclose(many[n].b, single.b, rel_tol=1e-13)
+                m = min(many[n].trunc, single.trunc)
+                assert np.max(np.abs(many[n].coeffs[:m] - single.coeffs[:m])) < 1e-12
+
+    def test_solve_many_grows_an_explicit_starting_trunc(self):
+        # trunc=16 leaves a fat tail at q = 200 (see test_fat_tail_warns);
+        # the batch path doubles it instead of warning
+        sols = mathieu.solve_many(3, 200.0, trunc=16)
+        assert sols[0].trunc > 16 and max(s.tail for s in sols) <= 1e-12
+
+    def test_one_eigensolve_for_all_levels_at_one_q(self, monkeypatch):
+        calls = []
+        original = mathieu.scipy.linalg.eigh_tridiagonal
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[0]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mathieu.scipy.linalg, "eigh_tridiagonal", counting)
+        # start from empty caches, whatever earlier tests left in them
+        for cached in [f for f in vars(mathieu).values() if hasattr(f, "cache_clear")]:
+            cached.cache_clear()
+        params = ModelParams.from_reduced(1.0, 2000.0)
+        for n in range(41):
+            spectrum.energy(n, params)
+        assert len(calls) == 1
 
     @settings(deadline=None, max_examples=30)
     @given(st.integers(min_value=0, max_value=6), st.floats(min_value=0.0, max_value=30.0))

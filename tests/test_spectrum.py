@@ -5,6 +5,8 @@ import pytest
 
 from plaquette_qgauge import ModelParams, Stratum, costratified, mathieu, spectrum
 
+from oracles import character_hamiltonian, dense_dim
+
 
 class TestHamiltonianMatrix:
     def test_formula_instantiation(self):
@@ -50,6 +52,15 @@ class TestEnergies:
         for n in range(8):
             value = spectrum.energy(n, params)
             assert abs(value - reference[n]) / max(1.0, abs(reference[n])) < 1e-8
+
+
+    @pytest.mark.parametrize("nut", [500.0, 2000.0])
+    def test_large_q_against_dense_eigvalsh(self, nut):
+        params = ModelParams.from_reduced(0.5, nut)
+        reference = np.linalg.eigvalsh(character_hamiltonian(nut, dense_dim(nut)))
+        for n in range(41):
+            value = spectrum.energy(n, params) / params.hbar2_beta2
+            assert abs(value - reference[n]) <= 1e-12 * abs(reference[n])
 
 
 class TestEigenstates:
