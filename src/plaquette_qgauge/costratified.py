@@ -94,7 +94,7 @@ def _norm_squared_series(t: float) -> float:
         total += term
         if n >= 4 and term < _SERIES_CUTOFF * total:
             return total
-    raise RuntimeError(f"normalization series did not converge for t={t}")
+    raise FloatingPointError(f"normalization series did not converge for t={t}")
 
 
 def _overlap_series(t: float) -> float:
@@ -104,21 +104,15 @@ def _overlap_series(t: float) -> float:
         total += term
         if n >= 4 and n * n * math.exp(-t * n * n) < _SERIES_CUTOFF * abs(total) + 1e-300:
             return total
-    raise RuntimeError(f"overlap series did not converge for t={t}")
+    raise FloatingPointError(f"overlap series did not converge for t={t}")
 
 
 def norm_squared(t: float) -> float:
     """N^2 = sum n^2 exp(-t n^2), cross-checked against (1/2) e^-t theta3'(e^-t)."""
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
-    nome = math.exp(-t)
-    if _SERIES_CUTOFF * nome == 0.0:
-        # N^2 ~ exp(-t): its series cannot be summed to relative accuracy
-        raise FloatingPointError(
-            f"normalization series cannot converge at t={t}: {_SERIES_CUTOFF:g} * exp(-t) underflows"
-        )
     series = _norm_squared_series(t)
-    via_theta = 0.5 * nome * theta3_prime(nome)
+    via_theta = 0.5 * math.exp(-t) * theta3_prime(math.exp(-t))
     return _agree(series, via_theta, "norm_squared")
 
 

@@ -22,17 +22,20 @@ c = e_n exactly (the component c_n is kept positive; it stays bounded away
 from zero for q <= 30 on all levels used here, and a sign flip at larger q
 only flips the global sign of se).
 
-Solve path: every level at one (q, truncation) comes from a single full
-eigendecomposition of the truncated matrix.  It is kept in a small LRU
-cache, and its levels are built on first use.  ``solve`` and ``solve_many``
-share one growth loop that doubles the truncation until the coefficient
-tails of the requested levels fall below 1e-12.  With trunc=None, ``solve``
-starts at ``default_trunc(n, q)``, which depends on n only for
-n > 2 sqrt(q); all lower levels share one eigendecomposition.  An
-explicit ``solve`` trunc is used as given and only warns on a fat tail; an
-explicit ``solve_many`` trunc is a starting size and still grows.  Because
-the cache is small, a sweep should iterate q-major: all levels (and all
-other parameters) at one q before the next q.
+Solve path: every level at one (q, truncation) comes from a single
+eigendecomposition of the truncated matrix, kept in a small LRU cache with
+its levels built on first use.  Up to 512 rows (the default truncation for
+q up to about 61,000) it is the full eigendecomposition; above that only
+the lowest levels are computed, 16 at first and more on demand, so memory
+grows with the levels used, not with the square of the truncation.
+``solve`` and ``solve_many`` share one growth loop that doubles the
+truncation until the coefficient tails of the requested levels fall below
+1e-12.  With trunc=None, ``solve`` starts at ``default_trunc(n, q)``, which
+depends on n only for n > 2 sqrt(q); all lower levels share one
+eigendecomposition.  An explicit ``solve`` trunc is used as given and only
+warns on a fat tail; an explicit ``solve_many`` trunc is a starting size
+and still grows.  Because the cache is small, a sweep should iterate
+q-major: all levels (and all other parameters) at one q before the next q.
 """
 
 from __future__ import annotations
@@ -51,8 +54,12 @@ _RESIDUAL_RTOL = 1e-13
 #: tail coefficients above this trigger truncation growth (or a warning)
 _TAIL_TOL = 1e-12
 _MAX_DOUBLINGS = 5
-#: eigensystems kept; a q-major sweep needs only the current q's entries (an
-#: entry at q = 8000 holds a 195 x 195 eigenvector matrix)
+#: truncations up to this size are diagonalized in full (an eigenvector
+#: matrix of at most 2 MB); larger ones compute only the levels asked for
+_FULL_MAX = 512
+#: levels a partial eigensystem computes first
+_LEVEL_BLOCK = 16
+#: eigensystems kept; a q-major sweep needs only the current q's entries
 _CACHE_SIZE = 8
 
 
@@ -132,34 +139,59 @@ def _fix_sign(vec: np.ndarray, n: int) -> np.ndarray:
 
 
 class _Eigensystem:
-    """Every level at (q, trunc) from one full tridiagonal eigendecomposition.
+    """The lowest levels at (q, trunc) from one tridiagonal eigensolve.
 
-    The residual of all eigenpairs is checked once, on construction.
-    ``level(n)`` normalizes, sign-anchors and freezes column n on first use
-    and memoizes the result, so repeated requests return the same object.
+    A truncation up to ``_FULL_MAX`` is diagonalized in full on
+    construction.  A larger one computes only its lowest ``_LEVEL_BLOCK``
+    levels, and ``level(n)`` past them computes the missing ones in one more
+    call, at least doubling the count, so memory stays O(trunc * levels
+    used).  Residuals of new eigenpairs are checked once, as they are
+    computed.  ``level(n)`` normalizes, sign-anchors and freezes column n on
+    first use and memoizes the result, so repeated requests return the
+    same object.
     """
 
     def __init__(self, q: float, trunc: int):
-        d = (2.0 * np.arange(trunc) + 2.0) ** 2
-        w, v = scipy.linalg.eigh_tridiagonal(d, np.full(trunc - 1, q))
+        self.q = q
+        self.diag = (2.0 * np.arange(trunc) + 2.0) ** 2
+        self.values = np.empty(0)
+        self.vectors = np.empty((trunc, 0))
+        self._levels: dict[int, MathieuSolution] = {}
+        self._compute(trunc if trunc <= _FULL_MAX else _LEVEL_BLOCK)
+
+    def _compute(self, count: int) -> None:
+        """Add levels len(values)..count-1."""
+        d, q = self.diag, self.q
+        trunc, start = len(d), len(self.values)
+        off = np.full(trunc - 1, q)
+        if start == 0 and count == trunc:
+            w, v = scipy.linalg.eigh_tridiagonal(d, off)
+        else:
+            # a tiny tol makes bisection converge to relative, not eps * |T|,
+            # accuracy: the low levels stay exact at an oversize truncation
+            w, v = scipy.linalg.eigh_tridiagonal(
+                d, off, select="i", select_range=(start, count - 1), tol=np.finfo(float).tiny
+            )
         tv = d[:, None] * v
         tv[1:] += q * v[:-1]
         tv[:-1] += q * v[1:]
-        residual = float(np.max(np.abs(tv - v * w)))
+        tv -= v * w
+        residual = float(np.max(np.abs(tv)))
         scale = max(1.0, float(d[-1]) + 2.0 * abs(q))
         if residual > _RESIDUAL_RTOL * scale:
             raise ConvergenceError(
                 f"tridiagonal eigensolve residual {residual:.3e} exceeds "
                 f"{_RESIDUAL_RTOL:.0e} * {scale:.3e} (q={q}, trunc={trunc})"
             )
-        self.q = q
-        self.values = w
-        self.vectors = v
-        self._levels: dict[int, MathieuSolution] = {}
+        if start:
+            w, v = np.concatenate([self.values, w]), np.hstack([self.vectors, v])
+        self.values, self.vectors = w, v
 
     def level(self, n: int) -> MathieuSolution:
         sol = self._levels.get(n)
         if sol is None:
+            if n >= len(self.values):
+                self._compute(min(len(self.diag), max(n + 1, 2 * len(self.values))))
             vec = self.vectors[:, n]
             vec = vec / np.linalg.norm(vec)
             sol = MathieuSolution(
@@ -179,7 +211,8 @@ def _converged(q: float, size: int, levels: range) -> _Eigensystem:
     """
     for _ in range(_MAX_DOUBLINGS):
         system = _eigensystem(q, size)
-        if max(system.level(n).tail for n in levels) <= _TAIL_TOL:
+        # highest level first, so a partial eigensystem grows in one call
+        if max(system.level(n).tail for n in reversed(levels)) <= _TAIL_TOL:
             return system
         size *= 2
     raise ConvergenceError(

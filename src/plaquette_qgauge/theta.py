@@ -29,7 +29,7 @@ def theta3(Q: float) -> float:
         total += term
         if k >= _MIN_TERMS and abs(term) < _REL_CUTOFF * abs(total):
             return total
-    raise RuntimeError(f"theta3 series did not converge for Q={Q}")
+    raise FloatingPointError(f"theta3 series did not converge for Q={Q}")
 
 
 def theta3_prime(Q: float) -> float:
@@ -41,4 +41,4 @@ def theta3_prime(Q: float) -> float:
         total += term
         if k >= _MIN_TERMS and abs(term) < _REL_CUTOFF * abs(total):
             return total
-    raise RuntimeError(f"theta3_prime series did not converge for Q={Q}")
+    raise FloatingPointError(f"theta3_prime series did not converge for Q={Q}")

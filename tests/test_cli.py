@@ -44,9 +44,11 @@ class TestTunneling:
     def test_invalid_range_exits_2(self, capsys):
         assert cli.main(["tunneling", "--hbar-beta2", "5:1:10"]) == 2
 
-    def test_underflowing_t_exits_3(self, capsys):
-        # exp(-t) leaves the double range: a one-line refusal, not a traceback
-        assert cli.main(["tunneling", "--hbar-beta2", "800"]) == 3
+    @pytest.mark.parametrize("t", ["800", "1e-9"])
+    def test_unsummable_series_exits_3(self, t, capsys):
+        # 800: exp(-t) underflows; 1e-9: the series needs too many terms.
+        # Either way a one-line refusal, not a traceback
+        assert cli.main(["tunneling", "--hbar-beta2", t]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
 

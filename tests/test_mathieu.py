@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,52 @@ class TestSolve:
         for n in range(41):
             spectrum.energy(n, params)
         assert len(calls) == 1
+
+    def test_partial_eigensystem_matches_full(self):
+        # trunc = 600 computes only the lowest levels, grown past the first
+        # block; the default truncations here are diagonalized in full
+        for q in (24.0, 200.0):
+            for n in range(40):
+                partial = mathieu.solve(n, q, trunc=600)
+                full = mathieu.solve(n, q)
+                assert abs(partial.b - full.b) <= 1e-13 * max(1.0, abs(full.b))
+                assert np.max(np.abs(partial.coeffs[: full.trunc] - full.coeffs)) < 1e-12
+
+    def test_large_q_memory_and_work_stay_bounded(self, monkeypatch):
+        # default_trunc at q = 4e6 is 4016 rows; a full eigendecomposition
+        # would hold a 129 MB eigenvector matrix
+        columns = []
+        original = mathieu.scipy.linalg.eigh_tridiagonal
+
+        def recording(*args, **kwargs):
+            w, v = original(*args, **kwargs)
+            columns.append(v.shape[1])
+            return w, v
+
+        monkeypatch.setattr(mathieu.scipy.linalg, "eigh_tridiagonal", recording)
+        mathieu._eigensystem.cache_clear()
+        q = 4e6
+        tracemalloc.start()
+        try:
+            sols = [mathieu.solve(n, q) for n in range(4)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sols[0].trunc == 4016
+        assert sum(columns) <= 16 and peak < 16e6
+        h = math.sqrt(q)
+        for n, sol in enumerate(sols):
+            # large-q expansion of b_{2n+2}, DLMF 28.8.1 with s = 4n + 3
+            s = 4 * n + 3
+            expected = (
+                -2.0 * q
+                + 2.0 * s * h
+                - (s * s + 1) / 8.0
+                - (s**3 + 3 * s) / (2**7 * h)
+                - (5 * s**4 + 34 * s * s + 9) / (2**12 * q)
+            )
+            assert math.isclose(sol.b, expected, rel_tol=1e-12)
+            assert sol.tail <= 1e-12
 
     @settings(deadline=None, max_examples=30)
     @given(st.integers(min_value=0, max_value=6), st.floats(min_value=0.0, max_value=30.0))
