@@ -126,6 +126,16 @@ def default_trunc(t: float) -> int:
     return math.ceil(math.sqrt(80.0 / t)) + 8
 
 
+def vertex_weights(t: float, count: int) -> np.ndarray:
+    """Unnormalized plus vertex-state coefficients (k+1) exp(-t (k+1)^2 / 2), k < count.
+
+    The minus state and the vertex evaluation multiply them by signs +-1,
+    which is exact, so every caller sees bit-identical weights.
+    """
+    k = np.arange(count)
+    return (k + 1.0) * np.exp(-t * (k + 1.0) ** 2 / 2.0)
+
+
 def stratum_state(stratum: Stratum, params: ModelParams, trunc: int | None = None) -> StateVector:
     """Unit state spanning the quantum subspace of the given vertex stratum."""
     sign = stratum.sign  # rejects Stratum.TOP
@@ -138,10 +148,9 @@ def stratum_state(stratum: Stratum, params: ModelParams, trunc: int | None = Non
             f"trunc={trunc} leaves a tail above 1e-16 * N^2 at t={t}; "
             f"need at least {default_trunc(t)}"
         )
-    n = np.arange(trunc)
-    weights = (n + 1.0) * np.exp(-t * (n + 1.0) ** 2 / 2.0)
+    weights = vertex_weights(t, trunc)
     if sign < 0:
-        weights = weights * (-1.0) ** n
+        weights = weights * (-1.0) ** np.arange(trunc)
     return StateVector(weights / math.sqrt(n2), params)
 
 
@@ -154,9 +163,7 @@ def vertex_evaluation(state: StateVector, stratum: Stratum, params: ModelParams)
     vanishing subspace of that vertex.
     """
     sign = stratum.sign
-    t = params.t
-    n = np.arange(state.trunc)
-    factors = float(sign) ** n * (n + 1.0) * np.exp(-t * (n + 1.0) ** 2 / 2.0)
+    factors = float(sign) ** np.arange(state.trunc) * vertex_weights(params.t, state.trunc)
     scale = (params.hbar * math.pi) ** -0.75
     return complex(scale * np.sum(state.coeffs * factors))
 

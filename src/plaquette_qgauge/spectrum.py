@@ -18,6 +18,14 @@ The matrix route exists purely as a cross-check oracle; all production
 quantities go through the Mathieu route.  Eigenstate coefficients pick up the
 alternating sign of the change of variable y = (x - pi)/2:
 coefficient k of level n is (-1)^(n+k) times the Mathieu Fourier coefficient.
+
+Projector expectations are squared overlaps of eigenstates with the two
+vertex states, and one batched helper computes them for any set of levels
+that share a truncation: the vertex weights, the normalization N and the tail
+checks once per call, then both strata's overlaps as row sums over the
+stacked (levels, trunc) coefficient array.  So a grid point of
+``projector_expectations`` costs one normalization and one array pass, and
+the single-level ``projector_expectation`` gives bit-identical values.
 """
 
 from __future__ import annotations
@@ -34,6 +42,10 @@ from .params import ModelParams
 from .strata import Stratum
 
 _TAIL_TOL = 1e-12
+#: projector_expectations doubles its completeness count until the sum of
+#: the plus expectations is within this of 1, up to _COMPLETENESS_MAX levels
+_COMPLETENESS_TOL = 1e-6
+_COMPLETENESS_MAX = 960
 
 
 @dataclass(frozen=True)
@@ -46,14 +58,19 @@ class SpectralResult:
     params: ModelParams
 
 
+def _tridiagonal(params: ModelParams, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the Hamiltonian on the first dim basis states."""
+    k = np.arange(dim)
+    diag = 0.5 * params.hbar2_beta2 * k * (k + 2.0) + 1.5 * params.nu
+    return diag, np.full(dim - 1, -0.5 * params.nu)
+
+
 def hamiltonian_matrix(params: ModelParams, dim: int) -> np.ndarray:
     """Dense symmetric tridiagonal Hamiltonian truncated to the first dim basis states."""
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
-    k = np.arange(dim)
-    diag = 0.5 * params.hbar2_beta2 * k * (k + 2.0) + 1.5 * params.nu
+    diag, off = _tridiagonal(params, dim)
     h = np.diag(diag)
-    off = np.full(dim - 1, -0.5 * params.nu)
     h += np.diag(off, 1) + np.diag(off, -1)
     return h
 
@@ -62,10 +79,7 @@ def matrix_energies(params: ModelParams, count: int, dim: int | None = None) -> 
     """First ``count`` eigenvalues of the truncated Hamiltonian matrix (oracle route)."""
     if dim is None:
         dim = mathieu.default_trunc(count - 1, 4.0 * params.nu_tilde)
-    k = np.arange(dim)
-    diag = 0.5 * params.hbar2_beta2 * k * (k + 2.0) + 1.5 * params.nu
-    off = np.full(dim - 1, -0.5 * params.nu)
-    w = scipy.linalg.eigvalsh_tridiagonal(diag, off)
+    w = scipy.linalg.eigvalsh_tridiagonal(*_tridiagonal(params, dim))
     return np.sort(w)[:count]
 
 
@@ -118,30 +132,43 @@ def _stratum_signs(count: int, stratum: Stratum) -> np.ndarray:
     return np.ones(count)
 
 
-def _vertex_overlap(sol: mathieu.MathieuSolution, params: ModelParams, stratum: Stratum) -> float:
-    """Overlap of eigenstate level sol.n with the vertex state of ``stratum``.
+def _vertex_overlaps(
+    sols: tuple[mathieu.MathieuSolution, ...], params: ModelParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Overlaps of the eigenstate levels ``sols`` with the plus and minus vertex states.
 
+    Level n's overlap with a stratum's vertex state is
     ((-1)^n / N) * sum_k s_k (k+1) exp(-t (k+1)^2/2) c_k with s_k the stratum
-    sign weights; requires both coefficient tails to be negligible.
+    sign weights; it requires both coefficient tails to be negligible.  N and
+    the weights are built once for all levels, which share one truncation.
+    Each level is summed along the contiguous axis of the stacked array, in
+    the same order as a 1-D sum over that level alone, so results do not
+    depend on the batch; a matrix product would change that order.
     """
     t = params.t
-    k = np.arange(sol.trunc)
-    weights = (k + 1.0) * np.exp(-t * (k + 1.0) ** 2 / 2.0)
+    trunc = sols[0].trunc
+    weights = costratified.vertex_weights(t, trunc)
     n_const = costratified.normalization_constant(t)
-    if sol.tail > _TAIL_TOL:
-        raise TruncationError(f"Mathieu coefficient tail {sol.tail:.2e} exceeds {_TAIL_TOL}")
+    tail = max(sol.tail for sol in sols)
+    if tail > _TAIL_TOL:
+        raise TruncationError(f"Mathieu coefficient tail {tail:.2e} exceeds {_TAIL_TOL}")
     if weights[-1] / n_const > _TAIL_TOL:
         raise TruncationError(
             f"vertex-state weight tail {weights[-1] / n_const:.2e} exceeds {_TAIL_TOL}"
         )
-    signs = _stratum_signs(sol.trunc, stratum)
-    return (-1.0) ** sol.n / n_const * float(np.sum(signs * weights * sol.coeffs))
+    coeffs = np.array([sol.coeffs for sol in sols])
+    scale = (-1.0) ** np.array([sol.n for sol in sols]) / n_const
+    plus = scale * np.sum(_stratum_signs(trunc, Stratum.PLUS) * weights * coeffs, axis=1)
+    minus = scale * np.sum(_stratum_signs(trunc, Stratum.MINUS) * weights * coeffs, axis=1)
+    return plus, minus
 
 
 def projector_expectation(n: int, params: ModelParams, stratum: Stratum) -> float:
     """Probability of finding energy level n in the given vertex subspace."""
+    sign = stratum.sign  # rejects Stratum.TOP
     sol = mathieu.solve(n, 4.0 * params.nu_tilde, trunc=_state_trunc(n, params))
-    overlap = _vertex_overlap(sol, params, stratum)
+    plus, minus = _vertex_overlaps((sol,), params)
+    overlap = float(plus[0] if sign > 0 else minus[0])
     return overlap * overlap
 
 
@@ -152,12 +179,23 @@ def projector_expectations(
 
     The completeness diagnostic sums the plus expectations over the first
     ``completeness_count`` levels; it approaches 1 because the eigenstates are
-    a complete orthonormal family and the vertex state has unit norm.
+    a complete orthonormal family and the vertex state has unit norm.  At
+    strong coupling the vertex state spreads over more levels, so the count
+    doubles until the sum reaches 1 - 1e-6; past ``_COMPLETENESS_MAX``
+    levels a ``TruncationError`` is raised.
     """
-    total = max(count, completeness_count)
-    trunc = _state_trunc(total - 1, params)
-    sols = mathieu.solve_many(total, 4.0 * params.nu_tilde, trunc=trunc)
-    plus = np.array([_vertex_overlap(s, params, Stratum.PLUS) for s in sols]) ** 2
-    minus = np.array([_vertex_overlap(s, params, Stratum.MINUS) for s in sols]) ** 2
-    completeness = float(np.sum(plus[:completeness_count]))
-    return plus[:count], minus[:count], completeness
+    while True:
+        total = max(count, completeness_count)
+        trunc = _state_trunc(total - 1, params)
+        sols = mathieu.solve_many(total, 4.0 * params.nu_tilde, trunc=trunc)
+        plus, minus = _vertex_overlaps(sols, params)
+        plus, minus = plus**2, minus**2
+        completeness = float(np.sum(plus[:completeness_count]))
+        if completeness >= 1.0 - _COMPLETENESS_TOL:
+            return plus[:count], minus[:count], completeness
+        if completeness_count >= _COMPLETENESS_MAX:
+            raise TruncationError(
+                f"projector completeness {completeness!r} below 1 - {_COMPLETENESS_TOL} "
+                f"with {completeness_count} levels (t={params.t}, nu_tilde={params.nu_tilde})"
+            )
+        completeness_count = min(2 * completeness_count, _COMPLETENESS_MAX)

@@ -5,7 +5,7 @@ import pytest
 
 from plaquette_qgauge import ModelParams, Stratum, costratified, mathieu, spectrum
 
-from oracles import character_hamiltonian, dense_dim
+from oracles import character_hamiltonian, dense_dim, dense_projectors
 
 
 class TestHamiltonianMatrix:
@@ -169,6 +169,65 @@ class TestProjectorExpectations:
             state = spectrum.eigenstate(n, params, trunc=vertex.trunc).state
             direct = abs(vertex.inner(state)) ** 2
             assert abs(direct - spectrum.projector_expectation(n, params, Stratum.PLUS)) < 1e-12
+
+    def test_one_normalization_per_call(self, monkeypatch):
+        calls = []
+        original = costratified.norm_squared
+
+        def counting(t):
+            calls.append(t)
+            return original(t)
+
+        monkeypatch.setattr(costratified, "norm_squared", counting)
+        spectrum.projector_expectations(ModelParams.from_reduced(0.125, 24.0), 6)
+        assert calls == [0.125]
+
+    @pytest.mark.parametrize("nut", [0.1, 24.0, 100.0])
+    @pytest.mark.parametrize("t", [0.03125, 0.125, 0.5])
+    def test_batched_overlaps_equal_per_level_formula(self, t, nut):
+        # reference: one 1-D sum per level and stratum, the formula the
+        # batched overlaps must reproduce bit for bit
+        params = ModelParams.from_reduced(t, nut)
+        plus, minus, _ = spectrum.projector_expectations(params, 60)
+        sols = mathieu.solve_many(
+            60, 4.0 * params.nu_tilde, trunc=spectrum._state_trunc(59, params)
+        )
+        n_const = costratified.normalization_constant(params.t)
+        for sol in sols:
+            k = np.arange(sol.trunc)
+            weights = (k + 1.0) * np.exp(-params.t * (k + 1.0) ** 2 / 2.0)
+            for signs, values in (((-1.0) ** k, plus), (np.ones(sol.trunc), minus)):
+                overlap = (-1.0) ** sol.n / n_const * float(np.sum(signs * weights * sol.coeffs))
+                assert values[sol.n] == overlap * overlap
+
+    def test_fat_mathieu_tail_raises(self):
+        with pytest.warns(mathieu.TruncationWarning):
+            sol = mathieu.solve(0, 200.0, trunc=16)
+        with pytest.raises(costratified.TruncationError, match="Mathieu coefficient tail"):
+            spectrum._vertex_overlaps((sol,), ModelParams.from_reduced(0.125, 50.0))
+
+    def test_short_vertex_truncation_raises(self):
+        # the t = 0.03125 vertex state needs about 59 coefficients, not 20
+        sols = mathieu.solve_many(3, 1.0, trunc=20)
+        assert sols[0].trunc == 20
+        with pytest.raises(costratified.TruncationError, match="vertex-state weight tail"):
+            spectrum._vertex_overlaps(sols, ModelParams.from_reduced(0.03125, 0.25))
+
+    @pytest.mark.parametrize("t, nut", [(0.5, 3000.0), (2.0, 3000.0), (2.0, 1e4)])
+    def test_completeness_grows_at_strong_coupling(self, t, nut):
+        # 60 levels sum to 0.99999014, 0.97146 and 0.64870 here
+        plus, minus, completeness = spectrum.projector_expectations(
+            ModelParams.from_reduced(t, nut), 6
+        )
+        assert 1.0 - 1e-6 <= completeness <= 1.0 + 1e-12
+        ref_plus, ref_minus = dense_projectors(t, nut, 6)
+        assert np.max(np.abs(plus - ref_plus)) <= 1e-10
+        assert np.max(np.abs(minus - ref_minus)) <= 1e-10
+
+    def test_completeness_past_the_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(spectrum, "_COMPLETENESS_MAX", 120)
+        with pytest.raises(costratified.TruncationError, match="completeness"):
+            spectrum.projector_expectations(ModelParams.from_reduced(2.0, 1e4), 6)
 
 
 class TestVertexStateIsNotAnEigenstate:
