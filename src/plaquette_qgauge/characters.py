@@ -12,6 +12,11 @@ n = 0, 1, 2, ... (twice the spin).  A basis element can be realized three ways:
 
 Conventions fixed here: the group volume is normalized to 1, and the inner
 product on [0, pi] gives the constant function 1 norm 1.
+
+This module is the one implementation of the interval basis (``char_l2``,
+sampled by the ``states`` command), of the Gauss-Legendre rule on [0, pi]
+(``quadrature_rule``, used by the verification suite) and of the Laplace
+eigenvalue (``laplace_eigenvalue``, the diagonal of the Hamiltonian).
 """
 
 from __future__ import annotations
@@ -71,11 +76,16 @@ def char_complex(n: int, z: complex) -> complex:
     return total
 
 
-def laplace_eigenvalue(n: int, params: ModelParams) -> float:
-    """Eigenvalue beta2 * n * (n+2) of (minus) the Laplacian on the n-th character."""
-    if n < 0:
+def laplace_eigenvalue(n, params: ModelParams):
+    """Eigenvalue beta2 * n * (n+2) of (minus) the Laplacian on the n-th character.
+
+    Accepts an integer or an integer array of basis indices.
+    """
+    n = np.asarray(n)
+    if np.any(n < 0):
         raise ValueError(f"basis index must be >= 0, got {n}")
-    return params.beta2 * n * (n + 2)
+    out = params.beta2 * (n * (n + 2))
+    return float(out) if out.ndim == 0 else out
 
 
 def peter_weyl_constant(n: int, params: ModelParams) -> float:
@@ -100,7 +110,12 @@ def haar_density(x):
 
 
 @lru_cache(maxsize=8)
-def _quadrature_rule(num_nodes: int):
+def quadrature_rule(num_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [0, pi].
+
+    sum(w * f(x)) / pi approximates the inner-product integral
+    (1/pi) * integral_0^pi f(x) dx.
+    """
     nodes, weights = np.polynomial.legendre.leggauss(num_nodes)
     x = 0.5 * math.pi * (nodes + 1.0)
     w = 0.5 * math.pi * weights
@@ -115,5 +130,5 @@ def l2_inner_product(f, g, num_nodes: int = 512) -> float:
     512 nodes integrate products of the basis functions used anywhere in the
     package to well below 1e-12.
     """
-    x, w = _quadrature_rule(num_nodes)
+    x, w = quadrature_rule(num_nodes)
     return float(np.sum(w * np.asarray(f(x)) * np.asarray(g(x))) / math.pi)

@@ -27,7 +27,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, costratified, mathieu, spectrum, verify
+from . import __version__, characters, costratified, mathieu, spectrum, verify
 from .costratified import ConsistencyError, TruncationError
 from .geometry import monomial_decomposition, restriction_kernel
 from .params import ModelParams
@@ -45,7 +45,6 @@ CONFIG_KEYS = (
     "nu_tilde",
     "hbar_beta2",
     "n_max",
-    "trunc",
     "grid",
     "out",
     "format",
@@ -82,19 +81,23 @@ def parse_value_list(text: str) -> list[float]:
 
 
 def read_config_file(path: str) -> dict[str, str]:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except OSError as exc:
+        raise UsageError(f"cannot read config file: {exc}") from exc
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in CONFIG_KEYS:
-                raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-            out[key] = value.strip()
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in CONFIG_KEYS:
+            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        out[key] = value.strip()
     return out
 
 
@@ -210,8 +213,11 @@ def write_output(path: str, text: str):
     if path in ("-", ""):
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write output: {exc}") from exc
 
 
 def _out_and_format(settings) -> tuple[str, str]:
@@ -287,13 +293,12 @@ def cmd_states(args) -> int:
     grid = int(settings.get("grid", "257"))
     if grid < 2:
         raise UsageError("grid must be >= 2")
-    trunc = int(settings["trunc"]) if "trunc" in settings else None
     x = np.linspace(0.0, math.pi, grid)
     selector = args.state
     if selector in ("psi-plus", "psi-minus"):
         stratum = Stratum.PLUS if selector == "psi-plus" else Stratum.MINUS
-        state = costratified.stratum_state(stratum, params, trunc=trunc)
-        basis = np.sqrt(2.0) * np.sin(np.multiply.outer(x, np.arange(state.trunc) + 1.0))
+        state = costratified.stratum_state(stratum, params)
+        basis = np.column_stack([characters.char_l2(n, x) for n in range(state.trunc)])
         values = basis @ np.asarray(state.coeffs, dtype=float)
         label = selector
     else:
@@ -419,7 +424,6 @@ def _add_common(parser: argparse.ArgumentParser):
         "--hbar-beta2", dest="hbar_beta2", help="list 'a,b' or range 'lo:hi:n[:log]'"
     )
     parser.add_argument("--n-max", dest="n_max", type=int, help="number of levels")
-    parser.add_argument("--trunc", type=int, help="basis truncation override")
     parser.add_argument("--grid", type=int, help="number of sample points")
 
 

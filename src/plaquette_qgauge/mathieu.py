@@ -18,9 +18,11 @@ super-exponentially beyond k ~ sqrt(q), so a modest truncation is exact to
 machine precision.
 
 Conventions: sum c_k^2 = 1, and the sign is anchored to the q = 0 limit where
-c = e_n exactly (the component c_n is kept positive; it stays bounded away
-from zero for q <= 30 on all levels used here, and a sign flip at larger q
-only flips the global sign of se).
+c = e_n exactly: (-1)^(n+1) se'(-pi/2) = sum_k (-1)^(n+k) (2k+2) c_k is kept
+positive.  It equals 2n + 2 at q = 0 and never vanishes, because a Dirichlet
+eigenfunction cannot have f = f' = 0 at the wall; at large q, where the
+levels localize at the wall y = -pi/2, it is the dominant quantity, so
+each level's sign is continuous in q.
 
 Solve path: every level at one (q, truncation) comes from a single
 eigendecomposition of the truncated matrix, kept in a small LRU cache with
@@ -30,18 +32,17 @@ the lowest levels are computed, 16 at first and more on demand, so memory
 grows with the levels used, not with the square of the truncation.
 ``solve`` and ``solve_many`` share one growth loop that doubles the
 truncation until the coefficient tails of the requested levels fall below
-1e-12.  With trunc=None, ``solve`` starts at ``default_trunc(n, q)``, which
-depends on n only for n > 2 sqrt(q); all lower levels share one
-eigendecomposition.  An explicit ``solve`` trunc is used as given and only
-warns on a fat tail; an explicit ``solve_many`` trunc is a starting size
-and still grows.  Because the cache is small, a sweep should iterate
-q-major: all levels (and all other parameters) at one q before the next q.
+1e-12.  An explicit trunc is the starting size on both entry points and
+must hold the highest requested level; without one the start is
+``default_trunc(n, q)``, which depends on n only for n > 2 sqrt(q), so all
+lower levels share one eigendecomposition.  Because the cache is small, a
+sweep should iterate q-major: all levels (and all other parameters) at one
+q before the next q.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -51,7 +52,7 @@ import scipy.linalg
 #: residual threshold, relative to the matrix norm, past which the
 #: eigendecomposition is rejected
 _RESIDUAL_RTOL = 1e-13
-#: tail coefficients above this trigger truncation growth (or a warning)
+#: tail coefficients above this trigger truncation growth
 _TAIL_TOL = 1e-12
 _MAX_DOUBLINGS = 5
 #: truncations up to this size are diagonalized in full (an eigenvector
@@ -65,10 +66,6 @@ _CACHE_SIZE = 8
 
 class ConvergenceError(RuntimeError):
     """Eigensolver residual exceeded the accepted tolerance."""
-
-
-class TruncationWarning(UserWarning):
-    """The requested truncation leaves a non-negligible tail coefficient."""
 
 
 @dataclass(frozen=True)
@@ -130,14 +127,6 @@ def _freeze(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
-def _fix_sign(vec: np.ndarray, n: int) -> np.ndarray:
-    anchor = vec[n]
-    if abs(anchor) <= 1e-12 * np.max(np.abs(vec)):
-        # anchor component numerically zero: fall back to the slope se'(0)
-        anchor = float(np.dot(2.0 * np.arange(len(vec)) + 2.0, vec))
-    return -vec if anchor < 0 else vec
-
-
 class _Eigensystem:
     """The lowest levels at (q, trunc) from one tridiagonal eigensolve.
 
@@ -146,14 +135,17 @@ class _Eigensystem:
     levels, and ``level(n)`` past them computes the missing ones in one more
     call, at least doubling the count, so memory stays O(trunc * levels
     used).  Residuals of new eigenpairs are checked once, as they are
-    computed.  ``level(n)`` normalizes, sign-anchors and freezes column n on
-    first use and memoizes the result, so repeated requests return the
-    same object.
+    computed.  ``level(n)`` normalizes, sign-anchors (see the module
+    docstring) and freezes column n on first use and memoizes the result, so
+    repeated requests return the same object.
     """
 
     def __init__(self, q: float, trunc: int):
         self.q = q
-        self.diag = (2.0 * np.arange(trunc) + 2.0) ** 2
+        freqs = 2.0 * np.arange(trunc) + 2.0
+        self.diag = freqs**2
+        # (-1)^k (2k+2); the dot product with c is -se'(-pi/2)
+        self._wall_slope = freqs * (-1.0) ** np.arange(trunc)
         self.values = np.empty(0)
         self.vectors = np.empty((trunc, 0))
         self._levels: dict[int, MathieuSolution] = {}
@@ -194,9 +186,9 @@ class _Eigensystem:
                 self._compute(min(len(self.diag), max(n + 1, 2 * len(self.values))))
             vec = self.vectors[:, n]
             vec = vec / np.linalg.norm(vec)
-            sol = MathieuSolution(
-                n=n, q=self.q, b=float(self.values[n]), coeffs=_freeze(_fix_sign(vec, n))
-            )
+            if (-1) ** n * float(self._wall_slope @ vec) < 0:
+                vec = -vec
+            sol = MathieuSolution(n=n, q=self.q, b=float(self.values[n]), coeffs=_freeze(vec))
             self._levels[n] = sol
         return sol
 
@@ -204,11 +196,20 @@ class _Eigensystem:
 _eigensystem = lru_cache(maxsize=_CACHE_SIZE)(_Eigensystem)
 
 
-def _converged(q: float, size: int, levels: range) -> _Eigensystem:
+def _converged(q: float, trunc: int | None, levels: range) -> _Eigensystem:
     """Eigensystem at q whose ``levels`` all have tails below ``_TAIL_TOL``.
 
-    The truncation starts at ``size`` rows and doubles until the tails fall.
+    The truncation starts at ``trunc`` rows (``default_trunc`` of the highest
+    level if None), which must hold the highest level, and doubles until the
+    tails fall.
     """
+    q = float(q)
+    if not math.isfinite(q):
+        raise ValueError(f"q must be finite, got {q}")
+    top = levels[-1]
+    size = default_trunc(top, q) if trunc is None else trunc
+    if size <= top:
+        raise ValueError(f"trunc={size} cannot hold level n={top}")
     for _ in range(_MAX_DOUBLINGS):
         system = _eigensystem(q, size)
         # highest level first, so a partial eigensystem grows in one call
@@ -217,59 +218,30 @@ def _converged(q: float, size: int, levels: range) -> _Eigensystem:
         size *= 2
     raise ConvergenceError(
         f"coefficient tail did not fall below {_TAIL_TOL} "
-        f"(levels {levels.start}..{levels.stop - 1}, q={q})"
+        f"(levels {levels.start}..{top}, q={q})"
     )
 
 
 def solve(n: int, q: float, trunc: int | None = None) -> MathieuSolution:
     """Characteristic value and Fourier coefficients for level n at parameter q.
 
-    With trunc=None the truncation starts at ``default_trunc`` and doubles
-    until the tail coefficient drops below 1e-12.  An explicit trunc is used
-    as given (it must be at least n + 16) and merely warns on a fat tail.
+    The truncation starts at ``trunc`` (or ``default_trunc(n, q)``) and
+    doubles until the tail coefficient drops below 1e-12.
     """
     if n < 0:
         raise ValueError(f"level index must be >= 0, got {n}")
-    q = float(q)
-    if not math.isfinite(q):
-        raise ValueError(f"q must be finite, got {q}")
-    if q == 0.0:
-        size = trunc if trunc is not None else default_trunc(n, 0.0)
-        if size < n + 1:
-            raise ValueError(f"trunc={size} cannot hold level n={n}")
-        coeffs = np.zeros(size)
-        coeffs[n] = 1.0
-        return MathieuSolution(n=n, q=0.0, b=float((2 * n + 2) ** 2), coeffs=_freeze(coeffs))
-    if trunc is None:
-        return _converged(q, default_trunc(n, q), range(n, n + 1)).level(n)
-    if trunc < n + 16:
-        raise ValueError(f"trunc={trunc} too small for level n={n}; need >= n + 16")
-    sol = _eigensystem(q, trunc).level(n)
-    if sol.tail > _TAIL_TOL:
-        warnings.warn(
-            f"tail coefficient {sol.tail:.2e} at trunc={trunc} (n={n}, q={q})",
-            TruncationWarning,
-            stacklevel=2,
-        )
-    return sol
+    return _converged(q, trunc, range(n, n + 1)).level(n)
 
 
 def solve_many(count: int, q: float, trunc: int | None = None) -> tuple[MathieuSolution, ...]:
     """Levels 0..count-1 at parameter q, all read from one eigendecomposition.
 
-    Unlike ``solve``, an explicit trunc is only the starting size: the
-    truncation doubles from it (or from ``default_trunc(count - 1, q)``)
-    until every level's tail coefficient drops below 1e-12.
+    The truncation grows as in ``solve``, until every level's tail
+    coefficient drops below 1e-12.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    q = float(q)
-    size = trunc if trunc is not None else default_trunc(count - 1, q)
-    if size < count:
-        raise ValueError(f"trunc={size} cannot hold {count} levels")
-    if q == 0.0:
-        return tuple(solve(n, 0.0, size) for n in range(count))
-    system = _converged(q, size, range(count))
+    system = _converged(q, trunc, range(count))
     return tuple(system.level(n) for n in range(count))
 
 

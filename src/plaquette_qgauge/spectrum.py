@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from . import costratified, mathieu
+from . import characters, costratified, mathieu
 from .costratified import StateVector, TruncationError
 from .params import ModelParams
 from .strata import Stratum
@@ -60,8 +60,8 @@ class SpectralResult:
 
 def _tridiagonal(params: ModelParams, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of the Hamiltonian on the first dim basis states."""
-    k = np.arange(dim)
-    diag = 0.5 * params.hbar2_beta2 * k * (k + 2.0) + 1.5 * params.nu
+    diag = 0.5 * params.hbar**2 * characters.laplace_eigenvalue(np.arange(dim), params)
+    diag += 1.5 * params.nu
     return diag, np.full(dim - 1, -0.5 * params.nu)
 
 

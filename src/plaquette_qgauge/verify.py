@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import costratified, geometry, mathieu, spectrum
+from . import characters, costratified, geometry, mathieu, spectrum
 from .params import ModelParams
 from .strata import Stratum
 from .theta import theta3_prime
@@ -30,13 +30,6 @@ class CheckResult:
 def _residual_check(name: str, residual: float, tol: float) -> CheckResult:
     residual = float(residual)
     return CheckResult(name, residual <= tol, f"max_residual={residual!r} (tol {tol!r})")
-
-
-def _gauss_legendre(num_nodes: int = 512):
-    nodes, weights = np.polynomial.legendre.leggauss(num_nodes)
-    y = -0.25 * math.pi * (nodes + 1.0)
-    w = 0.25 * math.pi * weights
-    return y, w
 
 
 def geometry_checks() -> list[CheckResult]:
@@ -107,8 +100,8 @@ def spectral_checks() -> list[CheckResult]:
     worst = 0.0
     anchored = True
     for n in range(10):
-        value = spectrum.energy(n, free) / free.hbar2_beta2
-        worst = max(worst, abs(value - 0.5 * n * (n + 2)))
+        value = spectrum.energy(n, free) / free.hbar**2
+        worst = max(worst, abs(value - 0.5 * characters.laplace_eigenvalue(n, free)))
         state = spectrum.eigenstate(n, free).state.coeffs
         expected = np.zeros(len(state))
         expected[n] = 1.0
@@ -142,9 +135,11 @@ def spectral_checks() -> list[CheckResult]:
         )
     )
 
-    y, w = _gauss_legendre()
+    # the interval realization sqrt(2) se(n, q, (x - pi)/2) of level n on [0, pi]
+    x, w = characters.quadrature_rule(512)
+    y = (x - math.pi) / 2.0
     funcs = np.column_stack([math.sqrt(2.0) * mathieu.se(n, 24.0, y) for n in range(8)])
-    gram = (funcs * w[:, None]).T @ funcs * (2.0 / math.pi)
+    gram = (funcs * w[:, None]).T @ funcs / math.pi
     out.append(
         _residual_check(
             "sine-elliptic-orthonormality", float(np.max(np.abs(gram - np.eye(8)))), 1e-9

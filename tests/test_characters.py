@@ -119,6 +119,8 @@ class TestConstants:
         assert laplace_eigenvalue(2, one) == 8.0
         quarter = ModelParams(hbar=1.0, beta2=0.25, coupling_g=1.0)
         assert laplace_eigenvalue(3, quarter) == 3.75
+        values = laplace_eigenvalue(np.arange(4), quarter)
+        assert np.array_equal(values, [0.0, 0.75, 2.0, 3.75])
 
     def test_peter_weyl_values(self):
         one = ModelParams(hbar=1.0, beta2=1.0, coupling_g=1.0)
@@ -139,6 +141,8 @@ class TestConstants:
         one = ModelParams(hbar=1.0, beta2=1.0, coupling_g=1.0)
         with pytest.raises(ValueError):
             laplace_eigenvalue(-1, one)
+        with pytest.raises(ValueError):
+            laplace_eigenvalue(np.array([0, 2, -1]), one)
 
 
 class TestHaarDensity:

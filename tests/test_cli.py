@@ -108,13 +108,15 @@ class TestStates:
         assert excinfo.value.code == 2
         capsys.readouterr()
 
-    def test_truncation_failure_exits_3(self, capsys):
-        code = cli.main(["states", "--state", "psi-plus", "--trunc", "5"])
-        assert code == 3
-        capsys.readouterr()
-
 
 class TestProjectorExpectations:
+    def test_truncation_failure_exits_3(self, monkeypatch, capsys):
+        # 60 levels sum to 0.97146 here, and the cap forbids doubling them
+        monkeypatch.setattr(spectrum, "_COMPLETENESS_MAX", 60)
+        code = cli.main(["projector-expectations", "--hbar-beta2", "2", "--nu-tilde", "3000"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+
     def test_small_sweep(self, capsys):
         code, out = run_cli(
             [
@@ -186,6 +188,16 @@ class TestConfigFile:
         config.write_text("volume = 12\n")
         assert cli.main(["spectrum", "--config", str(config)]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "option, path",
+        [("--config", "missing.cfg"), ("--config", "."), ("--out", "missing/x.csv")],
+    )
+    def test_file_errors_exit_2(self, option, path, tmp_path, capsys):
+        code = cli.main(["tunneling", "--hbar-beta2", "1", option, str(tmp_path / path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_coupling_and_nu_tilde_conflict(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"

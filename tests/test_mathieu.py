@@ -58,13 +58,33 @@ class TestSolve:
                     assert float(np.dot(previous, sol.coeffs)) > 0.0
                 previous = sol.coeffs
 
-    def test_small_trunc_rejected(self):
-        with pytest.raises(ValueError):
-            mathieu.solve(2, 4.0, trunc=10)
+    def test_sign_continuous_up_to_large_q(self):
+        # c_n changes sign at larger q (level 2 first, near q = 32); the
+        # anchor se'(-pi/2) never vanishes, so no level may flip between
+        # neighbouring q (the smallest neighbour overlap here is 0.86)
+        previous = None
+        for q in np.geomspace(0.01, 2e6, 200):
+            sols = mathieu.solve_many(12, float(q))
+            if previous is not None:
+                for before, after in zip(previous, sols):
+                    m = min(before.trunc, after.trunc)
+                    assert float(np.dot(before.coeffs[:m], after.coeffs[:m])) > 0.5
+            previous = sols
 
-    def test_fat_tail_warns(self):
-        with pytest.warns(mathieu.TruncationWarning):
-            mathieu.solve(0, 200.0, trunc=16)
+    def test_small_trunc_rejected(self):
+        # a truncation must hold the highest requested level
+        with pytest.raises(ValueError, match="cannot hold level"):
+            mathieu.solve(5, 4.0, trunc=5)
+        with pytest.raises(ValueError, match="cannot hold level"):
+            mathieu.solve_many(6, 4.0, trunc=5)
+
+    def test_explicit_small_trunc_grows(self):
+        sol = mathieu.solve(0, 200.0, trunc=16)
+        assert sol.trunc == 32 and sol.tail <= 1e-12
+
+    def test_explicit_trunc_shares_the_default_eigensystem(self):
+        # trunc=10 doubles to 20 rows, the default truncation at q = 4
+        assert mathieu.solve(2, 4.0, trunc=10) is mathieu.solve(2, 4.0)
 
     def test_auto_trunc_keeps_tail_small(self):
         assert mathieu.solve(0, 200.0).tail <= 1e-12
@@ -85,8 +105,7 @@ class TestSolve:
                 assert np.max(np.abs(many[n].coeffs[:m] - single.coeffs[:m])) < 1e-12
 
     def test_solve_many_grows_an_explicit_starting_trunc(self):
-        # trunc=16 leaves a fat tail at q = 200 (see test_fat_tail_warns);
-        # the batch path doubles it instead of warning
+        # trunc=16 leaves a fat tail at q = 200, so it doubles
         sols = mathieu.solve_many(3, 200.0, trunc=16)
         assert sols[0].trunc > 16 and max(s.tail for s in sols) <= 1e-12
 
