@@ -8,15 +8,30 @@ unit states (built in the abstract orthonormal basis, t = hbar * beta2)
     plus:   a_n =        (n+1) exp(-t (n+1)^2 / 2) / N
     minus:  a_n = (-1)^n (n+1) exp(-t (n+1)^2 / 2) / N
 
-with N^2 = sum_{n>=1} n^2 exp(-t n^2).  N^2 and the overlap of the two states
-also have closed forms in the theta constant, and every public quantity here
-is computed through BOTH routes with a hard consistency cross-check; the
-redundancy is nearly free and pins signs and conventions.
+with N^2 = sum_{n>=1} n^2 exp(-t n^2).  Their overlap is S / N^2 with the
+alternating sum S = sum_{n>=1} (-1)^(n+1) n^2 exp(-t n^2).
+
+N^2 and S each have two routes:
+
+* direct: N^2 = (1/2) e^-t theta3'(e^-t) and S = (1/2) e^-t theta3'(-e^-t).
+  The terms of S cancel to about exp(-pi^2 / 4t) of their size, so below
+  t ~ 0.25 the direct S loses digits, and below t ~ 0.11 it is noise.
+* dual: Poisson summation over n (DLMF 20.7(viii)) turns both into sums
+  over k of exp(-pi^2 k^2 / t) and exp(-pi^2 (k + 1/2)^2 / t), whose terms
+  do not cancel for small t and need one or two terms there.
+
+The dual route is taken below t = 1 and the direct route at or above it.
+In the band 0.25 <= t <= 2, where both are accurate, the other route is
+computed as well and the two must agree to 1e-12 relative, else
+``ConsistencyError``; outside the band no cross-check runs.  A value that is
+not a normal double (N^2 for t above ~708, the tunneling probability for t
+below ~0.0069) raises ``FloatingPointError`` instead of printing underflow.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,14 +40,20 @@ from .params import ModelParams
 from .strata import Stratum
 from .theta import theta3_prime
 
-#: relative/absolute tolerance for the series-vs-theta cross-checks
-_CROSSCHECK_TOL = 1e-10
-_SERIES_CUTOFF = 1e-18
-_MAX_TERMS = 100_000
+#: relative tolerance of the direct-vs-dual cross-check
+_CROSSCHECK_RTOL = 1e-12
+#: the dual route is taken below this t, the direct route at or above it
+_DUAL_BELOW = 1.0
+#: both routes are computed and cross-checked for t in this closed band
+_BAND = (0.25, 2.0)
+#: a dual sum stops at the first k whose exponential ratio is below this
+_DUAL_CUTOFF = 1e-20
+_PI2 = math.pi**2
+_SQRT_PI = math.sqrt(math.pi)
 
 
 class ConsistencyError(AssertionError):
-    """The independent series and theta-constant routes disagree."""
+    """The independent direct and dual routes disagree."""
 
 
 class TruncationError(ValueError):
@@ -81,39 +102,80 @@ class StateVector:
         return cls(vec, params)
 
 
-def _agree(a: float, b: float, what: str) -> float:
-    if abs(a - b) > _CROSSCHECK_TOL * max(1.0, abs(a), abs(b)):
-        raise ConsistencyError(f"{what}: series route {a!r} vs theta route {b!r}")
-    return a
+def _agree(a: float, b: float, what: str) -> None:
+    if abs(a - b) > _CROSSCHECK_RTOL * max(abs(a), abs(b)):
+        raise ConsistencyError(f"{what}: chosen route {a!r} vs other route {b!r}")
 
 
-def _norm_squared_series(t: float) -> float:
-    total = 0.0
-    for n in range(1, _MAX_TERMS):
-        term = n * n * math.exp(-t * n * n)
-        total += term
-        if n >= 4 and term < _SERIES_CUTOFF * total:
-            return total
-    raise FloatingPointError(f"normalization series did not converge for t={t}")
+def _norm_squared_direct(t: float) -> float:
+    """N^2 = (1/2) e^-t theta3'(e^-t)."""
+    # halving last keeps the product normal down to N^2 = e^-t at large t
+    nome = math.exp(-t)
+    return nome * theta3_prime(nome) / 2.0
 
 
-def _overlap_series(t: float) -> float:
-    total = 0.0
-    for n in range(1, _MAX_TERMS):
-        term = (-1.0) ** (n + 1) * n * n * math.exp(-t * n * n)
-        total += term
-        if n >= 4 and n * n * math.exp(-t * n * n) < _SERIES_CUTOFF * abs(total) + 1e-300:
-            return total
-    raise FloatingPointError(f"overlap series did not converge for t={t}")
+def _alternating_direct(t: float) -> float:
+    """S = (1/2) e^-t theta3'(-e^-t)."""
+    nome = math.exp(-t)
+    return nome * theta3_prime(-nome) / 2.0
+
+
+def _norm_squared_dual(t: float) -> float:
+    """N^2 = (sqrt(pi)/2) sum_{k in Z} e^(-pi^2 k^2/t) (t^(-3/2)/2 - pi^2 k^2 t^(-5/2)).
+
+    Summed as (sqrt(pi)/4) t^(-3/2) [1 + 2 sum_{k>=1} (1 - 2x) e^-x] with
+    x = pi^2 k^2 / t, so no higher power of t is formed.
+    """
+    total = 1.0
+    k = 1
+    while True:
+        x = _PI2 * k * k / t
+        ratio = math.exp(-x)
+        if ratio < _DUAL_CUTOFF:
+            return 0.25 * _SQRT_PI * t**-1.5 * total
+        total += 2.0 * (1.0 - 2.0 * x) * ratio
+        k += 1
+
+
+def _alternating_dual(t: float) -> float:
+    """S = (sqrt(pi)/2) sum_{k in Z} e^(-a_k/t) t^(-1/2) (a_k/t^2 - 1/(2t)), a_k = pi^2 (k+1/2)^2.
+
+    k and -1-k give equal terms, and a_k - a_0 = pi^2 k (k+1), so this is
+    sqrt(pi) t^(-3/2) e^(-a_0/t) sum_{k>=0} e^(-pi^2 k(k+1)/t) (a_k/t - 1/2).
+    The sum stops on that ratio, which stays finite after e^(-a_0/t)
+    underflows.
+    """
+    total = _PI2 / (4.0 * t) - 0.5
+    k = 1
+    while True:
+        ratio = math.exp(-_PI2 * k * (k + 1) / t)
+        if ratio < _DUAL_CUTOFF:
+            return _SQRT_PI * t**-1.5 * math.exp(-_PI2 / (4.0 * t)) * total
+        total += ratio * (_PI2 * (k + 0.5) ** 2 / t - 0.5)
+        k += 1
+
+
+def _by_route(t: float, dual, direct, what: str) -> float:
+    """The value of the route chosen by t, cross-checked against the other in the band."""
+    chosen, other = (dual, direct) if t < _DUAL_BELOW else (direct, dual)
+    value = chosen(t)
+    if _BAND[0] <= t <= _BAND[1]:
+        _agree(value, other(t), what)
+    return value
 
 
 def norm_squared(t: float) -> float:
-    """N^2 = sum n^2 exp(-t n^2), cross-checked against (1/2) e^-t theta3'(e^-t)."""
+    """N^2 = sum_{n>=1} n^2 exp(-t n^2), by the dual route below t = 1 and the direct one above.
+
+    Raises ``FloatingPointError`` where N^2 is not a normal double (t above
+    ~708), and ``OverflowError`` where t^(-3/2) overflows (t below ~1e-205).
+    """
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
-    series = _norm_squared_series(t)
-    via_theta = 0.5 * math.exp(-t) * theta3_prime(math.exp(-t))
-    return _agree(series, via_theta, "norm_squared")
+    n2 = _by_route(t, _norm_squared_dual, _norm_squared_direct, "norm_squared")
+    if not sys.float_info.min <= n2 < math.inf:
+        raise FloatingPointError(f"N^2 = {n2!r} is not a normal double at t={t}")
+    return n2
 
 
 def normalization_constant(t: float) -> float:
@@ -206,16 +268,20 @@ def vanishing_basis(stratum: Stratum, params: ModelParams, trunc: int) -> np.nda
 
 
 def tunneling_overlap(t: float) -> float:
-    """Inner product of the plus and minus vertex states.
+    """Inner product S / N^2 of the plus and minus vertex states.
 
-    Computed as sum_{n>=1} (-1)^(n+1) n^2 exp(-t n^2) / N^2 and cross-checked
-    against theta3'(-e^-t) / theta3'(e^-t); the two are identical term by
-    term.  Positive, and tends to 1 as t grows.
+    S = sum_{n>=1} (-1)^(n+1) n^2 exp(-t n^2) takes the same route as N^2.
+    Positive; about 4 (pi^2/4t - 1/2) exp(-pi^2/4t) at small t, and
+    tends to 1 as t grows.  Raises ``FloatingPointError`` where the overlap's
+    square, the tunneling probability, is not a normal double (t below ~0.0069).
     """
     n2 = norm_squared(t)
-    series = _overlap_series(t) / n2
-    via_theta = theta3_prime(-math.exp(-t)) / theta3_prime(math.exp(-t))
-    return _agree(series, via_theta, "tunneling_overlap")
+    overlap = _by_route(t, _alternating_dual, _alternating_direct, "tunneling_overlap") / n2
+    if not overlap * overlap >= sys.float_info.min:
+        raise FloatingPointError(
+            f"tunneling probability {overlap * overlap!r} is not a normal double at t={t}"
+        )
+    return overlap
 
 
 def tunneling_probability(t: float) -> float:

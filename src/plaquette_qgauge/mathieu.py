@@ -32,8 +32,9 @@ the lowest levels are computed, 16 at first and more on demand, so memory
 grows with the levels used, not with the square of the truncation.
 ``solve`` and ``solve_many`` share one growth loop that doubles the
 truncation until the coefficient tails of the requested levels fall below
-1e-12.  An explicit trunc is the starting size on both entry points and
-must hold the highest requested level; without one the start is
+1e-12, giving up past 32 times the default truncation.  An explicit trunc
+is the starting size on both entry points and must hold the highest
+requested level; without one the start is
 ``default_trunc(n, q)``, which depends on n only for n > 2 sqrt(q), so all
 lower levels share one eigendecomposition.  Because the cache is small, a
 sweep should iterate q-major: all levels (and all other parameters) at one
@@ -47,13 +48,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 #: residual threshold, relative to the matrix norm, past which the
 #: eigendecomposition is rejected
 _RESIDUAL_RTOL = 1e-13
 #: tail coefficients above this trigger truncation growth
 _TAIL_TOL = 1e-12
+#: truncation growth gives up past 2**_MAX_DOUBLINGS times the default truncation
 _MAX_DOUBLINGS = 5
 #: truncations up to this size are diagonalized in full (an eigenvector
 #: matrix of at most 2 MB); larger ones compute only the levels asked for
@@ -153,6 +154,10 @@ class _Eigensystem:
 
     def _compute(self, count: int) -> None:
         """Add levels len(values)..count-1."""
+        # imported here, not at module level: it is most of the package's
+        # import time, and only an eigensolve needs it
+        import scipy.linalg
+
         d, q = self.diag, self.q
         trunc, start = len(d), len(self.values)
         off = np.full(trunc - 1, q)
@@ -201,25 +206,28 @@ def _converged(q: float, trunc: int | None, levels: range) -> _Eigensystem:
 
     The truncation starts at ``trunc`` rows (``default_trunc`` of the highest
     level if None), which must hold the highest level, and doubles until the
-    tails fall.
+    tails fall.  It gives up past 2**_MAX_DOUBLINGS times the default
+    truncation, so a small explicit start grows as far as the default one.
     """
     q = float(q)
     if not math.isfinite(q):
         raise ValueError(f"q must be finite, got {q}")
     top = levels[-1]
-    size = default_trunc(top, q) if trunc is None else trunc
+    default = default_trunc(top, q)
+    size = default if trunc is None else trunc
     if size <= top:
         raise ValueError(f"trunc={size} cannot hold level n={top}")
-    for _ in range(_MAX_DOUBLINGS):
+    while True:
         system = _eigensystem(q, size)
         # highest level first, so a partial eigensystem grows in one call
         if max(system.level(n).tail for n in reversed(levels)) <= _TAIL_TOL:
             return system
         size *= 2
-    raise ConvergenceError(
-        f"coefficient tail did not fall below {_TAIL_TOL} "
-        f"(levels {levels.start}..{top}, q={q})"
-    )
+        if size > 2**_MAX_DOUBLINGS * default:
+            raise ConvergenceError(
+                f"coefficient tail did not fall below {_TAIL_TOL} "
+                f"(levels {levels.start}..{top}, q={q})"
+            )
 
 
 def solve(n: int, q: float, trunc: int | None = None) -> MathieuSolution:

@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import characters, costratified, mathieu
 from .costratified import StateVector, TruncationError
@@ -77,6 +76,8 @@ def hamiltonian_matrix(params: ModelParams, dim: int) -> np.ndarray:
 
 def matrix_energies(params: ModelParams, count: int, dim: int | None = None) -> np.ndarray:
     """First ``count`` eigenvalues of the truncated Hamiltonian matrix (oracle route)."""
+    import scipy.linalg  # deferred, as in mathieu: only an eigensolve loads scipy
+
     if dim is None:
         dim = mathieu.default_trunc(count - 1, 4.0 * params.nu_tilde)
     w = scipy.linalg.eigvalsh_tridiagonal(*_tridiagonal(params, dim))

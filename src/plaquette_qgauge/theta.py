@@ -1,9 +1,14 @@
 """Jacobi theta constant theta3 and its derivative.
 
 theta3(Q) = sum_{k=-inf}^{inf} Q^(k^2) = 1 + 2 sum_{k>=1} Q^(k^2) for a real
-nome |Q| < 1.  Terms decay super-exponentially, so plain summation is accurate
-for every admissible nome; no modular transformation is needed even for
-Q = exp(-0.01), where roughly 70 terms suffice.
+nome |Q| < 1.  Terms decay super-exponentially, so plain summation converges
+for every admissible nome, in about 70 terms at Q = exp(-0.01).  For a
+positive nome the terms share one sign and the sum is accurate to a few
+ulps.  For a negative nome near -1 they alternate and cancel: theta3'(-e^-t)
+is about exp(-pi^2 / 4t) times its largest term, so its relative accuracy is
+lost below t ~ 0.25.  ``costratified`` therefore uses these sums (its direct
+route) only for t >= 1 and the band it cross-checks, and the Poisson-dual
+sums below.
 """
 
 from __future__ import annotations

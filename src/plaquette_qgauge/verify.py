@@ -15,7 +15,6 @@ import numpy as np
 from . import characters, costratified, geometry, mathieu, spectrum
 from .params import ModelParams
 from .strata import Stratum
-from .theta import theta3_prime
 
 _SEED = 20260810
 
@@ -150,27 +149,29 @@ def spectral_checks() -> list[CheckResult]:
 
 def state_checks() -> list[CheckResult]:
     out = []
-    grid = np.geomspace(0.01, 5.0, 40)
+    # the direct and dual routes over the band where costratified cross-checks them
+    band = np.geomspace(*costratified._BAND, 40)
 
     worst_norm = 0.0
     worst_overlap = 0.0
-    for t in grid:
-        series = costratified._norm_squared_series(t)
-        via_theta = 0.5 * math.exp(-t) * theta3_prime(math.exp(-t))
-        worst_norm = max(worst_norm, abs(series - via_theta) / max(1.0, abs(series)))
-        overlap_series = costratified._overlap_series(t) / series
-        overlap_theta = theta3_prime(-math.exp(-t)) / theta3_prime(math.exp(-t))
-        worst_overlap = max(worst_overlap, abs(overlap_series - overlap_theta))
-    out.append(_residual_check("normalization-identity", worst_norm, 1e-10))
-    out.append(_residual_check("tunneling-identity", worst_overlap, 1e-10))
+    for t in band:
+        t = float(t)
+        n2_direct = costratified._norm_squared_direct(t)
+        n2_dual = costratified._norm_squared_dual(t)
+        worst_norm = max(worst_norm, abs(n2_direct - n2_dual) / n2_dual)
+        overlap_direct = costratified._alternating_direct(t) / n2_direct
+        overlap_dual = costratified._alternating_dual(t) / n2_dual
+        worst_overlap = max(worst_overlap, abs(overlap_direct - overlap_dual) / overlap_dual)
+    out.append(_residual_check("normalization-identity", worst_norm, 1e-12))
+    out.append(_residual_check("tunneling-identity", worst_overlap, 1e-12))
 
-    low = costratified.tunneling_probability(0.005)
+    low = costratified.tunneling_probability(0.01)
     high = costratified.tunneling_probability(5.0)
     out.append(
         CheckResult(
             "tunneling-limits",
             low < 1e-6 and high > 0.99,
-            f"probability(0.005)={low!r} probability(5)={high!r}",
+            f"probability(0.01)={low!r} probability(5)={high!r}",
         )
     )
 

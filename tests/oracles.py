@@ -1,13 +1,17 @@
 """Independent oracles used only by the test suite.
 
-The shooting oracle solves the boundary-value problem behind the Mathieu
-characteristic values with completely different machinery than the production
-path (fixed-step RK4 integration of the ODE plus bisection on the spectral
-parameter, instead of a tridiagonal eigendecomposition), so shared index or
-convention bugs cannot cancel.
+The vertex-sum oracle sums the normalization and tunneling series in mpmath
+at a precision that covers their cancellation.  The shooting oracle solves
+the boundary-value problem behind the Mathieu characteristic values with
+completely different machinery than the production path (fixed-step RK4
+integration of the ODE plus bisection on the spectral parameter, instead of
+a tridiagonal eigendecomposition), so shared index or convention bugs cannot
+cancel.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -126,3 +130,27 @@ def bounded_partitions(k: int, max_part: int) -> list[tuple[int, ...]]:
         for rest in bounded_partitions(k - largest, largest):
             out.append((largest, *rest))
     return out
+
+
+def exact_vertex_sums(t: float):
+    """N^2 = sum n^2 e^(-t n^2) and the overlap sum (-1)^(n+1) n^2 e^(-t n^2) / N^2, n >= 1.
+
+    Direct summation in mpmath.  The overlap is about exp(-pi^2 / 4t) times
+    the largest term, so the working precision adds that many digits.
+    """
+    import mpmath
+
+    digits = 30 + int(math.pi**2 / (4.0 * t) / math.log(10.0))
+    with mpmath.workdps(digits):
+        q = mpmath.exp(-mpmath.mpf(t))
+        cutoff = mpmath.mpf(10) ** (-digits)
+        norm = mpmath.mpf(0)
+        alternating = mpmath.mpf(0)
+        n = 1
+        while True:
+            term = n * n * q ** (n * n)
+            norm += term
+            alternating += term if n % 2 else -term
+            if n > 4 and term < cutoff * norm:
+                return norm, alternating / norm
+            n += 1

