@@ -1,4 +1,4 @@
-"""Classical side: Poisson algebras of the reduced spaces, momentum maps, monomial bases.
+"""Classical side: Poisson algebras of the reduced spaces, monomial bases.
 
 Two reduced phase spaces appear as real semi-algebraic sets with polynomial
 Poisson structures on their generators:
@@ -13,25 +13,23 @@ Poisson structures on their generators:
   {Y, tau} = 2 tau X.
 
 Brackets of arbitrary polynomials follow from the generator table by the
-Leibniz rule.  Phase points are plain float vectors in generator order.
+Leibniz rule.  Phase points are plain float vectors in generator order; a
+polynomial, the on-variety guard and the residual checks also take an
+(m, generators) array with one point per row.
 
-The module also carries the flat-space momentum maps for ell particles in
-dimension s (rotation group and symplectic group), the rank-stratified
-projection onto complex symmetric ell x ell matrices, and the enumeration of
-highest-weight monomials of the degree-k polynomial representation.
+The module also carries the rank-stratified projection of ell particles in
+R^s onto complex symmetric ell x ell matrices, over stacks of
+configurations, and the enumeration of highest-weight monomials of the
+degree-k polynomial representation.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .strata import Stratum
-
 _VARIETY_TOL = 1e-10  # on-variety precondition, relative to the relation's term sizes
-_STRATUM_TOL = 1e-9  # distance to a vertex below which a point counts as singular
 _RANK_RTOL = 1e-10  # singular values below this fraction of the largest count as zero
 
 
@@ -126,14 +124,17 @@ class PolyFunction:
             terms[key] = terms.get(key, 0.0) + coeff * exps[idx]
         return PolyFunction(self.generators, terms)
 
-    def __call__(self, point) -> float:
-        values = np.asarray(point, dtype=float)
-        if values.shape != (len(self.generators),):
-            raise ValueError(f"point must have {len(self.generators)} coordinates")
-        total = 0.0
+    def __call__(self, points):
+        """Value at one point (a float), or at each row of an (m, generators) array."""
+        values = np.asarray(points, dtype=float)
+        if values.ndim not in (1, 2) or values.shape[-1] != len(self.generators):
+            raise ValueError(
+                f"points must have {len(self.generators)} coordinates, got shape {values.shape}"
+            )
+        total = np.zeros(values.shape[:-1])
         for exps, coeff in self.terms.items():
-            total += coeff * math.prod(v**e for v, e in zip(values, exps))
-        return total
+            total += coeff * np.prod(values ** np.array(exps), axis=-1)
+        return float(total) if values.ndim == 1 else total
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -173,22 +174,20 @@ class PoissonTable:
             return self.pair_brackets[(i, j)]
         return -self.pair_brackets[(j, i)]
 
-    def variety_residual(self, point) -> float:
-        """Largest violation of the defining relations at the point."""
-        return max(abs(rel(point)) for rel in self.relations)
-
-    def require_on_variety(self, point):
+    def require_on_variety(self, points):
+        """Raise OffVarietyError unless every point (or array row) satisfies the relations."""
         # residual is judged relative to the size of the relation's terms, so
         # the guard works at any coordinate scale
-        magnitude = np.abs(np.asarray(point, dtype=float))
+        rows = np.atleast_2d(np.asarray(points, dtype=float))
         for rel in self.relations:
-            scale = sum(
-                abs(c) * math.prod(v**e for v, e in zip(magnitude, exps))
-                for exps, c in rel.terms.items()
+            scale = PolyFunction(rel.generators, {e: abs(c) for e, c in rel.terms.items()})(
+                np.abs(rows)
             )
-            residual = abs(rel(point))
-            if residual > _VARIETY_TOL * max(1.0, scale):
-                raise OffVarietyError(f"point {point} violates the relations by {residual:.3e}")
+            residual = np.abs(rel(rows))
+            bad = residual > _VARIETY_TOL * np.maximum(1.0, scale)
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise OffVarietyError(f"point {rows[i]} violates a relation by {residual[i]:.3e}")
 
 
 def semicone_table() -> PoissonTable:
@@ -235,45 +234,50 @@ def bracket(table: PoissonTable, f: PolyFunction, g: PolyFunction) -> PolyFuncti
     return out
 
 
+def _max_abs(values) -> float:
+    return float(np.max(np.abs(values), initial=0.0))
+
+
 def jacobi_residual(
-    table: PoissonTable, f: PolyFunction, g: PolyFunction, h: PolyFunction, point
+    table: PoissonTable, f: PolyFunction, g: PolyFunction, h: PolyFunction, points
 ) -> float:
-    """|{f,{g,h}} + {g,{h,f}} + {h,{f,g}}| at an on-variety point."""
-    table.require_on_variety(point)
+    """Largest |{f,{g,h}} + {g,{h,f}} + {h,{f,g}}| over on-variety points (one or an array)."""
+    table.require_on_variety(points)
     total = (
         bracket(table, f, bracket(table, g, h))
         + bracket(table, g, bracket(table, h, f))
         + bracket(table, h, bracket(table, f, g))
     )
-    return abs(total(point))
+    return _max_abs(total(points))
 
 
-def relation_casimir_residual(table: PoissonTable, name: str, point) -> float:
-    """|{generator, relation}| at an on-variety point; zero iff the relation ideal is Poisson."""
-    table.require_on_variety(point)
+def relation_casimir_residual(table: PoissonTable, name: str, points) -> float:
+    """Largest |{generator, relation}| over on-variety points; zero iff the ideal is Poisson."""
+    table.require_on_variety(points)
     gen = table.variable(name)
-    return max(abs(bracket(table, gen, rel)(point)) for rel in table.relations)
+    return max(_max_abs(bracket(table, gen, rel)(points)) for rel in table.relations)
 
 
-def poisson_tensor(table: PoissonTable, point) -> np.ndarray:
-    """Antisymmetric matrix of generator brackets evaluated at the point."""
+def poisson_tensor(table: PoissonTable, points) -> np.ndarray:
+    """Antisymmetric matrix of generator brackets at a point, or one per array row."""
+    values = np.asarray(points, dtype=float)
     m = len(table.generators)
-    out = np.zeros((m, m))
+    out = np.zeros(values.shape[:-1] + (m, m))
     for i in range(m):
         for j in range(i + 1, m):
-            out[i, j] = table.generator_bracket(i, j)(point)
-            out[j, i] = -out[i, j]
+            out[..., i, j] = table.generator_bracket(i, j)(values)
+            out[..., j, i] = -out[..., i, j]
     return out
 
 
-def canoe_tau(X: float, Y: float) -> float:
+def canoe_tau(X, Y):
     """The non-smooth generator tau as a function of the plane coordinates.
 
     tau = sqrt(Y^2 + (X^2+Y^2-4)^2/16)/2 - (X^2+Y^2-4)/8 >= 0, the unique
-    non-negative root of the canoe relation at (X, Y).
+    non-negative root of the canoe relation at (X, Y); elementwise on arrays.
     """
     s = X * X + Y * Y - 4.0
-    return 0.5 * math.sqrt(Y * Y + s * s / 16.0) - s / 8.0
+    return 0.5 * np.sqrt(Y * Y + s * s / 16.0) - s / 8.0
 
 
 def sample_semicone(rng: np.random.Generator, count: int, scale: float = 10.0) -> np.ndarray:
@@ -286,18 +290,7 @@ def sample_semicone(rng: np.random.Generator, count: int, scale: float = 10.0) -
 def sample_canoe(rng: np.random.Generator, count: int, scale: float = 10.0) -> np.ndarray:
     """On-variety canoe points (X, Y, tau) with plane coordinates in [-scale, scale]."""
     xy = rng.uniform(-scale, scale, size=(count, 2))
-    tau = np.array([canoe_tau(px, py) for px, py in xy])
-    return np.column_stack([xy, tau])
-
-
-def classify_stratum(Z: complex, tol: float = _STRATUM_TOL) -> Stratum:
-    """Stratum of a point of the reduced space in its plane realization."""
-    Z = complex(Z)
-    if abs(Z - 2.0) < tol:
-        return Stratum.PLUS
-    if abs(Z + 2.0) < tol:
-        return Stratum.MINUS
-    return Stratum.TOP
+    return np.column_stack([xy, canoe_tau(xy[:, 0], xy[:, 1])])
 
 
 def reduce_point(z: complex) -> complex:
@@ -308,62 +301,23 @@ def reduce_point(z: complex) -> complex:
     return z + 1.0 / z
 
 
-@dataclass(frozen=True)
-class ParticleConfig:
-    """Positions and momenta of ell particles in R^s (rows are particles)."""
+def symmetric_projection(q, p) -> tuple[np.ndarray, np.ndarray]:
+    """Complex symmetric matrices (q_j + i p_j).(q_k + i p_k) and their numerical ranks.
 
-    q: np.ndarray
-    p: np.ndarray
-
-    def __post_init__(self):
-        q = np.atleast_2d(np.asarray(self.q, dtype=float))
-        p = np.atleast_2d(np.asarray(self.p, dtype=float))
-        if q.shape != p.shape:
-            raise ValueError(f"q and p must have equal shapes, got {q.shape} vs {p.shape}")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", p)
-
-    @property
-    def ell(self) -> int:
-        return self.q.shape[0]
-
-    @property
-    def s(self) -> int:
-        return self.q.shape[1]
-
-
-def momentum_O(cfg: ParticleConfig) -> np.ndarray:
-    """Angular-momentum map: the antisymmetric s x s matrix sum_j q_j p_j^T - p_j q_j^T."""
-    m = cfg.q.T @ cfg.p
-    return m - m.T
-
-
-def momentum_Sp(cfg: ParticleConfig) -> np.ndarray:
-    """Symplectic-group momentum map as a 2ell x 2ell block matrix.
-
-    Blocks [[q_j.p_k, -q_j.q_k], [p_j.p_k, -p_j.q_k]]; the result lies in
-    sp(ell, R), i.e. J M is symmetric for the standard J.
+    q and p hold the positions and momenta of ell particles in R^s, one per
+    row: one (ell, s) configuration or a (..., ell, s) stack, which one SVD
+    call covers.  The bilinear (not hermitian) products make each ell x ell
+    matrix symmetric, and its rank is at most min(s, ell); singular values
+    below 1e-10 of the largest count as zero, so the zero matrix has rank 0.
     """
-    a = cfg.q @ cfg.p.T
-    b = cfg.q @ cfg.q.T
-    c = cfg.p @ cfg.p.T
-    return np.block([[a, -b], [c, -a.T]])
-
-
-def symmetric_projection(cfg: ParticleConfig) -> tuple[np.ndarray, int]:
-    """Complex symmetric ell x ell matrix (q_j + i p_j).(q_k + i p_k) and its numerical rank.
-
-    The bilinear (not hermitian) products make the matrix symmetric, and its
-    rank is at most min(s, ell); singular values below 1e-10 of the largest
-    count as zero.
-    """
-    z = cfg.q + 1j * cfg.p
-    m = z @ z.T
+    q = np.asarray(q, dtype=float)
+    p = np.asarray(p, dtype=float)
+    if q.shape != p.shape or q.ndim < 2:
+        raise ValueError(f"q and p must be equal (..., ell, s) shapes, got {q.shape} vs {p.shape}")
+    z = q + 1j * p
+    m = z @ np.swapaxes(z, -1, -2)
     svals = np.linalg.svd(m, compute_uv=False)
-    if svals.size == 0 or svals[0] == 0.0:
-        return m, 0
-    rank = int(np.sum(svals > _RANK_RTOL * svals[0]))
-    return m, rank
+    return m, np.sum(svals > _RANK_RTOL * svals[..., :1], axis=-1)
 
 
 def monomial_decomposition(s: int, k: int) -> list[tuple[int, ...]]:

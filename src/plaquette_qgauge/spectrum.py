@@ -84,10 +84,13 @@ def matrix_energies(params: ModelParams, count: int, dim: int | None = None) -> 
     return np.sort(w)[:count]
 
 
+def _energy_from_b(b: float, params: ModelParams) -> float:
+    return 0.5 * params.hbar2_beta2 * (b / 4.0 + 3.0 * params.nu_tilde - 1.0)
+
+
 def energy(n: int, params: ModelParams) -> float:
     """Energy of level n through the Mathieu characteristic value."""
-    sol = mathieu.solve(n, 4.0 * params.nu_tilde)
-    return 0.5 * params.hbar2_beta2 * (sol.b / 4.0 + 3.0 * params.nu_tilde - 1.0)
+    return _energy_from_b(mathieu.solve(n, 4.0 * params.nu_tilde).b, params)
 
 
 def _state_trunc(n: int, params: ModelParams) -> int:
@@ -105,13 +108,14 @@ def _signed_coeffs(sol: mathieu.MathieuSolution) -> np.ndarray:
 def eigenstate(n: int, params: ModelParams, trunc: int | None = None) -> SpectralResult:
     """Eigenstate of level n as a coefficient vector in the orthonormal basis.
 
-    At nu_tilde = 0 the result is exactly the n-th basis vector.
+    The energy and the coefficients come from the same eigensolve.  At
+    nu_tilde = 0 the result is exactly the n-th basis vector.
     """
     if trunc is None:
         trunc = _state_trunc(n, params)
     sol = mathieu.solve(n, 4.0 * params.nu_tilde, trunc=trunc)
     state = StateVector(_signed_coeffs(sol), params)
-    return SpectralResult(n=n, energy=energy(n, params), state=state, params=params)
+    return SpectralResult(n=n, energy=_energy_from_b(sol.b, params), state=state, params=params)
 
 
 def eigenfunction_x(n: int, params: ModelParams, x):

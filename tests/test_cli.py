@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import os
 import subprocess
@@ -5,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import plaquette_qgauge
 from plaquette_qgauge import cli, spectrum
@@ -16,6 +19,14 @@ def run_cli(args, capsys):
     code = cli.main(args)
     out = capsys.readouterr().out
     return code, out
+
+
+def run_quiet(args):
+    """Exit code, stdout and stderr of an in-process run, without pytest fixtures."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(args)
+    return code, out.getvalue(), err.getvalue()
 
 
 def parse_csv(text):
@@ -74,6 +85,45 @@ class TestTunneling:
             env=env,
         )
         assert result.returncode == 0, result.stderr
+
+
+class TestDomain:
+    """Exit codes over and past the README's valid domain: a CSV or a refusal, never a raise."""
+
+    @settings(deadline=None, max_examples=25)
+    @given(st.floats(min_value=-4.0, max_value=4.0).map(lambda e: 10.0**e))
+    @example(1e-4)
+    @example(0.0069)
+    @example(708.0)
+    @example(1e4)
+    def test_tunneling_exit_codes(self, t):
+        code, out, err = run_quiet(["tunneling", "--hbar-beta2", repr(t)])
+        assert code in (0, 3)
+        if 0.0069 <= t <= 708.0:
+            assert code == 0, err
+        if code == 0:
+            _, rows = parse_csv(out)
+            overlap, probability = float(rows[0][1]), float(rows[0][2])
+            assert overlap > 0.0 and 0.0 <= probability <= 1.0
+        else:
+            assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+    @settings(deadline=None, max_examples=25)
+    @given(
+        st.sampled_from([0.03125, 0.125, 0.5, 2.0]),
+        st.one_of(st.just(0.0), st.floats(min_value=-2.0, max_value=4.0).map(lambda e: 10.0**e)),
+    )
+    @example(2.0, 1e4)
+    @example(0.03125, 1e4)
+    def test_projector_completeness(self, t, nu_tilde):
+        code, out, err = run_quiet(
+            ["projector-expectations", "--hbar-beta2", repr(t), "--nu-tilde", repr(nu_tilde)]
+        )
+        assert code == 0, err
+        _, rows = parse_csv(out)
+        for row in rows:
+            assert 0.0 <= float(row[3]) <= 1.0 and 0.0 <= float(row[4]) <= 1.0
+            assert float(row[5]) >= 1.0 - 1e-6
 
 
 class TestSpectrum:

@@ -1,21 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plaquette_qgauge import Stratum
 from plaquette_qgauge.geometry import (
     OffVarietyError,
-    ParticleConfig,
     PolyFunction,
     bracket,
     canoe_table,
     canoe_tau,
-    classify_stratum,
     jacobi_residual,
-    momentum_O,
-    momentum_Sp,
     monomial_decomposition,
     poisson_tensor,
     reduce_point,
@@ -60,6 +56,22 @@ class TestPolyFunction:
         gens = ("x", "y")
         x = PolyFunction.variable(gens, "x")
         assert (x - x).is_zero()
+
+    def test_array_evaluation_matches_points(self):
+        rng = np.random.default_rng(19)
+        gens = ("x", "y", "r")
+        poly = random_polynomial(rng, gens) + 1.5
+        points = rng.uniform(-3, 3, (40, 3))
+        values = poly(points)
+        assert values.shape == (40,)
+        assert np.array_equal(values, [poly(pt) for pt in points])
+        assert isinstance(poly(points[0]), float)
+
+    def test_bad_point_shape_rejected(self):
+        x = PolyFunction.variable(("x", "y"), "x")
+        for bad in (np.zeros(3), np.zeros((4, 3)), np.zeros((2, 2, 2))):
+            with pytest.raises(ValueError):
+                x(bad)
 
 
 class TestBrackets:
@@ -134,6 +146,50 @@ class TestJacobiAndCasimir:
         with pytest.raises(OffVarietyError):
             relation_casimir_residual(table, "X", (1.0, 1.0, 3.0))
 
+    def test_off_variety_row_in_array_rejected(self):
+        table = canoe_table()
+        f, g, h = (table.variable(name) for name in table.generators)
+        points = sample_canoe(np.random.default_rng(3), 20)
+        points[13, 2] += 0.5
+        with pytest.raises(OffVarietyError):
+            jacobi_residual(table, f, g, h, points)
+        with pytest.raises(OffVarietyError):
+            relation_casimir_residual(table, "tau", points)
+
+    @pytest.mark.parametrize(
+        "make_table,sampler", [(semicone_table, sample_semicone), (canoe_table, sample_canoe)]
+    )
+    def test_array_residuals_match_pointwise_maxima(self, make_table, sampler):
+        table = make_table()
+        points = sampler(np.random.default_rng(17), 50)
+        rng = np.random.default_rng(13)
+        f, g, h = (random_polynomial(rng, table.generators) for _ in range(3))
+        assert jacobi_residual(table, f, g, h, points) == max(
+            jacobi_residual(table, f, g, h, pt) for pt in points
+        )
+        for name in table.generators:
+            assert relation_casimir_residual(table, name, points) == max(
+                relation_casimir_residual(table, name, pt) for pt in points
+            )
+
+    @pytest.mark.parametrize(
+        "pair,mutate,jacobi_breaks",
+        [((1, 2), lambda b: 1.5 * b, True), ((0, 1), lambda b: b + 1.0, False)],
+        ids=["scaled-Y-tau", "shifted-X-Y-constant"],
+    )
+    def test_wrong_canoe_bracket_is_detected(self, pair, mutate, jacobi_breaks):
+        # {Y, tau} scaled by 3/2 breaks both identities; a constant shift of
+        # {X, Y} (-4 -> -3) keeps Jacobi, but the relation is no longer a Casimir
+        table = canoe_table()
+        wrong = dataclasses.replace(
+            table, pair_brackets={**table.pair_brackets, pair: mutate(table.pair_brackets[pair])}
+        )
+        points = sample_canoe(np.random.default_rng(20260810), 100)
+        f, g, h = (wrong.variable(name) for name in wrong.generators)
+        jacobi = jacobi_residual(wrong, f, g, h, points)
+        assert jacobi > 1e-9 if jacobi_breaks else jacobi == 0.0
+        assert max(relation_casimir_residual(wrong, n, points) for n in wrong.generators) > 1e-9
+
     def test_jacobiator_with_repeated_argument_vanishes(self):
         table = semicone_table()
         rng = np.random.default_rng(41)
@@ -161,6 +217,13 @@ class TestPoissonTensor:
             scale = float(np.max(np.abs(tensor)))
             assert np.linalg.matrix_rank(tensor, tol=1e-9 * max(1.0, scale)) == 2
 
+    def test_array_of_points_stacks_tensors(self):
+        table = canoe_table()
+        points = sample_canoe(np.random.default_rng(47), 30)
+        stacked = poisson_tensor(table, points)
+        assert stacked.shape == (30, 3, 3)
+        assert np.array_equal(stacked, [poisson_tensor(table, pt) for pt in points])
+
 
 class TestCanoeChart:
     def test_vertex_and_center_values(self):
@@ -175,11 +238,10 @@ class TestCanoeChart:
                 residual = abs(Y * Y - (X * X + Y * Y + 4.0 * (tau - 1.0)) * tau)
                 assert residual < 1e-12
 
-    def test_classify_stratum(self):
-        assert classify_stratum(2.0) is Stratum.PLUS
-        assert classify_stratum(-2.0) is Stratum.MINUS
-        assert classify_stratum(1j) is Stratum.TOP
-        assert classify_stratum(2.0 + 5e-10) is Stratum.PLUS
+    def test_tau_on_arrays_matches_scalars(self):
+        xy = np.random.default_rng(7).uniform(-10, 10, (200, 2))
+        taus = canoe_tau(xy[:, 0], xy[:, 1])
+        assert np.array_equal(taus, [canoe_tau(float(x), float(y)) for x, y in xy])
 
     def test_reduce_point_fixed_points(self):
         assert reduce_point(1.0) == 2.0
@@ -199,65 +261,18 @@ class TestCanoeChart:
         assert abs(lhs - rhs) <= 1e-14 * max(1.0, abs(lhs))
 
 
-class TestMomentumMaps:
-    def test_angular_momentum_single_particle(self):
-        cfg = ParticleConfig(q=[[1.0, 0.0]], p=[[0.0, 1.0]])
-        assert np.array_equal(momentum_O(cfg), [[0.0, 1.0], [-1.0, 0.0]])
-
-    def test_collinear_configuration_has_zero_angular_momentum(self):
-        rng = np.random.default_rng(47)
-        q = rng.standard_normal((3, 3))
-        cfg = ParticleConfig(q=q, p=2.5 * q)
-        assert np.max(np.abs(momentum_O(cfg))) < 1e-12
-
-    def test_angular_momentum_equivariance(self):
-        rng = np.random.default_rng(53)
-        for _ in range(20):
-            q = rng.standard_normal((2, 3))
-            p = rng.standard_normal((2, 3))
-            rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-            lhs = momentum_O(ParticleConfig(q=q @ rot.T, p=p @ rot.T))
-            rhs = rot @ momentum_O(ParticleConfig(q=q, p=p)) @ rot.T
-            assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-    def test_symplectic_moment_at_origin(self):
-        cfg = ParticleConfig(q=np.zeros((2, 3)), p=np.zeros((2, 3)))
-        assert np.array_equal(momentum_Sp(cfg), np.zeros((4, 4)))
-
-    def test_symplectic_moment_single_degree_of_freedom(self):
-        cfg = ParticleConfig(q=[[2.0]], p=[[3.0]])
-        assert np.array_equal(momentum_Sp(cfg), [[6.0, -4.0], [9.0, -6.0]])
-
-    def test_lies_in_symplectic_algebra(self):
-        rng = np.random.default_rng(59)
-        for _ in range(100):
-            ell = int(rng.integers(1, 4))
-            s = int(rng.integers(1, 4))
-            cfg = ParticleConfig(rng.standard_normal((ell, s)), rng.standard_normal((ell, s)))
-            m = momentum_Sp(cfg)
-            j = np.block(
-                [[np.zeros((ell, ell)), np.eye(ell)], [-np.eye(ell), np.zeros((ell, ell))]]
-            )
-            jm = j @ m
-            assert np.max(np.abs(jm - jm.T)) < 1e-12
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            ParticleConfig(q=np.zeros((2, 3)), p=np.zeros((3, 2)))
-
-
 class TestSymmetricProjection:
     def test_single_particle_rank_bound(self):
         rng = np.random.default_rng(61)
         for _ in range(50):
-            cfg = ParticleConfig(rng.standard_normal((1, 3)), rng.standard_normal((1, 3)))
-            _, rank = symmetric_projection(cfg)
+            q, p = rng.standard_normal((2, 1, 3))
+            _, rank = symmetric_projection(q, p)
             assert rank <= 1
 
     def test_generic_rank_equals_space_dimension(self):
         rng = np.random.default_rng(67)
-        cfg = ParticleConfig(rng.standard_normal((3, 2)), rng.standard_normal((3, 2)))
-        matrix, rank = symmetric_projection(cfg)
+        q, p = rng.standard_normal((2, 3, 2))
+        matrix, rank = symmetric_projection(q, p)
         assert rank == 2
         assert np.max(np.abs(matrix - matrix.T)) == 0.0
 
@@ -266,10 +281,9 @@ class TestSymmetricProjection:
         for s in (1, 2, 3):
             for ell in (1, 2, 3):
                 for _ in range(120):
-                    cfg = ParticleConfig(
+                    _, rank = symmetric_projection(
                         rng.standard_normal((ell, s)), rng.standard_normal((ell, s))
                     )
-                    _, rank = symmetric_projection(cfg)
                     assert rank <= min(s, ell)
 
     def test_rotation_invariance(self):
@@ -278,9 +292,27 @@ class TestSymmetricProjection:
             q = rng.standard_normal((3, 3))
             p = rng.standard_normal((3, 3))
             rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-            before, _ = symmetric_projection(ParticleConfig(q=q, p=p))
-            after, _ = symmetric_projection(ParticleConfig(q=q @ rot.T, p=p @ rot.T))
+            before, _ = symmetric_projection(q, p)
+            after, _ = symmetric_projection(q @ rot.T, p @ rot.T)
             assert np.max(np.abs(before - after)) < 1e-12
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            symmetric_projection(np.zeros((2, 3)), np.zeros((3, 2)))
+        with pytest.raises(ValueError):
+            symmetric_projection(np.zeros(3), np.zeros(3))
+
+    def test_stack_matches_single_configurations(self):
+        rng = np.random.default_rng(79)
+        for s, ell in ((1, 3), (2, 2), (3, 1), (3, 3)):
+            q, p = rng.standard_normal((2, 200, ell, s))
+            q[7] = 0.0
+            p[7] = 0.0
+            matrices, ranks = symmetric_projection(q, p)
+            singles = [symmetric_projection(q[i], p[i]) for i in range(200)]
+            assert np.array_equal(matrices, [m for m, _ in singles])
+            assert np.array_equal(ranks, [r for _, r in singles])
+            assert ranks[7] == 0
 
 
 class TestMonomialDecomposition:

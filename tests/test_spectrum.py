@@ -91,6 +91,24 @@ class TestEigenstates:
         params = ModelParams.from_reduced(0.5, 24.0)
         assert abs(spectrum.eigenstate(4, params).state.norm() - 1.0) < 1e-10
 
+    def test_energy_and_state_share_one_eigensolve(self, monkeypatch):
+        import scipy.linalg
+
+        calls = []
+        original = scipy.linalg.eigh_tridiagonal
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[0]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counting)
+        mathieu._eigensystem.cache_clear()
+        params = ModelParams.from_reduced(0.125, 6.0)
+        result = spectrum.eigenstate(2, params, trunc=40)
+        assert calls == [40]
+        expected = spectrum.energy(2, params)
+        assert abs(result.energy - expected) <= 1e-12 * abs(expected)
+
 
 class TestEigenfunctions:
     def test_free_theory_reduces_to_sine(self):
