@@ -11,8 +11,12 @@ Subcommands
 
 Every data command emits deterministic CSV: a comment line
 ``# plaquette-qgauge v<version> config=<canonical-json>``, a header row, and
-rows with floats printed as their shortest round-trip decimal.  A flat
-``key = value`` config file can provide any option; command-line flags win.
+rows with floats printed as their shortest round-trip decimal.  Each option
+is declared once, in ``OPTIONS``; a flat ``key = value`` config file can
+provide any of them, read with the flag's type, and command-line flags win.
+Grid values must be finite.  ``coupling_g`` with ``nu_tilde``, and ``hbar``
+or ``beta2`` with ``hbar_beta2``, are refused as ambiguous; ``hbar``,
+``beta2`` and ``coupling_g`` are checked as a ``ModelParams``.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
 failure.
@@ -24,6 +28,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,21 +43,23 @@ class UsageError(Exception):
     pass
 
 
-CONFIG_KEYS = (
-    "hbar",
-    "beta2",
-    "coupling_g",
-    "nu_tilde",
-    "hbar_beta2",
-    "n_max",
-    "grid",
-    "out",
-    "format",
-)
+#: every option a flag or a config-file line can set, as argparse keywords;
+#: the flag of ``key`` is ``--key`` with ``_`` spelled ``-``
+OPTIONS = {
+    "out": {"type": str, "help": "output path ('-' for stdout)"},
+    "format": {"type": str, "choices": ("csv", "svg"), "help": "output format"},
+    "hbar": {"type": float, "help": "Planck constant"},
+    "beta2": {"type": float, "help": "inner-product scale"},
+    "coupling_g": {"type": float, "help": "gauge coupling"},
+    "nu_tilde": {"type": str, "help": "list 'a,b' or range 'lo:hi:n[:log]'"},
+    "hbar_beta2": {"type": str, "help": "list 'a,b' or range 'lo:hi:n[:log]'"},
+    "n_max": {"type": int, "help": "number of levels"},
+    "grid": {"type": int, "help": "number of sample points"},
+}
 
 
 def parse_value_list(text: str) -> list[float]:
-    """Parse 'a,b,c' or 'lo:hi:count' (linear) or 'lo:hi:count:log'."""
+    """Parse 'a,b,c' or 'lo:hi:count' (linear) or 'lo:hi:count:log' into finite values."""
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
@@ -62,6 +69,8 @@ def parse_value_list(text: str) -> list[float]:
             lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError as exc:
             raise UsageError(f"bad range {text!r}: {exc}") from exc
+        if not math.isfinite(hi - lo):
+            raise UsageError(f"bad range {text!r}; need finite ends a finite distance apart")
         if count < 1 or not hi > lo:
             raise UsageError(f"bad range {text!r}; need hi > lo and count >= 1")
         if len(parts) == 4:
@@ -75,68 +84,66 @@ def parse_value_list(text: str) -> list[float]:
         raise UsageError(f"bad value list {text!r}: {exc}") from exc
     if not values:
         raise UsageError(f"empty value list {text!r}")
+    if not all(map(math.isfinite, values)):
+        raise UsageError(f"values must be finite, got {text!r}")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise UsageError(f"values must be strictly increasing, got {text!r}")
     return values
 
 
-def read_config_file(path: str) -> dict[str, str]:
+def read_config_file(path: str) -> dict:
+    """Config-file values, each converted like its flag in ``OPTIONS``."""
     try:
         with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from exc
-    out: dict[str, str] = {}
+    out = {}
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in CONFIG_KEYS:
+        key, _, text = (part.strip() for part in line.partition("="))
+        if key not in OPTIONS:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        out[key] = value.strip()
+        choices = OPTIONS[key].get("choices", (text,))
+        if text not in choices:
+            raise UsageError(f"{path}:{lineno}: {key} must be {' or '.join(choices)}, got {text!r}")
+        try:
+            out[key] = OPTIONS[key]["type"](text)
+        except ValueError as exc:
+            raise UsageError(f"{path}:{lineno}: {key}: {exc}") from exc
     return out
 
 
-def merge_settings(args: argparse.Namespace) -> dict[str, str]:
-    settings = read_config_file(args.config) if getattr(args, "config", None) else {}
-    for key in CONFIG_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            settings[key] = str(flag)
+def merge_settings(args: argparse.Namespace) -> dict:
+    settings = read_config_file(args.config) if args.config else {}
+    settings.update({k: v for k, v in vars(args).items() if k in OPTIONS and v is not None})
     return settings
 
 
-def resolve_t_values(settings: dict[str, str], default: str) -> list[float]:
-    if "hbar_beta2" in settings:
-        values = parse_value_list(settings["hbar_beta2"])
-    elif "hbar" in settings or "beta2" in settings:
-        hbar = float(settings.get("hbar", "1.0"))
-        beta2 = float(settings.get("beta2", "1.0"))
-        values = [hbar * beta2]
-    else:
-        values = parse_value_list(default)
+def _resolve(settings: dict, key: str, sources, derive, default: str) -> list[float]:
+    """The ``key`` grid, else one value from ``sources`` via ``ModelParams``, else ``default``."""
+    given = any(source in settings for source in sources)
+    if key in settings and given:
+        raise UsageError(f"supply either {'/'.join(sources)} or {key}, not both")
+    if given:
+        hbar, beta2 = settings.get("hbar", 1.0), settings.get("beta2", 1.0)
+        return [derive(ModelParams(hbar, beta2, settings.get("coupling_g", math.inf)))]
+    return parse_value_list(settings.get(key, default))
+
+
+def resolve_t_values(settings: dict, default: str) -> list[float]:
+    values = _resolve(settings, "hbar_beta2", ("hbar", "beta2"), lambda p: p.t, default)
     if any(v <= 0 for v in values):
         raise UsageError("hbar_beta2 values must be positive")
     return values
 
 
-def resolve_nut_values(settings: dict[str, str], default: str) -> list[float]:
-    if "coupling_g" in settings and "nu_tilde" in settings:
-        raise UsageError("supply either coupling_g or nu_tilde, not both")
-    if "nu_tilde" in settings:
-        values = parse_value_list(settings["nu_tilde"])
-    elif "coupling_g" in settings:
-        g = float(settings["coupling_g"])
-        hbar = float(settings.get("hbar", "1.0"))
-        beta2 = float(settings.get("beta2", "1.0"))
-        params = ModelParams(hbar=hbar, beta2=beta2, coupling_g=g)
-        values = [params.nu_tilde]
-    else:
-        values = parse_value_list(default)
+def resolve_nut_values(settings: dict, default: str) -> list[float]:
+    values = _resolve(settings, "nu_tilde", ("coupling_g",), lambda p: p.nu_tilde, default)
     if any(v < 0 for v in values):
         raise UsageError("nu_tilde values must be non-negative")
     return values
@@ -156,7 +163,8 @@ def canonical_config(command: str, **entries) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def csv_text(config_json: str, columns: list[str], rows: list[list[str]]) -> str:
+def csv_text(config_json: str, columns: list[str], rows) -> str:
+    """CSV from an iterable of rows of string cells, consumed once."""
     lines = [f"# plaquette-qgauge v{__version__} config={config_json}", ",".join(columns)]
     lines.extend(",".join(row) for row in rows)
     return "\n".join(lines) + "\n"
@@ -220,126 +228,110 @@ def write_output(path: str, text: str):
             raise UsageError(f"cannot write output: {exc}") from exc
 
 
-def _out_and_format(settings) -> tuple[str, str]:
-    out = settings.get("out", "-")
+@dataclass(frozen=True)
+class Plot:
+    """SVG of rows: an (x, y) polyline per ``series`` value, labelled ``label.format(*value)``."""
+
+    x: str
+    y: str
+    series: tuple[str, ...]
+    label: str
+    xlabel: str
+    ylabel: str
+    logx: bool = False
+
+
+def emit(settings: dict, command: str, config: dict, columns: list[str], rows, plot=None) -> int:
+    """Write numeric ``rows`` (an iterable, consumed once) as CSV, or as SVG with a ``plot``.
+
+    Float cells go through ``fmt`` and other cells through ``str``, one row
+    at a time; SVG series are drawn in order of first appearance.  Only a
+    command with a plot takes ``--format svg``, and only its config records
+    the format.
+    """
     fmt_name = settings.get("format", "csv")
-    if fmt_name not in ("csv", "svg"):
-        raise UsageError(f"unknown format {fmt_name!r}; expected csv or svg")
-    return out, fmt_name
-
-
-def cmd_tunneling(args) -> int:
-    settings = merge_settings(args)
-    t_values = resolve_t_values(settings, default="0.01:5:200:log")
-    out, fmt_name = _out_and_format(settings)
-    config_json = canonical_config("tunneling", hbar_beta2=t_values, format=fmt_name)
-    overlaps = [costratified.tunneling_overlap(t) for t in t_values]
-    probabilities = [o * o for o in overlaps]
+    if plot is not None:
+        config = {**config, "format": fmt_name}
+    elif fmt_name != "csv":
+        raise UsageError(f"{command} only supports csv output")
+    config_json = canonical_config(command, **config)
     if fmt_name == "svg":
-        text = svg_text(
-            config_json,
-            [("probability", t_values, probabilities)],
-            xlabel="log10 hbar_beta2",
-            ylabel="tunneling probability",
-            logx=True,
-        )
+        x, y = columns.index(plot.x), columns.index(plot.y)
+        keys = [columns.index(name) for name in plot.series]
+        groups: dict[tuple, tuple[list, list]] = {}
+        for row in rows:
+            xs, ys = groups.setdefault(tuple(row[i] for i in keys), ([], []))
+            xs.append(row[x])
+            ys.append(row[y])
+        series = [(plot.label.format(*key), xs, ys) for key, (xs, ys) in groups.items()]
+        text = svg_text(config_json, series, plot.xlabel, plot.ylabel, plot.logx)
     else:
-        rows = [
-            [fmt(t), fmt(o), fmt(p)] for t, o, p in zip(t_values, overlaps, probabilities)
-        ]
-        text = csv_text(config_json, ["hbar_beta2", "overlap", "probability"], rows)
-    write_output(out, text)
+        cells = ([fmt(v) if isinstance(v, float) else str(v) for v in row] for row in rows)
+        text = csv_text(config_json, columns, cells)
+    write_output(settings.get("out", "-"), text)
     return 0
 
 
-def cmd_spectrum(args) -> int:
-    settings = merge_settings(args)
+def cmd_tunneling(args, settings) -> int:
+    t_values = resolve_t_values(settings, default="0.01:5:200:log")
+    overlaps = [costratified.tunneling_overlap(t) for t in t_values]
+    rows = ((t, o, o * o) for t, o in zip(t_values, overlaps))
+    plot = Plot(
+        "hbar_beta2", "probability", (), "probability", "log10 hbar_beta2", "tunneling probability",
+        logx=True,
+    )
+    columns = ["hbar_beta2", "overlap", "probability"]
+    return emit(settings, "tunneling", {"hbar_beta2": t_values}, columns, rows, plot)
+
+
+def cmd_spectrum(args, settings) -> int:
     nut_values = resolve_nut_values(settings, default="0:24:49")
-    n_max = int(settings.get("n_max", "8"))
+    n_max = settings.get("n_max", 8)
     if n_max < 1:
         raise UsageError("n_max must be >= 1")
-    out, fmt_name = _out_and_format(settings)
-    config_json = canonical_config("spectrum", nu_tilde=nut_values, n_max=n_max, format=fmt_name)
-    table: dict[float, np.ndarray] = {}
+    rows = []
     for nut in nut_values:
         params = ModelParams.from_reduced(1.0, nut)
-        levels = np.array(
-            [spectrum.energy(n, params) / params.hbar2_beta2 for n in range(n_max + 1)]
-        )
-        table[nut] = levels
-    if fmt_name == "svg":
-        series = [
-            (f"E_{n}", nut_values, [table[nut][n] for nut in nut_values]) for n in range(n_max)
-        ]
-        text = svg_text(config_json, series, xlabel="nu_tilde", ylabel="E_n / hbar^2 beta2")
-    else:
-        rows = []
-        for nut in nut_values:
-            levels = table[nut]
-            for n in range(n_max):
-                rows.append([fmt(nut), str(n), fmt(levels[n]), fmt(levels[n + 1] - levels[n])])
-        text = csv_text(config_json, ["nu_tilde", "n", "E_n", "E_gap"], rows)
-    write_output(out, text)
-    return 0
+        levels = [spectrum.energy(n, params) / params.hbar2_beta2 for n in range(n_max + 1)]
+        rows.extend((nut, n, levels[n], levels[n + 1] - levels[n]) for n in range(n_max))
+    plot = Plot("nu_tilde", "E_n", ("n",), "E_{}", "nu_tilde", "E_n / hbar^2 beta2")
+    config = {"nu_tilde": nut_values, "n_max": n_max}
+    return emit(settings, "spectrum", config, ["nu_tilde", "n", "E_n", "E_gap"], rows, plot)
 
 
-def cmd_states(args) -> int:
-    settings = merge_settings(args)
+def cmd_states(args, settings) -> int:
     t_values = resolve_t_values(settings, default="0.125")
     nut_values = resolve_nut_values(settings, default="0")
     if len(t_values) != 1 or len(nut_values) != 1:
         raise UsageError("states needs a single hbar_beta2 and a single nu_tilde")
     params = ModelParams.from_reduced(t_values[0], nut_values[0])
-    grid = int(settings.get("grid", "257"))
+    grid = settings.get("grid", 257)
     if grid < 2:
         raise UsageError("grid must be >= 2")
     x = np.linspace(0.0, math.pi, grid)
-    selector = args.state
-    if selector in ("psi-plus", "psi-minus"):
-        stratum = Stratum.PLUS if selector == "psi-plus" else Stratum.MINUS
+    if args.state in ("psi-plus", "psi-minus"):
+        stratum = Stratum.PLUS if args.state == "psi-plus" else Stratum.MINUS
         state = costratified.stratum_state(stratum, params)
         basis = np.column_stack([characters.char_l2(n, x) for n in range(state.trunc)])
         values = basis @ np.asarray(state.coeffs, dtype=float)
-        label = selector
+        label = args.state
     else:
         level = args.level
         if level < 0:
             raise UsageError("level must be >= 0")
         values = spectrum.eigenfunction_x(level, params, x)
         label = f"xi_{level}"
-    out, fmt_name = _out_and_format(settings)
-    config_json = canonical_config(
-        "states",
-        state=label,
-        hbar_beta2=t_values,
-        nu_tilde=nut_values,
-        grid=grid,
-        format=fmt_name,
-    )
-    if fmt_name == "svg":
-        text = svg_text(config_json, [(label, x, values)], xlabel="x", ylabel=label)
-    else:
-        rows = [[fmt(xi), fmt(vi)] for xi, vi in zip(x, values)]
-        text = csv_text(config_json, ["x", "value"], rows)
-    write_output(out, text)
-    return 0
+    config = {"state": label, "hbar_beta2": t_values, "nu_tilde": nut_values, "grid": grid}
+    plot = Plot("x", "value", (), label, "x", label)
+    return emit(settings, "states", config, ["x", "value"], zip(x, values), plot)
 
 
-def cmd_projector_expectations(args) -> int:
-    settings = merge_settings(args)
+def cmd_projector_expectations(args, settings) -> int:
     t_values = resolve_t_values(settings, default="0.03125,0.125,0.5")
     nut_values = resolve_nut_values(settings, default="0.1:100:30:log")
-    n_max = int(settings.get("n_max", "6"))
+    n_max = settings.get("n_max", 6)
     if n_max < 1:
         raise UsageError("n_max must be >= 1")
-    out, fmt_name = _out_and_format(settings)
-    config_json = canonical_config(
-        "projector-expectations",
-        hbar_beta2=t_values,
-        nu_tilde=nut_values,
-        n_max=n_max,
-        format=fmt_name,
-    )
     # nu_tilde-major, so every t at one q reuses that q's cached eigensystem;
     # the rows below are still emitted t-major
     results = {}
@@ -347,84 +339,37 @@ def cmd_projector_expectations(args) -> int:
         for t in t_values:
             params = ModelParams.from_reduced(t, nut)
             results[(t, nut)] = spectrum.projector_expectations(params, n_max)
-    if fmt_name == "svg":
-        series = []
-        for t in t_values:
-            for n in range(n_max):
-                series.append(
-                    (
-                        f"P+ n={n} t={t:g}",
-                        nut_values,
-                        [results[(t, nut)][0][n] for nut in nut_values],
-                    )
-                )
-        text = svg_text(
-            config_json, series, xlabel="log10 nu_tilde", ylabel="P_plus", logx=True
-        )
-    else:
-        rows = []
-        for t in t_values:
-            for nut in nut_values:
-                plus, minus, completeness = results[(t, nut)]
-                for n in range(n_max):
-                    rows.append(
-                        [fmt(t), fmt(nut), str(n), fmt(plus[n]), fmt(minus[n]), fmt(completeness)]
-                    )
-        text = csv_text(
-            config_json,
-            ["hbar_beta2", "nu_tilde", "n", "P_plus", "P_minus", "sum_P_plus"],
-            rows,
-        )
-    write_output(out, text)
-    return 0
+    rows = []
+    for t in t_values:
+        for nut in nut_values:
+            plus, minus, completeness = results[(t, nut)]
+            rows.extend((t, nut, n, plus[n], minus[n], completeness) for n in range(n_max))
+    plot = Plot(
+        "nu_tilde", "P_plus", ("n", "hbar_beta2"), "P+ n={} t={:g}", "log10 nu_tilde", "P_plus",
+        logx=True,
+    )
+    config = {"hbar_beta2": t_values, "nu_tilde": nut_values, "n_max": n_max}
+    columns = ["hbar_beta2", "nu_tilde", "n", "P_plus", "P_minus", "sum_P_plus"]
+    return emit(settings, "projector-expectations", config, columns, rows, plot)
 
 
-def cmd_decomp(args) -> int:
-    settings = merge_settings(args)
+def cmd_decomp(args, settings) -> int:
     s, k = args.s, args.k
     if s < 1 or k < 0:
         raise UsageError("need s >= 1 and k >= 0")
-    out, fmt_name = _out_and_format(settings)
-    if fmt_name != "csv":
-        raise UsageError("decomp only supports csv output")
-    config_json = canonical_config("decomp", s=s, k=k)
-    monomials = monomial_decomposition(s, k)
     kernel = set(restriction_kernel(s, k)[0]) if s >= 2 else set()
-    rows = [
-        [str(s), str(k), str(idx), " ".join(str(e) for e in exps), str(int(exps in kernel))]
-        for idx, exps in enumerate(monomials)
-    ]
-    write_output(out, csv_text(config_json, ["s", "k", "index", "exponents", "in_kernel"], rows))
-    return 0
-
-
-def cmd_geometry_verify(args) -> int:
-    settings = merge_settings(args)
-    results = verify.geometry_checks()
-    write_output(settings.get("out", "-"), verify.render_report(results, "geometry-verify"))
-    return 0 if all(r.passed for r in results) else 1
-
-
-def cmd_verify(args) -> int:
-    settings = merge_settings(args)
-    results = verify.all_checks()
-    write_output(settings.get("out", "-"), verify.render_report(results, "verify"))
-    return 0 if all(r.passed for r in results) else 1
-
-
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--out", help="output path ('-' for stdout)")
-    parser.add_argument("--format", choices=["csv", "svg"], help="output format")
-    parser.add_argument("--hbar", type=float)
-    parser.add_argument("--beta2", type=float)
-    parser.add_argument("--coupling-g", dest="coupling_g", type=float)
-    parser.add_argument("--nu-tilde", dest="nu_tilde", help="list 'a,b' or range 'lo:hi:n[:log]'")
-    parser.add_argument(
-        "--hbar-beta2", dest="hbar_beta2", help="list 'a,b' or range 'lo:hi:n[:log]'"
+    rows = (
+        (s, k, idx, " ".join(map(str, exps)), int(exps in kernel))
+        for idx, exps in enumerate(monomial_decomposition(s, k))
     )
-    parser.add_argument("--n-max", dest="n_max", type=int, help="number of levels")
-    parser.add_argument("--grid", type=int, help="number of sample points")
+    columns = ["s", "k", "index", "exponents", "in_kernel"]
+    return emit(settings, "decomp", {"s": s, "k": k}, columns, rows)
+
+
+def cmd_verify(args, settings) -> int:
+    results = verify.all_checks() if args.command == "verify" else verify.geometry_checks()
+    write_output(settings.get("out", "-"), verify.render_report(results, args.command))
+    return 0 if all(r.passed for r in results) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -435,30 +380,37 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    commands = {
-        "tunneling": cmd_tunneling,
-        "spectrum": cmd_spectrum,
-        "states": cmd_states,
-        "projector-expectations": cmd_projector_expectations,
-        "decomp": cmd_decomp,
-        "geometry-verify": cmd_geometry_verify,
-        "verify": cmd_verify,
+    # built on each call, not at import, so the handler that runs is the one
+    # bound on the module now, a patched or traced one included
+    states = {
+        "--state": {
+            "required": True,
+            "choices": ["psi-plus", "psi-minus", "xi"],
+            "help": "which state to sample",
+        },
+        "--level": {"type": int, "default": 0, "help": "level n for xi"},
     }
-    for name, func in commands.items():
+    decomp = {
+        "--s": {"type": int, "required": True, "help": "rank bound"},
+        "--k": {"type": int, "required": True, "help": "polynomial degree"},
+    }
+    commands = {
+        "tunneling": (cmd_tunneling, {}),
+        "spectrum": (cmd_spectrum, {}),
+        "states": (cmd_states, states),
+        "projector-expectations": (cmd_projector_expectations, {}),
+        "decomp": (cmd_decomp, decomp),
+        "geometry-verify": (cmd_verify, {}),
+        "verify": (cmd_verify, {}),
+    }
+    for name, (func, extra) in commands.items():
         p = sub.add_parser(name)
-        _add_common(p)
+        p.add_argument("--config", help="flat key = value config file")
+        for key, spec in OPTIONS.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, **spec)
+        for flag, spec in extra.items():
+            p.add_argument(flag, **spec)
         p.set_defaults(func=func)
-        if name == "states":
-            p.add_argument(
-                "--state",
-                required=True,
-                choices=["psi-plus", "psi-minus", "xi"],
-                help="which state to sample",
-            )
-            p.add_argument("--level", type=int, default=0, help="level n for xi")
-        if name == "decomp":
-            p.add_argument("--s", type=int, required=True, help="rank bound")
-            p.add_argument("--k", type=int, required=True, help="polynomial degree")
     return parser
 
 
@@ -466,7 +418,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, merge_settings(args))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

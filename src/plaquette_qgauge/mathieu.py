@@ -32,9 +32,10 @@ the lowest levels are computed, 16 at first and more on demand, so memory
 grows with the levels used, not with the square of the truncation.
 ``solve`` and ``solve_many`` share one growth loop that doubles the
 truncation until the coefficient tails of the requested levels fall below
-1e-12, giving up past 32 times the default truncation.  An explicit trunc
-is the starting size on both entry points and must hold the highest
-requested level; without one the start is
+1e-12, giving up past 32 times the default truncation or, before
+allocating, past ``_MAX_ROWS`` rows (nu_tilde of about 1.7e10 at level 0).
+An explicit trunc is the starting size on both entry points and must hold
+the highest requested level; without one the start is
 ``default_trunc(n, q)``, which depends on n only for n > 2 sqrt(q), so all
 lower levels share one eigendecomposition.  Because the cache is small, a
 sweep should iterate q-major: all levels (and all other parameters) at one
@@ -63,6 +64,9 @@ _FULL_MAX = 512
 _LEVEL_BLOCK = 16
 #: eigensystems kept; a q-major sweep needs only the current q's entries
 _CACHE_SIZE = 8
+#: no truncation past this many rows is tried; it holds the default
+#: truncation up to q of about 6.9e10 (nu_tilde = q / 4 of about 1.7e10)
+_MAX_ROWS = 2**19
 
 
 class ConvergenceError(RuntimeError):
@@ -208,6 +212,7 @@ def _converged(q: float, trunc: int | None, levels: range) -> _Eigensystem:
     level if None), which must hold the highest level, and doubles until the
     tails fall.  It gives up past 2**_MAX_DOUBLINGS times the default
     truncation, so a small explicit start grows as far as the default one.
+    A size past ``_MAX_ROWS`` is refused before it is allocated.
     """
     q = float(q)
     if not math.isfinite(q):
@@ -218,6 +223,8 @@ def _converged(q: float, trunc: int | None, levels: range) -> _Eigensystem:
     if size <= top:
         raise ValueError(f"trunc={size} cannot hold level n={top}")
     while True:
+        if size > _MAX_ROWS:
+            raise ConvergenceError(f"levels {levels[0]}..{top} at q={q} need over {_MAX_ROWS} rows")
         system = _eigensystem(q, size)
         # highest level first, so a partial eigensystem grows in one call
         if max(system.level(n).tail for n in reversed(levels)) <= _TAIL_TOL:

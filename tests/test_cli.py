@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -124,6 +125,37 @@ class TestDomain:
         for row in rows:
             assert 0.0 <= float(row[3]) <= 1.0 and 0.0 <= float(row[4]) <= 1.0
             assert float(row[5]) >= 1.0 - 1e-6
+
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["spectrum", "--nu-tilde", "inf"],
+            ["spectrum", "--nu-tilde", "1,nan"],
+            ["spectrum", "--nu-tilde", "0:inf:3"],
+            ["tunneling", "--hbar-beta2", "0.1:inf:3"],
+            ["tunneling", "--hbar-beta2", "0.1:inf:3:log"],
+            ["tunneling", "--hbar-beta2", "nan:1:3"],
+            ["tunneling", "--hbar-beta2=-inf:1:3"],
+            ["tunneling", "--hbar-beta2=-1e308:1e308:3"],
+            ["projector-expectations", "--hbar-beta2", "0.125", "--nu-tilde", "1,1e400"],
+        ],
+    )
+    def test_non_finite_grid_exits_2(self, args):
+        code, out, err = run_quiet(args)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("nu_tilde", ["1e20", "1e300"])
+    @pytest.mark.parametrize(
+        "command", [["spectrum"], ["states", "--state", "xi"], ["projector-expectations"]]
+    )
+    def test_huge_nu_tilde_exits_3(self, command, nu_tilde):
+        # the truncation needed is far past the row bound; it is refused
+        # before anything of that size is allocated
+        code, out, err = run_quiet([*command, "--nu-tilde", nu_tilde])
+        assert code == 3 and out == ""
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
 
 
 class TestSpectrum:
@@ -278,6 +310,62 @@ class TestConfigFile:
         assert cli.main(["spectrum", "--config", str(config)]) == 2
         capsys.readouterr()
 
+    def test_values_take_the_flag_type(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("n_max = 2\nhbar = 0.5\nnu_tilde = 0,6\nformat = svg\nout = -\n")
+        assert cli.read_config_file(str(config)) == {
+            "n_max": 2,
+            "hbar": 0.5,
+            "nu_tilde": "0,6",
+            "format": "svg",
+            "out": "-",
+        }
+
+    @pytest.mark.parametrize("line", ["n_max = 2.5", "format = pdf", "hbar = big"])
+    def test_bad_value_exits_2_naming_the_line(self, line, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"# sweep\n{line}\n")
+        code, out, err = run_quiet(["spectrum", "--config", str(config)])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {config}:2: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "args, config_text",
+        [
+            (["tunneling", "--hbar", "-1", "--beta2", "-1"], None),
+            (["states", "--state", "xi", "--hbar", "-2", "--beta2", "-0.5"], None),
+            (["tunneling"], "hbar = -1\nbeta2 = -1\n"),
+            (["states", "--state", "xi"], "hbar = -2\nbeta2 = -0.5\n"),
+        ],
+    )
+    def test_negative_hbar_exits_2(self, args, config_text, tmp_path):
+        # the product hbar * beta2 is positive; hbar itself is not
+        if config_text is not None:
+            config = tmp_path / "run.cfg"
+            config.write_text(config_text)
+            args = [*args, "--config", str(config)]
+        code, out, err = run_quiet(args)
+        assert code == 2 and out == ""
+        assert err.startswith("error: hbar must be positive and finite") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "args, config_text",
+        [
+            (["tunneling", "--hbar", "0.5", "--hbar-beta2", "1"], None),
+            (["states", "--state", "xi", "--beta2", "2", "--hbar-beta2", "0.125"], None),
+            (["tunneling", "--hbar-beta2", "1"], "hbar = 0.5\n"),
+            (["projector-expectations"], "hbar_beta2 = 0.125\nbeta2 = 2\ncoupling_g = 1\n"),
+        ],
+    )
+    def test_hbar_and_hbar_beta2_conflict(self, args, config_text, tmp_path):
+        if config_text is not None:
+            config = tmp_path / "run.cfg"
+            config.write_text(config_text)
+            args = [*args, "--config", str(config)]
+        code, out, err = run_quiet(args)
+        assert code == 2 and out == ""
+        assert err == "error: supply either hbar/beta2 or hbar_beta2, not both\n"
+
     def test_coupling_parameterization(self, capsys):
         # nu_tilde = 1/(g^2 hbar^2 beta2) = 4 for g = 0.5, hbar = beta2 = 1
         code, out = run_cli(
@@ -313,6 +401,16 @@ class TestVerifyCommands:
         assert "[FAIL] parity-separation" in out
 
 
+class TestDispatch:
+    def test_main_calls_the_handler_bound_on_the_module(self, monkeypatch):
+        # the command table is built per call, so a patched (or traced)
+        # handler is the one that runs
+        calls = []
+        monkeypatch.setattr(cli, "cmd_tunneling", lambda args, settings: calls.append(settings) or 0)
+        assert cli.main(["tunneling", "--hbar-beta2", "1"]) == 0
+        assert calls == [{"hbar_beta2": "1"}]
+
+
 class TestSvgOutput:
     def test_tunneling_svg(self, tmp_path):
         paths = [tmp_path / "a.svg", tmp_path / "b.svg"]
@@ -332,3 +430,45 @@ class TestSvgOutput:
         )
         assert code == 0
         assert out.startswith("<svg")
+
+    def test_projector_svg_has_one_polyline_per_t_and_level(self, capsys):
+        code, out = run_cli(
+            [
+                "projector-expectations",
+                "--hbar-beta2",
+                "0.125,0.5",
+                "--nu-tilde",
+                "1,10",
+                "--n-max",
+                "3",
+                "--format",
+                "svg",
+            ],
+            capsys,
+        )
+        assert code == 0
+        polylines = re.findall(r'<polyline [^>]*points="([^"]*)"/>', out)
+        labels = re.findall(r'font-size="11" fill="[^"]*">([^<]*)</text>', out)
+        assert labels == [f"P+ n={n} t={t}" for t in ("0.125", "0.5") for n in range(3)]
+        assert len(polylines) == 6
+        assert all(len(points.split()) == 2 for points in polylines)
+
+    def test_svg_series_are_keyed_by_value_not_label(self, capsys):
+        # both t print as "0.1" under :g; they stay two polylines of two points
+        code, out = run_cli(
+            [
+                "projector-expectations",
+                "--hbar-beta2",
+                "0.1,0.1000001",
+                "--nu-tilde",
+                "1,10",
+                "--n-max",
+                "1",
+                "--format",
+                "svg",
+            ],
+            capsys,
+        )
+        assert code == 0
+        polylines = re.findall(r'<polyline [^>]*points="([^"]*)"/>', out)
+        assert [len(points.split()) for points in polylines] == [2, 2]

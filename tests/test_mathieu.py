@@ -180,6 +180,22 @@ class TestSolve:
             assert math.isclose(sol.b, expected, rel_tol=1e-12)
             assert sol.tail <= 1e-12
 
+    @pytest.mark.parametrize(
+        "n, q, trunc",
+        [(0, 4e20, None), (0, 4e300, None), (0, 1.0, mathieu._MAX_ROWS + 1), (2**20, 0.0, None)],
+    )
+    def test_row_bound_refuses_before_allocating(self, n, q, trunc, monkeypatch):
+        def unexpected(*args):
+            raise AssertionError("eigensystem built past the row bound")
+
+        monkeypatch.setattr(mathieu, "_eigensystem", unexpected)
+        with pytest.raises(mathieu.ConvergenceError, match=f"over {mathieu._MAX_ROWS} rows"):
+            mathieu.solve(n, q, trunc=trunc)
+
+    def test_row_bound_holds_the_default_truncation_at_nu_tilde_1e10(self):
+        assert mathieu.default_trunc(0, 4e10) <= mathieu._MAX_ROWS
+        assert mathieu.default_trunc(0, 4 * 1.72e10) > mathieu._MAX_ROWS
+
     @settings(deadline=None, max_examples=30)
     @given(st.integers(min_value=0, max_value=6), st.floats(min_value=0.0, max_value=30.0))
     def test_solution_properties_hold_generically(self, n, q):
