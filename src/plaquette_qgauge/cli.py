@@ -14,9 +14,11 @@ Every data command emits deterministic CSV: a comment line
 rows with floats printed as their shortest round-trip decimal.  Each option
 is declared once, in ``OPTIONS``; a flat ``key = value`` config file can
 provide any of them, read with the flag's type, and command-line flags win.
-Grid values must be finite.  ``coupling_g`` with ``nu_tilde``, and ``hbar``
-or ``beta2`` with ``hbar_beta2``, are refused as ambiguous; ``hbar``,
-``beta2`` and ``coupling_g`` are checked as a ``ModelParams``.
+Grid values must be finite.  ``coupling_g`` with ``nu_tilde``, ``hbar`` or
+``beta2`` with ``hbar_beta2``, and ``coupling_g`` with ``hbar_beta2`` but
+without ``hbar`` or ``beta2`` (nu_tilde = 1/(g^2 hbar t) then depends on an
+unset hbar) are refused as ambiguous; ``hbar``, ``beta2`` and
+``coupling_g`` are checked as a ``ModelParams``.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
 failure.
@@ -143,6 +145,12 @@ def resolve_t_values(settings: dict, default: str) -> list[float]:
 
 
 def resolve_nut_values(settings: dict, default: str) -> list[float]:
+    # nu_tilde = 1 / (g^2 hbar t) needs an hbar that hbar_beta2 does not fix
+    if {"coupling_g", "hbar_beta2"} <= set(settings) and not {"hbar", "beta2"} & set(settings):
+        raise UsageError(
+            "coupling_g with hbar_beta2 is ambiguous; "
+            "supply nu_tilde, or hbar and beta2 instead of hbar_beta2"
+        )
     values = _resolve(settings, "nu_tilde", ("coupling_g",), lambda p: p.nu_tilde, default)
     if any(v < 0 for v in values):
         raise UsageError("nu_tilde values must be non-negative")
@@ -292,8 +300,9 @@ def cmd_spectrum(args, settings) -> int:
     rows = []
     for nut in nut_values:
         params = ModelParams.from_reduced(1.0, nut)
-        levels = [spectrum.energy(n, params) / params.hbar2_beta2 for n in range(n_max + 1)]
-        rows.extend((nut, n, levels[n], levels[n + 1] - levels[n]) for n in range(n_max))
+        levels = spectrum.energy(np.arange(n_max + 1), params) / params.hbar2_beta2
+        gaps = levels[1:] - levels[:-1]
+        rows.extend(zip([nut] * n_max, range(n_max), levels.tolist(), gaps.tolist()))
     plot = Plot("nu_tilde", "E_n", ("n",), "E_{}", "nu_tilde", "E_n / hbar^2 beta2")
     config = {"nu_tilde": nut_values, "n_max": n_max}
     return emit(settings, "spectrum", config, ["nu_tilde", "n", "E_n", "E_gap"], rows, plot)

@@ -24,22 +24,32 @@ eigenfunction cannot have f = f' = 0 at the wall; at large q, where the
 levels localize at the wall y = -pi/2, it is the dominant quantity, so
 each level's sign is continuous in q.
 
-Solve path: every level at one (q, truncation) comes from a single
-eigendecomposition of the truncated matrix, kept in a small LRU cache with
-its levels built on first use.  Up to 512 rows (the default truncation for
-q up to about 61,000) it is the full eigendecomposition; above that only
-the lowest levels are computed, 16 at first and more on demand, so memory
-grows with the levels used, not with the square of the truncation.
-``solve`` and ``solve_many`` share one growth loop that doubles the
-truncation until the coefficient tails of the requested levels fall below
-1e-12, giving up past 32 times the default truncation or, before
-allocating, past ``_MAX_ROWS`` rows (nu_tilde of about 1.7e10 at level 0).
-An explicit trunc is the starting size on both entry points and must hold
-the highest requested level; without one the start is
-``default_trunc(n, q)``, which depends on n only for n > 2 sqrt(q), so all
-lower levels share one eigendecomposition.  Because the cache is small, a
-sweep should iterate q-major: all levels (and all other parameters) at one
-q before the next q.
+Solve path: a request for a set of levels at q is served by one
+eigensystem, the eigendecomposition of the truncated matrix at one size,
+kept in a small LRU cache.  Up to 512 rows (the default truncation for q up
+to about 61,000) it is the full eigendecomposition; above that only the
+lowest levels are computed, 16 at first and more on demand, so memory grows
+with the levels used, not with the square of the truncation.  The
+eigensystem holds its levels as arrays: the characteristic values, and a
+read-only, C-contiguous (levels, trunc) block of unit-normalized,
+sign-anchored coefficients with their tails.  The block is filled lazily,
+in one array pass up to the highest level a request asks for; a later pass
+at least doubles it.
+
+``solve`` takes one level or an integer array of levels, and one rule sets
+the truncation: it starts at ``trunc`` or, without one, at ``default_trunc``
+of the highest level, and doubles until the tails of all requested levels
+fall below 1e-12.  It gives up past 32 times the default truncation or,
+before allocating, past ``_MAX_ROWS`` rows (nu_tilde of about 1.7e10 at
+level 0).  One level comes back as a memoized ``MathieuSolution`` whose
+coefficients are a row of the block; an array of levels as
+``MathieuLevels``, which holds the b and tail arrays and the block rows and
+gives the same per-level solutions on indexing.  ``solve_many(count, ...)``
+is ``solve(range(count), ...)``; it stays a separate name only because the
+benchmark's call contract (``EXPECTED_CALLS`` in perfbench/workloads.py)
+counts it on the projector sweep.  Because the cache is small, a sweep
+should iterate q-major: all levels (and all other parameters) at one q
+before the next q.
 """
 
 from __future__ import annotations
@@ -67,10 +77,33 @@ _CACHE_SIZE = 8
 #: no truncation past this many rows is tried; it holds the default
 #: truncation up to q of about 6.9e10 (nu_tilde = q / 4 of about 1.7e10)
 _MAX_ROWS = 2**19
+#: ``se`` builds its (points, trunc) sine matrix in chunks of about this
+#: many values (8 MB)
+_SE_CHUNK = 2**20
 
 
 class ConvergenceError(RuntimeError):
     """Eigensolver residual exceeded the accepted tolerance."""
+
+
+def _sine_series(y, weights: np.ndarray):
+    """sum_k weights[k] sin((2k+2) y) at y (scalar or array).
+
+    The (points, trunc) sine matrix is built in chunks of a multiple of 8
+    points holding at most ``_SE_CHUNK`` values (at least 8 points), which
+    bounds memory at large truncations; a smaller matrix is one chunk.
+    """
+    y = np.asarray(y, dtype=float)
+    freqs = 2.0 * np.arange(len(weights)) + 2.0
+    if y.ndim == 0:
+        return float(np.sin(y * freqs) @ weights)
+    points = y.reshape(-1)
+    out = np.empty(len(points))
+    step = max(8, _SE_CHUNK // len(weights) // 8 * 8)
+    for lo in range(0, len(points), step):
+        block = np.multiply.outer(points[lo : lo + step], freqs)
+        out[lo : lo + step] = np.sin(block, out=block) @ weights
+    return out.reshape(y.shape)
 
 
 @dataclass(frozen=True)
@@ -79,7 +112,8 @@ class MathieuSolution:
 
     ``b`` is the characteristic value; ``coeffs[k]`` is the Fourier
     coefficient of sin((2k+2) y), unit-normalized and sign-anchored as
-    described in the module docstring.
+    described in the module docstring, a read-only row of its eigensystem's
+    coefficient block.
     """
 
     n: int
@@ -98,17 +132,13 @@ class MathieuSolution:
 
     def se(self, y):
         """Evaluate the sine-elliptic function at y (scalar or array)."""
-        y = np.asarray(y, dtype=float)
-        freqs = 2.0 * np.arange(self.trunc) + 2.0
-        out = np.sin(np.multiply.outer(y, freqs)) @ self.coeffs
-        return float(out) if out.ndim == 0 else out
+        return _sine_series(y, self.coeffs)
 
     def se_second_derivative(self, y):
         """Term-by-term second derivative of ``se`` (spectral differentiation)."""
-        y = np.asarray(y, dtype=float)
         freqs = 2.0 * np.arange(self.trunc) + 2.0
-        out = -np.sin(np.multiply.outer(y, freqs)) @ (freqs * freqs * self.coeffs)
-        return float(out) if out.ndim == 0 else out
+        # negating the sum is exact, so this equals summing the negated terms
+        return -_sine_series(y, freqs * freqs * self.coeffs)
 
     def recurrence_residual(self) -> float:
         """max_k |(b - 4(k+1)^2) c_k - q (c_{k-1} + c_{k+1})| with c_{-1} = c_trunc = 0."""
@@ -121,15 +151,45 @@ class MathieuSolution:
         return float(np.max(np.abs(left - self.q * neighbors)))
 
 
+class MathieuLevels:
+    """Levels ``n`` (an integer array) at parameter ``q``, read from one eigensystem.
+
+    ``b[i]`` and ``tail[i]`` are the characteristic value and the tail
+    coefficient magnitude of level ``n[i]``, and ``coeffs[i]`` is its row of
+    the eigensystem's coefficient block: a read-only view when ``n`` is a run
+    of consecutive levels, a read-only copy otherwise.  Indexing and
+    iteration give the memoized per-level ``MathieuSolution``s.
+    """
+
+    def __init__(self, system: _Eigensystem, n: np.ndarray):
+        lo, hi = int(n[0]), int(n[-1]) + 1
+        consecutive = hi - lo == len(n) and (len(n) == 1 or bool(np.all(n[1:] > n[:-1])))
+        rows = slice(lo, hi) if consecutive else n
+        self._system = system
+        self.n = n.copy()
+        self.b = system.values[rows]
+        self.tail = system.tails[rows]
+        self.coeffs = system.block[rows]
+        for array in (self.n, self.b, self.tail, self.coeffs):
+            array.flags.writeable = False
+
+    @property
+    def trunc(self) -> int:
+        return self.coeffs.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.n)
+
+    def __getitem__(self, i: int) -> MathieuSolution:
+        return self._system.level(int(self.n[i]))
+
+    def __iter__(self):
+        return (self._system.level(int(n)) for n in self.n)
+
+
 def default_trunc(n: int, q: float) -> int:
     """Truncation adequate for level n at parameter q (coefficient tail < 1e-12)."""
     return max(n + 16, math.ceil(2.0 * math.sqrt(abs(q))) + 16)
-
-
-def _freeze(vec: np.ndarray) -> np.ndarray:
-    vec = np.array(vec, dtype=float)
-    vec.setflags(write=False)
-    return vec
 
 
 class _Eigensystem:
@@ -137,22 +197,30 @@ class _Eigensystem:
 
     A truncation up to ``_FULL_MAX`` is diagonalized in full on
     construction.  A larger one computes only its lowest ``_LEVEL_BLOCK``
-    levels, and ``level(n)`` past them computes the missing ones in one more
+    levels, and a request past them computes the missing ones in one more
     call, at least doubling the count, so memory stays O(trunc * levels
     used).  Residuals of new eigenpairs are checked once, as they are
-    computed.  ``level(n)`` normalizes, sign-anchors (see the module
-    docstring) and freezes column n on first use and memoizes the result, so
-    repeated requests return the same object.
+    computed.
+
+    The eigenvectors are stored as rows.  ``fill(count)`` normalizes and
+    sign-anchors (see the module docstring) rows up to ``count`` in place,
+    in one array pass, and exposes them as the read-only ``block`` with
+    their ``tails``; rows past it stay raw until asked for.  ``level(n)``
+    memoizes a ``MathieuSolution`` on row n, so repeated requests return
+    the same object.
     """
 
     def __init__(self, q: float, trunc: int):
         self.q = q
         freqs = 2.0 * np.arange(trunc) + 2.0
         self.diag = freqs**2
+        self._alternating = (-1.0) ** np.arange(trunc)
         # (-1)^k (2k+2); the dot product with c is -se'(-pi/2)
-        self._wall_slope = freqs * (-1.0) ** np.arange(trunc)
+        self._wall_slope = freqs * self._alternating
         self.values = np.empty(0)
-        self.vectors = np.empty((trunc, 0))
+        self._rows = np.empty((0, trunc))
+        self.block = self._rows
+        self.tails = np.empty(0)
         self._levels: dict[int, MathieuSolution] = {}
         self._compute(trunc if trunc <= _FULL_MAX else _LEVEL_BLOCK)
 
@@ -184,80 +252,120 @@ class _Eigensystem:
                 f"tridiagonal eigensolve residual {residual:.3e} exceeds "
                 f"{_RESIDUAL_RTOL:.0e} * {scale:.3e} (q={q}, trunc={trunc})"
             )
+        # LAPACK returns Fortran order, so the transpose is C-contiguous already
+        rows = np.ascontiguousarray(v.T)
         if start:
-            w, v = np.concatenate([self.values, w]), np.hstack([self.vectors, v])
-        self.values, self.vectors = w, v
+            w, rows = np.concatenate([self.values, w]), np.concatenate([self._rows, rows])
+        w.flags.writeable = False
+        self.values, self._rows = w, rows
+
+    def fill(self, count: int) -> None:
+        """Extend ``block`` and ``tails`` to at least the lowest ``count`` levels.
+
+        A fill at least doubles the block, within the levels computed, so
+        requests for one level after another take few array passes.
+        """
+        done = len(self.tails)
+        if count <= done:
+            return
+        if count > len(self.values):
+            self._compute(min(len(self.diag), max(count, 2 * len(self.values))))
+        count = max(count, min(2 * done, len(self.values)))
+        new = self._rows[done:count]
+        # the anchor's sign does not depend on the row's positive scale
+        flip = self._alternating[done:count] * (new @ self._wall_slope) < 0
+        # vecdot takes the same dot product as np.linalg.norm, so each row is
+        # scaled exactly as the lone vector would be; dividing by -norm
+        # negates that quotient exactly
+        norms = np.sqrt(np.vecdot(new, new))
+        new /= np.where(flip, -norms, norms)[:, None]
+        block = self._rows[:count]
+        block.flags.writeable = False
+        tails = np.abs(block[:, -1])
+        tails.flags.writeable = False
+        self.block, self.tails = block, tails
 
     def level(self, n: int) -> MathieuSolution:
         sol = self._levels.get(n)
         if sol is None:
-            if n >= len(self.values):
-                self._compute(min(len(self.diag), max(n + 1, 2 * len(self.values))))
-            vec = self.vectors[:, n]
-            vec = vec / np.linalg.norm(vec)
-            if (-1) ** n * float(self._wall_slope @ vec) < 0:
-                vec = -vec
-            sol = MathieuSolution(n=n, q=self.q, b=float(self.values[n]), coeffs=_freeze(vec))
+            self.fill(n + 1)
+            sol = MathieuSolution(n=n, q=self.q, b=float(self.values[n]), coeffs=self.block[n])
             self._levels[n] = sol
         return sol
+
+    def levels(self, n: np.ndarray) -> MathieuLevels:
+        self.fill(int(n.max()) + 1)
+        return MathieuLevels(self, n)
 
 
 _eigensystem = lru_cache(maxsize=_CACHE_SIZE)(_Eigensystem)
 
 
-def _converged(q: float, trunc: int | None, levels: range) -> _Eigensystem:
-    """Eigensystem at q whose ``levels`` all have tails below ``_TAIL_TOL``.
+def _converged(q: float, trunc: int | None, levels, top: int) -> _Eigensystem:
+    """Eigensystem at q whose ``levels`` (int or int array) have tails below ``_TAIL_TOL``.
 
     The truncation starts at ``trunc`` rows (``default_trunc`` of the highest
-    level if None), which must hold the highest level, and doubles until the
-    tails fall.  It gives up past 2**_MAX_DOUBLINGS times the default
+    level ``top`` if None), which must hold that level, and doubles until
+    the tails fall.  It gives up past 2**_MAX_DOUBLINGS times the default
     truncation, so a small explicit start grows as far as the default one.
     A size past ``_MAX_ROWS`` is refused before it is allocated.
     """
     q = float(q)
     if not math.isfinite(q):
         raise ValueError(f"q must be finite, got {q}")
-    top = levels[-1]
     default = default_trunc(top, q)
     size = default if trunc is None else trunc
     if size <= top:
         raise ValueError(f"trunc={size} cannot hold level n={top}")
     while True:
         if size > _MAX_ROWS:
-            raise ConvergenceError(f"levels {levels[0]}..{top} at q={q} need over {_MAX_ROWS} rows")
+            raise ConvergenceError(
+                f"levels {np.min(levels)}..{top} at q={q} need over {_MAX_ROWS} rows"
+            )
         system = _eigensystem(q, size)
-        # highest level first, so a partial eigensystem grows in one call
-        if max(system.level(n).tail for n in reversed(levels)) <= _TAIL_TOL:
+        system.fill(top + 1)
+        worst = system.tails[levels]
+        if worst.ndim:
+            worst = worst.max()
+        if worst <= _TAIL_TOL:
             return system
         size *= 2
         if size > 2**_MAX_DOUBLINGS * default:
             raise ConvergenceError(
                 f"coefficient tail did not fall below {_TAIL_TOL} "
-                f"(levels {levels.start}..{top}, q={q})"
+                f"(levels {np.min(levels)}..{top}, q={q})"
             )
 
 
-def solve(n: int, q: float, trunc: int | None = None) -> MathieuSolution:
-    """Characteristic value and Fourier coefficients for level n at parameter q.
+def solve(n, q: float, trunc: int | None = None):
+    """Characteristic values and Fourier coefficients of level(s) n at parameter q.
 
-    The truncation starts at ``trunc`` (or ``default_trunc(n, q)``) and
-    doubles until the tail coefficient drops below 1e-12.
+    ``n`` is one level or a non-empty 1-D integer array of levels (a range
+    will do).  All of them come from one eigensystem, whose truncation
+    starts at ``trunc`` (or ``default_trunc`` of the highest level) and
+    doubles until every requested tail coefficient drops below 1e-12.  One
+    level gives its ``MathieuSolution``, an array of levels a
+    ``MathieuLevels``.
     """
-    if n < 0:
-        raise ValueError(f"level index must be >= 0, got {n}")
-    return _converged(q, trunc, range(n, n + 1)).level(n)
+    levels = np.asarray(n)
+    if levels.dtype.kind not in "iu" or levels.ndim > 1 or levels.size == 0:
+        raise TypeError(f"levels must be an integer or a non-empty 1-D integer array, got {n!r}")
+    if levels.ndim == 0:
+        bottom = top = int(levels)
+    else:
+        bottom, top = int(levels.min()), int(levels.max())
+    if bottom < 0:
+        raise ValueError(f"level index must be >= 0, got {bottom}")
+    if levels.ndim == 0:
+        return _converged(q, trunc, top, top).level(top)
+    return _converged(q, trunc, levels, top).levels(levels)
 
 
-def solve_many(count: int, q: float, trunc: int | None = None) -> tuple[MathieuSolution, ...]:
-    """Levels 0..count-1 at parameter q, all read from one eigendecomposition.
-
-    The truncation grows as in ``solve``, until every level's tail
-    coefficient drops below 1e-12.
-    """
+def solve_many(count: int, q: float, trunc: int | None = None) -> MathieuLevels:
+    """Levels 0..count-1 at parameter q: ``solve(range(count), q, trunc)``."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    system = _converged(q, trunc, range(count))
-    return tuple(system.level(n) for n in range(count))
+    return solve(range(count), q, trunc)
 
 
 def se(n: int, q: float, y):

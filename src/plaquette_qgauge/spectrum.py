@@ -19,13 +19,16 @@ quantities go through the Mathieu route.  Eigenstate coefficients pick up the
 alternating sign of the change of variable y = (x - pi)/2:
 coefficient k of level n is (-1)^(n+k) times the Mathieu Fourier coefficient.
 
-Projector expectations are squared overlaps of eigenstates with the two
-vertex states, and one batched helper computes them for any set of levels
-that share a truncation: the vertex weights, the normalization N and the tail
-checks once per call, then both strata's overlaps as row sums over the
-stacked (levels, trunc) coefficient array.  So a grid point of
-``projector_expectations`` costs one normalization and one array pass, and
-the single-level ``projector_expectation`` gives bit-identical values.
+Both sweeps read one Mathieu eigensystem per q.  ``energy`` takes one level
+or an integer array of levels, and an array is served by one eigensolve, so
+a spectrum sweep costs one eigensolve per nu_tilde.  Projector expectations
+are squared overlaps of eigenstates with the two vertex states, and one
+batched helper computes them for a block of levels: the vertex weights, the
+normalization N and the tail checks once per call, then both strata's
+overlaps as row sums over the eigensystem's (levels, trunc) coefficient
+block, read in place.  So a grid point of ``projector_expectations`` costs
+one normalization and one array pass, and the single-level
+``projector_expectation`` gives bit-identical values.
 """
 
 from __future__ import annotations
@@ -88,8 +91,12 @@ def _energy_from_b(b: float, params: ModelParams) -> float:
     return 0.5 * params.hbar2_beta2 * (b / 4.0 + 3.0 * params.nu_tilde - 1.0)
 
 
-def energy(n: int, params: ModelParams) -> float:
-    """Energy of level n through the Mathieu characteristic value."""
+def energy(n, params: ModelParams):
+    """Energy of level n through the Mathieu characteristic value.
+
+    ``n`` may also be an integer array of levels; their energies, an array,
+    all come from one eigensystem (see ``mathieu.solve``).
+    """
     return _energy_from_b(mathieu.solve(n, 4.0 * params.nu_tilde).b, params)
 
 
@@ -138,31 +145,31 @@ def _stratum_signs(count: int, stratum: Stratum) -> np.ndarray:
 
 
 def _vertex_overlaps(
-    sols: tuple[mathieu.MathieuSolution, ...], params: ModelParams
+    levels: mathieu.MathieuLevels, params: ModelParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Overlaps of the eigenstate levels ``sols`` with the plus and minus vertex states.
+    """Overlaps of the eigenstate ``levels`` with the plus and minus vertex states.
 
     Level n's overlap with a stratum's vertex state is
     ((-1)^n / N) * sum_k s_k (k+1) exp(-t (k+1)^2/2) c_k with s_k the stratum
     sign weights; it requires both coefficient tails to be negligible.  N and
-    the weights are built once for all levels, which share one truncation.
-    Each level is summed along the contiguous axis of the stacked array, in
+    the weights are built once for all levels.  The sums run over the rows of
+    the eigensystem's coefficient block, each along its contiguous axis in
     the same order as a 1-D sum over that level alone, so results do not
     depend on the batch; a matrix product would change that order.
     """
     t = params.t
-    trunc = sols[0].trunc
+    trunc = levels.trunc
     weights = costratified.vertex_weights(t, trunc)
     n_const = costratified.normalization_constant(t)
-    tail = max(sol.tail for sol in sols)
+    tail = float(np.max(levels.tail))
     if tail > _TAIL_TOL:
         raise TruncationError(f"Mathieu coefficient tail {tail:.2e} exceeds {_TAIL_TOL}")
     if weights[-1] / n_const > _TAIL_TOL:
         raise TruncationError(
             f"vertex-state weight tail {weights[-1] / n_const:.2e} exceeds {_TAIL_TOL}"
         )
-    coeffs = np.array([sol.coeffs for sol in sols])
-    scale = (-1.0) ** np.array([sol.n for sol in sols]) / n_const
+    coeffs = levels.coeffs
+    scale = (-1.0) ** levels.n / n_const
     plus = scale * np.sum(_stratum_signs(trunc, Stratum.PLUS) * weights * coeffs, axis=1)
     minus = scale * np.sum(_stratum_signs(trunc, Stratum.MINUS) * weights * coeffs, axis=1)
     return plus, minus
@@ -171,8 +178,8 @@ def _vertex_overlaps(
 def projector_expectation(n: int, params: ModelParams, stratum: Stratum) -> float:
     """Probability of finding energy level n in the given vertex subspace."""
     sign = stratum.sign  # rejects Stratum.TOP
-    sol = mathieu.solve(n, 4.0 * params.nu_tilde, trunc=_state_trunc(n, params))
-    plus, minus = _vertex_overlaps((sol,), params)
+    levels = mathieu.solve(range(n, n + 1), 4.0 * params.nu_tilde, trunc=_state_trunc(n, params))
+    plus, minus = _vertex_overlaps(levels, params)
     overlap = float(plus[0] if sign > 0 else minus[0])
     return overlap * overlap
 
@@ -192,8 +199,8 @@ def projector_expectations(
     while True:
         total = max(count, completeness_count)
         trunc = _state_trunc(total - 1, params)
-        sols = mathieu.solve_many(total, 4.0 * params.nu_tilde, trunc=trunc)
-        plus, minus = _vertex_overlaps(sols, params)
+        levels = mathieu.solve_many(total, 4.0 * params.nu_tilde, trunc=trunc)
+        plus, minus = _vertex_overlaps(levels, params)
         plus, minus = plus**2, minus**2
         completeness = float(np.sum(plus[:completeness_count]))
         if completeness >= 1.0 - _COMPLETENESS_TOL:

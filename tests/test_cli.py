@@ -366,6 +366,29 @@ class TestConfigFile:
         assert code == 2 and out == ""
         assert err == "error: supply either hbar/beta2 or hbar_beta2, not both\n"
 
+    @pytest.mark.parametrize(
+        "args, config_text",
+        [
+            (["states", "--state", "xi", "--coupling-g", "0.5", "--hbar-beta2", "0.25"], None),
+            (["spectrum", "--coupling-g", "0.5", "--hbar-beta2", "0.25"], None),
+            (["states", "--state", "xi"], "coupling_g = 0.5\nhbar_beta2 = 0.25\n"),
+            (["projector-expectations", "--hbar-beta2", "0.25"], "coupling_g = 0.5\n"),
+        ],
+    )
+    def test_coupling_with_hbar_beta2_is_ambiguous(self, args, config_text, tmp_path):
+        # nu_tilde = 1/(g^2 hbar t) needs an hbar that hbar_beta2 does not fix;
+        # it used to be taken at hbar = 1, giving nu_tilde = 4 here
+        if config_text is not None:
+            config = tmp_path / "run.cfg"
+            config.write_text(config_text)
+            args = [*args, "--config", str(config)]
+        code, out, err = run_quiet(args)
+        assert code == 2 and out == ""
+        assert err == (
+            "error: coupling_g with hbar_beta2 is ambiguous; "
+            "supply nu_tilde, or hbar and beta2 instead of hbar_beta2\n"
+        )
+
     def test_coupling_parameterization(self, capsys):
         # nu_tilde = 1/(g^2 hbar^2 beta2) = 4 for g = 0.5, hbar = beta2 = 1
         code, out = run_cli(

@@ -206,6 +206,85 @@ class TestSolve:
             assert mathieu.solve(n - 1, q).b < sol.b
 
 
+class TestLevelBlock:
+    @pytest.mark.parametrize("q", [0.0, 24.0, 2000.0, 4e6])
+    def test_levels_index_to_the_memoized_solutions(self, q):
+        levels = mathieu.solve_many(20, q)
+        assert len(levels) == 20 and list(levels.n) == list(range(20))
+        block = levels.coeffs
+        assert block.shape == (20, levels.trunc)
+        assert block.flags.c_contiguous and not block.flags.writeable
+        for n, sol in enumerate(levels):
+            assert sol is levels[n] is mathieu.solve(n, q, trunc=levels.trunc)
+            assert np.shares_memory(sol.coeffs, block) and np.array_equal(sol.coeffs, block[n])
+            assert levels.b[n] == sol.b and levels.tail[n] == sol.tail
+        for array in (levels.b, levels.tail, block):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_solve_of_a_range_is_solve_many(self):
+        many, ranged = mathieu.solve_many(7, 24.0), mathieu.solve(range(7), 24.0)
+        assert all(a is b for a, b in zip(many, ranged))
+        assert np.array_equal(many.coeffs, ranged.coeffs)
+
+    def test_block_rows_are_scaled_like_lone_vectors(self):
+        # each row is the raw eigenvector over its np.linalg.norm, then
+        # sign-anchored, bit for bit as one column on its own would be
+        q, trunc, count = 300.0, 60, 30
+        levels = mathieu.solve(np.arange(count), q, trunc=trunc)
+        assert levels.trunc == trunc
+        k = np.arange(trunc)
+        w, v = scipy.linalg.eigh_tridiagonal((2.0 * k + 2.0) ** 2, np.full(trunc - 1, q))
+        slope = (2.0 * k + 2.0) * (-1.0) ** k
+        for n in range(count):
+            vec = v[:, n] / np.linalg.norm(v[:, n])
+            if (-1) ** n * float(slope @ vec) < 0:
+                vec = -vec
+            assert levels.b[n] == w[n]
+            assert np.array_equal(levels.coeffs[n], vec)
+
+    def test_levels_in_any_order(self):
+        q = 24.0
+        levels = mathieu.solve(np.array([5, 1, 3]), q)
+        assert [sol.n for sol in levels] == [5, 1, 3]
+        for i, n in enumerate((5, 1, 3)):
+            single = mathieu.solve(n, q, trunc=levels.trunc)
+            assert levels[i] is single and levels.b[i] == single.b
+            assert np.array_equal(levels.coeffs[i], single.coeffs)
+        assert levels.coeffs.flags.c_contiguous and not levels.coeffs.flags.writeable
+
+    @pytest.mark.parametrize("bad", [1.5, [], [[0, 1]], np.array([0.0, 1.0]), True])
+    def test_levels_must_be_integers(self, bad):
+        with pytest.raises(TypeError, match="integer"):
+            mathieu.solve(bad, 4.0)
+
+    def test_negative_level_rejected(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            mathieu.solve(np.array([2, -1]), 4.0)
+
+    def test_one_truncation_per_request(self):
+        # the request starts at default_trunc of its highest level, so at
+        # small q all 41 levels come from the 56-row eigensystem
+        levels = mathieu.solve(np.arange(41), 4.0)
+        assert levels.trunc == mathieu.default_trunc(40, 4.0) == 56
+        assert levels[0] is mathieu.solve(0, 4.0, trunc=56)
+
+    def test_fat_starting_tail_grows_or_raises(self, monkeypatch):
+        # at q = 2000, 16 rows leave level tails up to 0.1 and 32 rows up to
+        # 4e-7; 64 rows bring them below 1e-22
+        levels = mathieu.solve(np.arange(3), 2000.0, trunc=16)
+        assert levels.trunc == 64 and np.max(levels.tail) <= 1e-12
+        monkeypatch.setattr(mathieu, "_MAX_ROWS", 32)
+        with pytest.raises(mathieu.ConvergenceError, match="over 32 rows"):
+            mathieu.solve(np.arange(3), 2000.0, trunc=16)
+
+    def test_every_requested_tail_is_checked(self):
+        # at q = 4 and 40 rows level 0's tail is 0, level 35's is 1.4e-9
+        assert mathieu.solve(np.array([0]), 4.0, trunc=40).trunc == 40
+        levels = mathieu.solve(np.array([0, 35]), 4.0, trunc=40)
+        assert levels.trunc == 80 and np.max(levels.tail) <= 1e-12
+
+
 class TestSineElliptic:
     @pytest.mark.parametrize("q", [1.0, 4.0, 16.0])
     def test_boundary_conditions(self, q):
@@ -230,6 +309,35 @@ class TestSineElliptic:
         funcs = np.column_stack([math.sqrt(2.0) * mathieu.se(n, 24.0, y) for n in range(8)])
         gram = (funcs * w[:, None]).T @ funcs * (2.0 / math.pi)
         assert np.max(np.abs(gram - np.eye(8))) < 1e-9
+
+    def test_chunked_evaluation_matches_one_product(self, monkeypatch):
+        sol = mathieu.solve(3, 24.0)
+        y = np.linspace(-math.pi / 2, 0.0, 101)
+        freqs = 2.0 * np.arange(sol.trunc) + 2.0
+        sines = np.sin(np.multiply.outer(y, freqs))
+        # chunks of 16 points: six full ones and a short last one
+        monkeypatch.setattr(mathieu, "_SE_CHUNK", 16 * sol.trunc)
+        assert np.array_equal(sol.se(y), sines @ sol.coeffs)
+        assert np.array_equal(sol.se_second_derivative(y), -sines @ (freqs * freqs * sol.coeffs))
+
+    def test_memory_is_bounded_at_large_truncation(self):
+        # 1025 points at the 40,016-row truncation of nu_tilde = 1e8: one
+        # sine matrix would take 328 MB
+        coeffs = np.zeros(40016)
+        coeffs[:20] = 0.2
+        sol = mathieu.MathieuSolution(n=0, q=4e8, b=0.0, coeffs=coeffs)
+        y = np.linspace(-math.pi / 2, 0.0, 1025)
+        tracemalloc.start()
+        try:
+            values = sol.se(y)
+            second = sol.se_second_derivative(y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+        k = np.arange(20)
+        assert np.allclose(values, np.sin(np.multiply.outer(y, 2.0 * k + 2.0)) @ coeffs[:20])
+        assert np.all(np.isfinite(second))
 
 
 class TestShootingOracleSmoke:

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from plaquette_qgauge import ModelParams, Stratum, costratified, mathieu, spectrum
+from plaquette_qgauge import ModelParams, Stratum, cli, costratified, mathieu, spectrum
 
 from oracles import character_hamiltonian, dense_dim, dense_projectors
 
@@ -61,6 +62,37 @@ class TestEnergies:
         for n in range(41):
             value = spectrum.energy(n, params) / params.hbar2_beta2
             assert abs(value - reference[n]) <= 1e-12 * abs(reference[n])
+
+    @pytest.mark.parametrize("nut", [0.0, 0.3, 6.0, 100.0, 2000.0])
+    def test_level_array_equals_levels_of_its_eigensystem(self, nut):
+        params = ModelParams.from_reduced(1.0, nut)
+        q = 4.0 * params.nu_tilde
+        energies = spectrum.energy(np.arange(41), params)
+        trunc = mathieu.solve(np.arange(41), q).trunc
+        mathieu._eigensystem.cache_clear()
+        for n in range(41):
+            single = spectrum._energy_from_b(mathieu.solve(n, q, trunc=trunc).b, params)
+            assert energies[n] == single
+        assert isinstance(spectrum.energy(3, params), float)
+
+    def test_spectrum_sweep_makes_one_eigensolve_per_q(self, monkeypatch, tmp_path):
+        # levels 0..40 at 20 nu_tilde; per-level truncations made 168 solves
+        calls = []
+        original = scipy.linalg.eigh_tridiagonal
+
+        def counting(*args, **kwargs):
+            calls.append((float(args[1][0]) if len(args[1]) else 0.0, len(args[0])))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counting)
+        mathieu._eigensystem.cache_clear()
+        argv = ["spectrum", "--nu-tilde", "0:200:20", "--n-max", "40"]
+        assert cli.main([*argv, "--out", str(tmp_path / "spectrum.csv")]) == 0
+        qs = [q for q, _ in calls]
+        assert np.allclose(qs[:10] + qs[11:], 4.0 * np.linspace(0.0, 200.0, 20), rtol=1e-14)
+        # one q is solved twice: at nu_tilde = 94.7 the 56-row default start
+        # leaves level 40 a tail of 1.6e-12, so it doubles, as it did before
+        assert qs[9] == qs[10] and [size for _, size in calls[9:11]] == [56, 112]
 
 
 class TestEigenstates:
@@ -220,9 +252,9 @@ class TestProjectorExpectations:
 
     def test_fat_mathieu_tail_raises(self):
         # the solve entry points grow past a fat tail; the raw eigensystem does not
-        sol = mathieu._eigensystem(200.0, 16).level(0)
+        levels = mathieu._eigensystem(200.0, 16).levels(np.arange(1))
         with pytest.raises(costratified.TruncationError, match="Mathieu coefficient tail"):
-            spectrum._vertex_overlaps((sol,), ModelParams.from_reduced(0.125, 50.0))
+            spectrum._vertex_overlaps(levels, ModelParams.from_reduced(0.125, 50.0))
 
     def test_short_vertex_truncation_raises(self):
         # the t = 0.03125 vertex state needs about 59 coefficients, not 20
