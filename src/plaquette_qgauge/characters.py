@@ -13,10 +13,13 @@ n = 0, 1, 2, ... (twice the spin).  A basis element can be realized three ways:
 Conventions fixed here: the group volume is normalized to 1, and the inner
 product on [0, pi] gives the constant function 1 norm 1.
 
-This module is the one implementation of the interval basis (``char_l2``,
-sampled by the ``states`` command), of the Gauss-Legendre rule on [0, pi]
-(``quadrature_rule``, used by the verification suite) and of the Laplace
-eigenvalue (``laplace_eigenvalue``, the diagonal of the Hamiltonian).
+This module is the one implementation of the interval realization
+(``char_l2`` for a basis vector; sqrt(2) ``sine_series(x, c)`` for a
+coefficient vector c, summed without BLAS, so the ``states`` command and the
+Mathieu ``se`` do not depend on the BLAS thread count), of the
+Gauss-Legendre rule on [0, pi] (``quadrature_rule``, used by the
+verification suite) and of the Laplace eigenvalue (``laplace_eigenvalue``,
+the diagonal of the Hamiltonian).
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ from .params import ModelParams
 
 # below this |sin x| the quotient sin((n+1)x)/sin(x) is replaced by its limit
 _SIN_EPS = 1e-8
+#: most values (8 MB) in one chunk of the ``sine_series`` sine matrix
+_SERIES_CHUNK = 2**20
 
 
 def char_real(n: int, x):
@@ -58,6 +63,29 @@ def char_l2(n: int, x):
     x = np.asarray(x, dtype=float)
     out = math.sqrt(2.0) * np.sin((n + 1) * x)
     return float(out) if out.ndim == 0 else out
+
+
+def sine_series(x, coeffs: np.ndarray):
+    """sum_k coeffs[k] sin((k+1) x) at x (scalar or array).
+
+    The (points, terms) sine matrix is built in chunks of a multiple of 8
+    points holding at most ``_SERIES_CHUNK`` values (at least 8 points), to
+    bound memory.  ``np.sum`` along the contiguous axis, not a BLAS product,
+    sums each point, so neither the chunk nor the thread count changes it.
+    """
+    x = np.asarray(x, dtype=float)
+    freqs = np.arange(1.0, len(coeffs) + 1.0)
+    if x.ndim == 0:
+        return float(np.sum(np.sin(x * freqs) * coeffs))
+    points = x.reshape(-1)
+    out = np.empty(len(points))
+    step = max(8, _SERIES_CHUNK // len(coeffs) // 8 * 8)
+    for lo in range(0, len(points), step):
+        block = np.multiply.outer(points[lo : lo + step], freqs)
+        np.sin(block, out=block)
+        block *= coeffs
+        np.sum(block, axis=1, out=out[lo : lo + step])
+    return out.reshape(x.shape)
 
 
 def char_complex(n: int, z: complex) -> complex:

@@ -321,8 +321,7 @@ def cmd_states(args, settings) -> int:
     if args.state in ("psi-plus", "psi-minus"):
         stratum = Stratum.PLUS if args.state == "psi-plus" else Stratum.MINUS
         state = costratified.stratum_state(stratum, params)
-        basis = np.column_stack([characters.char_l2(n, x) for n in range(state.trunc)])
-        values = basis @ np.asarray(state.coeffs, dtype=float)
+        values = math.sqrt(2.0) * characters.sine_series(x, state.coeffs)
         label = args.state
     else:
         level = args.level

@@ -11,6 +11,9 @@ unit states (built in the abstract orthonormal basis, t = hbar * beta2)
 with N^2 = sum_{n>=1} n^2 exp(-t n^2).  Their overlap is S / N^2 with the
 alternating sum S = sum_{n>=1} (-1)^(n+1) n^2 exp(-t n^2).
 
+The vertex state, its evaluation functional, its vanishing subspace and its
+overlaps with eigenstates all read their signed weights from ``vertex_weights``.
+
 N^2 and S each have two routes:
 
 * direct: N^2 = (1/2) e^-t theta3'(e^-t) and S = (1/2) e^-t theta3'(-e^-t).
@@ -71,8 +74,10 @@ class StateVector:
         vec = np.array(self.coeffs)
         if vec.ndim != 1 or len(vec) == 0:
             raise ValueError("coeffs must be a non-empty vector")
-        if not np.all(np.isfinite(vec.view(float))):
+        if not np.all(np.isfinite(vec)):
             raise ValueError("coeffs must be finite")
+        if vec.dtype.kind in "iu":
+            vec = vec.astype(float)
         vec.setflags(write=False)
         object.__setattr__(self, "coeffs", vec)
 
@@ -188,31 +193,31 @@ def default_trunc(t: float) -> int:
     return math.ceil(math.sqrt(80.0 / t)) + 8
 
 
-def vertex_weights(t: float, count: int) -> np.ndarray:
-    """Unnormalized plus vertex-state coefficients (k+1) exp(-t (k+1)^2 / 2), k < count.
+def vertex_weights(stratum: Stratum, t: float, count: int) -> np.ndarray:
+    """Unnormalized vertex-state coefficients sign^k (k+1) exp(-t (k+1)^2 / 2), k < count.
 
-    The minus state and the vertex evaluation multiply them by signs +-1,
-    which is exact, so every caller sees bit-identical weights.
+    ``sign`` is the stratum's sign (``ValueError`` for the top stratum).  A
+    sign flip is exact, so both strata's weights have bit-identical magnitudes.
     """
-    k = np.arange(count)
-    return (k + 1.0) * np.exp(-t * (k + 1.0) ** 2 / 2.0)
+    k = np.arange(1.0, count + 1.0)
+    weights = k * np.exp(-t * k**2 / 2.0)
+    if stratum.sign < 0:
+        weights[1::2] *= -1.0
+    return weights
 
 
 def stratum_state(stratum: Stratum, params: ModelParams, trunc: int | None = None) -> StateVector:
     """Unit state spanning the quantum subspace of the given vertex stratum."""
-    sign = stratum.sign  # rejects Stratum.TOP
     t = params.t
     if trunc is None:
         trunc = default_trunc(t)
+    weights = vertex_weights(stratum, t, trunc)
     n2 = norm_squared(t)
     if trunc * trunc * math.exp(-t * trunc * trunc) >= 1e-16 * n2:
         raise TruncationError(
             f"trunc={trunc} leaves a tail above 1e-16 * N^2 at t={t}; "
             f"need at least {default_trunc(t)}"
         )
-    weights = vertex_weights(t, trunc)
-    if sign < 0:
-        weights = weights * (-1.0) ** np.arange(trunc)
     return StateVector(weights / math.sqrt(n2), params)
 
 
@@ -221,13 +226,12 @@ def vertex_evaluation(state: StateVector, stratum: Stratum, params: ModelParams)
 
     The n-th basis vector corresponds to the holomorphic character scaled by
     C_n^(-1/2), and the complex character at the +/- identity equals
-    (+/-1)^n (n+1); the result is zero exactly when the state belongs to the
-    vanishing subspace of that vertex.
+    (+/-1)^n (n+1), so this sums the coefficients against ``vertex_weights``;
+    it is zero exactly when the state belongs to that vertex's vanishing subspace.
     """
-    sign = stratum.sign
-    factors = float(sign) ** np.arange(state.trunc) * vertex_weights(params.t, state.trunc)
+    weights = vertex_weights(stratum, params.t, state.trunc)
     scale = (params.hbar * math.pi) ** -0.75
-    return complex(scale * np.sum(state.coeffs * factors))
+    return complex(scale * np.sum(state.coeffs * weights))
 
 
 def project(state: StateVector, stratum: Stratum, params: ModelParams) -> StateVector:
@@ -242,29 +246,20 @@ def project(state: StateVector, stratum: Stratum, params: ModelParams) -> StateV
 def vanishing_basis(stratum: Stratum, params: ModelParams, trunc: int) -> np.ndarray:
     """Unit column vectors spanning the vanishing subspace within the truncation.
 
-    For the plus vertex the j-th column (j >= 1) is the normalized
-    e_j - (j+1) exp(t(1 - (j+1)^2)/2) e_0; for the minus vertex, indices
-    j in {0, 2, 3, ...} combine with e_1 instead.  Each column evaluates to
-    zero at the corresponding vertex.
+    With v the vertex weights and the pivot p the index of the largest |v_j|,
+    the columns are the normalized e_j - (v_j / v_p) e_p for j != p, in order
+    of j.  Each vanishes at the stratum's vertex, and no ratio exceeds 1 in
+    magnitude, so the columns stay finite over the documented range of t.
     """
-    sign = stratum.sign
-    t = params.t
     if trunc < 2:
         raise ValueError("need trunc >= 2 to span a vanishing subspace")
-    columns = []
-    if sign > 0:
-        for j in range(1, trunc):
-            vec = np.zeros(trunc)
-            vec[j] = 1.0
-            vec[0] = -(j + 1.0) * math.exp(t * (1.0 - (j + 1.0) ** 2) / 2.0)
-            columns.append(vec / np.linalg.norm(vec))
-    else:
-        for j in [0, *range(2, trunc)]:
-            vec = np.zeros(trunc)
-            vec[j] = 1.0
-            vec[1] = (-1.0) ** j * ((j + 1.0) / 2.0) * math.exp(t * (4.0 - (j + 1.0) ** 2) / 2.0)
-            columns.append(vec / np.linalg.norm(vec))
-    return np.column_stack(columns)
+    weights = vertex_weights(stratum, params.t, trunc)
+    pivot = int(np.argmax(np.abs(weights)))
+    others = np.delete(np.arange(trunc), pivot)
+    basis = np.zeros((trunc, trunc - 1))
+    basis[others, np.arange(trunc - 1)] = 1.0
+    basis[pivot] = -weights[others] / weights[pivot]
+    return basis / np.linalg.norm(basis, axis=0)
 
 
 def tunneling_overlap(t: float) -> float:

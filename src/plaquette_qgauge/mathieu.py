@@ -60,6 +60,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .characters import sine_series
+
 #: residual threshold, relative to the matrix norm, past which the
 #: eigendecomposition is rejected
 _RESIDUAL_RTOL = 1e-13
@@ -77,33 +79,10 @@ _CACHE_SIZE = 8
 #: no truncation past this many rows is tried; it holds the default
 #: truncation up to q of about 6.9e10 (nu_tilde = q / 4 of about 1.7e10)
 _MAX_ROWS = 2**19
-#: ``se`` builds its (points, trunc) sine matrix in chunks of about this
-#: many values (8 MB)
-_SE_CHUNK = 2**20
 
 
 class ConvergenceError(RuntimeError):
     """Eigensolver residual exceeded the accepted tolerance."""
-
-
-def _sine_series(y, weights: np.ndarray):
-    """sum_k weights[k] sin((2k+2) y) at y (scalar or array).
-
-    The (points, trunc) sine matrix is built in chunks of a multiple of 8
-    points holding at most ``_SE_CHUNK`` values (at least 8 points), which
-    bounds memory at large truncations; a smaller matrix is one chunk.
-    """
-    y = np.asarray(y, dtype=float)
-    freqs = 2.0 * np.arange(len(weights)) + 2.0
-    if y.ndim == 0:
-        return float(np.sin(y * freqs) @ weights)
-    points = y.reshape(-1)
-    out = np.empty(len(points))
-    step = max(8, _SE_CHUNK // len(weights) // 8 * 8)
-    for lo in range(0, len(points), step):
-        block = np.multiply.outer(points[lo : lo + step], freqs)
-        out[lo : lo + step] = np.sin(block, out=block) @ weights
-    return out.reshape(y.shape)
 
 
 @dataclass(frozen=True)
@@ -132,13 +111,14 @@ class MathieuSolution:
 
     def se(self, y):
         """Evaluate the sine-elliptic function at y (scalar or array)."""
-        return _sine_series(y, self.coeffs)
+        # (k+1) * (2y) rounds exactly as (2k+2) * y: doubling is exact
+        return sine_series(2.0 * np.asarray(y, dtype=float), self.coeffs)
 
     def se_second_derivative(self, y):
         """Term-by-term second derivative of ``se`` (spectral differentiation)."""
         freqs = 2.0 * np.arange(self.trunc) + 2.0
         # negating the sum is exact, so this equals summing the negated terms
-        return -_sine_series(y, freqs * freqs * self.coeffs)
+        return -sine_series(2.0 * np.asarray(y, dtype=float), freqs * freqs * self.coeffs)
 
     def recurrence_residual(self) -> float:
         """max_k |(b - 4(k+1)^2) c_k - q (c_{k-1} + c_{k+1})| with c_{-1} = c_trunc = 0."""
@@ -272,8 +252,9 @@ class _Eigensystem:
             self._compute(min(len(self.diag), max(count, 2 * len(self.values))))
         count = max(count, min(2 * done, len(self.values)))
         new = self._rows[done:count]
-        # the anchor's sign does not depend on the row's positive scale
-        flip = self._alternating[done:count] * (new @ self._wall_slope) < 0
+        # the anchor's sign does not depend on the row's positive scale, and
+        # an elementwise sum, unlike a BLAS product, not on the thread count
+        flip = self._alternating[done:count] * np.sum(new * self._wall_slope, axis=1) < 0
         # vecdot takes the same dot product as np.linalg.norm, so each row is
         # scaled exactly as the lone vector would be; dividing by -norm
         # negates that quotient exactly

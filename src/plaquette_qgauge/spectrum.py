@@ -27,8 +27,11 @@ batched helper computes them for a block of levels: the vertex weights, the
 normalization N and the tail checks once per call, then both strata's
 overlaps as row sums over the eigensystem's (levels, trunc) coefficient
 block, read in place.  So a grid point of ``projector_expectations`` costs
-one normalization and one array pass, and the single-level
-``projector_expectation`` gives bit-identical values.
+one normalization and one array pass, and each batched value is
+bit-identical to the per-level formula at the same truncation.  The
+single-level ``projector_expectation`` truncates for its own level, so on
+tiny ``P_minus`` it can differ from the batch by up to 3e-3 relative
+(ROADMAP item 3).
 """
 
 from __future__ import annotations
@@ -39,13 +42,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import characters, costratified, mathieu
-from .costratified import StateVector, TruncationError
+from .costratified import StateVector, TruncationError, vertex_weights
 from .params import ModelParams
 from .strata import Stratum
 
 _TAIL_TOL = 1e-12
-#: projector_expectations doubles its completeness count until the sum of
-#: the plus expectations is within this of 1, up to _COMPLETENESS_MAX levels
+#: projector_expectations sums P_plus over _COMPLETENESS_START levels, doubling
+#: the count until the sum is within _COMPLETENESS_TOL of 1, up to _COMPLETENESS_MAX
+_COMPLETENESS_START = 60
 _COMPLETENESS_TOL = 1e-6
 _COMPLETENESS_MAX = 960
 
@@ -137,42 +141,34 @@ def eigenfunction_x(n: int, params: ModelParams, x):
     return float(out) if out.ndim == 0 else out
 
 
-def _stratum_signs(count: int, stratum: Stratum) -> np.ndarray:
-    """Sign weights of the vertex-state overlap sums: (-1)^k for plus, +1 for minus."""
-    if stratum.sign > 0:
-        return (-1.0) ** np.arange(count)
-    return np.ones(count)
-
-
 def _vertex_overlaps(
     levels: mathieu.MathieuLevels, params: ModelParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """Overlaps of the eigenstate ``levels`` with the plus and minus vertex states.
 
     Level n's overlap with a stratum's vertex state is
-    ((-1)^n / N) * sum_k s_k (k+1) exp(-t (k+1)^2/2) c_k with s_k the stratum
-    sign weights; it requires both coefficient tails to be negligible.  N and
-    the weights are built once for all levels.  The sums run over the rows of
-    the eigensystem's coefficient block, each along its contiguous axis in
-    the same order as a 1-D sum over that level alone, so results do not
-    depend on the batch; a matrix product would change that order.
+    ((-1)^n / N) * sum_k (-1)^k v_k c_k, with v the stratum's vertex weights
+    and (-1)^(n+k) the eigenstate's character-basis sign; it requires both
+    coefficient tails to be negligible.  N and the weights are built once
+    for all levels.  The sums run over the rows of the eigensystem's
+    coefficient block, each along its contiguous axis in the same order as a
+    1-D sum over that level alone, so results do not depend on the batch; a
+    matrix product would change that order.
     """
     t = params.t
-    trunc = levels.trunc
-    weights = costratified.vertex_weights(t, trunc)
+    alternating = (-1.0) ** np.arange(levels.trunc)
+    plus = vertex_weights(Stratum.PLUS, t, levels.trunc) * alternating
+    minus = vertex_weights(Stratum.MINUS, t, levels.trunc) * alternating
     n_const = costratified.normalization_constant(t)
     tail = float(np.max(levels.tail))
     if tail > _TAIL_TOL:
         raise TruncationError(f"Mathieu coefficient tail {tail:.2e} exceeds {_TAIL_TOL}")
-    if weights[-1] / n_const > _TAIL_TOL:
-        raise TruncationError(
-            f"vertex-state weight tail {weights[-1] / n_const:.2e} exceeds {_TAIL_TOL}"
-        )
+    weight_tail = abs(plus[-1]) / n_const
+    if weight_tail > _TAIL_TOL:
+        raise TruncationError(f"vertex-state weight tail {weight_tail:.2e} exceeds {_TAIL_TOL}")
     coeffs = levels.coeffs
     scale = (-1.0) ** levels.n / n_const
-    plus = scale * np.sum(_stratum_signs(trunc, Stratum.PLUS) * weights * coeffs, axis=1)
-    minus = scale * np.sum(_stratum_signs(trunc, Stratum.MINUS) * weights * coeffs, axis=1)
-    return plus, minus
+    return scale * np.sum(plus * coeffs, axis=1), scale * np.sum(minus * coeffs, axis=1)
 
 
 def projector_expectation(n: int, params: ModelParams, stratum: Stratum) -> float:
@@ -184,18 +180,17 @@ def projector_expectation(n: int, params: ModelParams, stratum: Stratum) -> floa
     return overlap * overlap
 
 
-def projector_expectations(
-    params: ModelParams, count: int, completeness_count: int = 60
-) -> tuple[np.ndarray, np.ndarray, float]:
+def projector_expectations(params: ModelParams, count: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Plus/minus projector expectations for levels 0..count-1 plus a completeness sum.
 
     The completeness diagnostic sums the plus expectations over the first
-    ``completeness_count`` levels; it approaches 1 because the eigenstates are
-    a complete orthonormal family and the vertex state has unit norm.  At
-    strong coupling the vertex state spreads over more levels, so the count
-    doubles until the sum reaches 1 - 1e-6; past ``_COMPLETENESS_MAX``
-    levels a ``TruncationError`` is raised.
+    ``_COMPLETENESS_START`` (60) levels; it approaches 1 because the
+    eigenstates are a complete orthonormal family and the vertex state has
+    unit norm.  At strong coupling the vertex state spreads over more
+    levels, so the count doubles until the sum reaches 1 - 1e-6; past
+    ``_COMPLETENESS_MAX`` levels a ``TruncationError`` is raised.
     """
+    completeness_count = _COMPLETENESS_START
     while True:
         total = max(count, completeness_count)
         trunc = _state_trunc(total - 1, params)

@@ -109,9 +109,7 @@ def test_criterion_5_completeness():
         for t in T_GRID:
             for nut in np.geomspace(0.1, 100.0, 30):
                 params = ModelParams.from_reduced(t, float(nut))
-                plus, minus, completeness = spectrum.projector_expectations(
-                    params, count=60, completeness_count=60
-                )
+                plus, minus, completeness = spectrum.projector_expectations(params, count=60)
                 assert completeness >= 1.0 - 1e-6
                 values = np.concatenate([plus, minus])
                 assert np.all(values >= 0.0) and np.all(values <= 1.0)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import plaquette_qgauge
-from plaquette_qgauge import cli, spectrum
+from plaquette_qgauge import Stratum, cli, costratified, spectrum
 
 from oracles import dense_projectors
 
@@ -213,6 +213,29 @@ class TestStates:
         assert excinfo.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--state", "xi", "--level", "3", "--nu-tilde", "1e7", "--grid", "1025"],
+            ["--state", "psi-plus", "--hbar-beta2", "0.0001", "--grid", "4097"],
+        ],
+    )
+    def test_output_does_not_depend_on_blas_threads(self, args):
+        # a BLAS matrix product would split its sums by thread count, and
+        # these sizes are large enough for OpenBLAS to split them
+        package_root = os.path.dirname(os.path.dirname(plaquette_qgauge.__file__))
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": package_root, "OPENBLAS_NUM_THREADS": threads}
+            result = subprocess.run(
+                [sys.executable, "-m", "plaquette_qgauge", "states", *args],
+                capture_output=True,
+                env=env,
+            )
+            assert result.returncode == 0, result.stderr
+            outputs.append(result.stdout)
+        assert outputs[0] == outputs[1]
+
 
 class TestProjectorExpectations:
     def test_truncation_failure_exits_3(self, monkeypatch, capsys):
@@ -413,10 +436,14 @@ class TestVerifyCommands:
         assert "[FAIL]" not in out
 
     def test_injected_sign_flip_is_detected(self, capsys, monkeypatch):
-        # flipping the alternating signs of the plus-vertex overlap formula
-        # must trip the cross-checks (route consistency and parity separation)
+        # giving the plus-vertex overlap formula the minus weights flips its
+        # alternating signs; the cross-checks (route consistency and parity
+        # separation) must trip.  Only spectrum's binding is patched, so the
+        # vertex states of the other route stay right.
         monkeypatch.setattr(
-            spectrum, "_stratum_signs", lambda count, stratum: np.ones(count)
+            spectrum,
+            "vertex_weights",
+            lambda stratum, t, count: costratified.vertex_weights(Stratum.MINUS, t, count),
         )
         code, out = run_cli(["verify"], capsys)
         assert code == 1

@@ -74,6 +74,17 @@ class TestVertexStates:
         signs = (-1.0) ** np.arange(plus.trunc)
         assert np.array_equal(np.asarray(minus.coeffs), signs * np.asarray(plus.coeffs))
 
+    def test_integer_coefficients_are_kept_as_floats(self, params):
+        negative = StateVector(np.array([-1, 0]), params)
+        assert negative.coeffs.dtype == np.float64
+        assert np.array_equal(negative.coeffs, [-1.0, 0.0])
+        assert StateVector(np.array([1, 0]), params).coeffs.dtype == np.float64
+
+    def test_non_finite_coefficients_rejected(self, params):
+        for coeffs in ([1.0, math.nan], [math.inf, 0.0], [1.0 + 0.0j, complex(0.0, math.inf)]):
+            with pytest.raises(ValueError, match="finite"):
+                StateVector(np.array(coeffs), params)
+
     def test_top_stratum_rejected(self, params):
         with pytest.raises(ValueError):
             stratum_state(Stratum.TOP, params)
@@ -112,6 +123,21 @@ class TestVertexEvaluation:
         for column in basis.T:
             value = vertex_evaluation(StateVector(column, params), stratum, params)
             assert abs(value) < 1e-12
+
+    @pytest.mark.parametrize("t", [1e-4, 400.0, 700.0])
+    @pytest.mark.parametrize("stratum", [Stratum.PLUS, Stratum.MINUS])
+    def test_vanishing_basis_is_finite_over_the_domain(self, stratum, t):
+        # the evaluation's own size at this t: the largest weight, scaled
+        params = ModelParams.from_reduced(t, 0.0)
+        weights = costratified.vertex_weights(stratum, t, 30)
+        size = (params.hbar * math.pi) ** -0.75 * np.max(np.abs(weights))
+        basis = vanishing_basis(stratum, params, trunc=30)
+        assert basis.shape == (30, 29)
+        assert np.all(np.isfinite(basis))
+        assert np.allclose(np.linalg.norm(basis, axis=0), 1.0, rtol=0.0, atol=1e-15)
+        for column in basis.T:
+            value = vertex_evaluation(StateVector(column, params), stratum, params)
+            assert abs(value) <= 1e-14 * size
 
 
 class TestProjection:
