@@ -297,15 +297,17 @@ def cmd_spectrum(args, settings) -> int:
     n_max = settings.get("n_max", 8)
     if n_max < 1:
         raise UsageError("n_max must be >= 1")
-    rows = []
-    for nut in nut_values:
-        params = ModelParams.from_reduced(1.0, nut)
-        levels = spectrum.energy(np.arange(n_max + 1), params) / params.hbar2_beta2
-        gaps = levels[1:] - levels[:-1]
-        rows.extend(zip([nut] * n_max, range(n_max), levels.tolist(), gaps.tolist()))
+
+    def rows():
+        for nut in nut_values:
+            params = ModelParams.from_reduced(1.0, nut)
+            levels = spectrum.energy(np.arange(n_max + 1), params) / params.hbar2_beta2
+            gaps = levels[1:] - levels[:-1]
+            yield from zip([nut] * n_max, range(n_max), levels.tolist(), gaps.tolist())
+
     plot = Plot("nu_tilde", "E_n", ("n",), "E_{}", "nu_tilde", "E_n / hbar^2 beta2")
     config = {"nu_tilde": nut_values, "n_max": n_max}
-    return emit(settings, "spectrum", config, ["nu_tilde", "n", "E_n", "E_gap"], rows, plot)
+    return emit(settings, "spectrum", config, ["nu_tilde", "n", "E_n", "E_gap"], rows(), plot)
 
 
 def cmd_states(args, settings) -> int:
@@ -347,18 +349,21 @@ def cmd_projector_expectations(args, settings) -> int:
         for t in t_values:
             params = ModelParams.from_reduced(t, nut)
             results[(t, nut)] = spectrum.projector_expectations(params, n_max)
-    rows = []
-    for t in t_values:
-        for nut in nut_values:
-            plus, minus, completeness = results[(t, nut)]
-            rows.extend((t, nut, n, plus[n], minus[n], completeness) for n in range(n_max))
+
+    def rows():
+        for t in t_values:
+            for nut in nut_values:
+                plus, minus, completeness = results[(t, nut)]
+                for n in range(n_max):
+                    yield t, nut, n, plus[n], minus[n], completeness
+
     plot = Plot(
         "nu_tilde", "P_plus", ("n", "hbar_beta2"), "P+ n={} t={:g}", "log10 nu_tilde", "P_plus",
         logx=True,
     )
     config = {"hbar_beta2": t_values, "nu_tilde": nut_values, "n_max": n_max}
     columns = ["hbar_beta2", "nu_tilde", "n", "P_plus", "P_minus", "sum_P_plus"]
-    return emit(settings, "projector-expectations", config, columns, rows, plot)
+    return emit(settings, "projector-expectations", config, columns, rows(), plot)
 
 
 def cmd_decomp(args, settings) -> int:

@@ -14,8 +14,9 @@ and inserting the expansion into the equation gives the three-term recurrence
 i.e. c is an eigenvector of the symmetric tridiagonal matrix with diagonal
 (2k+2)^2 and constant off-diagonal q.  That matrix is the exact Galerkin
 representation of the problem in the sine basis; the tail of c decays
-super-exponentially beyond k ~ sqrt(q), so a modest truncation is exact to
-machine precision.
+super-exponentially past k ~ sqrt(2n+1) q^(1/4) for the low levels at large
+q, and past k ~ n for the levels above the barrier, so a modest truncation
+is exact to machine precision.
 
 Conventions: sum c_k^2 = 1, and the sign is anchored to the q = 0 limit where
 c = e_n exactly: (-1)^(n+1) se'(-pi/2) = sum_k (-1)^(n+k) (2k+2) c_k is kept
@@ -26,30 +27,35 @@ each level's sign is continuous in q.
 
 Solve path: a request for a set of levels at q is served by one
 eigensystem, the eigendecomposition of the truncated matrix at one size,
-kept in a small LRU cache.  Up to 512 rows (the default truncation for q up
-to about 61,000) it is the full eigendecomposition; above that only the
-lowest levels are computed, 16 at first and more on demand, so memory grows
-with the levels used, not with the square of the truncation.  The
-eigensystem holds its levels as arrays: the characteristic values, and a
-read-only, C-contiguous (levels, trunc) block of unit-normalized,
-sign-anchored coefficients with their tails.  The block is filled lazily,
-in one array pass up to the highest level a request asks for; a later pass
-at least doubles it.
+kept in a small LRU cache.  Up to 512 rows it is the full
+eigendecomposition; that covers the start for levels up to 40 at q up to
+about 3.7e6 (nu_tilde about 9e5).  Above 512 rows only the lowest levels are
+computed, 16 at first and more on demand, so memory grows with the levels
+used, not with the square of the truncation.  The eigensystem holds its
+levels as arrays: the characteristic values, and a read-only, C-contiguous
+(levels, trunc) block of unit-normalized, sign-anchored coefficients with
+their tails.  The block is filled lazily, in one array pass up to the
+highest level a request asks for; a later pass at least doubles it.
 
 ``solve`` takes one level or an integer array of levels, and one rule sets
 the truncation: it starts at ``trunc`` or, without one, at ``default_trunc``
 of the highest level, and doubles until the tails of all requested levels
-fall below 1e-12.  It gives up past 32 times the default truncation or,
-before allocating, past ``_MAX_ROWS`` rows (nu_tilde of about 1.7e10 at
-level 0).  One level comes back as a memoized ``MathieuSolution`` whose
-coefficients are a row of the block; an array of levels as
-``MathieuLevels``, which holds the b and tail arrays and the block rows and
-gives the same per-level solutions on indexing.  ``solve_many(count, ...)``
-is ``solve(range(count), ...)``; it stays a separate name only because the
-benchmark's call contract (``EXPECTED_CALLS`` in perfbench/workloads.py)
-counts it on the projector sweep.  Because the cache is small, a sweep
-should iterate q-major: all levels (and all other parameters) at one q
-before the next q.
+fall below 1e-12.  ``default_trunc`` follows the decay of the coefficients:
+at large q the low levels are oscillator states in the well at the wall,
+spread over k up to about sqrt(2n+1) q^(1/4) (DLMF 28.8(i)), and the levels
+above the barrier sit near k = n.  Its constants are fitted by
+scripts/fit_truncation.py, so that on the scanned levels and q the start
+already holds every tail below 1e-12.  The solve gives up past 32 times the
+start or, before allocating, past ``_MAX_ROWS`` rows or past |q| = 6.8e10
+(nu_tilde = q / 4 of 1.7e10), the edge of the valid domain.  One level comes
+back as a memoized ``MathieuSolution`` whose coefficients are a row of the
+block; an array of levels as ``MathieuLevels``, which holds the b and tail
+arrays and the block rows and gives the same per-level solutions on
+indexing.  ``solve_many(count, ...)`` is ``solve(range(count), ...)``; it
+stays a separate name only because the benchmark's call contract
+(``EXPECTED_CALLS`` in perfbench/workloads.py) counts it on the projector
+sweep.  Because the cache is small, a sweep should iterate q-major: all
+levels (and all other parameters) at one q before the next q.
 """
 
 from __future__ import annotations
@@ -69,6 +75,12 @@ _RESIDUAL_RTOL = 1e-13
 _TAIL_TOL = 1e-12
 #: truncation growth gives up past 2**_MAX_DOUBLINGS times the default truncation
 _MAX_DOUBLINGS = 5
+#: constants of ``default_trunc``, fitted by scripts/fit_truncation.py: the
+#: well branch (alpha, beta, gamma), the near-free branch (a, b), and the
+#: level the well branch is sized for at least
+_WELL = (2.77, 0.97, 4)
+_FREE = (5, 4.8)
+_SHARED_LEVELS = 40
 #: truncations up to this size are diagonalized in full (an eigenvector
 #: matrix of at most 2 MB); larger ones compute only the levels asked for
 _FULL_MAX = 512
@@ -76,9 +88,11 @@ _FULL_MAX = 512
 _LEVEL_BLOCK = 16
 #: eigensystems kept; a q-major sweep needs only the current q's entries
 _CACHE_SIZE = 8
-#: no truncation past this many rows is tried; it holds the default
-#: truncation up to q of about 6.9e10 (nu_tilde = q / 4 of about 1.7e10)
+#: no truncation past this many rows is tried, explicit or grown
 _MAX_ROWS = 2**19
+#: no |q| past this is solved (nu_tilde = q / 4 of 1.7e10): there E_gap, the
+#: difference of two energies near nu_tilde / 2, keeps only about 11 digits
+_MAX_Q = 6.8e10
 
 
 class ConvergenceError(RuntimeError):
@@ -168,8 +182,27 @@ class MathieuLevels:
 
 
 def default_trunc(n: int, q: float) -> int:
-    """Truncation adequate for level n at parameter q (coefficient tail < 1e-12)."""
-    return max(n + 16, math.ceil(2.0 * math.sqrt(abs(q))) + 16)
+    """Starting truncation for levels up to n at parameter q (coefficient tails < 1e-12).
+
+    The larger of two branches, in r = |q|^(1/4):
+
+    * well states, ceil((alpha + beta sqrt(2m + 1)) r) + gamma with
+      m = max(n, 40): at large q the low levels are oscillator states whose
+      coefficients spread over k up to about sqrt(2n+1) r (DLMF 28.8(i)).
+      Sizing it for level 40 at least lets every request for levels up to
+      40 at one q share one eigensystem, whichever level comes first,
+      from q of about 1,400 up, where this is the larger branch for them.
+    * near-free levels, n + a + ceil(b r): levels above the barrier sit near
+      k = n, and their tail past it widens with q.
+
+    The constants are fitted by scripts/fit_truncation.py.  It depends on
+    (n, q) alone, so results do not depend on the order of requests.
+    """
+    r = abs(q) ** 0.25
+    alpha, beta, gamma = _WELL
+    a, b = _FREE
+    well = math.ceil((alpha + beta * math.sqrt(2 * max(n, _SHARED_LEVELS) + 1)) * r) + gamma
+    return max(well, n + a + math.ceil(b * r))
 
 
 class _Eigensystem:
@@ -255,10 +288,10 @@ class _Eigensystem:
         # the anchor's sign does not depend on the row's positive scale, and
         # an elementwise sum, unlike a BLAS product, not on the thread count
         flip = self._alternating[done:count] * np.sum(new * self._wall_slope, axis=1) < 0
-        # vecdot takes the same dot product as np.linalg.norm, so each row is
-        # scaled exactly as the lone vector would be; dividing by -norm
-        # negates that quotient exactly
-        norms = np.sqrt(np.vecdot(new, new))
+        # an elementwise sum, not a BLAS dot product, whose split across
+        # threads would change the bits; dividing by -norm negates that
+        # quotient exactly
+        norms = np.sqrt(np.sum(new * new, axis=1))
         new /= np.where(flip, -norms, norms)[:, None]
         block = self._rows[:count]
         block.flags.writeable = False
@@ -289,7 +322,8 @@ def _converged(q: float, trunc: int | None, levels, top: int) -> _Eigensystem:
     level ``top`` if None), which must hold that level, and doubles until
     the tails fall.  It gives up past 2**_MAX_DOUBLINGS times the default
     truncation, so a small explicit start grows as far as the default one.
-    A size past ``_MAX_ROWS`` is refused before it is allocated.
+    A size past ``_MAX_ROWS`` and a |q| past ``_MAX_Q`` are refused before
+    anything is allocated.
     """
     q = float(q)
     if not math.isfinite(q):
@@ -302,6 +336,10 @@ def _converged(q: float, trunc: int | None, levels, top: int) -> _Eigensystem:
         if size > _MAX_ROWS:
             raise ConvergenceError(
                 f"levels {np.min(levels)}..{top} at q={q} need over {_MAX_ROWS} rows"
+            )
+        if abs(q) > _MAX_Q:
+            raise ConvergenceError(
+                f"q={q} is past the domain edge |q| <= {_MAX_Q:g} (nu_tilde <= {_MAX_Q / 4:g})"
             )
         system = _eigensystem(q, size)
         system.fill(top + 1)

@@ -154,3 +154,57 @@ def exact_vertex_sums(t: float):
             if n > 4 and term < cutoff * norm:
                 return norm, alternating / norm
             n += 1
+
+
+def sturm_characteristic_value(n: int, q: float, rows: int, guess: float, digits: int = 50):
+    """b_n(q) by Sturm-sequence bisection of the ``rows``-row Mathieu tridiagonal in mpmath.
+
+    The matrix is the one ``mathieu`` diagonalizes (diagonal (2k+2)^2,
+    off-diagonal q), but nothing else is shared: the count of eigenvalues
+    below x is the number of negative pivots of the LDL^T factorization of
+    T - x, each step one mpmath division at ``digits`` digits.  The bracket
+    starts at ``guess`` +- 1e-10 relative and widens until it holds exactly
+    level n; bisection stops at 1e-24 relative.  Every count is also taken
+    on the leading three quarters of the rows, and the two must agree at
+    every step, so ``rows`` is certified large enough that the truncation
+    does not move the value at that precision.  Returns an ``mpf``.
+    """
+    import mpmath
+
+    with mpmath.workdps(digits):
+        q = mpmath.mpf(q)
+        q2 = q * q
+        diag = [mpmath.mpf((2 * k + 2) ** 2) for k in range(rows)]
+        inner = (3 * rows) // 4
+
+        def counts(x):
+            below = inner_below = 0
+            pivot = None
+            for k, d in enumerate(diag):
+                pivot = d - x if pivot is None else d - x - q2 / pivot
+                if not pivot:
+                    pivot = mpmath.mpf(2) ** (-4 * digits)
+                if pivot < 0:
+                    below += 1
+                    inner_below += k < inner
+            if below != inner_below:
+                raise ValueError(f"{rows} rows leave level {n} at q={q} unconverged near {x}")
+            return below
+
+        guess = mpmath.mpf(guess)
+        width = abs(guess) * mpmath.mpf("1e-10") + 1
+        lo, hi = guess - width, guess + width
+        while counts(lo) > n:
+            lo -= width
+            width *= 2
+        while counts(hi) <= n:
+            hi += width
+            width *= 2
+        stop = abs(guess) * mpmath.mpf("1e-24") + mpmath.mpf("1e-24")
+        while hi - lo > stop:
+            mid = (lo + hi) / 2
+            if counts(mid) > n:
+                hi = mid
+            else:
+                lo = mid
+        return (lo + hi) / 2

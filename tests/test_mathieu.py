@@ -1,4 +1,8 @@
+import importlib.util
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,6 +13,16 @@ from hypothesis import given, settings, strategies as st
 from plaquette_qgauge import ModelParams, characters, mathieu, spectrum
 
 from oracles import shooting_characteristic_values
+
+SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
+
+
+def _load_fit_script():
+    path = os.path.join(SCRIPTS, "fit_truncation.py")
+    spec = importlib.util.spec_from_file_location("fit_truncation", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestFreeCase:
@@ -91,8 +105,10 @@ class TestSolve:
         assert abs(sol.b - mathieu.solve(0, 1e6).b) <= 1e-13 * abs(sol.b)
 
     def test_explicit_trunc_shares_the_default_eigensystem(self):
-        # trunc=10 doubles to 20 rows, the default truncation at q = 4
-        assert mathieu.solve(2, 4.0, trunc=10) is mathieu.solve(2, 4.0)
+        # trunc=12 leaves level 5 a tail of 6.6e-9, so it doubles to 24
+        # rows, the default truncation at q = 8
+        assert mathieu.default_trunc(5, 8.0) == 24
+        assert mathieu.solve(5, 8.0, trunc=12) is mathieu.solve(5, 8.0)
 
     def test_auto_trunc_keeps_tail_small(self):
         assert mathieu.solve(0, 200.0).tail <= 1e-12
@@ -145,8 +161,8 @@ class TestSolve:
                 assert np.max(np.abs(partial.coeffs[: full.trunc] - full.coeffs)) < 1e-12
 
     def test_large_q_memory_and_work_stay_bounded(self, monkeypatch):
-        # default_trunc at q = 4e6 is 4016 rows; a full eigendecomposition
-        # would hold a 129 MB eigenvector matrix
+        # default_trunc at q = 4e8 is 1631 rows, past _FULL_MAX; a full
+        # eigendecomposition would hold a 21 MB eigenvector matrix
         columns = []
         original = scipy.linalg.eigh_tridiagonal
 
@@ -157,14 +173,14 @@ class TestSolve:
 
         monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", recording)
         mathieu._eigensystem.cache_clear()
-        q = 4e6
+        q = 4e8
         tracemalloc.start()
         try:
             sols = [mathieu.solve(n, q) for n in range(4)]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sols[0].trunc == 4016
+        assert sols[0].trunc == 1631 > mathieu._FULL_MAX
         assert sum(columns) <= 16 and peak < 16e6
         h = math.sqrt(q)
         for n, sol in enumerate(sols):
@@ -192,9 +208,23 @@ class TestSolve:
         with pytest.raises(mathieu.ConvergenceError, match=f"over {mathieu._MAX_ROWS} rows"):
             mathieu.solve(n, q, trunc=trunc)
 
-    def test_row_bound_holds_the_default_truncation_at_nu_tilde_1e10(self):
-        assert mathieu.default_trunc(0, 4e10) <= mathieu._MAX_ROWS
-        assert mathieu.default_trunc(0, 4 * 1.72e10) > mathieu._MAX_ROWS
+    def test_row_bound_holds_the_default_truncation_at_nu_tilde_1e10(self, monkeypatch):
+        # the domain edge is an explicit q bound, nu_tilde = 1.7e10; inside
+        # it the start of the highest level the program asks for by itself
+        # (the completeness count, 960) is far inside the row bound
+        assert mathieu._MAX_Q == 4 * 1.7e10
+        assert mathieu.default_trunc(960, mathieu._MAX_Q) <= mathieu._MAX_ROWS
+        assert mathieu.solve(0, 4e10).tail <= 1e-12
+
+        def unexpected(*args):
+            raise AssertionError("eigensystem built past the domain edge")
+
+        monkeypatch.setattr(mathieu, "_eigensystem", unexpected)
+        for q in (4 * 1.72e10, -4 * 1.72e10):
+            with pytest.raises(mathieu.ConvergenceError, match="past the domain edge"):
+                mathieu.solve(0, q)
+        with pytest.raises(mathieu.ConvergenceError, match="past the domain edge"):
+            mathieu.solve(np.arange(41), 4 * 1.72e10, trunc=64)
 
     @settings(deadline=None, max_examples=30)
     @given(st.integers(min_value=0, max_value=6), st.floats(min_value=0.0, max_value=30.0))
@@ -228,8 +258,9 @@ class TestLevelBlock:
         assert np.array_equal(many.coeffs, ranged.coeffs)
 
     def test_block_rows_are_scaled_like_lone_vectors(self):
-        # each row is the raw eigenvector over its np.linalg.norm, then
-        # sign-anchored, bit for bit as one column on its own would be
+        # each row is the raw eigenvector over the square root of its
+        # elementwise sum of squares, then sign-anchored, bit for bit as one
+        # column on its own would be
         q, trunc, count = 300.0, 60, 30
         levels = mathieu.solve(np.arange(count), q, trunc=trunc)
         assert levels.trunc == trunc
@@ -237,11 +268,31 @@ class TestLevelBlock:
         w, v = scipy.linalg.eigh_tridiagonal((2.0 * k + 2.0) ** 2, np.full(trunc - 1, q))
         slope = (2.0 * k + 2.0) * (-1.0) ** k
         for n in range(count):
-            vec = v[:, n] / np.linalg.norm(v[:, n])
+            col = v[:, n]
+            vec = col / np.sqrt(np.sum(col * col))
             if (-1) ** n * float(slope @ vec) < 0:
                 vec = -vec
             assert levels.b[n] == w[n]
             assert np.array_equal(levels.coeffs[n], vec)
+
+    def test_block_does_not_depend_on_blas_threads(self):
+        # OpenBLAS splits a dot product of over 10,000 elements across
+        # threads, which changes its rounding; the row norms are elementwise
+        # sums, so 12,000-row blocks come out the same at 1 and 2 threads
+        package_root = os.path.dirname(os.path.dirname(mathieu.__file__))
+        code = (
+            "import sys, numpy as np\n"
+            "from plaquette_qgauge import mathieu\n"
+            "levels = mathieu.solve(np.arange(4), 4e6, trunc=12000)\n"
+            "sys.stdout.buffer.write(levels.b.tobytes() + levels.coeffs.tobytes())\n"
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": package_root, "OPENBLAS_NUM_THREADS": threads}
+            result = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
+            assert result.returncode == 0, result.stderr
+            outputs.append(result.stdout)
+        assert len(outputs[0]) == 4 * 12001 * 8 and outputs[0] == outputs[1]
 
     def test_levels_in_any_order(self):
         q = 24.0
@@ -264,10 +315,10 @@ class TestLevelBlock:
 
     def test_one_truncation_per_request(self):
         # the request starts at default_trunc of its highest level, so at
-        # small q all 41 levels come from the 56-row eigensystem
+        # small q all 41 levels come from the 52-row eigensystem
         levels = mathieu.solve(np.arange(41), 4.0)
-        assert levels.trunc == mathieu.default_trunc(40, 4.0) == 56
-        assert levels[0] is mathieu.solve(0, 4.0, trunc=56)
+        assert levels.trunc == mathieu.default_trunc(40, 4.0) == 52
+        assert levels[0] is mathieu.solve(0, 4.0, trunc=52)
 
     def test_fat_starting_tail_grows_or_raises(self, monkeypatch):
         # at q = 2000, 16 rows leave level tails up to 0.1 and 32 rows up to
@@ -283,6 +334,51 @@ class TestLevelBlock:
         assert mathieu.solve(np.array([0]), 4.0, trunc=40).trunc == 40
         levels = mathieu.solve(np.array([0, 35]), 4.0, trunc=40)
         assert levels.trunc == 80 and np.max(levels.tail) <= 1e-12
+
+
+class TestStartingTruncation:
+    """``default_trunc`` on a sample of the grid scripts/fit_truncation.py certifies."""
+
+    #: q = 0, one point per decade, and the domain edge; 1e5 and 1e6 hold
+    #: the transition points where a start of n + 8 + ceil(2 q^(1/4)) and
+    #: ceil((5 + 0.8 sqrt(2 max(n, 40) + 1)) q^(1/4)) + 8 is short for
+    #: levels 240 and 480
+    QS = (0.0, *(10.0**k for k in range(-2, 11)), 6.8e10)
+
+    def test_start_holds_every_tail_and_is_not_oversized(self):
+        fit = _load_fit_script()
+        problems = []
+        for n in fit.LEVELS:
+            for q in self.QS:
+                start = mathieu.default_trunc(n, q)
+                if (n + 1) * start <= 2**18:
+                    mathieu._eigensystem.cache_clear()
+                    levels = mathieu.solve(np.arange(n + 1), q)
+                    tail = float(np.max(levels.tail)) if levels.trunc == start else math.inf
+                else:
+                    tail = fit.level_tail(n, q, start)
+                if tail > 1e-12:
+                    problems.append((n, q, start, "tail", tail))
+                # the start is oversized if the tail already falls below
+                # 1e-12 at start / 1.3 rows, where the needed size is at
+                # least 64 (which level 63 and up need just to be held)
+                smaller = math.ceil(start / 1.3) - 1
+                if (
+                    n >= 40
+                    and smaller > n
+                    and fit.level_tail(n, q, smaller) <= 1e-12
+                    and (n >= 63 or fit.level_tail(n, q, 63) > 1e-12)
+                ):
+                    problems.append((n, q, start, "oversized", smaller))
+        mathieu._eigensystem.cache_clear()
+        assert problems == []
+
+    def test_start_never_falls_as_the_level_rises(self):
+        # so a start certified for level n also holds the lower levels of a
+        # request, whose tails are thinner at the same size
+        for q in (0.0, 4.0, 1372.0, 8000.0, 4e8, 6.8e10):
+            starts = [mathieu.default_trunc(n, q) for n in range(1000)]
+            assert all(a <= b for a, b in zip(starts, starts[1:]))
 
 
 class TestSineElliptic:

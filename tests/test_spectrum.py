@@ -6,7 +6,12 @@ import scipy.linalg
 
 from plaquette_qgauge import ModelParams, Stratum, cli, costratified, mathieu, spectrum
 
-from oracles import character_hamiltonian, dense_dim, dense_projectors
+from oracles import (
+    character_hamiltonian,
+    dense_dim,
+    dense_projectors,
+    sturm_characteristic_value,
+)
 
 
 class TestHamiltonianMatrix:
@@ -88,11 +93,39 @@ class TestEnergies:
         mathieu._eigensystem.cache_clear()
         argv = ["spectrum", "--nu-tilde", "0:200:20", "--n-max", "40"]
         assert cli.main([*argv, "--out", str(tmp_path / "spectrum.csv")]) == 0
-        qs = [q for q, _ in calls]
-        assert np.allclose(qs[:10] + qs[11:], 4.0 * np.linspace(0.0, 200.0, 20), rtol=1e-14)
-        # one q is solved twice: at nu_tilde = 94.7 the 56-row default start
-        # leaves level 40 a tail of 1.6e-12, so it doubles, as it did before
-        assert qs[9] == qs[10] and [size for _, size in calls[9:11]] == [56, 112]
+        # exactly one solve per q, each at the start: the default truncation
+        # already holds level 40's tail, so no q doubles
+        qs = np.array([q for q, _ in calls])
+        assert np.allclose(qs, 4.0 * np.linspace(0.0, 200.0, 20), rtol=1e-14)
+        assert [size for _, size in calls] == [mathieu.default_trunc(40, q) for q in qs]
+
+
+class TestSturmOracle:
+    """Emitted ``spectrum`` cells against a 50-digit Sturm bisection (README "Valid domain")."""
+
+    #: Sturm rows per nu_tilde, about 1.5 times the size level 41 needs
+    ROWS = {1e4: 260, 1e6: 780}
+
+    def test_energies_and_gaps_are_within_their_relative_tolerance(self, capsys):
+        import mpmath
+
+        assert cli.main(["spectrum", "--nu-tilde", "1e4,1e6", "--n-max", "41"]) == 0
+        lines = capsys.readouterr().out.splitlines()[2:]
+        cells = {(float(nut), int(n)): (float(e), float(gap)) for nut, n, e, gap in
+                 (line.split(",") for line in lines)}
+        eps = np.finfo(float).eps
+        for nut, rows in self.ROWS.items():
+            q = 4.0 * nut
+            exact = {}
+            with mpmath.workdps(50):
+                for n in (0, 1, 2, 40, 41):
+                    b = sturm_characteristic_value(n, q, rows, mathieu.solve(n, q).b)
+                    exact[n] = (b / 4 + 3 * mpmath.mpf(nut) - 1) / 2
+                for n in (0, 1, 40):
+                    energy, gap = cells[(nut, n)]
+                    exact_gap = exact[n + 1] - exact[n]
+                    assert abs((energy - exact[n]) / exact[n]) <= 4e-15
+                    assert abs((gap - exact_gap) / exact_gap) <= 2 * eps * math.sqrt(nut)
 
 
 class TestEigenstates:
