@@ -27,15 +27,29 @@ each level's sign is continuous in q.
 
 Solve path: a request for a set of levels at q is served by one
 eigensystem, the eigendecomposition of the truncated matrix at one size,
-kept in a small LRU cache.  Up to 512 rows it is the full
-eigendecomposition; that covers the start for levels up to 40 at q up to
-about 3.7e6 (nu_tilde about 9e5).  Above 512 rows only the lowest levels are
-computed, 16 at first and more on demand, so memory grows with the levels
-used, not with the square of the truncation.  The eigensystem holds its
-levels as arrays: the characteristic values, and a read-only, C-contiguous
-(levels, trunc) block of unit-normalized, sign-anchored coefficients with
-their tails.  The block is filled lazily, in one array pass up to the
-highest level a request asks for; a later pass at least doubles it.
+kept in a small LRU cache.  Each eigensolve goes through one of three
+entries, chosen by the size:
+
+* up to 128 rows (``_DENSE_MAX``), the full eigendecomposition by
+  ``eigh_tridiagonal``, numpy's dense ``eigh``.  It gives the same bits as
+  scipy's tridiagonal solver (see its docstring), costs under 1 ms more
+  per solve at these sizes, and needs no scipy, whose import would cost
+  more than all the solves of a typical sweep.  That covers the start
+  for levels up to 40 at q up to about 1.35e4 (nu_tilde about 3,400);
+* up to 512 rows (``_FULL_MAX``), the full eigendecomposition by
+  ``scipy.linalg.eigh_tridiagonal`` (LAPACK ``dstevd``), since the dense
+  work grows with the cube of the size; that covers the start for levels
+  up to 40 at q up to about 3.7e6 (nu_tilde about 9e5);
+* above 512 rows, only the lowest levels, by scipy's bisection and inverse
+  iteration, 16 at first and more on demand, so memory grows with the
+  levels used, not with the square of the truncation.
+
+scipy is imported by the first solve past 128 rows.  The eigensystem holds
+its levels as arrays: the characteristic values, and a read-only,
+C-contiguous (levels, trunc) block of unit-normalized, sign-anchored
+coefficients with their tails.  The block is filled lazily, in one array
+pass up to the highest level a request asks for; a later pass at least
+doubles it.
 
 ``solve`` takes one level or an integer array of levels, and one rule sets
 the truncation: it starts at ``trunc`` or, without one, at ``default_trunc``
@@ -81,6 +95,20 @@ _MAX_DOUBLINGS = 5
 _WELL = (2.77, 0.97, 4)
 _FREE = (5, 4.8)
 _SHARED_LEVELS = 40
+#: full eigendecompositions up to this size use numpy's dense ``eigh``
+#: (``eigh_tridiagonal``), which needs no scipy, larger ones scipy's
+#: tridiagonal ``dstevd``.  The dense work is cubic: median ms per solve,
+#: dense / scipy, at q = 1e4 from scripts/time_eigensolve.py (2-core x86,
+#: one BLAS thread):
+#:
+#:   rows     32           64           128          256          512
+#:   ms   0.117/0.127  0.566/0.362  1.904/1.018  6.913/2.506  36.11/7.032
+#:
+#: Up to 128 rows the dense path costs under 1 ms more per solve, about
+#: twice scipy's time (3x at q = 1e2, where only levels near 100 start that
+#: large), little against the 0.2 s import of scipy.linalg it saves; past it
+#: the extra grows to 29 ms per solve at 512 rows
+_DENSE_MAX = 128
 #: truncations up to this size are diagonalized in full (an eigenvector
 #: matrix of at most 2 MB); larger ones compute only the levels asked for
 _FULL_MAX = 512
@@ -181,6 +209,25 @@ class MathieuLevels:
         return (self._system.level(int(n)) for n in self.n)
 
 
+def eigh_tridiagonal(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors (columns) of a symmetric tridiagonal matrix.
+
+    ``d`` is the diagonal and ``e`` the off-diagonal.  The matrix is built
+    dense and handed to numpy's ``eigh`` (LAPACK ``dsyevd``).  Its
+    Householder reduction of an input that is already tridiagonal makes
+    zero reflectors, so the divide and conquer runs on the same (d, e) as
+    scipy's ``eigh_tridiagonal`` (``dstevd``), and the results agree bit
+    for bit up to the sign of each column.  The dense work is cubic, so
+    ``_Eigensystem`` takes this path up to ``_DENSE_MAX`` rows only.
+    """
+    n = len(d)
+    matrix = np.zeros((n, n))
+    matrix.flat[:: n + 1] = d
+    # the sub-diagonal, the triangle eigh reads by default
+    matrix.flat[n :: n + 1] = e
+    return np.linalg.eigh(matrix)
+
+
 def default_trunc(n: int, q: float) -> int:
     """Starting truncation for levels up to n at parameter q (coefficient tails < 1e-12).
 
@@ -209,7 +256,8 @@ class _Eigensystem:
     """The lowest levels at (q, trunc) from one tridiagonal eigensolve.
 
     A truncation up to ``_FULL_MAX`` is diagonalized in full on
-    construction.  A larger one computes only its lowest ``_LEVEL_BLOCK``
+    construction, by ``eigh_tridiagonal`` up to ``_DENSE_MAX`` rows and by
+    scipy above.  A larger one computes only its lowest ``_LEVEL_BLOCK``
     levels, and a request past them computes the missing ones in one more
     call, at least doubling the count, so memory stays O(trunc * levels
     used).  Residuals of new eigenpairs are checked once, as they are
@@ -239,21 +287,25 @@ class _Eigensystem:
 
     def _compute(self, count: int) -> None:
         """Add levels len(values)..count-1."""
-        # imported here, not at module level: it is most of the package's
-        # import time, and only an eigensolve needs it
-        import scipy.linalg
-
         d, q = self.diag, self.q
         trunc, start = len(d), len(self.values)
         off = np.full(trunc - 1, q)
-        if start == 0 and count == trunc:
-            w, v = scipy.linalg.eigh_tridiagonal(d, off)
+        if start == 0 and count == trunc <= _DENSE_MAX:
+            w, v = eigh_tridiagonal(d, off)
         else:
-            # a tiny tol makes bisection converge to relative, not eps * |T|,
-            # accuracy: the low levels stay exact at an oversize truncation
-            w, v = scipy.linalg.eigh_tridiagonal(
-                d, off, select="i", select_range=(start, count - 1), tol=np.finfo(float).tiny
-            )
+            # imported here, not at module level: it is most of the package's
+            # import time, and only an eigensolve past _DENSE_MAX rows needs it
+            import scipy.linalg
+
+            if start == 0 and count == trunc:
+                w, v = scipy.linalg.eigh_tridiagonal(d, off)
+            else:
+                # a tiny tol makes bisection converge to relative, not
+                # eps * |T|, accuracy: the low levels stay exact at an
+                # oversize truncation
+                w, v = scipy.linalg.eigh_tridiagonal(
+                    d, off, select="i", select_range=(start, count - 1), tol=np.finfo(float).tiny
+                )
         tv = d[:, None] * v
         tv[1:] += q * v[:-1]
         tv[:-1] += q * v[1:]
@@ -265,7 +317,9 @@ class _Eigensystem:
                 f"tridiagonal eigensolve residual {residual:.3e} exceeds "
                 f"{_RESIDUAL_RTOL:.0e} * {scale:.3e} (q={q}, trunc={trunc})"
             )
-        # LAPACK returns Fortran order, so the transpose is C-contiguous already
+        # scipy returns LAPACK's Fortran order, so its transpose is
+        # C-contiguous already; numpy's eigh returns C order, so the dense
+        # path copies once, at most _DENSE_MAX**2 doubles (128 kB)
         rows = np.ascontiguousarray(v.T)
         if start:
             w, rows = np.concatenate([self.values, w]), np.concatenate([self._rows, rows])

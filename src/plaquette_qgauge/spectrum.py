@@ -15,9 +15,14 @@ Two independent routes to its spectrum are kept side by side:
   tridiagonal Hamiltonian assembled by ``hamiltonian_matrix``.
 
 The matrix route exists purely as a cross-check oracle; all production
-quantities go through the Mathieu route.  Eigenstate coefficients pick up the
-alternating sign of the change of variable y = (x - pi)/2:
-coefficient k of level n is (-1)^(n+k) times the Mathieu Fourier coefficient.
+quantities go through the Mathieu route.  The two share a tridiagonal up to
+scaling, shift and a (-1)^k similarity, but not the LAPACK algorithm: the
+oracle takes the values alone from numpy's ``eigvalsh`` (``dsyevd``, whose
+values-only path is ``dsterf``'s root-free QL/QR iteration), the Mathieu
+route takes values and vectors together from ``dstedc`` (bisection past 512
+rows).  Eigenstate coefficients pick up the alternating sign of the change
+of variable y = (x - pi)/2: coefficient k of level n is (-1)^(n+k) times
+the Mathieu Fourier coefficient.
 
 Both sweeps read one Mathieu eigensystem per q.  ``energy`` takes one level
 or an integer array of levels, and an array is served by one eigensolve, so
@@ -82,13 +87,15 @@ def hamiltonian_matrix(params: ModelParams, dim: int) -> np.ndarray:
 
 
 def matrix_energies(params: ModelParams, count: int, dim: int | None = None) -> np.ndarray:
-    """First ``count`` eigenvalues of the truncated Hamiltonian matrix (oracle route)."""
-    import scipy.linalg  # deferred, as in mathieu: only an eigensolve loads scipy
+    """First ``count`` eigenvalues of the truncated Hamiltonian matrix (oracle route).
 
+    numpy's dense ``eigvalsh`` (LAPACK ``dsyevd`` without vectors) reaches
+    the values through ``dsterf``'s root-free QL/QR iteration; the Mathieu
+    route takes them, with the vectors, from ``dstedc``.
+    """
     if dim is None:
         dim = mathieu.default_trunc(count - 1, 4.0 * params.nu_tilde)
-    w = scipy.linalg.eigvalsh_tridiagonal(*_tridiagonal(params, dim))
-    return np.sort(w)[:count]
+    return np.linalg.eigvalsh(hamiltonian_matrix(params, dim))[:count]
 
 
 def _energy_from_b(b: float, params: ModelParams) -> float:

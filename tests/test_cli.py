@@ -69,13 +69,19 @@ class TestTunneling:
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
 
     def test_start_path_does_not_load_scipy(self, tmp_path):
-        # scipy.linalg is most of the import time and only eigensolves need it
+        # scipy.linalg is most of the import time, and only an eigensolve
+        # past mathieu._DENSE_MAX rows needs it: the defaults stay below
         code = (
             "import sys\n"
             "import plaquette_qgauge.cli as cli\n"
             "assert 'scipy' not in sys.modules, 'loaded by import'\n"
-            "assert cli.main(['tunneling', '--out', sys.argv[1]]) == 0\n"
-            "assert 'scipy' not in sys.modules, 'loaded by tunneling'\n"
+            "for argv in (['tunneling'], ['spectrum'], ['projector-expectations'], ['verify'],\n"
+            "             ['states', '--state', 'xi', '--level', '3', '--nu-tilde', '6']):\n"
+            "    assert cli.main([*argv, '--out', sys.argv[1]]) == 0, argv\n"
+            "    assert 'scipy' not in sys.modules, f'loaded by {argv}'\n"
+            "argv = ['spectrum', '--nu-tilde', '1e5', '--n-max', '40', '--out', sys.argv[1]]\n"
+            "assert cli.main(argv) == 0\n"
+            "assert 'scipy' in sys.modules, 'not loaded past _DENSE_MAX rows'\n"
         )
         package_root = os.path.dirname(os.path.dirname(plaquette_qgauge.__file__))
         env = {**os.environ, "PYTHONPATH": package_root}

@@ -133,22 +133,14 @@ class TestSolve:
         sols = mathieu.solve_many(3, 200.0, trunc=16)
         assert sols[0].trunc > 16 and max(s.tail for s in sols) <= 1e-12
 
-    def test_one_eigensolve_for_all_levels_at_one_q(self, monkeypatch):
-        calls = []
-        original = scipy.linalg.eigh_tridiagonal
-
-        def counting(*args, **kwargs):
-            calls.append(len(args[0]))
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counting)
+    def test_one_eigensolve_for_all_levels_at_one_q(self, eigensolves):
         # start from empty caches, whatever earlier tests left in them
         for cached in [f for f in vars(mathieu).values() if hasattr(f, "cache_clear")]:
             cached.cache_clear()
         params = ModelParams.from_reduced(1.0, 2000.0)
         for n in range(41):
             spectrum.energy(n, params)
-        assert len(calls) == 1
+        assert len(eigensolves) == 1
 
     def test_partial_eigensystem_matches_full(self):
         # trunc = 600 computes only the lowest levels, grown past the first
@@ -257,11 +249,13 @@ class TestLevelBlock:
         assert all(a is b for a, b in zip(many, ranged))
         assert np.array_equal(many.coeffs, ranged.coeffs)
 
-    def test_block_rows_are_scaled_like_lone_vectors(self):
+    @pytest.mark.parametrize("trunc", [60, mathieu._DENSE_MAX, mathieu._DENSE_MAX + 1])
+    def test_block_rows_are_scaled_like_lone_vectors(self, trunc):
         # each row is the raw eigenvector over the square root of its
         # elementwise sum of squares, then sign-anchored, bit for bit as one
-        # column on its own would be
-        q, trunc, count = 300.0, 60, 30
+        # column of scipy's dstevd on its own would be, on either side of
+        # the dense path's bound
+        q, count = 300.0, 30
         levels = mathieu.solve(np.arange(count), q, trunc=trunc)
         assert levels.trunc == trunc
         k = np.arange(trunc)
@@ -275,15 +269,20 @@ class TestLevelBlock:
             assert levels.b[n] == w[n]
             assert np.array_equal(levels.coeffs[n], vec)
 
-    def test_block_does_not_depend_on_blas_threads(self):
+    @pytest.mark.parametrize(
+        "count, q, trunc", [(4, 4e6, 12000), (41, 1e4, mathieu._DENSE_MAX)]
+    )
+    def test_block_does_not_depend_on_blas_threads(self, count, q, trunc):
         # OpenBLAS splits a dot product of over 10,000 elements across
         # threads, which changes its rounding; the row norms are elementwise
-        # sums, so 12,000-row blocks come out the same at 1 and 2 threads
+        # sums, so 12,000-row blocks come out the same at 1 and 2 threads.
+        # On the dense path, dsyevd's divide and conquer merges with dgemm
+        # above 25 rows, and its bytes must not depend on the threads either
         package_root = os.path.dirname(os.path.dirname(mathieu.__file__))
         code = (
             "import sys, numpy as np\n"
             "from plaquette_qgauge import mathieu\n"
-            "levels = mathieu.solve(np.arange(4), 4e6, trunc=12000)\n"
+            f"levels = mathieu.solve(np.arange({count}), {q!r}, trunc={trunc})\n"
             "sys.stdout.buffer.write(levels.b.tobytes() + levels.coeffs.tobytes())\n"
         )
         outputs = []
@@ -292,7 +291,7 @@ class TestLevelBlock:
             result = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
             assert result.returncode == 0, result.stderr
             outputs.append(result.stdout)
-        assert len(outputs[0]) == 4 * 12001 * 8 and outputs[0] == outputs[1]
+        assert len(outputs[0]) == count * (trunc + 1) * 8 and outputs[0] == outputs[1]
 
     def test_levels_in_any_order(self):
         q = 24.0

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from plaquette_qgauge import ModelParams, Stratum, cli, costratified, mathieu, spectrum
 
@@ -80,24 +79,16 @@ class TestEnergies:
             assert energies[n] == single
         assert isinstance(spectrum.energy(3, params), float)
 
-    def test_spectrum_sweep_makes_one_eigensolve_per_q(self, monkeypatch, tmp_path):
+    def test_spectrum_sweep_makes_one_eigensolve_per_q(self, eigensolves, tmp_path):
         # levels 0..40 at 20 nu_tilde; per-level truncations made 168 solves
-        calls = []
-        original = scipy.linalg.eigh_tridiagonal
-
-        def counting(*args, **kwargs):
-            calls.append((float(args[1][0]) if len(args[1]) else 0.0, len(args[0])))
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counting)
         mathieu._eigensystem.cache_clear()
         argv = ["spectrum", "--nu-tilde", "0:200:20", "--n-max", "40"]
         assert cli.main([*argv, "--out", str(tmp_path / "spectrum.csv")]) == 0
         # exactly one solve per q, each at the start: the default truncation
         # already holds level 40's tail, so no q doubles
-        qs = np.array([q for q, _ in calls])
+        qs = np.array([q for _, q in eigensolves])
         assert np.allclose(qs, 4.0 * np.linspace(0.0, 200.0, 20), rtol=1e-14)
-        assert [size for _, size in calls] == [mathieu.default_trunc(40, q) for q in qs]
+        assert [size for size, _ in eigensolves] == [mathieu.default_trunc(40, q) for q in qs]
 
 
 class TestSturmOracle:
@@ -156,21 +147,11 @@ class TestEigenstates:
         params = ModelParams.from_reduced(0.5, 24.0)
         assert abs(spectrum.eigenstate(4, params).state.norm() - 1.0) < 1e-10
 
-    def test_energy_and_state_share_one_eigensolve(self, monkeypatch):
-        import scipy.linalg
-
-        calls = []
-        original = scipy.linalg.eigh_tridiagonal
-
-        def counting(*args, **kwargs):
-            calls.append(len(args[0]))
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counting)
+    def test_energy_and_state_share_one_eigensolve(self, eigensolves):
         mathieu._eigensystem.cache_clear()
         params = ModelParams.from_reduced(0.125, 6.0)
         result = spectrum.eigenstate(2, params, trunc=40)
-        assert calls == [40]
+        assert [size for size, _ in eigensolves] == [40]
         expected = spectrum.energy(2, params)
         assert abs(result.energy - expected) <= 1e-12 * abs(expected)
 
