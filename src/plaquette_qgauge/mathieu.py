@@ -28,15 +28,19 @@ each level's sign is continuous in q.
 Solve path: a request for a set of levels at q is served by one
 eigensystem, the eigendecomposition of the truncated matrix at one size,
 kept in a small LRU cache.  Each eigensolve goes through one of three
-entries, chosen by the size:
+entries, chosen by the size and by what the process has already paid:
 
 * up to 128 rows (``_DENSE_MAX``), the full eigendecomposition by
   ``eigh_tridiagonal``, numpy's dense ``eigh``.  It gives the same bits as
-  scipy's tridiagonal solver (see its docstring), costs under 1 ms more
-  per solve at these sizes, and needs no scipy, whose import would cost
-  more than all the solves of a typical sweep.  That covers the start
-  for levels up to 40 at q up to about 1.35e4 (nu_tilde about 3,400);
-* up to 512 rows (``_FULL_MAX``), the full eigendecomposition by
+  scipy's tridiagonal solver (see its docstring) and needs no scipy, whose
+  import costs as much as a few hundred solves' worth of the dense path's
+  extra time.  That covers the start for levels up to 40 at q up to about
+  1.35e4 (nu_tilde about 3,400).  A process takes this entry only while
+  ``scipy.linalg`` is not loaded and its dense solves so far are cheaper
+  than that import (``_DENSE_BUDGET``); past either, scipy's entry is the
+  cheaper one, so a process loses at most about one import's time against
+  scipy alone, however many solves it makes;
+* otherwise up to 512 rows (``_FULL_MAX``), the full eigendecomposition by
   ``scipy.linalg.eigh_tridiagonal`` (LAPACK ``dstevd``), since the dense
   work grows with the cube of the size; that covers the start for levels
   up to 40 at q up to about 3.7e6 (nu_tilde about 9e5);
@@ -44,12 +48,12 @@ entries, chosen by the size:
   iteration, 16 at first and more on demand, so memory grows with the
   levels used, not with the square of the truncation.
 
-scipy is imported by the first solve past 128 rows.  The eigensystem holds
-its levels as arrays: the characteristic values, and a read-only,
-C-contiguous (levels, trunc) block of unit-normalized, sign-anchored
-coefficients with their tails.  The block is filled lazily, in one array
-pass up to the highest level a request asks for; a later pass at least
-doubles it.
+scipy is imported by the first solve that does not take the dense entry.
+The eigensystem holds its levels as arrays: the characteristic values, and
+a read-only, C-contiguous (levels, trunc) block of unit-normalized,
+sign-anchored coefficients with their tails.  The block is filled lazily,
+in one array pass up to the highest level a request asks for; a later pass
+at least doubles it.
 
 ``solve`` takes one level or an integer array of levels, and one rule sets
 the truncation: it starts at ``trunc`` or, without one, at ``default_trunc``
@@ -75,6 +79,7 @@ levels (and all other parameters) at one q before the next q.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -95,7 +100,7 @@ _MAX_DOUBLINGS = 5
 _WELL = (2.77, 0.97, 4)
 _FREE = (5, 4.8)
 _SHARED_LEVELS = 40
-#: full eigendecompositions up to this size use numpy's dense ``eigh``
+#: full eigendecompositions up to this size may use numpy's dense ``eigh``
 #: (``eigh_tridiagonal``), which needs no scipy, larger ones scipy's
 #: tridiagonal ``dstevd``.  The dense work is cubic: median ms per solve,
 #: dense / scipy, at q = 1e4 from scripts/time_eigensolve.py (2-core x86,
@@ -106,9 +111,24 @@ _SHARED_LEVELS = 40
 #:
 #: Up to 128 rows the dense path costs under 1 ms more per solve, about
 #: twice scipy's time (3x at q = 1e2, where only levels near 100 start that
-#: large), little against the 0.2 s import of scipy.linalg it saves; past it
-#: the extra grows to 29 ms per solve at 512 rows
+#: large).  Past it the extra grows to 29 ms per solve at 512 rows: with
+#: dense solves up to 512 rows, ``spectrum --nu-tilde 1e4:9e5:100 --n-max
+#: 40`` took 2.93 s in-process against 1.85 s, which is why scipy's full
+#: solve keeps 129 to 512 rows.  No benchmark workload solves past 113
+#: rows, so this bound is checked end to end only by such off-benchmark
+#: runs, until a workload past it exists.
 _DENSE_MAX = 128
+#: a process stops taking the dense path once its dense solves' rows**2 sum
+#: past this.  The dense extra time grows about as rows**2, 45 to 52 ns
+#: times it from 64 to 128 rows, and importing scipy.linalg after the
+#: package takes 0.24 to 0.25 s, as long as dense solves summing to 4.9e6 to
+#: 5.4e6 rows**2, about 500 solves of 100 rows (two runs of
+#: scripts/time_eigensolve.py on the host above).  A process below that sum
+#: saves part of the import; a longer one pays the dense extra up to it and
+#: then the import, once, so it loses at most about one import's time
+#: against scipy alone, where with no bound its loss would grow with every
+#: solve past the break-even
+_DENSE_BUDGET = 5_000_000
 #: truncations up to this size are diagonalized in full (an eigenvector
 #: matrix of at most 2 MB); larger ones compute only the levels asked for
 _FULL_MAX = 512
@@ -121,6 +141,9 @@ _MAX_ROWS = 2**19
 #: no |q| past this is solved (nu_tilde = q / 4 of 1.7e10): there E_gap, the
 #: difference of two energies near nu_tilde / 2, keeps only about 11 digits
 _MAX_Q = 6.8e10
+
+#: rows**2 summed over the dense solves this process made
+_dense_spent = 0
 
 
 class ConvergenceError(RuntimeError):
@@ -218,7 +241,15 @@ def eigh_tridiagonal(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
     zero reflectors, so the divide and conquer runs on the same (d, e) as
     scipy's ``eigh_tridiagonal`` (``dstevd``), and the results agree bit
     for bit up to the sign of each column.  The dense work is cubic, so
-    ``_Eigensystem`` takes this path up to ``_DENSE_MAX`` rows only.
+    ``_Eigensystem`` takes this path up to ``_DENSE_MAX`` rows only, and
+    only as ``_dense_path`` allows.
+
+    The name and the positional (d, e) follow scipy's function on purpose:
+    the benchmark's tracer (perfbench/tracer.py) counts scipy's solver under
+    the key ``mathieu.eigh_tridiagonal``, and wrapping this public function
+    under its own name puts it on that same key, so every eigensolve is
+    counted once whichever entry makes it.  The key's time therefore sums
+    two algorithms.
     """
     n = len(d)
     matrix = np.zeros((n, n))
@@ -226,6 +257,22 @@ def eigh_tridiagonal(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
     # the sub-diagonal, the triangle eigh reads by default
     matrix.flat[n :: n + 1] = e
     return np.linalg.eigh(matrix)
+
+
+def _dense_path(trunc: int) -> bool:
+    """Whether a full solve of ``trunc`` rows goes through ``eigh_tridiagonal``.
+
+    Only up to ``_DENSE_MAX`` rows, and only while the process has not
+    loaded scipy.linalg, whose tridiagonal solver is then the cheaper one,
+    and its dense solves so far stay within ``_DENSE_BUDGET``.  A solve that
+    takes the dense path is charged to the budget.  Either entry gives the
+    same bits, so the path does not change results.
+    """
+    global _dense_spent
+    if trunc > _DENSE_MAX or _dense_spent >= _DENSE_BUDGET or "scipy.linalg" in sys.modules:
+        return False
+    _dense_spent += trunc * trunc
+    return True
 
 
 def default_trunc(n: int, q: float) -> int:
@@ -256,11 +303,11 @@ class _Eigensystem:
     """The lowest levels at (q, trunc) from one tridiagonal eigensolve.
 
     A truncation up to ``_FULL_MAX`` is diagonalized in full on
-    construction, by ``eigh_tridiagonal`` up to ``_DENSE_MAX`` rows and by
-    scipy above.  A larger one computes only its lowest ``_LEVEL_BLOCK``
-    levels, and a request past them computes the missing ones in one more
-    call, at least doubling the count, so memory stays O(trunc * levels
-    used).  Residuals of new eigenpairs are checked once, as they are
+    construction, by ``eigh_tridiagonal`` where ``_dense_path`` allows it
+    and by scipy otherwise.  A larger one computes only its lowest
+    ``_LEVEL_BLOCK`` levels, and a request past them computes the missing
+    ones in one more call, at least doubling the count, so memory stays
+    O(trunc * levels used).  Residuals of new eigenpairs are checked once, as they are
     computed.
 
     The eigenvectors are stored as rows.  ``fill(count)`` normalizes and
@@ -290,11 +337,11 @@ class _Eigensystem:
         d, q = self.diag, self.q
         trunc, start = len(d), len(self.values)
         off = np.full(trunc - 1, q)
-        if start == 0 and count == trunc <= _DENSE_MAX:
+        if start == 0 and count == trunc and _dense_path(trunc):
             w, v = eigh_tridiagonal(d, off)
         else:
             # imported here, not at module level: it is most of the package's
-            # import time, and only an eigensolve past _DENSE_MAX rows needs it
+            # import time, and only an eigensolve off the dense path needs it
             import scipy.linalg
 
             if start == 0 and count == trunc:

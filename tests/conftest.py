@@ -24,3 +24,15 @@ def eigensolves(monkeypatch):
     monkeypatch.setattr(mathieu, "eigh_tridiagonal", counting(mathieu.eigh_tridiagonal))
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counting(scipy.linalg.eigh_tridiagonal))
     return calls
+
+
+@pytest.fixture
+def dense_path(monkeypatch):
+    """Send every full solve of up to ``mathieu._DENSE_MAX`` rows through the dense entry.
+
+    The test process has loaded scipy.linalg, so ``mathieu._dense_path``
+    would send every solve to scipy; this keeps the size rule alone.  The
+    eigensystem cache is cleared so no earlier solve is reused.
+    """
+    monkeypatch.setattr(mathieu, "_dense_path", lambda trunc: trunc <= mathieu._DENSE_MAX)
+    mathieu._eigensystem.cache_clear()

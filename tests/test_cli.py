@@ -70,7 +70,8 @@ class TestTunneling:
 
     def test_start_path_does_not_load_scipy(self, tmp_path):
         # scipy.linalg is most of the import time, and only an eigensolve
-        # past mathieu._DENSE_MAX rows needs it: the defaults stay below
+        # past mathieu._DENSE_MAX rows or past the dense budget needs it:
+        # the defaults stay within both
         code = (
             "import sys\n"
             "import plaquette_qgauge.cli as cli\n"

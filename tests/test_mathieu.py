@@ -142,6 +142,42 @@ class TestSolve:
             spectrum.energy(n, params)
         assert len(eigensolves) == 1
 
+    def test_dense_path_takes_small_solves_until_scipy_or_the_budget(self, monkeypatch):
+        # the rule alone; scipy.linalg is taken out of sys.modules for the
+        # duration, and _dense_path imports nothing
+        monkeypatch.delitem(sys.modules, "scipy.linalg")
+        monkeypatch.setattr(mathieu, "_dense_spent", 0)
+        assert not mathieu._dense_path(mathieu._DENSE_MAX + 1)
+        assert mathieu._dense_spent == 0
+        assert mathieu._dense_path(mathieu._DENSE_MAX)
+        assert mathieu._dense_spent == mathieu._DENSE_MAX**2
+        monkeypatch.setattr(mathieu, "_dense_spent", mathieu._DENSE_BUDGET)
+        assert not mathieu._dense_path(64)
+        monkeypatch.setattr(mathieu, "_dense_spent", 0)
+        monkeypatch.setitem(sys.modules, "scipy.linalg", scipy.linalg)
+        assert not mathieu._dense_path(64)
+        assert mathieu._dense_spent == 0
+
+    def test_a_long_sweep_loads_scipy_once_past_the_dense_budget(self):
+        # distinct q, so every solve is a new 100-row eigensystem; the
+        # default start at these q is 99 rows, so none grows past the bound
+        package_root = os.path.dirname(os.path.dirname(mathieu.__file__))
+        code = (
+            "import sys\n"
+            "from plaquette_qgauge import mathieu\n"
+            "solves = -(-mathieu._DENSE_BUDGET // 100**2)\n"
+            "for i in range(solves):\n"
+            "    assert mathieu.solve(40, 4000.0 + i, trunc=100).trunc == 100\n"
+            "assert 'scipy' not in sys.modules, 'loaded within the budget'\n"
+            "mathieu.solve(40, 4000.0 + solves, trunc=100)\n"
+            "assert 'scipy.linalg' in sys.modules, 'not loaded past the budget'\n"
+        )
+        env = {**os.environ, "PYTHONPATH": package_root, "OPENBLAS_NUM_THREADS": "1"}
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
+
     def test_partial_eigensystem_matches_full(self):
         # trunc = 600 computes only the lowest levels, grown past the first
         # block; the default truncations here are diagonalized in full
@@ -250,7 +286,7 @@ class TestLevelBlock:
         assert np.array_equal(many.coeffs, ranged.coeffs)
 
     @pytest.mark.parametrize("trunc", [60, mathieu._DENSE_MAX, mathieu._DENSE_MAX + 1])
-    def test_block_rows_are_scaled_like_lone_vectors(self, trunc):
+    def test_block_rows_are_scaled_like_lone_vectors(self, trunc, dense_path):
         # each row is the raw eigenvector over the square root of its
         # elementwise sum of squares, then sign-anchored, bit for bit as one
         # column of scipy's dstevd on its own would be, on either side of
