@@ -39,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConsistencyError, TruncationError
 from .params import ModelParams
 from .strata import Stratum
 from .theta import theta3_prime
@@ -53,14 +54,6 @@ _BAND = (0.25, 2.0)
 _DUAL_CUTOFF = 1e-20
 _PI2 = math.pi**2
 _SQRT_PI = math.sqrt(math.pi)
-
-
-class ConsistencyError(AssertionError):
-    """The independent direct and dual routes disagree."""
-
-
-class TruncationError(ValueError):
-    """Requested truncation cannot represent the state to the target accuracy."""
 
 
 @dataclass(frozen=True)

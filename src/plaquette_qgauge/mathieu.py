@@ -86,6 +86,7 @@ from functools import lru_cache
 import numpy as np
 
 from .characters import sine_series
+from .errors import ConvergenceError
 
 #: residual threshold, relative to the matrix norm, past which the
 #: eigendecomposition is rejected
@@ -144,10 +145,6 @@ _MAX_Q = 6.8e10
 
 #: rows**2 summed over the dense solves this process made
 _dense_spent = 0
-
-
-class ConvergenceError(RuntimeError):
-    """Eigensolver residual exceeded the accepted tolerance."""
 
 
 @dataclass(frozen=True)

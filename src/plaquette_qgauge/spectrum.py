@@ -28,21 +28,23 @@ Both sweeps read one Mathieu eigensystem per q.  ``energy`` takes one level
 or an integer array of levels, and an array is served by one eigensolve, so
 a spectrum sweep costs one eigensolve per nu_tilde.  Projector expectations
 are squared overlaps of eigenstates with the two vertex states, and one
-batched helper computes them for a block of levels: the vertex weights, the
-normalization N and the tail checks once per call, then both strata's
-overlaps as row sums over the eigensystem's (levels, trunc) coefficient
-block, read in place.  So a grid point of ``projector_expectations`` costs
-one normalization and one array pass, and each batched value is
-bit-identical to the per-level formula at the same truncation.  The
-single-level ``projector_expectation`` truncates for its own level, so on
-tiny ``P_minus`` it can differ from the batch by up to 3e-3 relative
-(ROADMAP item 3).
+batched helper computes them for a block of levels: the vertex weights and
+the tail checks once per call, the normalization N once per distinct t in a
+process (``_normalization``), then both strata's overlaps as row sums over
+the eigensystem's (levels, trunc) coefficient block, read in place.  So a
+grid point of ``projector_expectations`` costs one array pass, a sweep one
+normalization per t, and each batched value is bit-identical to the
+per-level formula at the same truncation.  The single-level
+``projector_expectation`` truncates for its own level, so on tiny
+``P_minus`` it can differ from the batch by up to 3e-3 relative (ROADMAP
+item 3).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,6 +59,8 @@ _TAIL_TOL = 1e-12
 _COMPLETENESS_START = 60
 _COMPLETENESS_TOL = 1e-6
 _COMPLETENESS_MAX = 960
+#: distinct t whose vertex-state normalization is kept (see ``_normalization``)
+_NORMALIZATION_CACHE = 1024
 
 
 @dataclass(frozen=True)
@@ -148,6 +152,17 @@ def eigenfunction_x(n: int, params: ModelParams, x):
     return float(out) if out.ndim == 0 else out
 
 
+@lru_cache(maxsize=_NORMALIZATION_CACHE)
+def _normalization(t: float) -> float:
+    """``costratified.normalization_constant(t)``, computed once per distinct t.
+
+    A projector sweep meets each t once per nu_tilde, and it runs
+    nu_tilde-major for the eigensystem cache, so every t of the sweep is
+    kept, not only the last.
+    """
+    return costratified.normalization_constant(t)
+
+
 def _vertex_overlaps(
     levels: mathieu.MathieuLevels, params: ModelParams
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -166,7 +181,7 @@ def _vertex_overlaps(
     alternating = (-1.0) ** np.arange(levels.trunc)
     plus = vertex_weights(Stratum.PLUS, t, levels.trunc) * alternating
     minus = vertex_weights(Stratum.MINUS, t, levels.trunc) * alternating
-    n_const = costratified.normalization_constant(t)
+    n_const = _normalization(t)
     tail = float(np.max(levels.tail))
     if tail > _TAIL_TOL:
         raise TruncationError(f"Mathieu coefficient tail {tail:.2e} exceeds {_TAIL_TOL}")

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import math
 import os
 import re
@@ -28,6 +29,12 @@ def run_quiet(args):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(args)
     return code, out.getvalue(), err.getvalue()
+
+
+def package_env(**overrides):
+    """The environment for a subprocess that imports this package."""
+    package_root = os.path.dirname(os.path.dirname(plaquette_qgauge.__file__))
+    return {**os.environ, "PYTHONPATH": package_root, **overrides}
 
 
 def parse_csv(text):
@@ -84,13 +91,11 @@ class TestTunneling:
             "assert cli.main(argv) == 0\n"
             "assert 'scipy' in sys.modules, 'not loaded past _DENSE_MAX rows'\n"
         )
-        package_root = os.path.dirname(os.path.dirname(plaquette_qgauge.__file__))
-        env = {**os.environ, "PYTHONPATH": package_root}
         result = subprocess.run(
             [sys.executable, "-c", code, str(tmp_path / "t.csv")],
             capture_output=True,
             text=True,
-            env=env,
+            env=package_env(),
         )
         assert result.returncode == 0, result.stderr
 
@@ -230,14 +235,12 @@ class TestStates:
     def test_output_does_not_depend_on_blas_threads(self, args):
         # a BLAS matrix product would split its sums by thread count, and
         # these sizes are large enough for OpenBLAS to split them
-        package_root = os.path.dirname(os.path.dirname(plaquette_qgauge.__file__))
         outputs = []
         for threads in ("1", "2"):
-            env = {**os.environ, "PYTHONPATH": package_root, "OPENBLAS_NUM_THREADS": threads}
             result = subprocess.run(
                 [sys.executable, "-m", "plaquette_qgauge", "states", *args],
                 capture_output=True,
-                env=env,
+                env=package_env(OPENBLAS_NUM_THREADS=threads),
             )
             assert result.returncode == 0, result.stderr
             outputs.append(result.stdout)
@@ -291,6 +294,25 @@ class TestProjectorExpectations:
                 assert total >= 1.0 - 1e-6
                 assert abs(p_plus - plus[n]) <= 1e-10
                 assert abs(p_minus - minus[n]) <= 1e-10
+
+
+    def test_one_normalization_per_t(self, monkeypatch, capsys):
+        # 3 t x 5 nu_tilde grid points, run nu_tilde-major: each t recurs
+        # at every nu_tilde and is normalized once
+        spectrum._normalization.cache_clear()
+        calls = []
+        original = costratified.norm_squared
+
+        def counting(t):
+            calls.append(t)
+            return original(t)
+
+        monkeypatch.setattr(costratified, "norm_squared", counting)
+        args = ["projector-expectations", "--hbar-beta2", "0.03125,0.125,0.5", "--nu-tilde", "0.1:100:5:log"]
+        code, out = run_cli(args, capsys)
+        assert code == 0
+        assert len(parse_csv(out)[1]) == 3 * 5 * 6
+        assert sorted(calls) == [0.03125, 0.125, 0.5]
 
 
 class TestDecomp:
@@ -529,3 +551,97 @@ class TestSvgOutput:
         assert code == 0
         polylines = re.findall(r'<polyline [^>]*points="([^"]*)"/>', out)
         assert [len(points.split()) for points in polylines] == [2, 2]
+
+
+class TestImportScope:
+    def test_each_command_loads_only_its_layers(self, tmp_path):
+        # importing cli loads what tunneling needs; the Mathieu layer, the
+        # geometry and the verifiers are imported by the commands that use them
+        code = (
+            "import sys\n"
+            "def loaded(*layers):\n"
+            "    return [name for name in layers if f'plaquette_qgauge.{name}' in sys.modules]\n"
+            "import plaquette_qgauge.cli as cli\n"
+            "assert not loaded('mathieu', 'spectrum', 'characters', 'geometry', 'verify'), loaded(\n"
+            "    'mathieu', 'spectrum', 'characters', 'geometry', 'verify')\n"
+            "assert 'scipy' not in sys.modules\n"
+            "assert cli.main(['tunneling', '--out', sys.argv[1]]) == 0\n"
+            "assert not loaded('mathieu'), 'mathieu loaded by tunneling'\n"
+            "assert cli.main(['decomp', '--s', '3', '--k', '6', '--out', sys.argv[1]]) == 0\n"
+            "assert not loaded('mathieu', 'spectrum'), loaded('mathieu', 'spectrum')\n"
+            "assert cli.main(['spectrum', '--out', sys.argv[1]]) == 0\n"
+            "assert loaded('mathieu', 'spectrum') == ['mathieu', 'spectrum']\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "out.csv")],
+            capture_output=True, text=True, env=package_env(),
+        )
+        assert result.returncode == 0, result.stderr
+
+
+#: each data command on a small grid, its float columns, and the config key
+#: that holds the values of its first column
+WRITER_CASES = {
+    "tunneling": (
+        ["tunneling", "--hbar-beta2", "0.05:3:7:log"],
+        {"hbar_beta2", "overlap", "probability"},
+        "hbar_beta2",
+    ),
+    "spectrum": (
+        ["spectrum", "--nu-tilde", "0,0.3,6", "--n-max", "3"],
+        {"nu_tilde", "E_n", "E_gap"},
+        "nu_tilde",
+    ),
+    "states": (["states", "--state", "psi-minus", "--grid", "9"], {"x", "value"}, "grid"),
+    "projector-expectations": (
+        ["projector-expectations", "--hbar-beta2", "0.125,0.5", "--nu-tilde", "0.1:10:3:log", "--n-max", "2"],
+        {"hbar_beta2", "nu_tilde", "P_plus", "P_minus", "sum_P_plus"},
+        "hbar_beta2",
+    ),
+    "decomp": (["decomp", "--s", "2", "--k", "4"], set(), "s"),
+}
+
+
+class TestWriter:
+    @pytest.mark.parametrize("command", sorted(WRITER_CASES))
+    def test_column_writer_contract(self, command, capsys):
+        args, float_columns, grid_key = WRITER_CASES[command]
+        code, out = run_cli(args, capsys)
+        assert code == 0
+        comment, header, *lines = out.split("\n")
+        assert comment.startswith("# plaquette-qgauge v")
+        assert lines.pop() == ""
+        names = header.split(",")
+        rows = [line.split(",") for line in lines]
+        assert rows and all(len(row) == len(names) for row in rows)
+        for name, cells in zip(names, zip(*rows)):
+            if name in float_columns:
+                assert all(cell == repr(float(cell)) for cell in cells), name
+        config = json.loads(comment.partition(" config=")[2])
+        first = list(dict.fromkeys(row[0] for row in rows))
+        if command == "states":
+            # the x column samples [0, pi] at the config's grid count
+            assert [float(x) for x in first] == np.linspace(0.0, math.pi, config["grid"]).tolist()
+        else:
+            grid = config[grid_key]
+            assert [json.loads(cell) for cell in first] == (grid if isinstance(grid, list) else [grid])
+
+
+class TestBrokenPipe:
+    def test_closed_pipe_exits_quietly(self):
+        # stdout block-buffered, as in a shell pipeline; the reader stops
+        # after 100 bytes of a 1 MB sweep
+        env = package_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "plaquette_qgauge", "tunneling", "--hbar-beta2", "0.01:5:20000:log"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        code = proc.wait(timeout=120)
+        assert "Traceback" not in err
+        assert err == ""
+        assert code == cli.EXIT_BROKEN_PIPE

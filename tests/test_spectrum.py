@@ -235,6 +235,9 @@ class TestProjectorExpectations:
             assert abs(direct - spectrum.projector_expectation(n, params, Stratum.PLUS)) < 1e-12
 
     def test_one_normalization_per_call(self, monkeypatch):
+        # start from an empty cache, whatever earlier tests left in it; a
+        # second nu_tilde at the same t reuses the normalization
+        spectrum._normalization.cache_clear()
         calls = []
         original = costratified.norm_squared
 
@@ -244,6 +247,8 @@ class TestProjectorExpectations:
 
         monkeypatch.setattr(costratified, "norm_squared", counting)
         spectrum.projector_expectations(ModelParams.from_reduced(0.125, 24.0), 6)
+        assert calls == [0.125]
+        spectrum.projector_expectations(ModelParams.from_reduced(0.125, 6.0), 6)
         assert calls == [0.125]
 
     @pytest.mark.parametrize("nut", [0.1, 24.0, 100.0])
