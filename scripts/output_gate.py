@@ -7,7 +7,8 @@ Exports REV's ``src/`` with ``git archive`` into a temporary directory and
 runs one fixed list of commands against that export and against the
 working tree's ``src/``: the four benchmark workloads at seeds 0 and 1 (their
 arguments from ``perfbench/workloads.py``), the determinism configs of
-``tests/test_acceptance.py``, every command at its defaults, and
+``tests/test_acceptance.py``, every command at its defaults, three
+commands that solve past 128 rows (scipy's side of the dense bound), and
 ``scripts/make_figure_data.py`` (the working tree's script on both sides,
 so only ``src/`` differs).  Each runs as a fresh ``python -m
 plaquette_qgauge`` process under ``OPENBLAS_NUM_THREADS=1`` and ``=2``.  A
@@ -44,6 +45,14 @@ ACCEPTANCE = [
     ["decomp", "--s", "3", "--k", "6"],
     ["geometry-verify"],
     ["verify"],
+]
+#: commands whose eigensolves go past ``mathieu._DENSE_MAX``: scipy's partial
+#: solve in blocks of 16 levels, the first block alone, and full solves past
+#: 128 rows from the completeness doubling
+LARGE_Q = [
+    ["spectrum", "--nu-tilde", "1e4:1e8:40:log", "--n-max", "40"],
+    ["states", "--state", "xi", "--level", "3", "--nu-tilde", "1e8"],
+    ["projector-expectations", "--hbar-beta2", "2", "--nu-tilde", "3000,10000"],
 ]
 DEFAULTS = [
     ["tunneling"],
@@ -131,6 +140,7 @@ def main() -> int:
             *workload_commands(),
             *([part.format(config=config) for part in argv] for argv in ACCEPTANCE),
             *DEFAULTS,
+            *LARGE_Q,
         ]
         failures, compared = [], 0
         for threads in THREADS:

@@ -31,8 +31,9 @@ for ``spectrum``, ``projector-expectations`` and ``states --state xi``,
 and ``verify`` (every layer) for the two verify commands.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
-failure, 141 stdout closed by its reader before the output was written (as
-by ``| head``), with no message.
+failure or out of memory (a grid or truncation too large to allocate, with a
+one-line ``out of memory:`` message), 141 stdout closed by its reader
+before the output was written (as by ``| head``), with no message.
 """
 
 from __future__ import annotations
@@ -545,6 +546,11 @@ def main(argv=None) -> int:
         OverflowError,
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        # numpy's error names the array it could not allocate; a bare
+        # MemoryError has no message
+        print(f"out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -45,15 +45,17 @@ entries, chosen by the size and by what the process has already paid:
   work grows with the cube of the size; that covers the start for levels
   up to 40 at q up to about 3.7e6 (nu_tilde about 9e5);
 * above 512 rows, only the lowest levels, by scipy's bisection and inverse
-  iteration, 16 at first and more on demand, so memory grows with the
-  levels used, not with the square of the truncation.
+  iteration, in fixed blocks of 16 levels, [0, 16), [16, 32), ..., up to
+  the block that holds the highest level asked for, so memory grows with
+  the levels used, not with the square of the truncation.
 
 scipy is imported by the first solve that does not take the dense entry.
 The eigensystem holds its levels as arrays: the characteristic values, and
 a read-only, C-contiguous (levels, trunc) block of unit-normalized,
-sign-anchored coefficients with their tails.  The block is filled lazily,
-in one array pass up to the highest level a request asks for; a later pass
-at least doubles it.
+sign-anchored coefficients with their tails.  Each block of levels is
+solved, checked, normalized and anchored in one step, and appended to
+them.  The blocks are fixed by the truncation, so a level's bits depend
+on (q, trunc, n) alone: results do not depend on the order of requests.
 
 ``solve`` takes one level or an integer array of levels, and one rule sets
 the truncation: it starts at ``trunc`` or, without one, at ``default_trunc``
@@ -133,7 +135,8 @@ _DENSE_BUDGET = 5_000_000
 #: truncations up to this size are diagonalized in full (an eigenvector
 #: matrix of at most 2 MB); larger ones compute only the levels asked for
 _FULL_MAX = 512
-#: levels a partial eigensystem computes first
+#: levels per eigensolve above ``_FULL_MAX`` rows: a partial eigensystem
+#: solves levels [0, 16), [16, 32), ..., each block as a request first needs it
 _LEVEL_BLOCK = 16
 #: eigensystems kept; a q-major sweep needs only the current q's entries
 _CACHE_SIZE = 8
@@ -297,22 +300,19 @@ def default_trunc(n: int, q: float) -> int:
 
 
 class _Eigensystem:
-    """The lowest levels at (q, trunc) from one tridiagonal eigensolve.
+    """The lowest levels at (q, trunc), solved one fixed block of levels at a time.
 
-    A truncation up to ``_FULL_MAX`` is diagonalized in full on
-    construction, by ``eigh_tridiagonal`` where ``_dense_path`` allows it
-    and by scipy otherwise.  A larger one computes only its lowest
-    ``_LEVEL_BLOCK`` levels, and a request past them computes the missing
-    ones in one more call, at least doubling the count, so memory stays
-    O(trunc * levels used).  Residuals of new eigenpairs are checked once, as they are
-    computed.
-
-    The eigenvectors are stored as rows.  ``fill(count)`` normalizes and
-    sign-anchors (see the module docstring) rows up to ``count`` in place,
-    in one array pass, and exposes them as the read-only ``block`` with
-    their ``tails``; rows past it stay raw until asked for.  ``level(n)``
-    memoizes a ``MathieuSolution`` on row n, so repeated requests return
-    the same object.
+    A truncation up to ``_FULL_MAX`` is one block, diagonalized in full, by
+    ``eigh_tridiagonal`` where ``_dense_path`` allows it and by scipy
+    otherwise.  A larger one is solved in blocks of ``_LEVEL_BLOCK`` levels,
+    [0, 16), [16, 32), ..., one scipy bisection call each, so memory stays
+    O(trunc * levels used).  ``fill`` adds the blocks up to a requested
+    level; each block is solved, its residuals checked, its rows normalized
+    and sign-anchored (see the module docstring) and appended to the
+    read-only ``values``, ``block`` and ``tails`` in one step.  A level's
+    bits therefore depend on (q, trunc, n) alone, not on the order of
+    requests.  ``level(n)`` memoizes a ``MathieuSolution`` on row n, so
+    repeated requests return the same object.
     """
 
     def __init__(self, q: float, trunc: int):
@@ -323,32 +323,37 @@ class _Eigensystem:
         # (-1)^k (2k+2); the dot product with c is -se'(-pi/2)
         self._wall_slope = freqs * self._alternating
         self.values = np.empty(0)
-        self._rows = np.empty((0, trunc))
-        self.block = self._rows
+        self.block = np.empty((0, trunc))
         self.tails = np.empty(0)
         self._levels: dict[int, MathieuSolution] = {}
-        self._compute(trunc if trunc <= _FULL_MAX else _LEVEL_BLOCK)
 
-    def _compute(self, count: int) -> None:
-        """Add levels len(values)..count-1."""
+    def fill(self, count: int) -> None:
+        """Extend ``values``, ``block`` and ``tails`` to at least the lowest ``count`` levels."""
+        while len(self.values) < count:
+            self._add_block()
+
+    def _add_block(self) -> None:
+        """Solve and check the next block, normalize and anchor its rows, and append them."""
         d, q = self.diag, self.q
         trunc, start = len(d), len(self.values)
+        stop = trunc if trunc <= _FULL_MAX else min(start + _LEVEL_BLOCK, trunc)
+        full = stop - start == trunc
         off = np.full(trunc - 1, q)
-        if start == 0 and count == trunc and _dense_path(trunc):
+        if full and _dense_path(trunc):
             w, v = eigh_tridiagonal(d, off)
         else:
             # imported here, not at module level: it is most of the package's
             # import time, and only an eigensolve off the dense path needs it
             import scipy.linalg
 
-            if start == 0 and count == trunc:
+            if full:
                 w, v = scipy.linalg.eigh_tridiagonal(d, off)
             else:
                 # a tiny tol makes bisection converge to relative, not
                 # eps * |T|, accuracy: the low levels stay exact at an
                 # oversize truncation
                 w, v = scipy.linalg.eigh_tridiagonal(
-                    d, off, select="i", select_range=(start, count - 1), tol=np.finfo(float).tiny
+                    d, off, select="i", select_range=(start, stop - 1), tol=np.finfo(float).tiny
                 )
         tv = d[:, None] * v
         tv[1:] += q * v[:-1]
@@ -365,37 +370,20 @@ class _Eigensystem:
         # C-contiguous already; numpy's eigh returns C order, so the dense
         # path copies once, at most _DENSE_MAX**2 doubles (128 kB)
         rows = np.ascontiguousarray(v.T)
-        if start:
-            w, rows = np.concatenate([self.values, w]), np.concatenate([self._rows, rows])
-        w.flags.writeable = False
-        self.values, self._rows = w, rows
-
-    def fill(self, count: int) -> None:
-        """Extend ``block`` and ``tails`` to at least the lowest ``count`` levels.
-
-        A fill at least doubles the block, within the levels computed, so
-        requests for one level after another take few array passes.
-        """
-        done = len(self.tails)
-        if count <= done:
-            return
-        if count > len(self.values):
-            self._compute(min(len(self.diag), max(count, 2 * len(self.values))))
-        count = max(count, min(2 * done, len(self.values)))
-        new = self._rows[done:count]
         # the anchor's sign does not depend on the row's positive scale, and
         # an elementwise sum, unlike a BLAS product, not on the thread count
-        flip = self._alternating[done:count] * np.sum(new * self._wall_slope, axis=1) < 0
+        flip = self._alternating[start:stop] * np.sum(rows * self._wall_slope, axis=1) < 0
         # an elementwise sum, not a BLAS dot product, whose split across
         # threads would change the bits; dividing by -norm negates that
         # quotient exactly
-        norms = np.sqrt(np.sum(new * new, axis=1))
-        new /= np.where(flip, -norms, norms)[:, None]
-        block = self._rows[:count]
-        block.flags.writeable = False
-        tails = np.abs(block[:, -1])
-        tails.flags.writeable = False
-        self.block, self.tails = block, tails
+        norms = np.sqrt(np.sum(rows * rows, axis=1))
+        rows /= np.where(flip, -norms, norms)[:, None]
+        if start:
+            w, rows = np.concatenate([self.values, w]), np.concatenate([self.block, rows])
+        tails = np.abs(rows[:, -1])
+        for array in (w, rows, tails):
+            array.flags.writeable = False
+        self.values, self.block, self.tails = w, rows, tails
 
     def level(self, n: int) -> MathieuSolution:
         sol = self._levels.get(n)

@@ -645,3 +645,39 @@ class TestBrokenPipe:
         assert "Traceback" not in err
         assert err == ""
         assert code == cli.EXIT_BROKEN_PIPE
+
+
+class TestOutOfMemory:
+    #: address space of the child; importing the package at one BLAS thread
+    #: needs well under half of it, and each command below asks for more in
+    #: one array, so it fails before touching the memory
+    LIMIT = 512 * 2**20
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["states", "--state", "psi-plus", "--grid", "2000000000"],
+            ["spectrum", "--nu-tilde", "1:2:100000000"],
+        ],
+    )
+    def test_allocation_failure_exits_3_with_one_line(self, args):
+        # the child lowers its own limit before importing the package
+        code = (
+            "import resource, runpy\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({self.LIMIT}, {self.LIMIT}))\n"
+            "runpy.run_module('plaquette_qgauge', run_name='__main__')\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code, *args],
+            capture_output=True, text=True, env=package_env(OPENBLAS_NUM_THREADS="1"), timeout=120,
+        )
+        assert result.returncode == 3
+        assert result.stderr.startswith("out of memory: Unable to allocate")
+        assert result.stderr.count("\n") == 1
+
+    def test_bare_memory_error(self, monkeypatch):
+        def exhausted(args, settings):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "cmd_tunneling", exhausted)
+        assert run_quiet(["tunneling"]) == (3, "", "out of memory: an allocation failed\n")

@@ -205,11 +205,15 @@ class TestSolve:
         tracemalloc.start()
         try:
             sols = [mathieu.solve(n, q) for n in range(4)]
+            first = list(columns)
+            levels = mathieu.solve(np.arange(40), q)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sols[0].trunc == 1631 > mathieu._FULL_MAX
-        assert sum(columns) <= 16 and peak < 16e6
+        assert sols[0].trunc == levels.trunc == 1631 > mathieu._FULL_MAX
+        # one 16-level block for the first four levels, two more for 40
+        assert sum(first) <= 16 and max(columns) <= 16 and sum(columns) <= 48
+        assert peak < 16e6
         h = math.sqrt(q)
         for n, sol in enumerate(sols):
             # large-q expansion of b_{2n+2}, DLMF 28.8.1 with s = 4n + 3
@@ -223,6 +227,20 @@ class TestSolve:
             )
             assert math.isclose(sol.b, expected, rel_tol=1e-12)
             assert sol.tail <= 1e-12
+
+    def test_request_order_does_not_change_bits(self):
+        # 1631 rows at q = 4e8, past _FULL_MAX: the levels come in fixed
+        # blocks, so 40 levels alone and after 17 levels are the same bytes
+        results = []
+        for earlier in ([], [17]):
+            mathieu._eigensystem.cache_clear()
+            for count in earlier:
+                mathieu.solve(np.arange(count), 4e8)
+            levels = mathieu.solve(np.arange(40), 4e8)
+            assert levels.trunc > mathieu._FULL_MAX
+            results.append(levels.b.tobytes() + levels.coeffs.tobytes())
+        mathieu._eigensystem.cache_clear()
+        assert results[0] == results[1]
 
     @pytest.mark.parametrize(
         "n, q, trunc",
