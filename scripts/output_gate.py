@@ -16,7 +16,9 @@ command's result is its exit code, stdout and stderr; a figure-data run's
 is every file it writes.
 
 Prints each result that differs between the two sides, and exits 1 if any
-does, else 0.  Run from anywhere inside the repository.
+does, else 0.  For a text part (exit code, stdout, stderr, a CSV or SVG
+file) it also quotes the first differing line of each side, ``None`` where
+that side has no such line.  Run from anywhere inside the repository.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import io
+import itertools
 import os
 import pathlib
 import shutil
@@ -115,13 +118,30 @@ def run_figures(side: pathlib.Path, threads: str) -> dict[str, bytes]:
     return result
 
 
+def first_differing_lines(old: bytes, new: bytes) -> list[str]:
+    """The first line at which two text parts differ, quoted from each side.
+
+    Empty for a part that is not UTF-8 text, or whose lines agree and whose
+    bytes differ only in line endings.
+    """
+    try:
+        sides = old.decode().splitlines(), new.decode().splitlines()
+    except UnicodeDecodeError:
+        return []
+    for number, (a, b) in enumerate(itertools.zip_longest(*sides), start=1):
+        if a != b:
+            return [f"    line {number} rev:  {a!r}", f"    line {number} tree: {b!r}"]
+    return []
+
+
 def differences(name: str, old: dict[str, bytes], new: dict[str, bytes]) -> list[str]:
-    lines = []
+    entries = []
     for part in sorted(set(old) | set(new)):
         if old.get(part) != new.get(part):
             sizes = [len(side[part]) if part in side else "missing" for side in (old, new)]
-            lines.append(f"DIFFERS  {name}: {part} ({sizes[0]} -> {sizes[1]} bytes)")
-    return lines
+            quoted = first_differing_lines(old.get(part, b""), new.get(part, b""))
+            entries.append("\n".join([f"DIFFERS  {name}: {part} ({sizes[0]} -> {sizes[1]} bytes)", *quoted]))
+    return entries
 
 
 def main() -> int:

@@ -34,10 +34,7 @@ process (``_normalization``), then both strata's overlaps as row sums over
 the eigensystem's (levels, trunc) coefficient block, read in place.  So a
 grid point of ``projector_expectations`` costs one array pass, a sweep one
 normalization per t, and each batched value is bit-identical to the
-per-level formula at the same truncation.  The single-level
-``projector_expectation`` truncates for its own level, so on tiny
-``P_minus`` it can differ from the batch by up to 3e-3 relative (ROADMAP
-item 3).
+per-level formula at the same truncation.
 """
 
 from __future__ import annotations
@@ -194,12 +191,15 @@ def _vertex_overlaps(
 
 
 def projector_expectation(n: int, params: ModelParams, stratum: Stratum) -> float:
-    """Probability of finding energy level n in the given vertex subspace."""
-    sign = stratum.sign  # rejects Stratum.TOP
-    levels = mathieu.solve(range(n, n + 1), 4.0 * params.nu_tilde, trunc=_state_trunc(n, params))
-    plus, minus = _vertex_overlaps(levels, params)
-    overlap = float(plus[0] if sign > 0 else minus[0])
-    return overlap * overlap
+    """Probability of finding energy level n in the given vertex subspace.
+
+    Level n of ``projector_expectations(params, n + 1)``, read at that
+    batch's truncation, so the value is the batch's bit for bit and one call
+    costs one batch of at least 60 levels.
+    """
+    sign = stratum.sign  # rejects Stratum.TOP; n < 0 is a count below 1
+    plus, minus, _ = projector_expectations(params, n + 1)
+    return float((plus if sign > 0 else minus)[n])
 
 
 def projector_expectations(params: ModelParams, count: int) -> tuple[np.ndarray, np.ndarray, float]:
@@ -212,6 +212,8 @@ def projector_expectations(params: ModelParams, count: int) -> tuple[np.ndarray,
     levels, so the count doubles until the sum reaches 1 - 1e-6; past
     ``_COMPLETENESS_MAX`` levels a ``TruncationError`` is raised.
     """
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     completeness_count = _COMPLETENESS_START
     while True:
         total = max(count, completeness_count)

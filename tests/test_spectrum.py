@@ -269,6 +269,31 @@ class TestProjectorExpectations:
                 overlap = (-1.0) ** sol.n / n_const * float(np.sum(signs * weights * sol.coeffs))
                 assert values[sol.n] == overlap * overlap
 
+    @pytest.mark.parametrize("t", [0.03125, 0.125, 0.5])
+    def test_single_level_reads_the_batch(self, t):
+        # one value per quantity: level n of a one-level call is level n of
+        # the batch, bit for bit, exponentially small P_minus included
+        for nut in np.geomspace(0.1, 100.0, 7):
+            params = ModelParams.from_reduced(t, float(nut))
+            for n in range(6):
+                plus, minus, _ = spectrum.projector_expectations(params, n + 1)
+                for stratum, values in ((Stratum.PLUS, plus), (Stratum.MINUS, minus)):
+                    assert spectrum.projector_expectation(n, params, stratum) == values[n]
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_count_below_one_raises(self, count):
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            spectrum.projector_expectations(ModelParams.from_reduced(0.125, 6.0), count)
+
+    @pytest.mark.parametrize("n", [-1, -2])
+    def test_negative_level_raises(self, n):
+        with pytest.raises(ValueError):
+            spectrum.projector_expectation(n, ModelParams.from_reduced(0.125, 6.0), Stratum.PLUS)
+
+    def test_top_stratum_raises(self):
+        with pytest.raises(ValueError, match="top stratum"):
+            spectrum.projector_expectation(0, ModelParams.from_reduced(0.125, 6.0), Stratum.TOP)
+
     def test_fat_mathieu_tail_raises(self):
         # the solve entry points grow past a fat tail; the raw eigensystem does not
         levels = mathieu._eigensystem(200.0, 16).levels(np.arange(1))
