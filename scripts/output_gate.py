@@ -8,7 +8,7 @@ runs one fixed list of commands against that export and against the
 working tree's ``src/``: the four benchmark workloads at seeds 0 and 1 (their
 arguments from ``perfbench/workloads.py``), the determinism configs of
 ``tests/test_acceptance.py``, every command at its defaults, three
-commands that solve past 128 rows (scipy's side of the dense bound), and
+commands that solve past 128 rows (``LARGE_Q``), and
 ``scripts/make_figure_data.py`` (the working tree's script on both sides,
 so only ``src/`` differs).  Each runs as a fresh ``python -m
 plaquette_qgauge`` process under ``OPENBLAS_NUM_THREADS=1`` and ``=2``.  A
@@ -49,9 +49,9 @@ ACCEPTANCE = [
     ["geometry-verify"],
     ["verify"],
 ]
-#: commands whose eigensolves go past ``mathieu._DENSE_MAX``: scipy's partial
-#: solve in blocks of 16 levels, the first block alone, and full solves past
-#: 128 rows from the completeness doubling
+#: commands with large truncations: the partial solve past
+#: ``mathieu._FULL_MAX`` rows in blocks of 16 levels, the first block alone,
+#: and full solves past 128 rows from the completeness doubling
 LARGE_Q = [
     ["spectrum", "--nu-tilde", "1e4:1e8:40:log", "--n-max", "40"],
     ["states", "--state", "xi", "--level", "3", "--nu-tilde", "1e8"],

@@ -280,15 +280,22 @@ def canoe_tau(X, Y):
     return 0.5 * np.sqrt(Y * Y + s * s / 16.0) - s / 8.0
 
 
-def sample_semicone(rng: np.random.Generator, count: int, scale: float = 10.0) -> np.ndarray:
-    """On-variety semicone points (x, y, r) with plane coordinates in [-scale, scale]."""
+def sample_semicone(rng, count: int, scale: float = 10.0) -> np.ndarray:
+    """On-variety semicone points (x, y, r) with plane coordinates in [-scale, scale].
+
+    ``rng`` is a numpy ``Generator`` or anything with its ``uniform(low,
+    high, size)``.
+    """
     xy = rng.uniform(-scale, scale, size=(count, 2))
     r = np.hypot(xy[:, 0], xy[:, 1])
     return np.column_stack([xy, r])
 
 
-def sample_canoe(rng: np.random.Generator, count: int, scale: float = 10.0) -> np.ndarray:
-    """On-variety canoe points (X, Y, tau) with plane coordinates in [-scale, scale]."""
+def sample_canoe(rng, count: int, scale: float = 10.0) -> np.ndarray:
+    """On-variety canoe points (X, Y, tau) with plane coordinates in [-scale, scale].
+
+    ``rng`` is as for ``sample_semicone``.
+    """
     xy = rng.uniform(-scale, scale, size=(count, 2))
     return np.column_stack([xy, canoe_tau(xy[:, 0], xy[:, 1])])
 

@@ -27,35 +27,25 @@ each level's sign is continuous in q.
 
 Solve path: a request for a set of levels at q is served by one
 eigensystem, the eigendecomposition of the truncated matrix at one size,
-kept in a small LRU cache.  Each eigensolve goes through one of three
-entries, chosen by the size and by what the process has already paid:
+kept in a small LRU cache.  Every eigensolve goes through
+``eigh_tridiagonal``, which calls LAPACK's tridiagonal routines in scipy's
+wrapper extension without importing ``scipy.linalg`` (see its docstring):
 
-* up to 128 rows (``_DENSE_MAX``), the full eigendecomposition by
-  ``eigh_tridiagonal``, numpy's dense ``eigh``.  It gives the same bits as
-  scipy's tridiagonal solver (see its docstring) and needs no scipy, whose
-  import costs as much as a few hundred solves' worth of the dense path's
-  extra time.  That covers the start for levels up to 40 at q up to about
-  1.35e4 (nu_tilde about 3,400).  A process takes this entry only while
-  ``scipy.linalg`` is not loaded and its dense solves so far are cheaper
-  than that import (``_DENSE_BUDGET``); past either, scipy's entry is the
-  cheaper one, so a process loses at most about one import's time against
-  scipy alone, however many solves it makes;
-* otherwise up to 512 rows (``_FULL_MAX``), the full eigendecomposition by
-  ``scipy.linalg.eigh_tridiagonal`` (LAPACK ``dstevd``), since the dense
-  work grows with the cube of the size; that covers the start for levels
-  up to 40 at q up to about 3.7e6 (nu_tilde about 9e5);
-* above 512 rows, only the lowest levels, by scipy's bisection and inverse
+* up to 512 rows (``_FULL_MAX``), the full eigendecomposition (``dstevd``);
+  that covers the start for levels up to 40 at q up to about 3.7e6
+  (nu_tilde about 9e5);
+* above 512 rows, only the lowest levels, by bisection and inverse
   iteration, in fixed blocks of 16 levels, [0, 16), [16, 32), ..., up to
   the block that holds the highest level asked for, so memory grows with
   the levels used, not with the square of the truncation.
 
-scipy is imported by the first solve that does not take the dense entry.
 The eigensystem holds its levels as arrays: the characteristic values, and
 a read-only, C-contiguous (levels, trunc) block of unit-normalized,
 sign-anchored coefficients with their tails.  Each block of levels is
-solved, checked, normalized and anchored in one step, and appended to
-them.  The blocks are fixed by the truncation, so a level's bits depend
-on (q, trunc, n) alone: results do not depend on the order of requests.
+solved, checked, normalized and anchored in one step, written straight
+into arrays allocated at the size the request needs.  The blocks are fixed
+by the truncation, so a level's bits depend on (q, trunc, n) alone:
+results do not depend on the order of requests.
 
 ``solve`` takes one level or an integer array of levels, and one rule sets
 the truncation: it starts at ``trunc`` or, without one, at ``default_trunc``
@@ -81,9 +71,12 @@ levels (and all other parameters) at one q before the next q.
 from __future__ import annotations
 
 import math
+import os
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 
 import numpy as np
 
@@ -103,35 +96,6 @@ _MAX_DOUBLINGS = 5
 _WELL = (2.77, 0.97, 4)
 _FREE = (5, 4.8)
 _SHARED_LEVELS = 40
-#: full eigendecompositions up to this size may use numpy's dense ``eigh``
-#: (``eigh_tridiagonal``), which needs no scipy, larger ones scipy's
-#: tridiagonal ``dstevd``.  The dense work is cubic: median ms per solve,
-#: dense / scipy, at q = 1e4 from scripts/time_eigensolve.py (2-core x86,
-#: one BLAS thread):
-#:
-#:   rows     32           64           128          256          512
-#:   ms   0.117/0.127  0.566/0.362  1.904/1.018  6.913/2.506  36.11/7.032
-#:
-#: Up to 128 rows the dense path costs under 1 ms more per solve, about
-#: twice scipy's time (3x at q = 1e2, where only levels near 100 start that
-#: large).  Past it the extra grows to 29 ms per solve at 512 rows: with
-#: dense solves up to 512 rows, ``spectrum --nu-tilde 1e4:9e5:100 --n-max
-#: 40`` took 2.93 s in-process against 1.85 s, which is why scipy's full
-#: solve keeps 129 to 512 rows.  No benchmark workload solves past 113
-#: rows, so this bound is checked end to end only by such off-benchmark
-#: runs, until a workload past it exists.
-_DENSE_MAX = 128
-#: a process stops taking the dense path once its dense solves' rows**2 sum
-#: past this.  The dense extra time grows about as rows**2, 45 to 52 ns
-#: times it from 64 to 128 rows, and importing scipy.linalg after the
-#: package takes 0.24 to 0.25 s, as long as dense solves summing to 4.9e6 to
-#: 5.4e6 rows**2, about 500 solves of 100 rows (two runs of
-#: scripts/time_eigensolve.py on the host above).  A process below that sum
-#: saves part of the import; a longer one pays the dense extra up to it and
-#: then the import, once, so it loses at most about one import's time
-#: against scipy alone, where with no bound its loss would grow with every
-#: solve past the break-even
-_DENSE_BUDGET = 5_000_000
 #: truncations up to this size are diagonalized in full (an eigenvector
 #: matrix of at most 2 MB); larger ones compute only the levels asked for
 _FULL_MAX = 512
@@ -146,8 +110,9 @@ _MAX_ROWS = 2**19
 #: difference of two energies near nu_tilde / 2, keeps only about 11 digits
 _MAX_Q = 6.8e10
 
-#: rows**2 summed over the dense solves this process made
-_dense_spent = 0
+#: module name of scipy's LAPACK wrapper extension, which the first
+#: eigensolve loads
+_FLAPACK = "scipy.linalg._flapack"
 
 
 @dataclass(frozen=True)
@@ -232,47 +197,64 @@ class MathieuLevels:
         return (self._system.level(int(n)) for n in self.n)
 
 
-def eigh_tridiagonal(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=None)
+def _flapack():
+    """scipy's LAPACK wrapper extension ``linalg/_flapack``, loaded without ``scipy.linalg``.
+
+    Importing ``scipy.linalg`` costs about 0.25 s; the package alone (which
+    on Windows wheels also puts ``scipy.libs`` on the DLL search path) and
+    then the extension, found in the package's ``linalg`` directory, about
+    15 ms.  A process that has imported ``scipy.linalg`` already holds the
+    extension, and that module is reused.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is None:
+        import scipy
+
+        linalg = os.path.join(scipy.__path__[0], "linalg")
+        spec = FileFinder(linalg, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(_FLAPACK)
+        module = module_from_spec(spec)
+        spec.loader.exec_module(module)
+        # loading enters it in sys.modules without its package; taken out
+        # again, a later import of scipy.linalg binds it there as usual
+        sys.modules.pop(_FLAPACK, None)
+    return module
+
+
+def eigh_tridiagonal(d: np.ndarray, e: np.ndarray, select_range=None) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors (columns) of a symmetric tridiagonal matrix.
 
-    ``d`` is the diagonal and ``e`` the off-diagonal.  The matrix is built
-    dense and handed to numpy's ``eigh`` (LAPACK ``dsyevd``).  Its
-    Householder reduction of an input that is already tridiagonal makes
-    zero reflectors, so the divide and conquer runs on the same (d, e) as
-    scipy's ``eigh_tridiagonal`` (``dstevd``), and the results agree bit
-    for bit up to the sign of each column.  The dense work is cubic, so
-    ``_Eigensystem`` takes this path up to ``_DENSE_MAX`` rows only, and
-    only as ``_dense_path`` allows.
+    ``d`` is the float64 diagonal and ``e`` the off-diagonal.  Without
+    ``select_range`` it solves all levels with LAPACK ``dstevd``; with
+    ``(lo, hi)`` only levels lo..hi, by bisection (``dstebz``, whose tiny
+    tolerance makes it converge to relative, not eps * |T|, accuracy, so the
+    low levels stay exact at an oversize truncation) and inverse iteration
+    (``dstein``).  These are the calls ``scipy.linalg.eigh_tridiagonal``
+    makes, without and with ``select="i", tol=tiny``, down to its quick
+    exit for one row, so the results are its bits.  A nonzero LAPACK
+    ``info`` raises ``ConvergenceError``.
 
     The name and the positional (d, e) follow scipy's function on purpose:
-    the benchmark's tracer (perfbench/tracer.py) counts scipy's solver under
-    the key ``mathieu.eigh_tridiagonal``, and wrapping this public function
-    under its own name puts it on that same key, so every eigensolve is
-    counted once whichever entry makes it.  The key's time therefore sums
-    two algorithms.
+    the benchmark's tracer (perfbench/tracer.py) counts both under the key
+    ``mathieu.eigh_tridiagonal`` and reads the size and q from (d, e), so
+    every eigensolve, full or block, is counted once.
     """
-    n = len(d)
-    matrix = np.zeros((n, n))
-    matrix.flat[:: n + 1] = d
-    # the sub-diagonal, the triangle eigh reads by default
-    matrix.flat[n :: n + 1] = e
-    return np.linalg.eigh(matrix)
-
-
-def _dense_path(trunc: int) -> bool:
-    """Whether a full solve of ``trunc`` rows goes through ``eigh_tridiagonal``.
-
-    Only up to ``_DENSE_MAX`` rows, and only while the process has not
-    loaded scipy.linalg, whose tridiagonal solver is then the cheaper one,
-    and its dense solves so far stay within ``_DENSE_BUDGET``.  A solve that
-    takes the dense path is charged to the budget.  Either entry gives the
-    same bits, so the path does not change results.
-    """
-    global _dense_spent
-    if trunc > _DENSE_MAX or _dense_spent >= _DENSE_BUDGET or "scipy.linalg" in sys.modules:
-        return False
-    _dense_spent += trunc * trunc
-    return True
+    if len(d) == 1:
+        return np.array([d[0]]), np.array([[1.0]])
+    lapack = _flapack()
+    if select_range is None:
+        w, v, info = lapack.dstevd(d, e, compute_v=1)
+    else:
+        lo, hi = select_range
+        tiny = np.finfo(float).tiny
+        m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, lo + 1, hi + 1, tiny, "B")
+        if not info:
+            v, info = lapack.dstein(d, e, w[:m], iblock, isplit)
+            order = np.argsort(w[:m])
+            w, v = w[order], v[:, order]
+    if info:
+        raise ConvergenceError(f"LAPACK tridiagonal eigensolve failed: info={info} ({len(d)} rows)")
+    return w, v
 
 
 def default_trunc(n: int, q: float) -> int:
@@ -302,17 +284,16 @@ def default_trunc(n: int, q: float) -> int:
 class _Eigensystem:
     """The lowest levels at (q, trunc), solved one fixed block of levels at a time.
 
-    A truncation up to ``_FULL_MAX`` is one block, diagonalized in full, by
-    ``eigh_tridiagonal`` where ``_dense_path`` allows it and by scipy
-    otherwise.  A larger one is solved in blocks of ``_LEVEL_BLOCK`` levels,
-    [0, 16), [16, 32), ..., one scipy bisection call each, so memory stays
-    O(trunc * levels used).  ``fill`` adds the blocks up to a requested
-    level; each block is solved, its residuals checked, its rows normalized
-    and sign-anchored (see the module docstring) and appended to the
-    read-only ``values``, ``block`` and ``tails`` in one step.  A level's
-    bits therefore depend on (q, trunc, n) alone, not on the order of
-    requests.  ``level(n)`` memoizes a ``MathieuSolution`` on row n, so
-    repeated requests return the same object.
+    A truncation up to ``_FULL_MAX`` is one block, diagonalized in full.  A
+    larger one is solved in blocks of ``_LEVEL_BLOCK`` levels, [0, 16),
+    [16, 32), ..., one bisection call each, so memory stays O(trunc * levels
+    used).  Every block is one ``eigh_tridiagonal`` call.  ``fill`` adds the
+    blocks up to a requested level; each block is solved, its residuals
+    checked, and its rows normalized and sign-anchored (see the module
+    docstring) in one step.  A level's bits therefore depend on (q, trunc,
+    n) alone, not on the order of requests.  ``level(n)`` memoizes a
+    ``MathieuSolution`` on row n, so repeated requests return the same
+    object.
     """
 
     def __init__(self, q: float, trunc: int):
@@ -328,33 +309,37 @@ class _Eigensystem:
         self._levels: dict[int, MathieuSolution] = {}
 
     def fill(self, count: int) -> None:
-        """Extend ``values``, ``block`` and ``tails`` to at least the lowest ``count`` levels."""
-        while len(self.values) < count:
-            self._add_block()
+        """Extend ``values``, ``block`` and ``tails`` to at least the lowest ``count`` levels.
 
-    def _add_block(self) -> None:
-        """Solve and check the next block, normalize and anchor its rows, and append them."""
+        The new blocks are written into arrays allocated once at their new
+        size, which then replace the read-only ``values``, ``block`` and
+        ``tails``; the levels already held are copied once per fill, not
+        once per block.
+        """
+        start, trunc = len(self.values), len(self.diag)
+        if start >= count:
+            return
+        width = trunc if trunc <= _FULL_MAX else _LEVEL_BLOCK
+        stop = min(-(-count // width) * width, trunc)
+        values, block = np.empty(stop), np.empty((stop, trunc))
+        values[:start], block[:start] = self.values, self.block
+        for lo in range(start, stop, width):
+            values[lo : lo + width] = self._solve_block(lo, block[lo : lo + width])
+        tails = np.abs(block[:, -1])
+        for array in (values, block, tails):
+            array.flags.writeable = False
+        self.values, self.block, self.tails = values, block, tails
+
+    def _solve_block(self, start: int, rows: np.ndarray) -> np.ndarray:
+        """Solve and check the levels from ``start`` on, one per row of ``rows``.
+
+        Writes them, normalized and anchored, to ``rows``, and returns their
+        characteristic values.
+        """
         d, q = self.diag, self.q
-        trunc, start = len(d), len(self.values)
-        stop = trunc if trunc <= _FULL_MAX else min(start + _LEVEL_BLOCK, trunc)
-        full = stop - start == trunc
+        trunc, stop = len(d), start + len(rows)
         off = np.full(trunc - 1, q)
-        if full and _dense_path(trunc):
-            w, v = eigh_tridiagonal(d, off)
-        else:
-            # imported here, not at module level: it is most of the package's
-            # import time, and only an eigensolve off the dense path needs it
-            import scipy.linalg
-
-            if full:
-                w, v = scipy.linalg.eigh_tridiagonal(d, off)
-            else:
-                # a tiny tol makes bisection converge to relative, not
-                # eps * |T|, accuracy: the low levels stay exact at an
-                # oversize truncation
-                w, v = scipy.linalg.eigh_tridiagonal(
-                    d, off, select="i", select_range=(start, stop - 1), tol=np.finfo(float).tiny
-                )
+        w, v = eigh_tridiagonal(d, off, None if stop - start == trunc else (start, stop - 1))
         tv = d[:, None] * v
         tv[1:] += q * v[:-1]
         tv[:-1] += q * v[1:]
@@ -366,10 +351,7 @@ class _Eigensystem:
                 f"tridiagonal eigensolve residual {residual:.3e} exceeds "
                 f"{_RESIDUAL_RTOL:.0e} * {scale:.3e} (q={q}, trunc={trunc})"
             )
-        # scipy returns LAPACK's Fortran order, so its transpose is
-        # C-contiguous already; numpy's eigh returns C order, so the dense
-        # path copies once, at most _DENSE_MAX**2 doubles (128 kB)
-        rows = np.ascontiguousarray(v.T)
+        rows[...] = v.T
         # the anchor's sign does not depend on the row's positive scale, and
         # an elementwise sum, unlike a BLAS product, not on the thread count
         flip = self._alternating[start:stop] * np.sum(rows * self._wall_slope, axis=1) < 0
@@ -378,12 +360,7 @@ class _Eigensystem:
         # quotient exactly
         norms = np.sqrt(np.sum(rows * rows, axis=1))
         rows /= np.where(flip, -norms, norms)[:, None]
-        if start:
-            w, rows = np.concatenate([self.values, w]), np.concatenate([self.block, rows])
-        tails = np.abs(rows[:, -1])
-        for array in (w, rows, tails):
-            array.flags.writeable = False
-        self.values, self.block, self.tails = w, rows, tails
+        return w
 
     def level(self, n: int) -> MathieuSolution:
         sol = self._levels.get(n)

@@ -76,20 +76,28 @@ class TestTunneling:
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
 
     def test_start_path_does_not_load_scipy(self, tmp_path):
-        # scipy.linalg is most of the import time, and only an eigensolve
-        # past mathieu._DENSE_MAX rows or past the dense budget needs it:
-        # the defaults stay within both
+        # importing the CLI loads nothing of scipy, and a command with no
+        # eigensolve neither; a Mathieu eigensolve loads scipy's LAPACK
+        # extension alone, so no command imports scipy.linalg, most of
+        # scipy's import time, whether its solves are full or in blocks
         code = (
             "import sys\n"
             "import plaquette_qgauge.cli as cli\n"
-            "assert 'scipy' not in sys.modules, 'loaded by import'\n"
-            "for argv in (['tunneling'], ['spectrum'], ['projector-expectations'], ['verify'],\n"
-            "             ['states', '--state', 'xi', '--level', '3', '--nu-tilde', '6']):\n"
+            "def run(argv):\n"
             "    assert cli.main([*argv, '--out', sys.argv[1]]) == 0, argv\n"
+            "assert 'scipy' not in sys.modules, 'loaded by import'\n"
+            "for argv in (['tunneling'], ['decomp', '--s', '3', '--k', '6'], ['geometry-verify'],\n"
+            "             ['states', '--state', 'psi-plus'], ['states', '--state', 'psi-minus']):\n"
+            "    run(argv)\n"
             "    assert 'scipy' not in sys.modules, f'loaded by {argv}'\n"
-            "argv = ['spectrum', '--nu-tilde', '1e5', '--n-max', '40', '--out', sys.argv[1]]\n"
-            "assert cli.main(argv) == 0\n"
-            "assert 'scipy' in sys.modules, 'not loaded past _DENSE_MAX rows'\n"
+            "for argv in (['spectrum'], ['projector-expectations'], ['verify'],\n"
+            "             ['states', '--state', 'xi', '--level', '3', '--nu-tilde', '6'],\n"
+            "             ['spectrum', '--nu-tilde', '1e5', '--n-max', '40'],\n"
+            "             ['states', '--state', 'xi', '--level', '3', '--nu-tilde', '1e8']):\n"
+            "    run(argv)\n"
+            "    assert 'scipy.linalg' not in sys.modules, f'scipy.linalg loaded by {argv}'\n"
+            "from plaquette_qgauge import mathieu\n"
+            "assert mathieu._flapack.cache_info().currsize == 1, 'no command loaded LAPACK'\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", code, str(tmp_path / "t.csv")],

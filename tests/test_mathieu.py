@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -142,41 +143,71 @@ class TestSolve:
             spectrum.energy(n, params)
         assert len(eigensolves) == 1
 
-    def test_dense_path_takes_small_solves_until_scipy_or_the_budget(self, monkeypatch):
-        # the rule alone; scipy.linalg is taken out of sys.modules for the
-        # duration, and _dense_path imports nothing
-        monkeypatch.delitem(sys.modules, "scipy.linalg")
-        monkeypatch.setattr(mathieu, "_dense_spent", 0)
-        assert not mathieu._dense_path(mathieu._DENSE_MAX + 1)
-        assert mathieu._dense_spent == 0
-        assert mathieu._dense_path(mathieu._DENSE_MAX)
-        assert mathieu._dense_spent == mathieu._DENSE_MAX**2
-        monkeypatch.setattr(mathieu, "_dense_spent", mathieu._DENSE_BUDGET)
-        assert not mathieu._dense_path(64)
-        monkeypatch.setattr(mathieu, "_dense_spent", 0)
-        monkeypatch.setitem(sys.modules, "scipy.linalg", scipy.linalg)
-        assert not mathieu._dense_path(64)
-        assert mathieu._dense_spent == 0
+    @pytest.mark.parametrize("rows", [1, 2, 60, 128, 129, 512])
+    def test_full_solve_is_scipys_bits(self, rows):
+        # dstevd, as scipy.linalg.eigh_tridiagonal calls it, and its quick
+        # exit for one row
+        k = np.arange(rows)
+        d, e = (2.0 * k + 2.0) ** 2, np.full(rows - 1, 300.0)
+        w, v = mathieu.eigh_tridiagonal(d, e)
+        expected_w, expected_v = scipy.linalg.eigh_tridiagonal(d, e)
+        assert w.tobytes() == expected_w.tobytes() and v.tobytes() == expected_v.tobytes()
+        assert v.shape == expected_v.shape == (rows, rows)
 
-    def test_a_long_sweep_loads_scipy_once_past_the_dense_budget(self):
-        # distinct q, so every solve is a new 100-row eigensystem; the
-        # default start at these q is 99 rows, so none grows past the bound
+    @pytest.mark.parametrize("rows, q", [(600, 200.0), (1631, 4e8)])
+    def test_block_solve_is_scipys_bits(self, rows, q):
+        # dstebz with a tiny tolerance, dstein and the reorder, as scipy's
+        # select="i" calls them; the last block of 600 rows holds 8 levels
+        k = np.arange(rows)
+        d, e = (2.0 * k + 2.0) ** 2, np.full(rows - 1, q)
+        for lo, hi in ((0, 15), (16, 31), (rows - 8, rows - 1)):
+            w, v = mathieu.eigh_tridiagonal(d, e, (lo, hi))
+            expected_w, expected_v = scipy.linalg.eigh_tridiagonal(
+                d, e, select="i", select_range=(lo, hi), tol=np.finfo(float).tiny
+            )
+            assert w.tobytes() == expected_w.tobytes()
+            assert v.shape == expected_v.shape == (rows, hi - lo + 1)
+            assert v.tobytes() == expected_v.tobytes()
+
+    def test_lapack_failure_raises_convergence_error(self, monkeypatch, capsys):
+        from plaquette_qgauge import cli
+
+        failing = types.SimpleNamespace(dstevd=lambda d, e, compute_v: (d, np.eye(len(d)), 3))
+        monkeypatch.setattr(mathieu, "_flapack", lambda: failing)
+        with pytest.raises(mathieu.ConvergenceError, match="info=3"):
+            mathieu.eigh_tridiagonal(np.arange(4.0), np.ones(3))
+        # a q no other test solves, so the eigensystem is not cached
+        assert cli.main(["spectrum", "--nu-tilde", "1234.5625", "--n-max", "2"]) == 3
+        assert "eigensolve failed: info=3" in capsys.readouterr().err
+
+    def test_scipy_linalg_import_before_or_after_the_first_solve_gives_the_same_bytes(self):
+        # without scipy.linalg the extension is loaded on its own, and a
+        # later import of scipy.linalg still binds it on its package
         package_root = os.path.dirname(os.path.dirname(mathieu.__file__))
-        code = (
-            "import sys\n"
-            "from plaquette_qgauge import mathieu\n"
-            "solves = -(-mathieu._DENSE_BUDGET // 100**2)\n"
-            "for i in range(solves):\n"
-            "    assert mathieu.solve(40, 4000.0 + i, trunc=100).trunc == 100\n"
-            "assert 'scipy' not in sys.modules, 'loaded within the budget'\n"
-            "mathieu.solve(40, 4000.0 + solves, trunc=100)\n"
-            "assert 'scipy.linalg' in sys.modules, 'not loaded past the budget'\n"
+        solve = (
+            "full = mathieu.solve(np.arange(41), 1e4)\n"
+            "block = mathieu.solve(np.arange(40), 4e8)\n"
+            "assert full.trunc <= mathieu._FULL_MAX < block.trunc\n"
         )
-        env = {**os.environ, "PYTHONPATH": package_root, "OPENBLAS_NUM_THREADS": "1"}
-        result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        write = (
+            "sys.stdout.buffer.write(b''.join(\n"
+            "    a.tobytes() for a in (full.b, full.coeffs, block.b, block.coeffs)))\n"
         )
-        assert result.returncode == 0, result.stderr
+        after = (
+            "assert 'scipy.linalg' not in sys.modules, 'loaded by a solve'\n"
+            "import scipy.linalg\n"
+            "assert scipy.linalg._flapack.dstevd is mathieu._flapack().dstevd\n"
+        )
+        preamble = "import sys, numpy as np\nfrom plaquette_qgauge import mathieu\n"
+        outputs = []
+        for code in ("import scipy.linalg\n" + solve, solve + after):
+            env = {**os.environ, "PYTHONPATH": package_root, "OPENBLAS_NUM_THREADS": "1"}
+            result = subprocess.run(
+                [sys.executable, "-c", preamble + code + write], capture_output=True, env=env
+            )
+            assert result.returncode == 0, result.stderr
+            outputs.append(result.stdout)
+        assert len(outputs[0]) > 0 and outputs[0] == outputs[1]
 
     def test_partial_eigensystem_matches_full(self):
         # trunc = 600 computes only the lowest levels, grown past the first
@@ -192,14 +223,14 @@ class TestSolve:
         # default_trunc at q = 4e8 is 1631 rows, past _FULL_MAX; a full
         # eigendecomposition would hold a 21 MB eigenvector matrix
         columns = []
-        original = scipy.linalg.eigh_tridiagonal
+        original = mathieu.eigh_tridiagonal
 
-        def recording(*args, **kwargs):
-            w, v = original(*args, **kwargs)
+        def recording(*args):
+            w, v = original(*args)
             columns.append(v.shape[1])
             return w, v
 
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", recording)
+        monkeypatch.setattr(mathieu, "eigh_tridiagonal", recording)
         mathieu._eigensystem.cache_clear()
         q = 4e8
         tracemalloc.start()
@@ -303,12 +334,11 @@ class TestLevelBlock:
         assert all(a is b for a, b in zip(many, ranged))
         assert np.array_equal(many.coeffs, ranged.coeffs)
 
-    @pytest.mark.parametrize("trunc", [60, mathieu._DENSE_MAX, mathieu._DENSE_MAX + 1])
-    def test_block_rows_are_scaled_like_lone_vectors(self, trunc, dense_path):
+    @pytest.mark.parametrize("trunc", [60, 128, 129])
+    def test_block_rows_are_scaled_like_lone_vectors(self, trunc):
         # each row is the raw eigenvector over the square root of its
         # elementwise sum of squares, then sign-anchored, bit for bit as one
-        # column of scipy's dstevd on its own would be, on either side of
-        # the dense path's bound
+        # column of scipy's dstevd on its own would be
         q, count = 300.0, 30
         levels = mathieu.solve(np.arange(count), q, trunc=trunc)
         assert levels.trunc == trunc
@@ -324,14 +354,14 @@ class TestLevelBlock:
             assert np.array_equal(levels.coeffs[n], vec)
 
     @pytest.mark.parametrize(
-        "count, q, trunc", [(4, 4e6, 12000), (41, 1e4, mathieu._DENSE_MAX)]
+        "count, q, trunc", [(4, 4e6, 12000), (41, 1e4, 128)]
     )
     def test_block_does_not_depend_on_blas_threads(self, count, q, trunc):
         # OpenBLAS splits a dot product of over 10,000 elements across
         # threads, which changes its rounding; the row norms are elementwise
         # sums, so 12,000-row blocks come out the same at 1 and 2 threads.
-        # On the dense path, dsyevd's divide and conquer merges with dgemm
-        # above 25 rows, and its bytes must not depend on the threads either
+        # dstevd's divide and conquer merges with dgemm above 25 rows, and
+        # its bytes must not depend on the threads either
         package_root = os.path.dirname(os.path.dirname(mathieu.__file__))
         code = (
             "import sys, numpy as np\n"
