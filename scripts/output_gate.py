@@ -8,7 +8,8 @@ runs one fixed list of commands against that export and against the
 working tree's ``src/``: the four benchmark workloads at seeds 0 and 1 (their
 arguments from ``perfbench/workloads.py``), the determinism configs of
 ``tests/test_acceptance.py``, every command at its defaults, three
-commands that solve past 128 rows (``LARGE_Q``), and
+commands that solve past 128 rows (``LARGE_Q``), a projector sweep at t
+that are not powers of two (``Q_PER_NU_TILDE``), and
 ``scripts/make_figure_data.py`` (the working tree's script on both sides,
 so only ``src/`` differs).  Each runs as a fresh ``python -m
 plaquette_qgauge`` process under ``OPENBLAS_NUM_THREADS=1`` and ``=2``.  A
@@ -56,6 +57,12 @@ LARGE_Q = [
     ["spectrum", "--nu-tilde", "1e4:1e8:40:log", "--n-max", "40"],
     ["states", "--state", "xi", "--level", "3", "--nu-tilde", "1e8"],
     ["projector-expectations", "--hbar-beta2", "2", "--nu-tilde", "3000,10000"],
+]
+#: a projector sweep at t that are not powers of two: there q = 4 nu_tilde
+#: read from each (t, nu_tilde) parameter set would differ between the t by
+#: an ulp, so this shows whether q depends on t
+Q_PER_NU_TILDE = [
+    ["projector-expectations", "--hbar-beta2", "0.1,0.3,0.7", "--nu-tilde", "0.1:100:30:log"],
 ]
 DEFAULTS = [
     ["tunneling"],
@@ -161,6 +168,7 @@ def main() -> int:
             *([part.format(config=config) for part in argv] for argv in ACCEPTANCE),
             *DEFAULTS,
             *LARGE_Q,
+            *Q_PER_NU_TILDE,
         ]
         failures, compared = [], 0
         for threads in THREADS:

@@ -426,16 +426,10 @@ def cmd_projector_expectations(args, settings) -> int:
     n_max = settings.get("n_max", 6)
     if n_max < 1:
         raise UsageError("n_max must be >= 1")
-    # nu_tilde-major, so every t at one q reuses that q's cached eigensystem;
-    # the rows are still written t-major
-    results = {}
-    for nut in nut_axis.values:
-        for t in t_axis.values:
-            params = ModelParams.from_reduced(t, nut)
-            results[(t, nut)] = spectrum.projector_expectations(params, n_max)
-    plus, minus, completeness = zip(
-        *(results[(t, nut)] for t in t_axis.values for nut in nut_axis.values)
-    )
+    # one call per nu_tilde serves every t from that q's eigensystem
+    results = [spectrum.projector_expectations(t_axis.values, nut, n_max) for nut in nut_axis.values]
+    # stacked on axis 1 into the (t, nu_tilde, n) order of the rows
+    plus, minus, completeness = (np.stack(arrays, axis=1) for arrays in zip(*results))
     plot = Plot(
         "nu_tilde", "P_plus", ("n", "hbar_beta2"), "P+ n={} t={:g}", "log10 nu_tilde", "P_plus",
         logx=True,
@@ -443,9 +437,9 @@ def cmd_projector_expectations(args, settings) -> int:
     config = {"hbar_beta2": t_axis, "nu_tilde": nut_axis, "n_max": n_max}
     axes = {"hbar_beta2": t_axis, "nu_tilde": nut_axis, "n": Axis(range(n_max))}
     data = {
-        "P_plus": np.concatenate(plus),
-        "P_minus": np.concatenate(minus),
-        "sum_P_plus": np.repeat(completeness, n_max),
+        "P_plus": plus.ravel(),
+        "P_minus": minus.ravel(),
+        "sum_P_plus": np.repeat(completeness.ravel(), n_max),
     }
     return emit(settings, "projector-expectations", config, axes, data, plot)
 

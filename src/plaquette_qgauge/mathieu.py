@@ -76,7 +76,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
-from importlib.util import module_from_spec
+from importlib.util import find_spec, module_from_spec
 
 import numpy as np
 
@@ -201,17 +201,23 @@ class MathieuLevels:
 def _flapack():
     """scipy's LAPACK wrapper extension ``linalg/_flapack``, loaded without ``scipy.linalg``.
 
-    Importing ``scipy.linalg`` costs about 0.25 s; the package alone (which
-    on Windows wheels also puts ``scipy.libs`` on the DLL search path) and
-    then the extension, found in the package's ``linalg`` directory, about
-    15 ms.  A process that has imported ``scipy.linalg`` already holds the
-    extension, and that module is reused.
+    Importing ``scipy.linalg`` costs about 0.25 s.  The extension is found
+    in the ``linalg`` directory of the installed package and loaded on its
+    own, about 5 ms.  On POSIX the package's directory comes from its import
+    spec, so ``scipy/__init__`` does not run; on Windows the package is
+    imported, because its ``__init__`` puts ``scipy.libs`` on the DLL search
+    path that the extension needs.  A process that has imported
+    ``scipy.linalg`` already holds the extension, and that module is reused.
     """
     module = sys.modules.get(_FLAPACK)
     if module is None:
-        import scipy
+        if os.name == "nt":
+            import scipy
 
-        linalg = os.path.join(scipy.__path__[0], "linalg")
+            root = scipy.__path__[0]
+        else:
+            root = find_spec("scipy").submodule_search_locations[0]
+        linalg = os.path.join(root, "linalg")
         spec = FileFinder(linalg, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(_FLAPACK)
         module = module_from_spec(spec)
         spec.loader.exec_module(module)

@@ -27,14 +27,17 @@ the Mathieu Fourier coefficient.
 Both sweeps read one Mathieu eigensystem per q.  ``energy`` takes one level
 or an integer array of levels, and an array is served by one eigensolve, so
 a spectrum sweep costs one eigensolve per nu_tilde.  Projector expectations
-are squared overlaps of eigenstates with the two vertex states, and one
-batched helper computes them for a block of levels: the vertex weights and
-the tail checks once per call, the normalization N once per distinct t in a
-process (``_normalization``), then both strata's overlaps as row sums over
-the eigensystem's (levels, trunc) coefficient block, read in place.  So a
-grid point of ``projector_expectations`` costs one array pass, a sweep one
+are squared overlaps of eigenstates with the two vertex states.
+``projector_expectations`` serves every t of a sweep at one nu_tilde in one
+call, at q = 4 nu_tilde taken as ``ModelParams.from_reduced(1.0, nu_tilde)``
+gives it, so q does not depend on t.  The t that share a truncation read
+one eigensystem, and each t's overlaps are row sums over that eigensystem's
+(levels, trunc) coefficient block, read in place, with the vertex weights
+and the tail checks built once per t and the normalization N once per
+distinct t in a process (``_normalization``).  So a projector sweep whose
+t share a truncation costs one eigensolve per nu_tilde and one
 normalization per t, and each batched value is bit-identical to the
-per-level formula at the same truncation.
+per-level formula at the same q and truncation.
 """
 
 from __future__ import annotations
@@ -112,11 +115,8 @@ def energy(n, params: ModelParams):
     return _energy_from_b(mathieu.solve(n, 4.0 * params.nu_tilde).b, params)
 
 
-def _state_trunc(n: int, params: ModelParams) -> int:
-    return max(
-        mathieu.default_trunc(n, 4.0 * params.nu_tilde),
-        costratified.default_trunc(params.t),
-    )
+def _state_trunc(n: int, q: float, t: float) -> int:
+    return max(mathieu.default_trunc(n, q), costratified.default_trunc(t))
 
 
 def _signed_coeffs(sol: mathieu.MathieuSolution) -> np.ndarray:
@@ -131,7 +131,7 @@ def eigenstate(n: int, params: ModelParams, trunc: int | None = None) -> Spectra
     nu_tilde = 0 the result is exactly the n-th basis vector.
     """
     if trunc is None:
-        trunc = _state_trunc(n, params)
+        trunc = _state_trunc(n, 4.0 * params.nu_tilde, params.t)
     sol = mathieu.solve(n, 4.0 * params.nu_tilde, trunc=trunc)
     state = StateVector(_signed_coeffs(sol), params)
     return SpectralResult(n=n, energy=_energy_from_b(sol.b, params), state=state, params=params)
@@ -160,10 +160,8 @@ def _normalization(t: float) -> float:
     return costratified.normalization_constant(t)
 
 
-def _vertex_overlaps(
-    levels: mathieu.MathieuLevels, params: ModelParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Overlaps of the eigenstate ``levels`` with the plus and minus vertex states.
+def _vertex_overlaps(levels: mathieu.MathieuLevels, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Overlaps of the eigenstate ``levels`` with the plus and minus vertex states at t.
 
     Level n's overlap with a stratum's vertex state is
     ((-1)^n / N) * sum_k (-1)^k v_k c_k, with v the stratum's vertex weights
@@ -174,7 +172,6 @@ def _vertex_overlaps(
     1-D sum over that level alone, so results do not depend on the batch; a
     matrix product would change that order.
     """
-    t = params.t
     alternating = (-1.0) ** np.arange(levels.trunc)
     plus = vertex_weights(Stratum.PLUS, t, levels.trunc) * alternating
     minus = vertex_weights(Stratum.MINUS, t, levels.trunc) * alternating
@@ -193,40 +190,71 @@ def _vertex_overlaps(
 def projector_expectation(n: int, params: ModelParams, stratum: Stratum) -> float:
     """Probability of finding energy level n in the given vertex subspace.
 
-    Level n of ``projector_expectations(params, n + 1)``, read at that
-    batch's truncation, so the value is the batch's bit for bit and one call
-    costs one batch of at least 60 levels.
+    Level n of a batch of ``n + 1`` levels at ``params``' own t and
+    q = 4 nu_tilde, read at that batch's truncation, so the value is the
+    batch's bit for bit and one call costs one batch of at least 60 levels.
     """
     sign = stratum.sign  # rejects Stratum.TOP; n < 0 is a count below 1
-    plus, minus, _ = projector_expectations(params, n + 1)
-    return float((plus if sign > 0 else minus)[n])
+    plus, minus, _ = _projector_batch((params.t,), 4.0 * params.nu_tilde, n + 1)
+    return float((plus if sign > 0 else minus)[0, n])
 
 
-def projector_expectations(params: ModelParams, count: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Plus/minus projector expectations for levels 0..count-1 plus a completeness sum.
+def projector_expectations(
+    t_values, nu_tilde: float, count: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Plus/minus projector expectations of levels 0..count-1 at every t, plus completeness sums.
+
+    Returns ``(T, count)`` arrays of the plus and minus expectations, row i
+    for ``t_values[i]``, and the ``(T,)`` completeness sums.  q is
+    4 nu_tilde as ``ModelParams.from_reduced(1.0, nu_tilde)`` gives it, the
+    value ``spectrum`` solves at, so it does not depend on t.
 
     The completeness diagnostic sums the plus expectations over the first
     ``_COMPLETENESS_START`` (60) levels; it approaches 1 because the
     eigenstates are a complete orthonormal family and the vertex state has
     unit norm.  At strong coupling the vertex state spreads over more
-    levels, so the count doubles until the sum reaches 1 - 1e-6; past
+    levels, so each t's count doubles until its sum reaches 1 - 1e-6; past
     ``_COMPLETENESS_MAX`` levels a ``TruncationError`` is raised.
+    """
+    t_values = [float(t) for t in t_values]
+    for t in t_values:
+        if not t > 0:
+            raise ValueError(f"hbar_beta2 must be positive, got {t}")
+    q = 4.0 * ModelParams.from_reduced(1.0, nu_tilde).nu_tilde
+    return _projector_batch(t_values, q, count)
+
+
+def _projector_batch(t_values, q: float, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``projector_expectations`` at every t of ``t_values`` and at q.
+
+    Each t runs its own completeness ladder at its own truncation
+    (``_state_trunc``), with its own checks; the t that share a truncation
+    on a rung read one ``mathieu.solve_many`` result, so a call makes one
+    eigensolve per distinct truncation, not one per t.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    completeness_count = _COMPLETENESS_START
-    while True:
-        total = max(count, completeness_count)
-        trunc = _state_trunc(total - 1, params)
-        levels = mathieu.solve_many(total, 4.0 * params.nu_tilde, trunc=trunc)
-        plus, minus = _vertex_overlaps(levels, params)
-        plus, minus = plus**2, minus**2
-        completeness = float(np.sum(plus[:completeness_count]))
-        if completeness >= 1.0 - _COMPLETENESS_TOL:
-            return plus[:count], minus[:count], completeness
-        if completeness_count >= _COMPLETENESS_MAX:
-            raise TruncationError(
-                f"projector completeness {completeness!r} below 1 - {_COMPLETENESS_TOL} "
-                f"with {completeness_count} levels (t={params.t}, nu_tilde={params.nu_tilde})"
-            )
-        completeness_count = min(2 * completeness_count, _COMPLETENESS_MAX)
+    plus_rows, minus_rows = np.empty((2, len(t_values), count))
+    completeness_sums = np.empty(len(t_values))
+    solved: dict[tuple[int, int], mathieu.MathieuLevels] = {}
+    for i, t in enumerate(t_values):
+        completeness_count = _COMPLETENESS_START
+        while True:
+            total = max(count, completeness_count)
+            trunc = _state_trunc(total - 1, q, t)
+            levels = solved.get((total, trunc))
+            if levels is None:
+                levels = solved[total, trunc] = mathieu.solve_many(total, q, trunc=trunc)
+            plus, minus = _vertex_overlaps(levels, t)
+            plus, minus = plus**2, minus**2
+            completeness = float(np.sum(plus[:completeness_count]))
+            if completeness >= 1.0 - _COMPLETENESS_TOL:
+                break
+            if completeness_count >= _COMPLETENESS_MAX:
+                raise TruncationError(
+                    f"projector completeness {completeness!r} below 1 - {_COMPLETENESS_TOL} "
+                    f"with {completeness_count} levels (t={t}, nu_tilde={q / 4.0})"
+                )
+            completeness_count = min(2 * completeness_count, _COMPLETENESS_MAX)
+        plus_rows[i], minus_rows[i], completeness_sums[i] = plus[:count], minus[:count], completeness
+    return plus_rows, minus_rows, completeness_sums

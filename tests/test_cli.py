@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import plaquette_qgauge
-from plaquette_qgauge import Stratum, cli, costratified, spectrum
+from plaquette_qgauge import ModelParams, Stratum, cli, costratified, mathieu, spectrum
 
 from oracles import dense_projectors
 
@@ -78,24 +78,31 @@ class TestTunneling:
     def test_start_path_does_not_load_scipy(self, tmp_path):
         # importing the CLI loads nothing of scipy, and a command with no
         # eigensolve neither; a Mathieu eigensolve loads scipy's LAPACK
-        # extension alone, so no command imports scipy.linalg, most of
-        # scipy's import time, whether its solves are full or in blocks
+        # extension alone, whether its solves are full or in blocks.  On
+        # POSIX that leaves no scipy module at all in sys.modules, not even
+        # the package; on Windows the package is imported for its DLL path,
+        # but never scipy.linalg, most of scipy's import time
         code = (
-            "import sys\n"
+            "import os, sys\n"
             "import plaquette_qgauge.cli as cli\n"
             "def run(argv):\n"
             "    assert cli.main([*argv, '--out', sys.argv[1]]) == 0, argv\n"
-            "assert 'scipy' not in sys.modules, 'loaded by import'\n"
+            "def scipy_modules():\n"
+            "    return [name for name in sys.modules if name.split('.')[0] == 'scipy']\n"
+            "assert not scipy_modules(), 'loaded by import'\n"
             "for argv in (['tunneling'], ['decomp', '--s', '3', '--k', '6'], ['geometry-verify'],\n"
             "             ['states', '--state', 'psi-plus'], ['states', '--state', 'psi-minus']):\n"
             "    run(argv)\n"
-            "    assert 'scipy' not in sys.modules, f'loaded by {argv}'\n"
+            "    assert not scipy_modules(), f'{scipy_modules()} loaded by {argv}'\n"
             "for argv in (['spectrum'], ['projector-expectations'], ['verify'],\n"
             "             ['states', '--state', 'xi', '--level', '3', '--nu-tilde', '6'],\n"
             "             ['spectrum', '--nu-tilde', '1e5', '--n-max', '40'],\n"
             "             ['states', '--state', 'xi', '--level', '3', '--nu-tilde', '1e8']):\n"
             "    run(argv)\n"
-            "    assert 'scipy.linalg' not in sys.modules, f'scipy.linalg loaded by {argv}'\n"
+            "    if os.name == 'nt':\n"
+            "        assert 'scipy.linalg' not in sys.modules, f'scipy.linalg loaded by {argv}'\n"
+            "    else:\n"
+            "        assert not scipy_modules(), f'{scipy_modules()} loaded by {argv}'\n"
             "from plaquette_qgauge import mathieu\n"
             "assert mathieu._flapack.cache_info().currsize == 1, 'no command loaded LAPACK'\n"
         )
@@ -303,6 +310,16 @@ class TestProjectorExpectations:
                 assert abs(p_plus - plus[n]) <= 1e-10
                 assert abs(p_minus - minus[n]) <= 1e-10
 
+
+    def test_sweep_makes_one_eigensolve_per_nu_tilde(self, eigensolves, tmp_path):
+        # every t at one nu_tilde shares q = 4 nu_tilde and the truncation;
+        # from each (t, nu_tilde) pair's own parameters q would differ by an
+        # ulp between these t, which are not powers of two
+        mathieu._eigensystem.cache_clear()
+        argv = ["projector-expectations", "--hbar-beta2", "0.1,0.3,0.7", "--nu-tilde", "0.1:100:20:log"]
+        assert cli.main([*argv, "--out", str(tmp_path / "p.csv")]) == 0
+        expected = [4.0 * ModelParams.from_reduced(1.0, nut).nu_tilde for nut in np.geomspace(0.1, 100.0, 20)]
+        assert [q for _, q in eigensolves] == expected
 
     def test_one_normalization_per_t(self, monkeypatch, capsys):
         # 3 t x 5 nu_tilde grid points, run nu_tilde-major: each t recurs

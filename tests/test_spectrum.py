@@ -205,9 +205,9 @@ class TestProjectorExpectations:
                 assert abs(value - closed) < 1e-10
 
     def test_completeness(self):
-        params = ModelParams.from_reduced(0.125, 24.0)
-        _, _, completeness = spectrum.projector_expectations(params, 6)
-        assert completeness >= 1.0 - 1e-6
+        _, _, completeness = spectrum.projector_expectations((0.125,), 24.0, 6)
+        assert completeness.shape == (1,)
+        assert completeness[0] >= 1.0 - 1e-6
 
     def test_parity_inequality_at_coupling(self):
         params = ModelParams.from_reduced(0.125, 6.0)
@@ -246,9 +246,9 @@ class TestProjectorExpectations:
             return original(t)
 
         monkeypatch.setattr(costratified, "norm_squared", counting)
-        spectrum.projector_expectations(ModelParams.from_reduced(0.125, 24.0), 6)
+        spectrum.projector_expectations((0.125,), 24.0, 6)
         assert calls == [0.125]
-        spectrum.projector_expectations(ModelParams.from_reduced(0.125, 6.0), 6)
+        spectrum.projector_expectations((0.125,), 6.0, 6)
         assert calls == [0.125]
 
     @pytest.mark.parametrize("nut", [0.1, 24.0, 100.0])
@@ -256,16 +256,14 @@ class TestProjectorExpectations:
     def test_batched_overlaps_equal_per_level_formula(self, t, nut):
         # reference: one 1-D sum per level and stratum, the formula the
         # batched overlaps must reproduce bit for bit
-        params = ModelParams.from_reduced(t, nut)
-        plus, minus, _ = spectrum.projector_expectations(params, 60)
-        sols = mathieu.solve_many(
-            60, 4.0 * params.nu_tilde, trunc=spectrum._state_trunc(59, params)
-        )
-        n_const = costratified.normalization_constant(params.t)
+        plus, minus, _ = spectrum.projector_expectations((t,), nut, 60)
+        q = 4.0 * ModelParams.from_reduced(1.0, nut).nu_tilde
+        sols = mathieu.solve_many(60, q, trunc=spectrum._state_trunc(59, q, t))
+        n_const = costratified.normalization_constant(t)
         for sol in sols:
             k = np.arange(sol.trunc)
-            weights = (k + 1.0) * np.exp(-params.t * (k + 1.0) ** 2 / 2.0)
-            for signs, values in (((-1.0) ** k, plus), (np.ones(sol.trunc), minus)):
+            weights = (k + 1.0) * np.exp(-t * (k + 1.0) ** 2 / 2.0)
+            for signs, values in (((-1.0) ** k, plus[0]), (np.ones(sol.trunc), minus[0])):
                 overlap = (-1.0) ** sol.n / n_const * float(np.sum(signs * weights * sol.coeffs))
                 assert values[sol.n] == overlap * overlap
 
@@ -274,16 +272,47 @@ class TestProjectorExpectations:
         # one value per quantity: level n of a one-level call is level n of
         # the batch, bit for bit, exponentially small P_minus included
         for nut in np.geomspace(0.1, 100.0, 7):
+            # a power of two t keeps q = 4 nu_tilde bit for bit in params
             params = ModelParams.from_reduced(t, float(nut))
             for n in range(6):
-                plus, minus, _ = spectrum.projector_expectations(params, n + 1)
-                for stratum, values in ((Stratum.PLUS, plus), (Stratum.MINUS, minus)):
+                plus, minus, _ = spectrum.projector_expectations((t,), float(nut), n + 1)
+                for stratum, values in ((Stratum.PLUS, plus[0]), (Stratum.MINUS, minus[0])):
                     assert spectrum.projector_expectation(n, params, stratum) == values[n]
+
+    @pytest.mark.parametrize(
+        "t_values, nut",
+        [
+            # the completeness ladders stop at 60, 120 and 240 levels
+            ((0.125, 0.5, 2.0), 1e4),
+            # t = 0.001 needs 291 vertex weights, more than the Mathieu levels
+            ((0.001, 0.125), 1.0),
+        ],
+    )
+    def test_batch_rows_equal_one_t_calls(self, t_values, nut):
+        plus, minus, completeness = spectrum.projector_expectations(t_values, nut, 6)
+        assert plus.shape == minus.shape == (len(t_values), 6)
+        assert completeness.shape == (len(t_values),)
+        for i, t in enumerate(t_values):
+            mathieu._eigensystem.cache_clear()
+            one_plus, one_minus, one_completeness = spectrum.projector_expectations((t,), nut, 6)
+            assert np.array_equal(plus[i], one_plus[0])
+            assert np.array_equal(minus[i], one_minus[0])
+            assert completeness[i] == one_completeness[0]
+
+    def test_vertex_weights_can_set_the_truncation(self):
+        q = 4.0 * ModelParams.from_reduced(1.0, 1.0).nu_tilde
+        assert spectrum._state_trunc(59, q, 0.001) == costratified.default_trunc(0.001) == 291
+        assert spectrum._state_trunc(59, q, 0.125) == mathieu.default_trunc(59, q)
 
     @pytest.mark.parametrize("count", [0, -3])
     def test_count_below_one_raises(self, count):
         with pytest.raises(ValueError, match="count must be >= 1"):
-            spectrum.projector_expectations(ModelParams.from_reduced(0.125, 6.0), count)
+            spectrum.projector_expectations((0.125, 0.5), 6.0, count)
+
+    @pytest.mark.parametrize("t", [0.0, -0.125, math.nan])
+    def test_nonpositive_t_raises(self, t):
+        with pytest.raises(ValueError, match="hbar_beta2 must be positive"):
+            spectrum.projector_expectations((0.125, t), 6.0, 6)
 
     @pytest.mark.parametrize("n", [-1, -2])
     def test_negative_level_raises(self, n):
@@ -298,30 +327,28 @@ class TestProjectorExpectations:
         # the solve entry points grow past a fat tail; the raw eigensystem does not
         levels = mathieu._eigensystem(200.0, 16).levels(np.arange(1))
         with pytest.raises(costratified.TruncationError, match="Mathieu coefficient tail"):
-            spectrum._vertex_overlaps(levels, ModelParams.from_reduced(0.125, 50.0))
+            spectrum._vertex_overlaps(levels, 0.125)
 
     def test_short_vertex_truncation_raises(self):
         # the t = 0.03125 vertex state needs about 59 coefficients, not 20
         sols = mathieu.solve_many(3, 1.0, trunc=20)
         assert sols[0].trunc == 20
         with pytest.raises(costratified.TruncationError, match="vertex-state weight tail"):
-            spectrum._vertex_overlaps(sols, ModelParams.from_reduced(0.03125, 0.25))
+            spectrum._vertex_overlaps(sols, 0.03125)
 
     @pytest.mark.parametrize("t, nut", [(0.5, 3000.0), (2.0, 3000.0), (2.0, 1e4)])
     def test_completeness_grows_at_strong_coupling(self, t, nut):
         # 60 levels sum to 0.99999014, 0.97146 and 0.64870 here
-        plus, minus, completeness = spectrum.projector_expectations(
-            ModelParams.from_reduced(t, nut), 6
-        )
-        assert 1.0 - 1e-6 <= completeness <= 1.0 + 1e-12
+        plus, minus, completeness = spectrum.projector_expectations((t,), nut, 6)
+        assert 1.0 - 1e-6 <= completeness[0] <= 1.0 + 1e-12
         ref_plus, ref_minus = dense_projectors(t, nut, 6)
-        assert np.max(np.abs(plus - ref_plus)) <= 1e-10
-        assert np.max(np.abs(minus - ref_minus)) <= 1e-10
+        assert np.max(np.abs(plus[0] - ref_plus)) <= 1e-10
+        assert np.max(np.abs(minus[0] - ref_minus)) <= 1e-10
 
     def test_completeness_past_the_cap_raises(self, monkeypatch):
         monkeypatch.setattr(spectrum, "_COMPLETENESS_MAX", 120)
         with pytest.raises(costratified.TruncationError, match="completeness"):
-            spectrum.projector_expectations(ModelParams.from_reduced(2.0, 1e4), 6)
+            spectrum.projector_expectations((2.0,), 1e4, 6)
 
 
 class TestVertexStateIsNotAnEigenstate:
