@@ -9,7 +9,9 @@ working tree's ``src/``: the four benchmark workloads at seeds 0 and 1 (their
 arguments from ``perfbench/workloads.py``), the determinism configs of
 ``tests/test_acceptance.py``, every command at its defaults, three
 commands that solve past 128 rows (``LARGE_Q``), a projector sweep at t
-that are not powers of two (``Q_PER_NU_TILDE``), and
+that are not powers of two (``Q_PER_NU_TILDE``), a projector sweep whose t
+need different truncations (``MIXED_TRUNCATION``), an eigenfunction at a t
+that is not a power of two (``XI_AT_T``), and
 ``scripts/make_figure_data.py`` (the working tree's script on both sides,
 so only ``src/`` differs).  Each runs as a fresh ``python -m
 plaquette_qgauge`` process under ``OPENBLAS_NUM_THREADS=1`` and ``=2``.  A
@@ -63,6 +65,17 @@ LARGE_Q = [
 #: an ulp, so this shows whether q depends on t
 Q_PER_NU_TILDE = [
     ["projector-expectations", "--hbar-beta2", "0.1,0.3,0.7", "--nu-tilde", "0.1:100:30:log"],
+]
+#: a projector sweep whose t need different truncations at one nu_tilde:
+#: t = 0.001 needs more vertex weights than Mathieu levels, and the t = 2
+#: completeness ladders reach 240 levels
+MIXED_TRUNCATION = [
+    ["projector-expectations", "--hbar-beta2", "0.001,0.125,2", "--nu-tilde", "0.1:1e4:9:log"],
+]
+#: an eigenfunction, which does not depend on t, at a t that is not a power
+#: of two: nu_tilde recovered through t and coupling_g would move an ulp
+XI_AT_T = [
+    ["states", "--state", "xi", "--level", "2", "--hbar-beta2", "0.3", "--nu-tilde", "6"],
 ]
 DEFAULTS = [
     ["tunneling"],
@@ -169,6 +182,8 @@ def main() -> int:
             *DEFAULTS,
             *LARGE_Q,
             *Q_PER_NU_TILDE,
+            *MIXED_TRUNCATION,
+            *XI_AT_T,
         ]
         failures, compared = [], 0
         for threads in THREADS:

@@ -393,7 +393,6 @@ def cmd_states(args, settings) -> int:
     nut_values = resolve_nut_values(settings, default="0")
     if len(t_values) != 1 or len(nut_values) != 1:
         raise UsageError("states needs a single hbar_beta2 and a single nu_tilde")
-    params = ModelParams.from_reduced(t_values[0], nut_values[0])
     grid = settings.get("grid", 257)
     if grid < 2:
         raise UsageError("grid must be >= 2")
@@ -402,7 +401,7 @@ def cmd_states(args, settings) -> int:
         from . import characters
 
         stratum = Stratum.PLUS if args.state == "psi-plus" else Stratum.MINUS
-        state = costratified.stratum_state(stratum, params)
+        state = costratified.stratum_state(stratum, ModelParams.from_reduced(t_values[0]))
         values = math.sqrt(2.0) * characters.sine_series(x, state.coeffs)
         label = args.state
     else:
@@ -411,7 +410,8 @@ def cmd_states(args, settings) -> int:
         level = args.level
         if level < 0:
             raise UsageError("level must be >= 0")
-        values = spectrum.eigenfunction_x(level, params, x)
+        # eigenfunctions do not depend on t; nu_tilde is read as spectrum reads it
+        values = spectrum.eigenfunction_x(level, ModelParams.from_reduced(1.0, nut_values[0]), x)
         label = f"xi_{level}"
     config = {"state": label, "hbar_beta2": t_values, "nu_tilde": nut_values, "grid": grid}
     plot = Plot("x", "value", (), label, "x", label)
@@ -426,10 +426,8 @@ def cmd_projector_expectations(args, settings) -> int:
     n_max = settings.get("n_max", 6)
     if n_max < 1:
         raise UsageError("n_max must be >= 1")
-    # one call per nu_tilde serves every t from that q's eigensystem
-    results = [spectrum.projector_expectations(t_axis.values, nut, n_max) for nut in nut_axis.values]
-    # stacked on axis 1 into the (t, nu_tilde, n) order of the rows
-    plus, minus, completeness = (np.stack(arrays, axis=1) for arrays in zip(*results))
+    # one call serves the sweep, its arrays in the (t, nu_tilde, n) order of the rows
+    plus, minus, completeness = spectrum.projector_expectations(t_axis.values, nut_axis.values, n_max)
     plot = Plot(
         "nu_tilde", "P_plus", ("n", "hbar_beta2"), "P+ n={} t={:g}", "log10 nu_tilde", "P_plus",
         logx=True,

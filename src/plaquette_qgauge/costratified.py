@@ -27,8 +27,9 @@ The dual route is taken below t = 1 and the direct route at or above it.
 In the band 0.25 <= t <= 2, where both are accurate, the other route is
 computed as well and the two must agree to 1e-12 relative, else
 ``ConsistencyError``; outside the band no cross-check runs.  A value that is
-not a normal double (N^2 for t above ~708, the tunneling probability for t
-below ~0.0069) raises ``FloatingPointError`` instead of printing underflow.
+not a normal double (N^2 for t above ~708 or below ~3e-206, the tunneling
+probability for t below ~0.0069) raises ``FloatingPointError`` instead of
+printing underflow or overflow.
 """
 
 from __future__ import annotations
@@ -165,12 +166,16 @@ def _by_route(t: float, dual, direct, what: str) -> float:
 def norm_squared(t: float) -> float:
     """N^2 = sum_{n>=1} n^2 exp(-t n^2), by the dual route below t = 1 and the direct one above.
 
-    Raises ``FloatingPointError`` where N^2 is not a normal double (t above
-    ~708), and ``OverflowError`` where t^(-3/2) overflows (t below ~1e-205).
+    Raises ``FloatingPointError``, naming t, where N^2 is not a normal
+    double: above t ~ 708, where it underflows, and below t ~ 3e-206, where
+    the dual route's t^(-3/2) overflows.
     """
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
-    n2 = _by_route(t, _norm_squared_dual, _norm_squared_direct, "norm_squared")
+    try:
+        n2 = _by_route(t, _norm_squared_dual, _norm_squared_direct, "norm_squared")
+    except OverflowError:
+        raise FloatingPointError(f"N^2 overflows a double at t={t}") from None
     if not sys.float_info.min <= n2 < math.inf:
         raise FloatingPointError(f"N^2 = {n2!r} is not a normal double at t={t}")
     return n2
@@ -204,8 +209,8 @@ def stratum_state(stratum: Stratum, params: ModelParams, trunc: int | None = Non
     t = params.t
     if trunc is None:
         trunc = default_trunc(t)
+    n2 = norm_squared(t)  # first: below the N^2 edge the truncation is too large to allocate
     weights = vertex_weights(stratum, t, trunc)
-    n2 = norm_squared(t)
     if trunc * trunc * math.exp(-t * trunc * trunc) >= 1e-16 * n2:
         raise TruncationError(
             f"trunc={trunc} leaves a tail above 1e-16 * N^2 at t={t}; "

@@ -28,23 +28,22 @@ Both sweeps read one Mathieu eigensystem per q.  ``energy`` takes one level
 or an integer array of levels, and an array is served by one eigensolve, so
 a spectrum sweep costs one eigensolve per nu_tilde.  Projector expectations
 are squared overlaps of eigenstates with the two vertex states.
-``projector_expectations`` serves every t of a sweep at one nu_tilde in one
-call, at q = 4 nu_tilde taken as ``ModelParams.from_reduced(1.0, nu_tilde)``
-gives it, so q does not depend on t.  The t that share a truncation read
-one eigensystem, and each t's overlaps are row sums over that eigensystem's
-(levels, trunc) coefficient block, read in place, with the vertex weights
-and the tail checks built once per t and the normalization N once per
-distinct t in a process (``_normalization``).  So a projector sweep whose
-t share a truncation costs one eigensolve per nu_tilde and one
-normalization per t, and each batched value is bit-identical to the
-per-level formula at the same q and truncation.
+``projector_expectations`` serves a whole (t, nu_tilde) sweep in one call,
+at q = 4 nu_tilde taken as ``ModelParams.from_reduced(1.0, nu_tilde)``
+gives it, so q does not depend on t.  At each q the t that share a
+truncation read one eigensystem, and each t's overlaps are row sums over
+that eigensystem's (levels, trunc) coefficient block, read in place.  The
+normalization N is computed once per distinct t in a call, and the signed
+vertex weights with their tail check once per distinct (t, truncation).
+So a projector sweep whose t share a truncation costs one eigensolve per
+nu_tilde and one normalization per t, and each batched value is
+bit-identical to the per-level formula at the same q and truncation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -59,8 +58,6 @@ _TAIL_TOL = 1e-12
 _COMPLETENESS_START = 60
 _COMPLETENESS_TOL = 1e-6
 _COMPLETENESS_MAX = 960
-#: distinct t whose vertex-state normalization is kept (see ``_normalization``)
-_NORMALIZATION_CACHE = 1024
 
 
 @dataclass(frozen=True)
@@ -149,44 +146,6 @@ def eigenfunction_x(n: int, params: ModelParams, x):
     return float(out) if out.ndim == 0 else out
 
 
-@lru_cache(maxsize=_NORMALIZATION_CACHE)
-def _normalization(t: float) -> float:
-    """``costratified.normalization_constant(t)``, computed once per distinct t.
-
-    A projector sweep meets each t once per nu_tilde, and it runs
-    nu_tilde-major for the eigensystem cache, so every t of the sweep is
-    kept, not only the last.
-    """
-    return costratified.normalization_constant(t)
-
-
-def _vertex_overlaps(levels: mathieu.MathieuLevels, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Overlaps of the eigenstate ``levels`` with the plus and minus vertex states at t.
-
-    Level n's overlap with a stratum's vertex state is
-    ((-1)^n / N) * sum_k (-1)^k v_k c_k, with v the stratum's vertex weights
-    and (-1)^(n+k) the eigenstate's character-basis sign; it requires both
-    coefficient tails to be negligible.  N and the weights are built once
-    for all levels.  The sums run over the rows of the eigensystem's
-    coefficient block, each along its contiguous axis in the same order as a
-    1-D sum over that level alone, so results do not depend on the batch; a
-    matrix product would change that order.
-    """
-    alternating = (-1.0) ** np.arange(levels.trunc)
-    plus = vertex_weights(Stratum.PLUS, t, levels.trunc) * alternating
-    minus = vertex_weights(Stratum.MINUS, t, levels.trunc) * alternating
-    n_const = _normalization(t)
-    tail = float(np.max(levels.tail))
-    if tail > _TAIL_TOL:
-        raise TruncationError(f"Mathieu coefficient tail {tail:.2e} exceeds {_TAIL_TOL}")
-    weight_tail = abs(plus[-1]) / n_const
-    if weight_tail > _TAIL_TOL:
-        raise TruncationError(f"vertex-state weight tail {weight_tail:.2e} exceeds {_TAIL_TOL}")
-    coeffs = levels.coeffs
-    scale = (-1.0) ** levels.n / n_const
-    return scale * np.sum(plus * coeffs, axis=1), scale * np.sum(minus * coeffs, axis=1)
-
-
 def projector_expectation(n: int, params: ModelParams, stratum: Stratum) -> float:
     """Probability of finding energy level n in the given vertex subspace.
 
@@ -195,66 +154,103 @@ def projector_expectation(n: int, params: ModelParams, stratum: Stratum) -> floa
     batch's bit for bit and one call costs one batch of at least 60 levels.
     """
     sign = stratum.sign  # rejects Stratum.TOP; n < 0 is a count below 1
-    plus, minus, _ = _projector_batch((params.t,), 4.0 * params.nu_tilde, n + 1)
-    return float((plus if sign > 0 else minus)[0, n])
+    plus, minus, _ = _projector_batch((params.t,), (4.0 * params.nu_tilde,), n + 1)
+    return float((plus if sign > 0 else minus)[0, 0, n])
 
 
 def projector_expectations(
-    t_values, nu_tilde: float, count: int
+    t_values, nu_tilde_values, count: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Plus/minus projector expectations of levels 0..count-1 at every t, plus completeness sums.
+    """Plus/minus projector expectations of levels 0..count-1 over a (t, nu_tilde) grid.
 
-    Returns ``(T, count)`` arrays of the plus and minus expectations, row i
-    for ``t_values[i]``, and the ``(T,)`` completeness sums.  q is
-    4 nu_tilde as ``ModelParams.from_reduced(1.0, nu_tilde)`` gives it, the
-    value ``spectrum`` solves at, so it does not depend on t.
+    Returns ``(T, V, count)`` arrays of the plus and minus expectations,
+    entry ``[i, j]`` for ``t_values[i]`` and ``nu_tilde_values[j]``, and the
+    ``(T, V)`` completeness sums.  q is 4 nu_tilde as
+    ``ModelParams.from_reduced(1.0, nu_tilde)`` gives it, the value
+    ``spectrum`` solves at, so it does not depend on t.
 
     The completeness diagnostic sums the plus expectations over the first
     ``_COMPLETENESS_START`` (60) levels; it approaches 1 because the
     eigenstates are a complete orthonormal family and the vertex state has
     unit norm.  At strong coupling the vertex state spreads over more
-    levels, so each t's count doubles until its sum reaches 1 - 1e-6; past
-    ``_COMPLETENESS_MAX`` levels a ``TruncationError`` is raised.
+    levels, so each point's count doubles until its sum reaches 1 - 1e-6;
+    past ``_COMPLETENESS_MAX`` levels a ``TruncationError`` is raised.
     """
     t_values = [float(t) for t in t_values]
     for t in t_values:
         if not t > 0:
             raise ValueError(f"hbar_beta2 must be positive, got {t}")
-    q = 4.0 * ModelParams.from_reduced(1.0, nu_tilde).nu_tilde
-    return _projector_batch(t_values, q, count)
+    q_values = [4.0 * ModelParams.from_reduced(1.0, float(nut)).nu_tilde for nut in nu_tilde_values]
+    return _projector_batch(t_values, q_values, count)
 
 
-def _projector_batch(t_values, q: float, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``projector_expectations`` at every t of ``t_values`` and at q.
+def _projector_batch(t_values, q_values, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``projector_expectations`` at every t of ``t_values`` and every q of ``q_values``.
 
-    Each t runs its own completeness ladder at its own truncation
-    (``_state_trunc``), with its own checks; the t that share a truncation
-    on a rung read one ``mathieu.solve_many`` result, so a call makes one
-    eigensolve per distinct truncation, not one per t.
+    The sweep runs q-major, so the eigensystem cache sees one q at a time.
+    At each q, each t runs its own completeness ladder at its own truncation
+    (``_state_trunc``); the t that share a truncation on a rung read one
+    ``mathieu.solve_many`` result, so a q costs one eigensolve per distinct
+    truncation, not one per t.  Each t's normalization N is computed once
+    per call, and its signed vertex weights (-1)^k v_k, with their tail
+    check, once per (t, truncation), when the sweep first reaches them, so
+    errors are raised in the order of the grid.
+
+    Level n's overlap with a stratum's vertex state is
+    ((-1)^n / N) sum_k (-1)^k v_k c_k, with v the stratum's vertex weights
+    and (-1)^(n+k) the eigenstate's character-basis sign; the (-1)^n
+    cancels exactly in the square.  The sums run over the rows of the
+    eigensystem's coefficient block, each along its contiguous axis in the
+    same order as a 1-D sum over that level alone, so results do not depend
+    on the batch; a matrix product would change that order.  Minus overlaps
+    are summed for the first ``count`` levels only, since the completeness
+    ladder reads the plus ones alone.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    plus_rows, minus_rows = np.empty((2, len(t_values), count))
-    completeness_sums = np.empty(len(t_values))
-    solved: dict[tuple[int, int], mathieu.MathieuLevels] = {}
-    for i, t in enumerate(t_values):
-        completeness_count = _COMPLETENESS_START
-        while True:
-            total = max(count, completeness_count)
-            trunc = _state_trunc(total - 1, q, t)
-            levels = solved.get((total, trunc))
-            if levels is None:
-                levels = solved[total, trunc] = mathieu.solve_many(total, q, trunc=trunc)
-            plus, minus = _vertex_overlaps(levels, t)
-            plus, minus = plus**2, minus**2
-            completeness = float(np.sum(plus[:completeness_count]))
-            if completeness >= 1.0 - _COMPLETENESS_TOL:
-                break
-            if completeness_count >= _COMPLETENESS_MAX:
-                raise TruncationError(
-                    f"projector completeness {completeness!r} below 1 - {_COMPLETENESS_TOL} "
-                    f"with {completeness_count} levels (t={t}, nu_tilde={q / 4.0})"
-                )
-            completeness_count = min(2 * completeness_count, _COMPLETENESS_MAX)
-        plus_rows[i], minus_rows[i], completeness_sums[i] = plus[:count], minus[:count], completeness
+    shape = (len(t_values), len(q_values))
+    plus_rows, minus_rows = np.empty((2, *shape, count))
+    completeness_sums = np.empty(shape)
+    norms: dict[float, float] = {}
+    weights: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
+    for j, q in enumerate(q_values):
+        solved: dict[tuple[int, int], mathieu.MathieuLevels] = {}
+        for i, t in enumerate(t_values):
+            completeness_count = _COMPLETENESS_START
+            while True:
+                total = max(count, completeness_count)
+                trunc = _state_trunc(total - 1, q, t)
+                levels = solved.get((total, trunc))
+                if levels is None:
+                    levels = solved[total, trunc] = mathieu.solve_many(total, q, trunc=trunc)
+                if t not in norms:
+                    norms[t] = costratified.normalization_constant(t)
+                key = (t, levels.trunc)
+                if key not in weights:
+                    # (-1)^k flips the odd signs of the plus weights, giving the
+                    # minus weights, and flips those of the minus weights back
+                    weights[key] = (
+                        vertex_weights(Stratum.MINUS, t, levels.trunc),
+                        vertex_weights(Stratum.PLUS, t, levels.trunc),
+                    )
+                    weight_tail = abs(weights[key][0][-1]) / norms[t]
+                    if weight_tail > _TAIL_TOL:
+                        raise TruncationError(
+                            f"vertex-state weight tail {weight_tail:.2e} exceeds {_TAIL_TOL}"
+                        )
+                plus_weights, minus_weights = weights[key]
+                scale = 1.0 / norms[t]
+                plus = (scale * np.sum(plus_weights * levels.coeffs, axis=1)) ** 2
+                completeness = float(np.sum(plus[:completeness_count]))
+                if completeness >= 1.0 - _COMPLETENESS_TOL:
+                    break
+                if completeness_count >= _COMPLETENESS_MAX:
+                    raise TruncationError(
+                        f"projector completeness {completeness!r} below 1 - {_COMPLETENESS_TOL} "
+                        f"with {completeness_count} levels (t={t}, nu_tilde={q / 4.0})"
+                    )
+                completeness_count = min(2 * completeness_count, _COMPLETENESS_MAX)
+            minus = (scale * np.sum(minus_weights * levels.coeffs[:count], axis=1)) ** 2
+            plus_rows[i, j], minus_rows[i, j] = plus[:count], minus
+            completeness_sums[i, j] = completeness
     return plus_rows, minus_rows, completeness_sums

@@ -240,6 +240,30 @@ class TestStates:
         assert excinfo.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("t", ["1e-160", "1e-300", "1e160"])
+    def test_eigenfunction_does_not_depend_on_t(self, t):
+        # nu_tilde is read as given, not recovered through t and coupling_g,
+        # so the rows at any t are those at t = 1
+        args = ["states", "--state", "xi", "--level", "0", "--nu-tilde", "6", "--grid", "17"]
+        code, out, err = run_quiet([*args, "--hbar-beta2", t])
+        assert code == 0, err
+        reference = run_quiet([*args, "--hbar-beta2", "1"])[1]
+        assert out.split("\n")[1:] == reference.split("\n")[1:]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["tunneling", "--hbar-beta2", "1e-250"],
+            ["states", "--state", "psi-plus", "--hbar-beta2", "1e-300"],
+        ],
+    )
+    def test_overflowing_normalization_exits_3(self, args):
+        # below t ~ 3e-206 the vertex-state normalization overflows; the
+        # refusal names t, before any weights are allocated
+        code, out, err = run_quiet(args)
+        assert code == 3 and out == ""
+        assert err == f"numerical failure: N^2 overflows a double at t={float(args[-1])}\n"
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -293,6 +317,23 @@ class TestProjectorExpectations:
             assert total >= 1.0 - 1e-6
 
 
+    def test_rows_run_t_nu_tilde_level(self, capsys):
+        # rows are the grid call's arrays raveled in (t, nu_tilde, n) order
+        t_values, nu_tildes = (0.125, 0.5), (1.0, 6.0, 24.0)
+        args = ["projector-expectations", "--hbar-beta2", "0.125,0.5", "--nu-tilde", "1,6,24"]
+        code, out = run_cli([*args, "--n-max", "2"], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        plus, minus, completeness = spectrum.projector_expectations(t_values, nu_tildes, 2)
+        expected = [
+            [repr(t), repr(nut), str(n)]
+            + [repr(float(v)) for v in (plus[i, j, n], minus[i, j, n], completeness[i, j])]
+            for i, t in enumerate(t_values)
+            for j, nut in enumerate(nu_tildes)
+            for n in range(2)
+        ]
+        assert rows == expected
+
     def test_large_nu_tilde_matches_dense_reference(self, capsys):
         # the batch Mathieu solve must grow past the starting truncation here
         code, out = run_cli(
@@ -324,7 +365,6 @@ class TestProjectorExpectations:
     def test_one_normalization_per_t(self, monkeypatch, capsys):
         # 3 t x 5 nu_tilde grid points, run nu_tilde-major: each t recurs
         # at every nu_tilde and is normalized once
-        spectrum._normalization.cache_clear()
         calls = []
         original = costratified.norm_squared
 

@@ -51,6 +51,15 @@ class TestNormalization:
         with pytest.raises(FloatingPointError):
             norm_squared(800.0)
 
+    @pytest.mark.parametrize("t", [2e-206, 1e-250, 5e-324])
+    def test_overflow_raises_naming_t(self, t):
+        # below t ~ 3e-206 the dual route's t^(-3/2) overflows
+        with pytest.raises(FloatingPointError, match=f"at t={t}$"):
+            norm_squared(t)
+
+    def test_finite_just_above_the_overflow_edge(self):
+        assert math.isfinite(norm_squared(4e-206))
+
     def test_rejects_non_positive_t(self):
         with pytest.raises(ValueError):
             normalization_constant(0.0)
@@ -92,6 +101,11 @@ class TestVertexStates:
     def test_insufficient_truncation_rejected(self, params):
         with pytest.raises(TruncationError):
             stratum_state(Stratum.PLUS, params, trunc=5)
+
+    def test_overflowing_normalization_raises_before_allocating(self):
+        # the default truncation at t = 1e-300 is about 9e150 weights
+        with pytest.raises(FloatingPointError, match="at t=1e-300"):
+            stratum_state(Stratum.PLUS, ModelParams.from_reduced(1e-300))
 
     def test_tail_is_reported(self, params):
         state = stratum_state(Stratum.PLUS, params)

@@ -205,9 +205,9 @@ class TestProjectorExpectations:
                 assert abs(value - closed) < 1e-10
 
     def test_completeness(self):
-        _, _, completeness = spectrum.projector_expectations((0.125,), 24.0, 6)
-        assert completeness.shape == (1,)
-        assert completeness[0] >= 1.0 - 1e-6
+        _, _, completeness = spectrum.projector_expectations((0.125,), (24.0,), 6)
+        assert completeness.shape == (1, 1)
+        assert completeness[0, 0] >= 1.0 - 1e-6
 
     def test_parity_inequality_at_coupling(self):
         params = ModelParams.from_reduced(0.125, 6.0)
@@ -235,9 +235,9 @@ class TestProjectorExpectations:
             assert abs(direct - spectrum.projector_expectation(n, params, Stratum.PLUS)) < 1e-12
 
     def test_one_normalization_per_call(self, monkeypatch):
-        # start from an empty cache, whatever earlier tests left in it; a
-        # second nu_tilde at the same t reuses the normalization
-        spectrum._normalization.cache_clear()
+        # 3 t x 5 nu_tilde: each t recurs at every nu_tilde and is
+        # normalized once, in the order the sweep first reaches it; a
+        # second call keeps nothing of the first
         calls = []
         original = costratified.norm_squared
 
@@ -246,24 +246,25 @@ class TestProjectorExpectations:
             return original(t)
 
         monkeypatch.setattr(costratified, "norm_squared", counting)
-        spectrum.projector_expectations((0.125,), 24.0, 6)
-        assert calls == [0.125]
-        spectrum.projector_expectations((0.125,), 6.0, 6)
-        assert calls == [0.125]
+        t_values = (0.03125, 0.125, 0.5)
+        spectrum.projector_expectations(t_values, np.geomspace(0.1, 100.0, 5), 6)
+        assert calls == list(t_values)
+        spectrum.projector_expectations((0.125,), (24.0, 6.0), 6)
+        assert calls == [*t_values, 0.125]
 
     @pytest.mark.parametrize("nut", [0.1, 24.0, 100.0])
     @pytest.mark.parametrize("t", [0.03125, 0.125, 0.5])
     def test_batched_overlaps_equal_per_level_formula(self, t, nut):
         # reference: one 1-D sum per level and stratum, the formula the
         # batched overlaps must reproduce bit for bit
-        plus, minus, _ = spectrum.projector_expectations((t,), nut, 60)
+        plus, minus, _ = spectrum.projector_expectations((t,), (nut,), 60)
         q = 4.0 * ModelParams.from_reduced(1.0, nut).nu_tilde
         sols = mathieu.solve_many(60, q, trunc=spectrum._state_trunc(59, q, t))
         n_const = costratified.normalization_constant(t)
         for sol in sols:
             k = np.arange(sol.trunc)
             weights = (k + 1.0) * np.exp(-t * (k + 1.0) ** 2 / 2.0)
-            for signs, values in (((-1.0) ** k, plus[0]), (np.ones(sol.trunc), minus[0])):
+            for signs, values in (((-1.0) ** k, plus[0, 0]), (np.ones(sol.trunc), minus[0, 0])):
                 overlap = (-1.0) ** sol.n / n_const * float(np.sum(signs * weights * sol.coeffs))
                 assert values[sol.n] == overlap * overlap
 
@@ -275,8 +276,8 @@ class TestProjectorExpectations:
             # a power of two t keeps q = 4 nu_tilde bit for bit in params
             params = ModelParams.from_reduced(t, float(nut))
             for n in range(6):
-                plus, minus, _ = spectrum.projector_expectations((t,), float(nut), n + 1)
-                for stratum, values in ((Stratum.PLUS, plus[0]), (Stratum.MINUS, minus[0])):
+                plus, minus, _ = spectrum.projector_expectations((t,), (float(nut),), n + 1)
+                for stratum, values in ((Stratum.PLUS, plus[0, 0]), (Stratum.MINUS, minus[0, 0])):
                     assert spectrum.projector_expectation(n, params, stratum) == values[n]
 
     @pytest.mark.parametrize(
@@ -289,15 +290,44 @@ class TestProjectorExpectations:
         ],
     )
     def test_batch_rows_equal_one_t_calls(self, t_values, nut):
-        plus, minus, completeness = spectrum.projector_expectations(t_values, nut, 6)
-        assert plus.shape == minus.shape == (len(t_values), 6)
-        assert completeness.shape == (len(t_values),)
+        plus, minus, completeness = spectrum.projector_expectations(t_values, (nut,), 6)
+        assert plus.shape == minus.shape == (len(t_values), 1, 6)
+        assert completeness.shape == (len(t_values), 1)
         for i, t in enumerate(t_values):
             mathieu._eigensystem.cache_clear()
-            one_plus, one_minus, one_completeness = spectrum.projector_expectations((t,), nut, 6)
+            one_plus, one_minus, one_completeness = spectrum.projector_expectations((t,), (nut,), 6)
             assert np.array_equal(plus[i], one_plus[0])
             assert np.array_equal(minus[i], one_minus[0])
             assert completeness[i] == one_completeness[0]
+
+    def test_grid_equals_one_point_calls(self):
+        # at nu_tilde = 1, 3000 and 1e4 the t = 2 ladder stops at 60, 120
+        # and 240 levels, and t = 0.001 needs more vertex weights than
+        # Mathieu levels; every grid entry is its one-point call, bit for bit
+        t_values, nu_tildes = (0.001, 0.125, 2.0), (1.0, 3000.0, 1e4)
+        plus, minus, completeness = spectrum.projector_expectations(t_values, nu_tildes, 6)
+        for i, t in enumerate(t_values):
+            for j, nut in enumerate(nu_tildes):
+                one_plus, one_minus, one_completeness = spectrum.projector_expectations(
+                    (t,), (nut,), 6
+                )
+                assert np.array_equal(plus[i, j], one_plus[0, 0])
+                assert np.array_equal(minus[i, j], one_minus[0, 0])
+                assert completeness[i, j] == one_completeness[0, 0]
+
+    def test_grid_axes_are_t_nu_tilde_level(self):
+        # T = 2, V = 3 and count = 4 tell the three axes apart
+        t_values, nu_tildes = (0.125, 0.5), (0.0, 6.0, 24.0)
+        plus, minus, completeness = spectrum.projector_expectations(t_values, nu_tildes, 4)
+        assert plus.shape == minus.shape == (2, 3, 4)
+        assert completeness.shape == (2, 3)
+        for i, t in enumerate(t_values):
+            for j, nut in enumerate(nu_tildes):
+                # a power of two t keeps q = 4 nu_tilde bit for bit in params
+                params = ModelParams.from_reduced(t, nut)
+                for n in range(4):
+                    assert plus[i, j, n] == spectrum.projector_expectation(n, params, Stratum.PLUS)
+                    assert minus[i, j, n] == spectrum.projector_expectation(n, params, Stratum.MINUS)
 
     def test_vertex_weights_can_set_the_truncation(self):
         q = 4.0 * ModelParams.from_reduced(1.0, 1.0).nu_tilde
@@ -307,12 +337,12 @@ class TestProjectorExpectations:
     @pytest.mark.parametrize("count", [0, -3])
     def test_count_below_one_raises(self, count):
         with pytest.raises(ValueError, match="count must be >= 1"):
-            spectrum.projector_expectations((0.125, 0.5), 6.0, count)
+            spectrum.projector_expectations((0.125, 0.5), (6.0,), count)
 
     @pytest.mark.parametrize("t", [0.0, -0.125, math.nan])
     def test_nonpositive_t_raises(self, t):
         with pytest.raises(ValueError, match="hbar_beta2 must be positive"):
-            spectrum.projector_expectations((0.125, t), 6.0, 6)
+            spectrum.projector_expectations((0.125, t), (6.0,), 6)
 
     @pytest.mark.parametrize("n", [-1, -2])
     def test_negative_level_raises(self, n):
@@ -323,32 +353,40 @@ class TestProjectorExpectations:
         with pytest.raises(ValueError, match="top stratum"):
             spectrum.projector_expectation(0, ModelParams.from_reduced(0.125, 6.0), Stratum.TOP)
 
-    def test_fat_mathieu_tail_raises(self):
-        # the solve entry points grow past a fat tail; the raw eigensystem does not
-        levels = mathieu._eigensystem(200.0, 16).levels(np.arange(1))
-        with pytest.raises(costratified.TruncationError, match="Mathieu coefficient tail"):
-            spectrum._vertex_overlaps(levels, 0.125)
-
-    def test_short_vertex_truncation_raises(self):
-        # the t = 0.03125 vertex state needs about 59 coefficients, not 20
-        sols = mathieu.solve_many(3, 1.0, trunc=20)
-        assert sols[0].trunc == 20
+    def test_short_vertex_truncation_raises(self, monkeypatch):
+        # the t = 0.001 vertex state needs 291 coefficients; with 20 asked
+        # for, the truncation is the Mathieu levels' own, far short of that
+        monkeypatch.setattr(costratified, "default_trunc", lambda t: 20)
         with pytest.raises(costratified.TruncationError, match="vertex-state weight tail"):
-            spectrum._vertex_overlaps(sols, 0.03125)
+            spectrum.projector_expectations((0.001,), (1.0,), 6)
 
     @pytest.mark.parametrize("t, nut", [(0.5, 3000.0), (2.0, 3000.0), (2.0, 1e4)])
     def test_completeness_grows_at_strong_coupling(self, t, nut):
         # 60 levels sum to 0.99999014, 0.97146 and 0.64870 here
-        plus, minus, completeness = spectrum.projector_expectations((t,), nut, 6)
-        assert 1.0 - 1e-6 <= completeness[0] <= 1.0 + 1e-12
+        plus, minus, completeness = spectrum.projector_expectations((t,), (nut,), 6)
+        assert 1.0 - 1e-6 <= completeness[0, 0] <= 1.0 + 1e-12
         ref_plus, ref_minus = dense_projectors(t, nut, 6)
-        assert np.max(np.abs(plus[0] - ref_plus)) <= 1e-10
-        assert np.max(np.abs(minus[0] - ref_minus)) <= 1e-10
+        assert np.max(np.abs(plus[0, 0] - ref_plus)) <= 1e-10
+        assert np.max(np.abs(minus[0, 0] - ref_minus)) <= 1e-10
 
     def test_completeness_past_the_cap_raises(self, monkeypatch):
         monkeypatch.setattr(spectrum, "_COMPLETENESS_MAX", 120)
         with pytest.raises(costratified.TruncationError, match="completeness"):
-            spectrum.projector_expectations((2.0,), 1e4, 6)
+            spectrum.projector_expectations((2.0,), (1e4,), 6)
+
+    @pytest.mark.parametrize(
+        "t_values, error, message",
+        [
+            # t = 2 fails its ladder before the sweep reaches t = 800
+            ((2.0, 800.0), costratified.TruncationError, "completeness"),
+            # N^2 is not a normal double at t = 800, reached first here
+            ((800.0, 2.0), FloatingPointError, "not a normal double"),
+        ],
+    )
+    def test_errors_come_in_sweep_order(self, monkeypatch, t_values, error, message):
+        monkeypatch.setattr(spectrum, "_COMPLETENESS_MAX", 120)
+        with pytest.raises(error, match=message):
+            spectrum.projector_expectations(t_values, (1e4,), 6)
 
 
 class TestVertexStateIsNotAnEigenstate:
