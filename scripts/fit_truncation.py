@@ -159,7 +159,6 @@ def certify(table: np.ndarray) -> list[str]:
         n, needed = int(n), int(needed)
         start = mathieu.default_trunc(n, q)
         if (n + 1) * start <= BLOCK_MAX:
-            mathieu._eigensystem.cache_clear()
             levels = mathieu.solve(np.arange(n + 1), q)
             tail = float(np.max(levels.tail)) if levels.trunc == start else math.inf
         else:
@@ -168,7 +167,6 @@ def certify(table: np.ndarray) -> list[str]:
             problems.append(f"n={n} q={q!r}: start {start} leaves a tail {tail:.2e} (needed {needed})")
         if n >= mathieu._SHARED_LEVELS and needed >= RATIO_FROM and start > RATIO_MAX * needed:
             problems.append(f"n={n} q={q!r}: start {start} is {start / needed:.3f} x needed {needed}")
-    mathieu._eigensystem.cache_clear()
     return problems
 
 

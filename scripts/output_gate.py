@@ -11,7 +11,8 @@ arguments from ``perfbench/workloads.py``), the determinism configs of
 commands that solve past 128 rows (``LARGE_Q``), a projector sweep at t
 that are not powers of two (``Q_PER_NU_TILDE``), a projector sweep whose t
 need different truncations (``MIXED_TRUNCATION``), an eigenfunction at a t
-that is not a power of two (``XI_AT_T``), and
+that is not a power of two (``XI_AT_T``), three commands at the edges
+of the vertex-state domain (``DOMAIN_EDGES``), and
 ``scripts/make_figure_data.py`` (the working tree's script on both sides,
 so only ``src/`` differs).  Each runs as a fresh ``python -m
 plaquette_qgauge`` process under ``OPENBLAS_NUM_THREADS=1`` and ``=2``.  A
@@ -76,6 +77,14 @@ MIXED_TRUNCATION = [
 #: of two: nu_tilde recovered through t and coupling_g would move an ulp
 XI_AT_T = [
     ["states", "--state", "xi", "--level", "2", "--hbar-beta2", "0.3", "--nu-tilde", "6"],
+]
+#: the edges of the vertex-state domain: the tunneling overlap underflows
+#: to 0 just above the N^2 overflow, the psi-plus truncation is past 2**19
+#: rows, and psi-minus at 89,451 rows still runs
+DOMAIN_EDGES = [
+    ["tunneling", "--hbar-beta2", "4e-206"],
+    ["states", "--state", "psi-plus", "--hbar-beta2", "1e-200"],
+    ["states", "--state", "psi-minus", "--hbar-beta2", "1e-8"],
 ]
 DEFAULTS = [
     ["tunneling"],
@@ -184,6 +193,7 @@ def main() -> int:
             *Q_PER_NU_TILDE,
             *MIXED_TRUNCATION,
             *XI_AT_T,
+            *DOMAIN_EDGES,
         ]
         failures, compared = [], 0
         for threads in THREADS:

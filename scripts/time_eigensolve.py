@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time a full Mathieu eigensolve against one 16-level block, per size.
 
-``mathieu._Eigensystem`` diagonalizes a truncation of up to
+``mathieu._eigensystem`` diagonalizes a truncation of up to
 ``mathieu._FULL_MAX`` rows in full (LAPACK ``dstevd``) and a larger one in
 blocks of ``mathieu._LEVEL_BLOCK`` levels, one bisection and inverse
 iteration call each (``dstebz`` and ``dstein``); both go through

@@ -25,7 +25,6 @@ the diagonal of the Hamiltonian).
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -137,9 +136,8 @@ def haar_density(x):
     return float(out) if out.ndim == 0 else out
 
 
-@lru_cache(maxsize=8)
 def quadrature_rule(num_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on [0, pi].
+    """Gauss-Legendre nodes and weights on [0, pi].
 
     sum(w * f(x)) / pi approximates the inner-product integral
     (1/pi) * integral_0^pi f(x) dx.
@@ -147,8 +145,6 @@ def quadrature_rule(num_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     nodes, weights = np.polynomial.legendre.leggauss(num_nodes)
     x = 0.5 * math.pi * (nodes + 1.0)
     w = 0.5 * math.pi * weights
-    x.setflags(write=False)
-    w.setflags(write=False)
     return x, w
 
 

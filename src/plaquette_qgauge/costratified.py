@@ -53,6 +53,8 @@ _DUAL_BELOW = 1.0
 _BAND = (0.25, 2.0)
 #: a dual sum stops at the first k whose exponential ratio is below this
 _DUAL_CUTOFF = 1e-20
+#: no vertex state past this many rows is built (``mathieu._MAX_ROWS``)
+_MAX_ROWS = 2**19
 _PI2 = math.pi**2
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -142,14 +144,18 @@ def _alternating_dual(t: float) -> float:
     k and -1-k give equal terms, and a_k - a_0 = pi^2 k (k+1), so this is
     sqrt(pi) t^(-3/2) e^(-a_0/t) sum_{k>=0} e^(-pi^2 k(k+1)/t) (a_k/t - 1/2).
     The sum stops on that ratio, which stays finite after e^(-a_0/t)
-    underflows.
+    underflows.  Once it has, S is 0: below t ~ 3e-206 the prefactor
+    t^(-3/2) overflows, and inf * 0 would give nan.
     """
     total = _PI2 / (4.0 * t) - 0.5
     k = 1
     while True:
         ratio = math.exp(-_PI2 * k * (k + 1) / t)
         if ratio < _DUAL_CUTOFF:
-            return _SQRT_PI * t**-1.5 * math.exp(-_PI2 / (4.0 * t)) * total
+            decay = math.exp(-_PI2 / (4.0 * t))
+            if decay == 0.0:
+                return 0.0
+            return _SQRT_PI * t**-1.5 * decay * total
         total += ratio * (_PI2 * (k + 0.5) ** 2 / t - 0.5)
         k += 1
 
@@ -205,11 +211,17 @@ def vertex_weights(stratum: Stratum, t: float, count: int) -> np.ndarray:
 
 
 def stratum_state(stratum: Stratum, params: ModelParams, trunc: int | None = None) -> StateVector:
-    """Unit state spanning the quantum subspace of the given vertex stratum."""
+    """Unit state spanning the quantum subspace of the given vertex stratum.
+
+    A truncation past ``_MAX_ROWS`` rows, which the default one is below
+    t ~ 2.91e-10, raises ``TruncationError`` before anything is allocated.
+    """
     t = params.t
     if trunc is None:
         trunc = default_trunc(t)
     n2 = norm_squared(t)  # first: below the N^2 edge the truncation is too large to allocate
+    if trunc > _MAX_ROWS:
+        raise TruncationError(f"trunc={trunc:.4g} at t={t} is past {_MAX_ROWS} rows")
     weights = vertex_weights(stratum, t, trunc)
     if trunc * trunc * math.exp(-t * trunc * trunc) >= 1e-16 * n2:
         raise TruncationError(

@@ -27,7 +27,9 @@ each level's sign is continuous in q.
 
 Solve path: a request for a set of levels at q is served by one
 eigensystem, the eigendecomposition of the truncated matrix at one size,
-kept in a small LRU cache.  Every eigensolve goes through
+solved afresh for that request: nothing is kept between calls, so a sweep
+shares an eigensystem by asking for all its levels at one q in one array
+request.  Every eigensolve goes through
 ``eigh_tridiagonal``, which calls LAPACK's tridiagonal routines in scipy's
 wrapper extension without importing ``scipy.linalg`` (see its docstring):
 
@@ -41,11 +43,11 @@ wrapper extension without importing ``scipy.linalg`` (see its docstring):
 
 The eigensystem holds its levels as arrays: the characteristic values, and
 a read-only, C-contiguous (levels, trunc) block of unit-normalized,
-sign-anchored coefficients with their tails.  Each block of levels is
-solved, checked, normalized and anchored in one step, written straight
-into arrays allocated at the size the request needs.  The blocks are fixed
-by the truncation, so a level's bits depend on (q, trunc, n) alone:
-results do not depend on the order of requests.
+sign-anchored coefficients.  Each block of levels is solved, checked,
+normalized and anchored in one step, written straight into arrays
+allocated at the size the request needs.  The blocks are fixed by the
+truncation, so a level's bits depend on (q, trunc, n) alone: results do
+not depend on which other levels a request asks for, or on earlier calls.
 
 ``solve`` takes one level or an integer array of levels, and one rule sets
 the truncation: it starts at ``trunc`` or, without one, at ``default_trunc``
@@ -57,15 +59,13 @@ above the barrier sit near k = n.  Its constants are fitted by
 scripts/fit_truncation.py, so that on the scanned levels and q the start
 already holds every tail below 1e-12.  The solve gives up past 32 times the
 start or, before allocating, past ``_MAX_ROWS`` rows or past |q| = 6.8e10
-(nu_tilde = q / 4 of 1.7e10), the edge of the valid domain.  One level comes
-back as a memoized ``MathieuSolution`` whose coefficients are a row of the
-block; an array of levels as ``MathieuLevels``, which holds the b and tail
-arrays and the block rows and gives the same per-level solutions on
-indexing.  ``solve_many(count, ...)`` is ``solve(range(count), ...)``; it
-stays a separate name only because the benchmark's call contract
-(``EXPECTED_CALLS`` in perfbench/workloads.py) counts it on the projector
-sweep.  Because the cache is small, a sweep should iterate q-major: all
-levels (and all other parameters) at one q before the next q.
+(nu_tilde = q / 4 of 1.7e10), the edge of the valid domain.  An array of
+levels comes back as ``MathieuLevels``, which holds the b and tail arrays
+and the block rows and builds a per-level ``MathieuSolution`` on indexing;
+one level as row 0 of such a request.  ``solve_many(count, ...)`` is
+``solve(range(count), ...)``; it stays a separate name only because the
+benchmark's call contract (``EXPECTED_CALLS`` in perfbench/workloads.py)
+counts it on the projector sweep.
 """
 
 from __future__ import annotations
@@ -92,7 +92,8 @@ _TAIL_TOL = 1e-12
 _MAX_DOUBLINGS = 5
 #: constants of ``default_trunc``, fitted by scripts/fit_truncation.py: the
 #: well branch (alpha, beta, gamma), the near-free branch (a, b), and the
-#: level the well branch is sized for at least
+#: level the well branch is sized for at least, so that requests topping
+#: out at or below it get one truncation
 _WELL = (2.77, 0.97, 4)
 _FREE = (5, 4.8)
 _SHARED_LEVELS = 40
@@ -100,10 +101,8 @@ _SHARED_LEVELS = 40
 #: matrix of at most 2 MB); larger ones compute only the levels asked for
 _FULL_MAX = 512
 #: levels per eigensolve above ``_FULL_MAX`` rows: a partial eigensystem
-#: solves levels [0, 16), [16, 32), ..., each block as a request first needs it
+#: solves levels [0, 16), [16, 32), ..., up to the block a request needs
 _LEVEL_BLOCK = 16
-#: eigensystems kept; a q-major sweep needs only the current q's entries
-_CACHE_SIZE = 8
 #: no truncation past this many rows is tried, explicit or grown
 _MAX_ROWS = 2**19
 #: no |q| past this is solved (nu_tilde = q / 4 of 1.7e10): there E_gap, the
@@ -161,6 +160,7 @@ class MathieuSolution:
         return float(np.max(np.abs(left - self.q * neighbors)))
 
 
+@dataclass(frozen=True)
 class MathieuLevels:
     """Levels ``n`` (an integer array) at parameter ``q``, read from one eigensystem.
 
@@ -168,20 +168,14 @@ class MathieuLevels:
     coefficient magnitude of level ``n[i]``, and ``coeffs[i]`` is its row of
     the eigensystem's coefficient block: a read-only view when ``n`` is a run
     of consecutive levels, a read-only copy otherwise.  Indexing and
-    iteration give the memoized per-level ``MathieuSolution``s.
+    iteration build the per-level ``MathieuSolution`` of row ``i``.
     """
 
-    def __init__(self, system: _Eigensystem, n: np.ndarray):
-        lo, hi = int(n[0]), int(n[-1]) + 1
-        consecutive = hi - lo == len(n) and (len(n) == 1 or bool(np.all(n[1:] > n[:-1])))
-        rows = slice(lo, hi) if consecutive else n
-        self._system = system
-        self.n = n.copy()
-        self.b = system.values[rows]
-        self.tail = system.tails[rows]
-        self.coeffs = system.block[rows]
-        for array in (self.n, self.b, self.tail, self.coeffs):
-            array.flags.writeable = False
+    n: np.ndarray
+    q: float
+    b: np.ndarray
+    tail: np.ndarray
+    coeffs: np.ndarray
 
     @property
     def trunc(self) -> int:
@@ -191,10 +185,10 @@ class MathieuLevels:
         return len(self.n)
 
     def __getitem__(self, i: int) -> MathieuSolution:
-        return self._system.level(int(self.n[i]))
+        return MathieuSolution(n=int(self.n[i]), q=self.q, b=float(self.b[i]), coeffs=self.coeffs[i])
 
     def __iter__(self):
-        return (self._system.level(int(n)) for n in self.n)
+        return (self[i] for i in range(len(self)))
 
 
 @lru_cache(maxsize=None)
@@ -271,9 +265,10 @@ def default_trunc(n: int, q: float) -> int:
     * well states, ceil((alpha + beta sqrt(2m + 1)) r) + gamma with
       m = max(n, 40): at large q the low levels are oscillator states whose
       coefficients spread over k up to about sqrt(2n+1) r (DLMF 28.8(i)).
-      Sizing it for level 40 at least lets every request for levels up to
-      40 at one q share one eigensystem, whichever level comes first,
-      from q of about 1,400 up, where this is the larger branch for them.
+      Sizing it for level 40 at least gives every request whose top level
+      is at most 40 at one q the same truncation, from q of about 1,400
+      up, where this is the larger branch for them, so a level's bits do
+      not depend on which other levels are asked for.
     * near-free levels, n + a + ceil(b r): levels above the barrier sit near
       k = n, and their tail past it widens with q.
 
@@ -287,141 +282,97 @@ def default_trunc(n: int, q: float) -> int:
     return max(well, n + a + math.ceil(b * r))
 
 
-class _Eigensystem:
-    """The lowest levels at (q, trunc), solved one fixed block of levels at a time.
+def _eigensystem(q: float, trunc: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Characteristic values and coefficient rows of at least the lowest ``count`` levels at (q, trunc).
 
     A truncation up to ``_FULL_MAX`` is one block, diagonalized in full.  A
     larger one is solved in blocks of ``_LEVEL_BLOCK`` levels, [0, 16),
-    [16, 32), ..., one bisection call each, so memory stays O(trunc * levels
-    used).  Every block is one ``eigh_tridiagonal`` call.  ``fill`` adds the
-    blocks up to a requested level; each block is solved, its residuals
+    [16, 32), ..., up to the block that holds level ``count - 1``, one
+    bisection call each, so memory stays O(trunc * levels used).  Every
+    block is one ``eigh_tridiagonal`` call; it is solved, its residuals
     checked, and its rows normalized and sign-anchored (see the module
-    docstring) in one step.  A level's bits therefore depend on (q, trunc,
-    n) alone, not on the order of requests.  ``level(n)`` memoizes a
-    ``MathieuSolution`` on row n, so repeated requests return the same
-    object.
+    docstring) in one step, written into read-only arrays allocated here.
+    The blocks are fixed by the truncation, so a level's bits depend on
+    (q, trunc, n) alone.
     """
-
-    def __init__(self, q: float, trunc: int):
-        self.q = q
-        freqs = 2.0 * np.arange(trunc) + 2.0
-        self.diag = freqs**2
-        self._alternating = (-1.0) ** np.arange(trunc)
-        # (-1)^k (2k+2); the dot product with c is -se'(-pi/2)
-        self._wall_slope = freqs * self._alternating
-        self.values = np.empty(0)
-        self.block = np.empty((0, trunc))
-        self.tails = np.empty(0)
-        self._levels: dict[int, MathieuSolution] = {}
-
-    def fill(self, count: int) -> None:
-        """Extend ``values``, ``block`` and ``tails`` to at least the lowest ``count`` levels.
-
-        The new blocks are written into arrays allocated once at their new
-        size, which then replace the read-only ``values``, ``block`` and
-        ``tails``; the levels already held are copied once per fill, not
-        once per block.
-        """
-        start, trunc = len(self.values), len(self.diag)
-        if start >= count:
-            return
-        width = trunc if trunc <= _FULL_MAX else _LEVEL_BLOCK
-        stop = min(-(-count // width) * width, trunc)
-        values, block = np.empty(stop), np.empty((stop, trunc))
-        values[:start], block[:start] = self.values, self.block
-        for lo in range(start, stop, width):
-            values[lo : lo + width] = self._solve_block(lo, block[lo : lo + width])
-        tails = np.abs(block[:, -1])
-        for array in (values, block, tails):
-            array.flags.writeable = False
-        self.values, self.block, self.tails = values, block, tails
-
-    def _solve_block(self, start: int, rows: np.ndarray) -> np.ndarray:
-        """Solve and check the levels from ``start`` on, one per row of ``rows``.
-
-        Writes them, normalized and anchored, to ``rows``, and returns their
-        characteristic values.
-        """
-        d, q = self.diag, self.q
-        trunc, stop = len(d), start + len(rows)
-        off = np.full(trunc - 1, q)
-        w, v = eigh_tridiagonal(d, off, None if stop - start == trunc else (start, stop - 1))
+    freqs = 2.0 * np.arange(trunc) + 2.0
+    d = freqs**2
+    alternating = (-1.0) ** np.arange(trunc)
+    # (-1)^k (2k+2); the dot product with c is -se'(-pi/2)
+    wall_slope = freqs * alternating
+    off = np.full(trunc - 1, q)
+    scale = max(1.0, float(d[-1]) + 2.0 * abs(q))
+    width = trunc if trunc <= _FULL_MAX else _LEVEL_BLOCK
+    stop = min(-(-count // width) * width, trunc)
+    values, block = np.empty(stop), np.empty((stop, trunc))
+    for start in range(0, stop, width):
+        end = min(start + width, stop)
+        w, v = eigh_tridiagonal(d, off, None if width == trunc else (start, end - 1))
         tv = d[:, None] * v
         tv[1:] += q * v[:-1]
         tv[:-1] += q * v[1:]
         tv -= v * w
         residual = float(np.max(np.abs(tv)))
-        scale = max(1.0, float(d[-1]) + 2.0 * abs(q))
         if residual > _RESIDUAL_RTOL * scale:
             raise ConvergenceError(
                 f"tridiagonal eigensolve residual {residual:.3e} exceeds "
                 f"{_RESIDUAL_RTOL:.0e} * {scale:.3e} (q={q}, trunc={trunc})"
             )
+        rows = block[start:end]
         rows[...] = v.T
         # the anchor's sign does not depend on the row's positive scale, and
         # an elementwise sum, unlike a BLAS product, not on the thread count
-        flip = self._alternating[start:stop] * np.sum(rows * self._wall_slope, axis=1) < 0
+        flip = alternating[start:end] * np.sum(rows * wall_slope, axis=1) < 0
         # an elementwise sum, not a BLAS dot product, whose split across
         # threads would change the bits; dividing by -norm negates that
         # quotient exactly
         norms = np.sqrt(np.sum(rows * rows, axis=1))
         rows /= np.where(flip, -norms, norms)[:, None]
-        return w
-
-    def level(self, n: int) -> MathieuSolution:
-        sol = self._levels.get(n)
-        if sol is None:
-            self.fill(n + 1)
-            sol = MathieuSolution(n=n, q=self.q, b=float(self.values[n]), coeffs=self.block[n])
-            self._levels[n] = sol
-        return sol
-
-    def levels(self, n: np.ndarray) -> MathieuLevels:
-        self.fill(int(n.max()) + 1)
-        return MathieuLevels(self, n)
+        values[start:end] = w
+    for array in (values, block):
+        array.flags.writeable = False
+    return values, block
 
 
-_eigensystem = lru_cache(maxsize=_CACHE_SIZE)(_Eigensystem)
-
-
-def _converged(q: float, trunc: int | None, levels, top: int) -> _Eigensystem:
-    """Eigensystem at q whose ``levels`` (int or int array) have tails below ``_TAIL_TOL``.
+def _converged(q: float, trunc: int | None, n: np.ndarray) -> MathieuLevels:
+    """Levels ``n`` (a 1-D integer array) at q, with tails below ``_TAIL_TOL``.
 
     The truncation starts at ``trunc`` rows (``default_trunc`` of the highest
-    level ``top`` if None), which must hold that level, and doubles until
-    the tails fall.  It gives up past 2**_MAX_DOUBLINGS times the default
-    truncation, so a small explicit start grows as far as the default one.
-    A size past ``_MAX_ROWS`` and a |q| past ``_MAX_Q`` are refused before
-    anything is allocated.
+    level if None), which must hold that level, and doubles until the tails
+    fall.  It gives up past 2**_MAX_DOUBLINGS times the default truncation,
+    so a small explicit start grows as far as the default one.  A size past
+    ``_MAX_ROWS`` and a |q| past ``_MAX_Q`` are refused before anything is
+    allocated.
     """
     q = float(q)
     if not math.isfinite(q):
         raise ValueError(f"q must be finite, got {q}")
+    bottom, top = int(n.min()), int(n.max())
     default = default_trunc(top, q)
     size = default if trunc is None else trunc
     if size <= top:
         raise ValueError(f"trunc={size} cannot hold level n={top}")
+    lo, hi = int(n[0]), int(n[-1]) + 1
+    consecutive = hi - lo == len(n) and (len(n) == 1 or bool(np.all(n[1:] > n[:-1])))
+    rows = slice(lo, hi) if consecutive else n
     while True:
         if size > _MAX_ROWS:
-            raise ConvergenceError(
-                f"levels {np.min(levels)}..{top} at q={q} need over {_MAX_ROWS} rows"
-            )
+            raise ConvergenceError(f"levels {bottom}..{top} at q={q} need over {_MAX_ROWS} rows")
         if abs(q) > _MAX_Q:
             raise ConvergenceError(
                 f"q={q} is past the domain edge |q| <= {_MAX_Q:g} (nu_tilde <= {_MAX_Q / 4:g})"
             )
-        system = _eigensystem(q, size)
-        system.fill(top + 1)
-        worst = system.tails[levels]
-        if worst.ndim:
-            worst = worst.max()
-        if worst <= _TAIL_TOL:
-            return system
+        values, block = _eigensystem(q, size, top + 1)
+        tail = np.abs(block[rows, -1])
+        if tail.max() <= _TAIL_TOL:
+            levels = MathieuLevels(n=n.copy(), q=q, b=values[rows], tail=tail, coeffs=block[rows])
+            for array in (levels.n, levels.b, levels.tail, levels.coeffs):
+                array.flags.writeable = False
+            return levels
         size *= 2
         if size > 2**_MAX_DOUBLINGS * default:
             raise ConvergenceError(
-                f"coefficient tail did not fall below {_TAIL_TOL} "
-                f"(levels {np.min(levels)}..{top}, q={q})"
+                f"coefficient tail did not fall below {_TAIL_TOL} (levels {bottom}..{top}, q={q})"
             )
 
 
@@ -433,20 +384,15 @@ def solve(n, q: float, trunc: int | None = None):
     starts at ``trunc`` (or ``default_trunc`` of the highest level) and
     doubles until every requested tail coefficient drops below 1e-12.  One
     level gives its ``MathieuSolution``, an array of levels a
-    ``MathieuLevels``.
+    ``MathieuLevels``.  Nothing is kept between calls.
     """
     levels = np.asarray(n)
     if levels.dtype.kind not in "iu" or levels.ndim > 1 or levels.size == 0:
         raise TypeError(f"levels must be an integer or a non-empty 1-D integer array, got {n!r}")
-    if levels.ndim == 0:
-        bottom = top = int(levels)
-    else:
-        bottom, top = int(levels.min()), int(levels.max())
-    if bottom < 0:
-        raise ValueError(f"level index must be >= 0, got {bottom}")
-    if levels.ndim == 0:
-        return _converged(q, trunc, top, top).level(top)
-    return _converged(q, trunc, levels, top).levels(levels)
+    if levels.min() < 0:
+        raise ValueError(f"level index must be >= 0, got {levels.min()}")
+    result = _converged(q, trunc, levels.reshape(-1))
+    return result[0] if levels.ndim == 0 else result
 
 
 def solve_many(count: int, q: float, trunc: int | None = None) -> MathieuLevels:

@@ -187,8 +187,8 @@ def projector_expectations(
 def _projector_batch(t_values, q_values, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``projector_expectations`` at every t of ``t_values`` and every q of ``q_values``.
 
-    The sweep runs q-major, so the eigensystem cache sees one q at a time.
-    At each q, each t runs its own completeness ladder at its own truncation
+    The sweep runs q-major: all t at one q before the next q.  At each q,
+    each t runs its own completeness ladder at its own truncation
     (``_state_trunc``); the t that share a truncation on a rung read one
     ``mathieu.solve_many`` result, so a q costs one eigensolve per distinct
     truncation, not one per t.  Each t's normalization N is computed once

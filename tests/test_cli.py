@@ -264,6 +264,21 @@ class TestStates:
         assert code == 3 and out == ""
         assert err == f"numerical failure: N^2 overflows a double at t={float(args[-1])}\n"
 
+    def test_tunneling_just_above_the_overflow_edge_exits_3(self):
+        # N^2 is finite at 4e-206, and the overlap underflows to 0, not nan
+        code, out, err = run_quiet(["tunneling", "--hbar-beta2", "4e-206"])
+        assert code == 3 and out == ""
+        assert err == "numerical failure: tunneling probability 0.0 is not a normal double at t=4e-206\n"
+
+    @pytest.mark.parametrize("t, code", [("2.911e-10", 0), ("2.91e-10", 3), ("1e-200", 3)])
+    def test_vertex_state_row_bound(self, t, code):
+        # the default truncation passes 2**19 rows below t ~ 2.9105e-10
+        result = run_quiet(["states", "--state", "psi-plus", "--hbar-beta2", t, "--grid", "3"])
+        assert result[0] == code, result[2]
+        if code:
+            assert result[1] == "" and result[2].count("\n") == 1
+            assert result[2].startswith("numerical failure: trunc=") and "past 524288 rows" in result[2]
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -356,7 +371,6 @@ class TestProjectorExpectations:
         # every t at one nu_tilde shares q = 4 nu_tilde and the truncation;
         # from each (t, nu_tilde) pair's own parameters q would differ by an
         # ulp between these t, which are not powers of two
-        mathieu._eigensystem.cache_clear()
         argv = ["projector-expectations", "--hbar-beta2", "0.1,0.3,0.7", "--nu-tilde", "0.1:100:20:log"]
         assert cli.main([*argv, "--out", str(tmp_path / "p.csv")]) == 0
         expected = [4.0 * ModelParams.from_reduced(1.0, nut).nu_tilde for nut in np.geomspace(0.1, 100.0, 20)]

@@ -60,6 +60,16 @@ class TestNormalization:
     def test_finite_just_above_the_overflow_edge(self):
         assert math.isfinite(norm_squared(4e-206))
 
+    @pytest.mark.parametrize("t", [4e-206, 1e-100, 0.003, 0.0033])
+    def test_alternating_dual_is_zero_once_its_exponential_underflows(self, t):
+        # exp(-pi^2/4t) is 0 below t ~ 0.0033; near 4e-206 the prefactor
+        # t^(-3/2) is inf as well, and their product must not be nan
+        assert costratified._alternating_dual(t) == 0.0
+
+    def test_tunneling_just_above_the_overflow_edge_refuses_with_zero(self):
+        with pytest.raises(FloatingPointError, match=r"^tunneling probability 0\.0 is not"):
+            tunneling_overlap(4e-206)
+
     def test_rejects_non_positive_t(self):
         with pytest.raises(ValueError):
             normalization_constant(0.0)
@@ -106,6 +116,21 @@ class TestVertexStates:
         # the default truncation at t = 1e-300 is about 9e150 weights
         with pytest.raises(FloatingPointError, match="at t=1e-300"):
             stratum_state(Stratum.PLUS, ModelParams.from_reduced(1e-300))
+
+    def test_default_truncation_up_to_the_row_bound_is_built(self):
+        # default_trunc is 524,241 rows here, just inside 2**19
+        state = stratum_state(Stratum.PLUS, ModelParams.from_reduced(2.911e-10))
+        assert state.trunc == costratified.default_trunc(2.911e-10) <= costratified._MAX_ROWS
+
+    @pytest.mark.parametrize("t", [2.91e-10, 1e-200])
+    def test_truncation_past_the_row_bound_refuses_before_allocating(self, t, monkeypatch):
+        # 524,331 rows at 2.91e-10; about 9e100 at 1e-200, where N^2 is finite
+        def unexpected(*args):
+            raise AssertionError("vertex weights built past the row bound")
+
+        monkeypatch.setattr(costratified, "vertex_weights", unexpected)
+        with pytest.raises(TruncationError, match=f"at t={t} is past 524288 rows"):
+            stratum_state(Stratum.MINUS, ModelParams.from_reduced(t))
 
     def test_tail_is_reported(self, params):
         state = stratum_state(Stratum.PLUS, params)

@@ -18,6 +18,11 @@ from oracles import shooting_characteristic_values
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
 
+def same_bits(a, b):
+    """Whether two ``MathieuSolution``s hold the same level, bit for bit."""
+    return (a.n, a.q, a.b) == (b.n, b.q, b.b) and a.coeffs.tobytes() == b.coeffs.tobytes()
+
+
 def _load_fit_script():
     path = os.path.join(SCRIPTS, "fit_truncation.py")
     spec = importlib.util.spec_from_file_location("fit_truncation", path)
@@ -109,16 +114,23 @@ class TestSolve:
         # trunc=12 leaves level 5 a tail of 6.6e-9, so it doubles to 24
         # rows, the default truncation at q = 8
         assert mathieu.default_trunc(5, 8.0) == 24
-        assert mathieu.solve(5, 8.0, trunc=12) is mathieu.solve(5, 8.0)
+        assert same_bits(mathieu.solve(5, 8.0, trunc=12), mathieu.solve(5, 8.0))
 
     def test_auto_trunc_keeps_tail_small(self):
         assert mathieu.solve(0, 200.0).tail <= 1e-12
 
-    def test_solutions_are_cached_and_frozen(self):
+    def test_solutions_are_reproducible_and_frozen(self):
         first = mathieu.solve(1, 4.0)
-        assert mathieu.solve(1, 4.0) is first
+        assert same_bits(mathieu.solve(1, 4.0), first)
         with pytest.raises(ValueError):
             first.coeffs[0] = 0.0
+
+    def test_nothing_is_kept_between_calls(self, eigensolves):
+        # each request solves afresh, and the same request gives the same bytes
+        first, second = (mathieu.solve(np.arange(41), 2000.0) for _ in range(2))
+        assert len(eigensolves) == 2 and eigensolves[0] == eigensolves[1]
+        assert first.b.tobytes() == second.b.tobytes()
+        assert first.coeffs.tobytes() == second.coeffs.tobytes()
 
     def test_solve_many_matches_individual_solves(self):
         for q in (24.0, 2000.0, 8000.0):
@@ -135,13 +147,9 @@ class TestSolve:
         assert sols[0].trunc > 16 and max(s.tail for s in sols) <= 1e-12
 
     def test_one_eigensolve_for_all_levels_at_one_q(self, eigensolves):
-        # start from empty caches, whatever earlier tests left in them
-        for cached in [f for f in vars(mathieu).values() if hasattr(f, "cache_clear")]:
-            cached.cache_clear()
         params = ModelParams.from_reduced(1.0, 2000.0)
-        for n in range(41):
-            spectrum.energy(n, params)
-        assert len(eigensolves) == 1
+        energies = spectrum.energy(np.arange(41), params)
+        assert len(energies) == 41 and len(eigensolves) == 1
 
     @pytest.mark.parametrize("rows", [1, 2, 60, 128, 129, 512])
     def test_full_solve_is_scipys_bits(self, rows):
@@ -176,7 +184,7 @@ class TestSolve:
         monkeypatch.setattr(mathieu, "_flapack", lambda: failing)
         with pytest.raises(mathieu.ConvergenceError, match="info=3"):
             mathieu.eigh_tridiagonal(np.arange(4.0), np.ones(3))
-        # a q no other test solves, so the eigensystem is not cached
+        # every command solves afresh, so it reaches the failing LAPACK
         assert cli.main(["spectrum", "--nu-tilde", "1234.5625", "--n-max", "2"]) == 3
         assert "eigensolve failed: info=3" in capsys.readouterr().err
 
@@ -231,19 +239,22 @@ class TestSolve:
             return w, v
 
         monkeypatch.setattr(mathieu, "eigh_tridiagonal", recording)
-        mathieu._eigensystem.cache_clear()
         q = 4e8
         tracemalloc.start()
         try:
-            sols = [mathieu.solve(n, q) for n in range(4)]
-            first = list(columns)
+            sols, per_level = [], []
+            for n in range(4):
+                sols.append(mathieu.solve(n, q))
+                per_level.append(columns[:])
+                columns.clear()
             levels = mathieu.solve(np.arange(40), q)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert sols[0].trunc == levels.trunc == 1631 > mathieu._FULL_MAX
-        # one 16-level block for the first four levels, two more for 40
-        assert sum(first) <= 16 and max(columns) <= 16 and sum(columns) <= 48
+        # each request on its own: one 16-level block for one level, three
+        # blocks for 40 levels
+        assert per_level == [[16]] * 4 and columns == [16, 16, 16]
         assert peak < 16e6
         h = math.sqrt(q)
         for n, sol in enumerate(sols):
@@ -261,17 +272,15 @@ class TestSolve:
 
     def test_request_order_does_not_change_bits(self):
         # 1631 rows at q = 4e8, past _FULL_MAX: the levels come in fixed
-        # blocks, so 40 levels alone and after 17 levels are the same bytes
-        results = []
-        for earlier in ([], [17]):
-            mathieu._eigensystem.cache_clear()
-            for count in earlier:
-                mathieu.solve(np.arange(count), 4e8)
-            levels = mathieu.solve(np.arange(40), 4e8)
-            assert levels.trunc > mathieu._FULL_MAX
-            results.append(levels.b.tobytes() + levels.coeffs.tobytes())
-        mathieu._eigensystem.cache_clear()
-        assert results[0] == results[1]
+        # blocks, so 40 levels alone and after 17 levels are the same bytes,
+        # and the 17 levels are the first 17 rows of the 40
+        alone = mathieu.solve(np.arange(40), 4e8)
+        first = mathieu.solve(np.arange(17), 4e8)
+        after = mathieu.solve(np.arange(40), 4e8)
+        assert alone.trunc == first.trunc == after.trunc > mathieu._FULL_MAX
+        assert alone.b.tobytes() + alone.coeffs.tobytes() == after.b.tobytes() + after.coeffs.tobytes()
+        assert first.b.tobytes() == alone.b[:17].tobytes()
+        assert first.coeffs.tobytes() == alone.coeffs[:17].tobytes()
 
     @pytest.mark.parametrize(
         "n, q, trunc",
@@ -315,14 +324,14 @@ class TestSolve:
 
 class TestLevelBlock:
     @pytest.mark.parametrize("q", [0.0, 24.0, 2000.0, 4e6])
-    def test_levels_index_to_the_memoized_solutions(self, q):
+    def test_levels_index_to_per_level_solutions(self, q):
         levels = mathieu.solve_many(20, q)
         assert len(levels) == 20 and list(levels.n) == list(range(20))
         block = levels.coeffs
         assert block.shape == (20, levels.trunc)
         assert block.flags.c_contiguous and not block.flags.writeable
         for n, sol in enumerate(levels):
-            assert sol is levels[n] is mathieu.solve(n, q, trunc=levels.trunc)
+            assert same_bits(sol, levels[n]) and same_bits(sol, mathieu.solve(n, q, trunc=levels.trunc))
             assert np.shares_memory(sol.coeffs, block) and np.array_equal(sol.coeffs, block[n])
             assert levels.b[n] == sol.b and levels.tail[n] == sol.tail
         for array in (levels.b, levels.tail, block):
@@ -331,7 +340,7 @@ class TestLevelBlock:
 
     def test_solve_of_a_range_is_solve_many(self):
         many, ranged = mathieu.solve_many(7, 24.0), mathieu.solve(range(7), 24.0)
-        assert all(a is b for a, b in zip(many, ranged))
+        assert all(same_bits(a, b) for a, b in zip(many, ranged))
         assert np.array_equal(many.coeffs, ranged.coeffs)
 
     @pytest.mark.parametrize("trunc", [60, 128, 129])
@@ -383,7 +392,7 @@ class TestLevelBlock:
         assert [sol.n for sol in levels] == [5, 1, 3]
         for i, n in enumerate((5, 1, 3)):
             single = mathieu.solve(n, q, trunc=levels.trunc)
-            assert levels[i] is single and levels.b[i] == single.b
+            assert same_bits(levels[i], single) and levels.b[i] == single.b
             assert np.array_equal(levels.coeffs[i], single.coeffs)
         assert levels.coeffs.flags.c_contiguous and not levels.coeffs.flags.writeable
 
@@ -401,7 +410,7 @@ class TestLevelBlock:
         # small q all 41 levels come from the 52-row eigensystem
         levels = mathieu.solve(np.arange(41), 4.0)
         assert levels.trunc == mathieu.default_trunc(40, 4.0) == 52
-        assert levels[0] is mathieu.solve(0, 4.0, trunc=52)
+        assert same_bits(levels[0], mathieu.solve(0, 4.0, trunc=52))
 
     def test_fat_starting_tail_grows_or_raises(self, monkeypatch):
         # at q = 2000, 16 rows leave level tails up to 0.1 and 32 rows up to
@@ -435,7 +444,6 @@ class TestStartingTruncation:
             for q in self.QS:
                 start = mathieu.default_trunc(n, q)
                 if (n + 1) * start <= 2**18:
-                    mathieu._eigensystem.cache_clear()
                     levels = mathieu.solve(np.arange(n + 1), q)
                     tail = float(np.max(levels.tail)) if levels.trunc == start else math.inf
                 else:
@@ -453,7 +461,6 @@ class TestStartingTruncation:
                     and (n >= 63 or fit.level_tail(n, q, 63) > 1e-12)
                 ):
                     problems.append((n, q, start, "oversized", smaller))
-        mathieu._eigensystem.cache_clear()
         assert problems == []
 
     def test_start_never_falls_as_the_level_rises(self):

@@ -73,7 +73,6 @@ class TestEnergies:
         q = 4.0 * params.nu_tilde
         energies = spectrum.energy(np.arange(41), params)
         trunc = mathieu.solve(np.arange(41), q).trunc
-        mathieu._eigensystem.cache_clear()
         for n in range(41):
             single = spectrum._energy_from_b(mathieu.solve(n, q, trunc=trunc).b, params)
             assert energies[n] == single
@@ -81,7 +80,6 @@ class TestEnergies:
 
     def test_spectrum_sweep_makes_one_eigensolve_per_q(self, eigensolves, tmp_path):
         # levels 0..40 at 20 nu_tilde; per-level truncations made 168 solves
-        mathieu._eigensystem.cache_clear()
         argv = ["spectrum", "--nu-tilde", "0:200:20", "--n-max", "40"]
         assert cli.main([*argv, "--out", str(tmp_path / "spectrum.csv")]) == 0
         # exactly one solve per q, each at the start: the default truncation
@@ -148,7 +146,6 @@ class TestEigenstates:
         assert abs(spectrum.eigenstate(4, params).state.norm() - 1.0) < 1e-10
 
     def test_energy_and_state_share_one_eigensolve(self, eigensolves):
-        mathieu._eigensystem.cache_clear()
         params = ModelParams.from_reduced(0.125, 6.0)
         result = spectrum.eigenstate(2, params, trunc=40)
         assert [size for size, _ in eigensolves] == [40]
@@ -294,7 +291,6 @@ class TestProjectorExpectations:
         assert plus.shape == minus.shape == (len(t_values), 1, 6)
         assert completeness.shape == (len(t_values), 1)
         for i, t in enumerate(t_values):
-            mathieu._eigensystem.cache_clear()
             one_plus, one_minus, one_completeness = spectrum.projector_expectations((t,), (nut,), 6)
             assert np.array_equal(plus[i], one_plus[0])
             assert np.array_equal(minus[i], one_minus[0])
