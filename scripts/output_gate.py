@@ -22,7 +22,11 @@ is every file it writes.
 Prints each result that differs between the two sides, and exits 1 if any
 does, else 0.  For a text part (exit code, stdout, stderr, a CSV or SVG
 file) it also quotes the first differing line of each side, ``None`` where
-that side has no such line.  Run from anywhere inside the repository.
+that side has no such line.  For a CSV whose header and row count are the
+same on both sides it then states the moves in numbers: for each column
+with moved cells, how many moved, and for a numeric column the worst
+absolute move |tree - rev| and the worst relative move |tree - rev| / |rev|.
+Run from anywhere inside the repository.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import argparse
 import importlib.util
 import io
 import itertools
+import math
 import os
 import pathlib
 import shutil
@@ -163,12 +168,47 @@ def first_differing_lines(old: bytes, new: bytes) -> list[str]:
     return []
 
 
+def csv_table(text: bytes) -> tuple[list[str], list[list[str]]] | None:
+    """Header and rows of a command's CSV (comment line first), or None for any other part."""
+    try:
+        lines = text.decode().splitlines()
+    except UnicodeDecodeError:
+        return None
+    if len(lines) < 2 or not (lines[0].startswith("# plaquette-qgauge v") and " config=" in lines[0]):
+        return None
+    return lines[1].split(","), [line.split(",") for line in lines[2:]]
+
+
+def column_moves(old: bytes, new: bytes) -> list[str]:
+    """Per column of two CSVs with one header and row count: moved cells and the worst moves."""
+    tables = csv_table(old), csv_table(new)
+    if None in tables or tables[0][0] != tables[1][0] or len(tables[0][1]) != len(tables[1][1]):
+        return []
+    (header, old_rows), (_, new_rows) = tables
+    lines = []
+    for index, column in enumerate(header):
+        pairs = [(a[index], b[index]) for a, b in zip(old_rows, new_rows) if a[index] != b[index]]
+        if not pairs:
+            continue
+        line = f"    column {column}: {len(pairs)} of {len(old_rows)} cells moved"
+        try:
+            moves = [(float(a), abs(float(b) - float(a))) for a, b in pairs]
+        except ValueError:
+            lines.append(line)
+            continue
+        worst_abs = max(move for _, move in moves)
+        worst_rel = max(move / abs(a) if a else math.inf for a, move in moves)
+        lines.append(f"{line}, worst {worst_abs:.3g} absolute, {worst_rel:.3g} relative")
+    return lines
+
+
 def differences(name: str, old: dict[str, bytes], new: dict[str, bytes]) -> list[str]:
     entries = []
     for part in sorted(set(old) | set(new)):
         if old.get(part) != new.get(part):
             sizes = [len(side[part]) if part in side else "missing" for side in (old, new)]
-            quoted = first_differing_lines(old.get(part, b""), new.get(part, b""))
+            before, after = old.get(part, b""), new.get(part, b"")
+            quoted = [*first_differing_lines(before, after), *column_moves(before, after)]
             entries.append("\n".join([f"DIFFERS  {name}: {part} ({sizes[0]} -> {sizes[1]} bytes)", *quoted]))
     return entries
 
