@@ -7,7 +7,6 @@ verifiers for the stratified-symplectic structures it is reduced from.
 
 __version__ = "0.1.0"
 
-from .params import ModelParams
 from .strata import Stratum
 
-__all__ = ["ModelParams", "Stratum", "__version__"]
+__all__ = ["Stratum", "__version__"]

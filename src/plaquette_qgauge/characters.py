@@ -103,15 +103,15 @@ def char_complex(n: int, z: complex) -> complex:
     return total
 
 
-def laplace_eigenvalue(n, params: ModelParams):
-    """Eigenvalue beta2 * n * (n+2) of (minus) the Laplacian on the n-th character.
+def laplace_eigenvalue(n):
+    """Eigenvalue n * (n+2), in units of beta2, of (minus) the Laplacian on the n-th character.
 
     Accepts an integer or an integer array of basis indices.
     """
     n = np.asarray(n)
     if np.any(n < 0):
         raise ValueError(f"basis index must be >= 0, got {n}")
-    out = params.beta2 * (n * (n + 2))
+    out = n * (n + 2.0)
     return float(out) if out.ndim == 0 else out
 
 

@@ -21,7 +21,8 @@ Grid values must be finite.  ``coupling_g`` with ``nu_tilde``, ``hbar`` or
 ``beta2`` with ``hbar_beta2``, and ``coupling_g`` with ``hbar_beta2`` but
 without ``hbar`` or ``beta2`` (nu_tilde = 1/(g^2 hbar t) then depends on an
 unset hbar) are refused as ambiguous; ``hbar``, ``beta2`` and
-``coupling_g`` are checked as a ``ModelParams``.
+``coupling_g`` are checked as a ``ModelParams``, which turns them into the
+(t, nu_tilde) that every numerical layer takes.
 
 Importing this module loads only the ``params``, ``strata``, ``theta`` and
 ``costratified`` layers, which ``tunneling`` needs.  Each other command
@@ -377,11 +378,7 @@ def cmd_spectrum(args, settings) -> int:
     n_max = settings.get("n_max", 8)
     if n_max < 1:
         raise UsageError("n_max must be >= 1")
-    energies = []
-    for nut in nut_axis.values:
-        params = ModelParams.from_reduced(1.0, nut)
-        energies.append(spectrum.energy(np.arange(n_max + 1), params) / params.hbar2_beta2)
-    energies = np.array(energies)
+    energies = np.array([spectrum.energy(np.arange(n_max + 1), nut) for nut in nut_axis.values])
     plot = Plot("nu_tilde", "E_n", ("n",), "E_{}", "nu_tilde", "E_n / hbar^2 beta2")
     axes = {"nu_tilde": nut_axis, "n": Axis(range(n_max))}
     data = {"E_n": energies[:, :-1].ravel(), "E_gap": np.diff(energies).ravel()}
@@ -401,7 +398,7 @@ def cmd_states(args, settings) -> int:
         from . import characters
 
         stratum = Stratum.PLUS if args.state == "psi-plus" else Stratum.MINUS
-        state = costratified.stratum_state(stratum, ModelParams.from_reduced(t_values[0]))
+        state = costratified.stratum_state(stratum, t_values[0])
         values = math.sqrt(2.0) * characters.sine_series(x, state.coeffs)
         label = args.state
     else:
@@ -410,8 +407,8 @@ def cmd_states(args, settings) -> int:
         level = args.level
         if level < 0:
             raise UsageError("level must be >= 0")
-        # eigenfunctions do not depend on t; nu_tilde is read as spectrum reads it
-        values = spectrum.eigenfunction_x(level, ModelParams.from_reduced(1.0, nut_values[0]), x)
+        # eigenfunctions do not depend on t
+        values = spectrum.eigenfunction_x(level, nut_values[0], x)
         label = f"xi_{level}"
     config = {"state": label, "hbar_beta2": t_values, "nu_tilde": nut_values, "grid": grid}
     plot = Plot("x", "value", (), label, "x", label)

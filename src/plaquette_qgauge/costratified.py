@@ -61,10 +61,10 @@ _SQRT_PI = math.sqrt(math.pi)
 
 @dataclass(frozen=True)
 class StateVector:
-    """Coefficient vector in the orthonormal basis, stamped with its parameters."""
+    """Coefficient vector in the orthonormal basis, stamped with the t = hbar beta2 it was built for."""
 
     coeffs: np.ndarray
-    params: ModelParams
+    t: float
 
     def __post_init__(self):
         vec = np.array(self.coeffs)
@@ -93,14 +93,6 @@ class StateVector:
         """Inner product, conjugate-linear in self (the first slot)."""
         m = min(self.trunc, other.trunc)
         return complex(np.vdot(self.coeffs[:m], other.coeffs[:m]))
-
-    @classmethod
-    def basis_state(cls, n: int, params: ModelParams, trunc: int) -> "StateVector":
-        if not 0 <= n < trunc:
-            raise ValueError(f"need 0 <= n < trunc, got n={n}, trunc={trunc}")
-        vec = np.zeros(trunc)
-        vec[n] = 1.0
-        return cls(vec, params)
 
 
 def _agree(a: float, b: float, what: str) -> None:
@@ -210,13 +202,12 @@ def vertex_weights(stratum: Stratum, t: float, count: int) -> np.ndarray:
     return weights
 
 
-def stratum_state(stratum: Stratum, params: ModelParams, trunc: int | None = None) -> StateVector:
-    """Unit state spanning the quantum subspace of the given vertex stratum.
+def stratum_state(stratum: Stratum, t: float, trunc: int | None = None) -> StateVector:
+    """Unit state spanning the quantum subspace of the given vertex stratum at t = hbar beta2.
 
     A truncation past ``_MAX_ROWS`` rows, which the default one is below
     t ~ 2.91e-10, raises ``TruncationError`` before anything is allocated.
     """
-    t = params.t
     if trunc is None:
         trunc = default_trunc(t)
     n2 = norm_squared(t)  # first: below the N^2 edge the truncation is too large to allocate
@@ -228,7 +219,7 @@ def stratum_state(stratum: Stratum, params: ModelParams, trunc: int | None = Non
             f"trunc={trunc} leaves a tail above 1e-16 * N^2 at t={t}; "
             f"need at least {default_trunc(t)}"
         )
-    return StateVector(weights / math.sqrt(n2), params)
+    return StateVector(weights / math.sqrt(n2), t)
 
 
 def vertex_evaluation(state: StateVector, stratum: Stratum, params: ModelParams) -> complex:
@@ -238,22 +229,24 @@ def vertex_evaluation(state: StateVector, stratum: Stratum, params: ModelParams)
     C_n^(-1/2), and the complex character at the +/- identity equals
     (+/-1)^n (n+1), so this sums the coefficients against ``vertex_weights``;
     it is zero exactly when the state belongs to that vertex's vanishing subspace.
+    The scale (hbar pi)^(-3/4) depends on hbar itself, not on t alone, so this
+    takes the physical ``params``.
     """
     weights = vertex_weights(stratum, params.t, state.trunc)
     scale = (params.hbar * math.pi) ** -0.75
     return complex(scale * np.sum(state.coeffs * weights))
 
 
-def project(state: StateVector, stratum: Stratum, params: ModelParams) -> StateVector:
-    """Orthogonal (rank-one) projection of ``state`` onto the stratum subspace."""
-    if abs(state.params.t - params.t) > 1e-12 * max(1.0, params.t):
-        raise ValueError("state was built for different parameters")
-    basis = stratum_state(stratum, params, trunc=max(state.trunc, default_trunc(params.t)))
+def project(state: StateVector, stratum: Stratum, t: float) -> StateVector:
+    """Orthogonal (rank-one) projection of ``state`` onto the stratum subspace at t."""
+    if abs(state.t - t) > 1e-12 * max(1.0, t):
+        raise ValueError(f"state was built for t={state.t}, not t={t}")
+    basis = stratum_state(stratum, t, trunc=max(state.trunc, default_trunc(t)))
     amplitude = complex(np.vdot(basis.coeffs[: state.trunc], state.coeffs))
-    return StateVector(basis.coeffs * amplitude, params)
+    return StateVector(basis.coeffs * amplitude, t)
 
 
-def vanishing_basis(stratum: Stratum, params: ModelParams, trunc: int) -> np.ndarray:
+def vanishing_basis(stratum: Stratum, t: float, trunc: int) -> np.ndarray:
     """Unit column vectors spanning the vanishing subspace within the truncation.
 
     With v the vertex weights and the pivot p the index of the largest |v_j|,
@@ -263,7 +256,7 @@ def vanishing_basis(stratum: Stratum, params: ModelParams, trunc: int) -> np.nda
     """
     if trunc < 2:
         raise ValueError("need trunc >= 2 to span a vanishing subspace")
-    weights = vertex_weights(stratum, params.t, trunc)
+    weights = vertex_weights(stratum, t, trunc)
     pivot = int(np.argmax(np.abs(weights)))
     others = np.delete(np.arange(trunc), pivot)
     basis = np.zeros((trunc, trunc - 1))

@@ -1,4 +1,4 @@
-"""Physical parameters of the single-plaquette SU(2) model.
+"""Physical parameters of the single-plaquette SU(2) model: the command line's units adapter.
 
 The model is controlled by three positive constants: hbar, the inner-product
 scale beta2 (the square of the metric scaling factor), and the gauge coupling
@@ -8,7 +8,11 @@ dimensionless combinations
     t        = hbar * beta2            (quantum-fluctuation scale)
     nu_tilde = 1 / (coupling_g**2 * hbar**2 * beta2)
 
-so sweeps are usually specified in (t, nu_tilde) directly.
+and the numerical layers take (t, nu_tilde) as plain floats, with energies
+in units of hbar^2 beta2.  ``ModelParams`` checks ``--hbar``, ``--beta2`` and
+``--coupling-g`` and turns them into (t, nu_tilde) for the command line; the
+two hbar-dependent constants, ``characters.peter_weyl_constant`` and
+``costratified.vertex_evaluation``, are its only other readers.
 """
 
 from __future__ import annotations

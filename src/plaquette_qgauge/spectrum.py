@@ -1,18 +1,22 @@
 """Spectrum of the single-plaquette Hamiltonian and stratum-projector expectations.
 
 The Hamiltonian is the free Laplace term plus the potential (nu/2)(3 - chi_1).
-Two independent routes to its spectrum are kept side by side:
+Everything here takes the reduced coordinates t = hbar beta2 and nu_tilde
+as plain floats, computes at exactly the values it is given, and gives
+energies in units of hbar^2 beta2.  Two independent routes to the spectrum
+are kept side by side:
 
 * the Mathieu route: separation in the interval realization turns the
   stationary problem into the odd pi-periodic Mathieu equation with
   a = 8 E / (hbar^2 beta2) + 4 - 12 nu_tilde and q = 4 nu_tilde, so
 
-      E_n = (hbar^2 beta2 / 2) (b(n, 4 nu_tilde)/4 + 3 nu_tilde - 1);
+      E_n / (hbar^2 beta2) = (b(n, 4 nu_tilde)/4 + 3 nu_tilde - 1) / 2;
 
 * the matrix route: in the orthonormal character basis the multiplication
   operator chi_1 is the unit-off-diagonal tridiagonal matrix (the character
   product rule chi_1 chi_k = chi_{k+1} + chi_{k-1}), giving the symmetric
-  tridiagonal Hamiltonian assembled by ``hamiltonian_matrix``.
+  tridiagonal Hamiltonian assembled by ``hamiltonian_matrix``: diagonal
+  k(k+2)/2 + 3 nu_tilde/2, off-diagonal -nu_tilde/2.
 
 The matrix route exists purely as a cross-check oracle; all production
 quantities go through the Mathieu route.  The two share a tridiagonal up to
@@ -29,8 +33,8 @@ or an integer array of levels, and an array is served by one eigensolve, so
 a spectrum sweep costs one eigensolve per nu_tilde.  Projector expectations
 are squared overlaps of eigenstates with the two vertex states.
 ``projector_expectations`` serves a whole (t, nu_tilde) sweep in one call,
-at q = 4 nu_tilde taken as ``ModelParams.from_reduced(1.0, nu_tilde)``
-gives it, so q does not depend on t.  At each q the t that share a
+at q = 4 nu_tilde (multiplying by 4 is exact), which does not depend on t.
+At each q the t that share a
 truncation read one eigensystem, and each t's overlaps are row sums over
 that eigensystem's (levels, trunc) coefficient block, read in place.  The
 normalization N is computed once per distinct t in a call, and the signed
@@ -49,7 +53,6 @@ import numpy as np
 
 from . import characters, costratified, mathieu
 from .costratified import StateVector, TruncationError, vertex_weights
-from .params import ModelParams
 from .strata import Stratum
 
 _TAIL_TOL = 1e-12
@@ -62,54 +65,52 @@ _COMPLETENESS_MAX = 960
 
 @dataclass(frozen=True)
 class SpectralResult:
-    """Energy level n: eigenvalue and eigenstate coefficients."""
+    """Energy level n: eigenvalue, in units of hbar^2 beta2, and eigenstate coefficients."""
 
     n: int
     energy: float
     state: StateVector
-    params: ModelParams
 
 
-def _tridiagonal(params: ModelParams, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of the Hamiltonian on the first dim basis states."""
-    diag = 0.5 * params.hbar**2 * characters.laplace_eigenvalue(np.arange(dim), params)
-    diag += 1.5 * params.nu
-    return diag, np.full(dim - 1, -0.5 * params.nu)
+def _tridiagonal(nu_tilde: float, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of H / (hbar^2 beta2) on the first dim basis states."""
+    diag = 0.5 * characters.laplace_eigenvalue(np.arange(dim)) + 1.5 * nu_tilde
+    return diag, np.full(dim - 1, -0.5 * nu_tilde)
 
 
-def hamiltonian_matrix(params: ModelParams, dim: int) -> np.ndarray:
-    """Dense symmetric tridiagonal Hamiltonian truncated to the first dim basis states."""
+def hamiltonian_matrix(nu_tilde: float, dim: int) -> np.ndarray:
+    """Dense H / (hbar^2 beta2), symmetric tridiagonal, truncated to the first dim basis states."""
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
-    diag, off = _tridiagonal(params, dim)
+    diag, off = _tridiagonal(nu_tilde, dim)
     h = np.diag(diag)
     h += np.diag(off, 1) + np.diag(off, -1)
     return h
 
 
-def matrix_energies(params: ModelParams, count: int, dim: int | None = None) -> np.ndarray:
-    """First ``count`` eigenvalues of the truncated Hamiltonian matrix (oracle route).
+def matrix_energies(nu_tilde: float, count: int, dim: int | None = None) -> np.ndarray:
+    """First ``count`` eigenvalues of the truncated ``hamiltonian_matrix`` (oracle route).
 
     numpy's dense ``eigvalsh`` (LAPACK ``dsyevd`` without vectors) reaches
     the values through ``dsterf``'s root-free QL/QR iteration; the Mathieu
     route takes them, with the vectors, from ``dstedc``.
     """
     if dim is None:
-        dim = mathieu.default_trunc(count - 1, 4.0 * params.nu_tilde)
-    return np.linalg.eigvalsh(hamiltonian_matrix(params, dim))[:count]
+        dim = mathieu.default_trunc(count - 1, 4.0 * nu_tilde)
+    return np.linalg.eigvalsh(hamiltonian_matrix(nu_tilde, dim))[:count]
 
 
-def _energy_from_b(b: float, params: ModelParams) -> float:
-    return 0.5 * params.hbar2_beta2 * (b / 4.0 + 3.0 * params.nu_tilde - 1.0)
+def _energy_from_b(b: float, nu_tilde: float) -> float:
+    return 0.5 * (b / 4.0 + 3.0 * nu_tilde - 1.0)
 
 
-def energy(n, params: ModelParams):
-    """Energy of level n through the Mathieu characteristic value.
+def energy(n, nu_tilde: float):
+    """Energy E_n / (hbar^2 beta2) of level n through the Mathieu characteristic value.
 
     ``n`` may also be an integer array of levels; their energies, an array,
     all come from one eigensystem (see ``mathieu.solve``).
     """
-    return _energy_from_b(mathieu.solve(n, 4.0 * params.nu_tilde).b, params)
+    return _energy_from_b(mathieu.solve(n, 4.0 * nu_tilde).b, nu_tilde)
 
 
 def _state_trunc(n: int, q: float, t: float) -> int:
@@ -121,40 +122,41 @@ def _signed_coeffs(sol: mathieu.MathieuSolution) -> np.ndarray:
     return (-1.0) ** (sol.n + k) * sol.coeffs
 
 
-def eigenstate(n: int, params: ModelParams, trunc: int | None = None) -> SpectralResult:
+def eigenstate(n: int, t: float, nu_tilde: float, trunc: int | None = None) -> SpectralResult:
     """Eigenstate of level n as a coefficient vector in the orthonormal basis.
 
-    The energy and the coefficients come from the same eigensolve.  At
-    nu_tilde = 0 the result is exactly the n-th basis vector.
+    The energy and the coefficients come from the same eigensolve; t sets
+    only the default truncation, which also holds the vertex states of t,
+    and the state's stamp.  At nu_tilde = 0 the result is exactly the n-th
+    basis vector.
     """
     if trunc is None:
-        trunc = _state_trunc(n, 4.0 * params.nu_tilde, params.t)
-    sol = mathieu.solve(n, 4.0 * params.nu_tilde, trunc=trunc)
-    state = StateVector(_signed_coeffs(sol), params)
-    return SpectralResult(n=n, energy=_energy_from_b(sol.b, params), state=state, params=params)
+        trunc = _state_trunc(n, 4.0 * nu_tilde, t)
+    sol = mathieu.solve(n, 4.0 * nu_tilde, trunc=trunc)
+    return SpectralResult(n, _energy_from_b(sol.b, nu_tilde), StateVector(_signed_coeffs(sol), t))
 
 
-def eigenfunction_x(n: int, params: ModelParams, x):
+def eigenfunction_x(n: int, nu_tilde: float, x):
     """Interval realization of level n on [0, pi].
 
     Equals (-1)^(n+1) sqrt(2) se(n, 4 nu_tilde, (x - pi)/2), which reduces to
     sqrt(2) sin((n+1)x) in the free theory.
     """
     x = np.asarray(x, dtype=float)
-    sol = mathieu.solve(n, 4.0 * params.nu_tilde)
+    sol = mathieu.solve(n, 4.0 * nu_tilde)
     out = (-1.0) ** (n + 1) * math.sqrt(2.0) * np.asarray(sol.se((x - math.pi) / 2.0))
     return float(out) if out.ndim == 0 else out
 
 
-def projector_expectation(n: int, params: ModelParams, stratum: Stratum) -> float:
+def projector_expectation(n: int, t: float, nu_tilde: float, stratum: Stratum) -> float:
     """Probability of finding energy level n in the given vertex subspace.
 
-    Level n of a batch of ``n + 1`` levels at ``params``' own t and
-    q = 4 nu_tilde, read at that batch's truncation, so the value is the
-    batch's bit for bit and one call costs one batch of at least 60 levels.
+    Level n of a batch of ``n + 1`` levels at (t, nu_tilde), read at that
+    batch's truncation, so the value is the batch's bit for bit and one call
+    costs one batch of at least 60 levels.
     """
     sign = stratum.sign  # rejects Stratum.TOP; n < 0 is a count below 1
-    plus, minus, _ = _projector_batch((params.t,), (4.0 * params.nu_tilde,), n + 1)
+    plus, minus, _ = _projector_batch((t,), (4.0 * nu_tilde,), n + 1)
     return float((plus if sign > 0 else minus)[0, 0, n])
 
 
@@ -165,9 +167,8 @@ def projector_expectations(
 
     Returns ``(T, V, count)`` arrays of the plus and minus expectations,
     entry ``[i, j]`` for ``t_values[i]`` and ``nu_tilde_values[j]``, and the
-    ``(T, V)`` completeness sums.  q is 4 nu_tilde as
-    ``ModelParams.from_reduced(1.0, nu_tilde)`` gives it, the value
-    ``spectrum`` solves at, so it does not depend on t.
+    ``(T, V)`` completeness sums.  Each nu_tilde is solved at exactly
+    q = 4 nu_tilde, as ``energy`` solves it, so q does not depend on t.
 
     The completeness diagnostic sums the plus expectations over the first
     ``_COMPLETENESS_START`` (60) levels; it approaches 1 because the
@@ -180,8 +181,7 @@ def projector_expectations(
     for t in t_values:
         if not t > 0:
             raise ValueError(f"hbar_beta2 must be positive, got {t}")
-    q_values = [4.0 * ModelParams.from_reduced(1.0, float(nut)).nu_tilde for nut in nu_tilde_values]
-    return _projector_batch(t_values, q_values, count)
+    return _projector_batch(t_values, [4.0 * float(nut) for nut in nu_tilde_values], count)
 
 
 def _projector_batch(t_values, q_values, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -15,7 +15,6 @@ from itertools import islice
 import numpy as np
 
 from . import characters, costratified, geometry, mathieu, spectrum
-from .params import ModelParams
 from .strata import Stratum
 
 _SEED = 20260810
@@ -116,13 +115,12 @@ def geometry_checks() -> list[CheckResult]:
 def spectral_checks() -> list[CheckResult]:
     out = []
 
-    free = ModelParams.from_reduced(0.125, 0.0)
     worst = 0.0
     anchored = True
     for n in range(10):
-        value = spectrum.energy(n, free) / free.hbar**2
-        worst = max(worst, abs(value - 0.5 * characters.laplace_eigenvalue(n, free)))
-        state = spectrum.eigenstate(n, free).state.coeffs
+        value = spectrum.energy(n, 0.0)
+        worst = max(worst, abs(value - 0.5 * characters.laplace_eigenvalue(n)))
+        state = spectrum.eigenstate(n, 0.125, 0.0).state.coeffs
         expected = np.zeros(len(state))
         expected[n] = 1.0
         anchored = anchored and np.array_equal(np.asarray(state, dtype=float), expected)
@@ -135,18 +133,15 @@ def spectral_checks() -> list[CheckResult]:
     )
 
     worst = 0.0
-    for t in (0.5, 0.125, 0.03125):
-        for nut in (3.0, 6.0, 12.0, 24.0):
-            params = ModelParams.from_reduced(t, nut)
-            reference = spectrum.matrix_energies(params, 10)
-            # one request for the ten levels: they share one q and one truncation
-            errors = np.abs(spectrum.energy(np.arange(10), params) - reference)
-            worst = max(worst, float(np.max(errors / np.maximum(1.0, np.abs(reference)))))
+    for nut in (3.0, 6.0, 12.0, 24.0):
+        reference = spectrum.matrix_energies(nut, 10)
+        # one request for the ten levels: they share one q and one truncation
+        errors = np.abs(spectrum.energy(np.arange(10), nut) - reference)
+        worst = max(worst, float(np.max(errors / np.maximum(1.0, np.abs(reference)))))
     out.append(_residual_check("dual-oracle-spectrum", worst, 1e-8))
 
-    params = ModelParams.from_reduced(0.125, 6.0)
     vectors = np.column_stack(
-        [spectrum.eigenstate(n, params, trunc=40).state.coeffs for n in range(8)]
+        [spectrum.eigenstate(n, 0.125, 6.0, trunc=40).state.coeffs for n in range(8)]
     )
     gram = vectors.T @ vectors
     out.append(
@@ -217,11 +212,10 @@ def state_checks() -> list[CheckResult]:
     nu_tildes = (0.0, 6.0, 24.0)
     plus, minus, _ = spectrum.projector_expectations((0.125,), nu_tildes, 6)
     for j, nut in enumerate(nu_tildes):
-        params = ModelParams.from_reduced(0.125, nut)
         for stratum, via_formula in ((Stratum.PLUS, plus[0, j]), (Stratum.MINUS, minus[0, j])):
-            vertex = costratified.stratum_state(stratum, params)
+            vertex = costratified.stratum_state(stratum, 0.125)
             for n in range(6):
-                state = spectrum.eigenstate(n, params, trunc=vertex.trunc).state
+                state = spectrum.eigenstate(n, 0.125, nut, trunc=vertex.trunc).state
                 via_vectors = abs(vertex.inner(state)) ** 2
                 worst = max(worst, abs(via_vectors - via_formula[n]))
     out.append(_residual_check("projector-route-consistency", worst, 1e-12))
@@ -236,10 +230,9 @@ def state_checks() -> list[CheckResult]:
             worst = max(worst, abs(row[n] - closed))
     out.append(_residual_check("free-theory-closed-form", worst, 1e-10))
 
-    params = ModelParams.from_reduced(0.125, 6.0)
     gap = abs(
-        spectrum.projector_expectation(0, params, Stratum.PLUS)
-        - spectrum.projector_expectation(0, params, Stratum.MINUS)
+        spectrum.projector_expectation(0, 0.125, 6.0, Stratum.PLUS)
+        - spectrum.projector_expectation(0, 0.125, 6.0, Stratum.MINUS)
     )
     out.append(
         CheckResult("parity-separation", gap > 1e-6, f"separation={gap!r} (min 1e-06)")

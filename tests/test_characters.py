@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from plaquette_qgauge import ModelParams
 from plaquette_qgauge.characters import (
     char_complex,
     char_l2,
@@ -14,6 +13,7 @@ from plaquette_qgauge.characters import (
     laplace_eigenvalue,
     peter_weyl_constant,
 )
+from plaquette_qgauge.params import ModelParams
 
 
 class TestCharReal:
@@ -114,13 +114,12 @@ class TestCharComplex:
 
 class TestConstants:
     def test_laplace_eigenvalues(self):
-        one = ModelParams(hbar=1.0, beta2=1.0, coupling_g=1.0)
-        assert laplace_eigenvalue(0, one) == 0.0
-        assert laplace_eigenvalue(2, one) == 8.0
-        quarter = ModelParams(hbar=1.0, beta2=0.25, coupling_g=1.0)
-        assert laplace_eigenvalue(3, quarter) == 3.75
-        values = laplace_eigenvalue(np.arange(4), quarter)
-        assert np.array_equal(values, [0.0, 0.75, 2.0, 3.75])
+        assert laplace_eigenvalue(0) == 0.0
+        assert laplace_eigenvalue(2) == 8.0
+        assert laplace_eigenvalue(3) == 15.0
+        values = laplace_eigenvalue(np.arange(4))
+        assert values.dtype == np.float64
+        assert np.array_equal(values, [0.0, 3.0, 8.0, 15.0])
 
     def test_peter_weyl_values(self):
         one = ModelParams(hbar=1.0, beta2=1.0, coupling_g=1.0)
@@ -138,11 +137,10 @@ class TestConstants:
             peter_weyl_constant(40, one)
 
     def test_invalid_index(self):
-        one = ModelParams(hbar=1.0, beta2=1.0, coupling_g=1.0)
         with pytest.raises(ValueError):
-            laplace_eigenvalue(-1, one)
+            laplace_eigenvalue(-1)
         with pytest.raises(ValueError):
-            laplace_eigenvalue(np.array([0, 2, -1]), one)
+            laplace_eigenvalue(np.array([0, 2, -1]))
 
 
 class TestHaarDensity:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import plaquette_qgauge
-from plaquette_qgauge import ModelParams, Stratum, cli, costratified, mathieu, spectrum
+from plaquette_qgauge import Stratum, cli, costratified, mathieu, spectrum
 
 from oracles import dense_projectors
 
@@ -204,6 +204,18 @@ class TestSpectrum:
         assert all(a < b for a, b in zip(energies, energies[1:]))
         assert all(float(r[3]) > 0 for r in rows)
 
+    def test_cells_are_the_solve_at_exactly_four_nu_tilde(self, capsys):
+        # nu_tilde = 6 read back through hbar, beta2 and coupling_g is
+        # 5.999999999999998; the cells are E_n / (hbar^2 beta2) at q = 24
+        n_max = 8
+        code, out = run_cli(["spectrum", "--nu-tilde", "6", "--n-max", str(n_max)], capsys)
+        assert code == 0
+        b = mathieu.solve(np.arange(n_max + 1), 24.0).b
+        energies = 0.5 * (b / 4.0 + 3.0 * 6.0 - 1.0)
+        _, rows = parse_csv(out)
+        assert [row[2] for row in rows] == [repr(float(e)) for e in energies[:-1]]
+        assert [row[3] for row in rows] == [repr(float(gap)) for gap in np.diff(energies)]
+
 
 class TestStates:
     def test_vertex_state_norm_from_grid(self, capsys):
@@ -233,6 +245,15 @@ class TestStates:
         _, rows = parse_csv(out)
         assert abs(float(rows[0][1])) < 1e-10
         assert abs(float(rows[-1][1])) < 1e-10
+
+    def test_eigenfunction_is_the_level_at_exactly_four_nu_tilde(self, capsys):
+        args = ["states", "--state", "xi", "--level", "2", "--nu-tilde", "6", "--grid", "33"]
+        code, out = run_cli(args, capsys)
+        assert code == 0
+        x = np.linspace(0.0, math.pi, 33)
+        expected = (-1.0) ** 3 * math.sqrt(2.0) * mathieu.solve(2, 24.0).se((x - math.pi) / 2.0)
+        _, rows = parse_csv(out)
+        assert [row[1] for row in rows] == [repr(float(v)) for v in expected]
 
     def test_bad_selector_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -349,6 +370,21 @@ class TestProjectorExpectations:
         ]
         assert rows == expected
 
+    def test_rows_are_the_batch_at_exactly_four_nu_tilde(self, capsys):
+        t_values = (0.125, 0.3)
+        args = ["projector-expectations", "--hbar-beta2", "0.125,0.3", "--nu-tilde", "6"]
+        code, out = run_cli([*args, "--n-max", "6"], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        plus, minus, completeness = spectrum._projector_batch(t_values, (24.0,), 6)
+        expected = [
+            [repr(t), "6.0", str(n)]
+            + [repr(float(v)) for v in (plus[i, 0, n], minus[i, 0, n], completeness[i, 0])]
+            for i, t in enumerate(t_values)
+            for n in range(6)
+        ]
+        assert rows == expected
+
     def test_large_nu_tilde_matches_dense_reference(self, capsys):
         # the batch Mathieu solve must grow past the starting truncation here
         code, out = run_cli(
@@ -368,12 +404,12 @@ class TestProjectorExpectations:
 
 
     def test_sweep_makes_one_eigensolve_per_nu_tilde(self, eigensolves, tmp_path):
-        # every t at one nu_tilde shares q = 4 nu_tilde and the truncation;
-        # from each (t, nu_tilde) pair's own parameters q would differ by an
-        # ulp between these t, which are not powers of two
+        # every t at one nu_tilde shares q = 4 nu_tilde, exactly, and the
+        # truncation; from each (t, nu_tilde) pair's own parameters q would
+        # differ by an ulp between these t, which are not powers of two
         argv = ["projector-expectations", "--hbar-beta2", "0.1,0.3,0.7", "--nu-tilde", "0.1:100:20:log"]
         assert cli.main([*argv, "--out", str(tmp_path / "p.csv")]) == 0
-        expected = [4.0 * ModelParams.from_reduced(1.0, nut).nu_tilde for nut in np.geomspace(0.1, 100.0, 20)]
+        expected = [4.0 * nut for nut in np.geomspace(0.1, 100.0, 20)]
         assert [q for _, q in eigensolves] == expected
 
     def test_one_normalization_per_t(self, monkeypatch, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plaquette_qgauge import ModelParams, Stratum, costratified
+from plaquette_qgauge import Stratum, costratified
 from plaquette_qgauge.costratified import (
     ConsistencyError,
     StateVector,
@@ -18,16 +18,20 @@ from plaquette_qgauge.costratified import (
     vanishing_basis,
     vertex_evaluation,
 )
+from plaquette_qgauge.params import ModelParams
 
 from oracles import exact_vertex_sums
 
 #: the documented domain of N^2 and the tunneling probability
 T_MIN, T_MAX = 0.0069, 708.0
+#: t = hbar beta2 of the state tests
+T = 0.125
 
 
 @pytest.fixture
 def params():
-    return ModelParams.from_reduced(0.125, 0.0)
+    """Physical parameters at t = T, for ``vertex_evaluation``, whose scale depends on hbar."""
+    return ModelParams.from_reduced(T, 0.0)
 
 
 class TestNormalization:
@@ -76,50 +80,49 @@ class TestNormalization:
 
 
 class TestVertexStates:
-    def test_unit_norm(self, params):
+    def test_unit_norm(self):
         for stratum in (Stratum.PLUS, Stratum.MINUS):
-            assert abs(stratum_state(stratum, params).norm() - 1.0) < 1e-12
+            assert abs(stratum_state(stratum, T).norm() - 1.0) < 1e-12
 
-    def test_leading_coefficient_positive(self, params):
-        state = stratum_state(Stratum.PLUS, params)
-        t = params.t
-        expected = math.exp(-t / 2.0) / normalization_constant(t)
+    def test_leading_coefficient_positive(self):
+        state = stratum_state(Stratum.PLUS, T)
+        expected = math.exp(-T / 2.0) / normalization_constant(T)
         assert math.isclose(float(state.coeffs[0]), expected, rel_tol=1e-13)
         assert state.coeffs[0] > 0.0
 
-    def test_minus_is_parity_flip_of_plus(self, params):
-        plus = stratum_state(Stratum.PLUS, params)
-        minus = stratum_state(Stratum.MINUS, params)
+    def test_minus_is_parity_flip_of_plus(self):
+        plus = stratum_state(Stratum.PLUS, T)
+        minus = stratum_state(Stratum.MINUS, T)
         signs = (-1.0) ** np.arange(plus.trunc)
         assert np.array_equal(np.asarray(minus.coeffs), signs * np.asarray(plus.coeffs))
 
-    def test_integer_coefficients_are_kept_as_floats(self, params):
-        negative = StateVector(np.array([-1, 0]), params)
+    def test_integer_coefficients_are_kept_as_floats(self):
+        negative = StateVector(np.array([-1, 0]), T)
         assert negative.coeffs.dtype == np.float64
         assert np.array_equal(negative.coeffs, [-1.0, 0.0])
-        assert StateVector(np.array([1, 0]), params).coeffs.dtype == np.float64
+        assert StateVector(np.array([1, 0]), T).coeffs.dtype == np.float64
 
-    def test_non_finite_coefficients_rejected(self, params):
+    def test_non_finite_coefficients_rejected(self):
         for coeffs in ([1.0, math.nan], [math.inf, 0.0], [1.0 + 0.0j, complex(0.0, math.inf)]):
             with pytest.raises(ValueError, match="finite"):
-                StateVector(np.array(coeffs), params)
+                StateVector(np.array(coeffs), T)
 
-    def test_top_stratum_rejected(self, params):
+    def test_top_stratum_rejected(self):
         with pytest.raises(ValueError):
-            stratum_state(Stratum.TOP, params)
+            stratum_state(Stratum.TOP, T)
 
-    def test_insufficient_truncation_rejected(self, params):
+    def test_insufficient_truncation_rejected(self):
         with pytest.raises(TruncationError):
-            stratum_state(Stratum.PLUS, params, trunc=5)
+            stratum_state(Stratum.PLUS, T, trunc=5)
 
     def test_overflowing_normalization_raises_before_allocating(self):
         # the default truncation at t = 1e-300 is about 9e150 weights
         with pytest.raises(FloatingPointError, match="at t=1e-300"):
-            stratum_state(Stratum.PLUS, ModelParams.from_reduced(1e-300))
+            stratum_state(Stratum.PLUS, 1e-300)
 
     def test_default_truncation_up_to_the_row_bound_is_built(self):
         # default_trunc is 524,241 rows here, just inside 2**19
-        state = stratum_state(Stratum.PLUS, ModelParams.from_reduced(2.911e-10))
+        state = stratum_state(Stratum.PLUS, 2.911e-10)
         assert state.trunc == costratified.default_trunc(2.911e-10) <= costratified._MAX_ROWS
 
     @pytest.mark.parametrize("t", [2.91e-10, 1e-200])
@@ -130,37 +133,36 @@ class TestVertexStates:
 
         monkeypatch.setattr(costratified, "vertex_weights", unexpected)
         with pytest.raises(TruncationError, match=f"at t={t} is past 524288 rows"):
-            stratum_state(Stratum.MINUS, ModelParams.from_reduced(t))
+            stratum_state(Stratum.MINUS, t)
 
-    def test_tail_is_reported(self, params):
-        state = stratum_state(Stratum.PLUS, params)
+    def test_tail_is_reported(self):
+        state = stratum_state(Stratum.PLUS, T)
         assert state.tail == abs(float(state.coeffs[-1]))
 
     @settings(deadline=None, max_examples=25)
     @given(st.floats(min_value=0.02, max_value=5.0))
     def test_parity_relation_any_t(self, t):
-        params = ModelParams.from_reduced(t, 0.0)
-        plus = stratum_state(Stratum.PLUS, params)
-        minus = stratum_state(Stratum.MINUS, params)
+        plus = stratum_state(Stratum.PLUS, t)
+        minus = stratum_state(Stratum.MINUS, t)
         signs = (-1.0) ** np.arange(plus.trunc)
         assert np.array_equal(np.asarray(minus.coeffs), signs * np.asarray(plus.coeffs))
 
 
 class TestVertexEvaluation:
     def test_basis_state_at_minus_vertex(self, params):
-        state = StateVector.basis_state(0, params, trunc=20)
+        state = StateVector(np.eye(20)[0], T)
         expected = (params.hbar * math.pi) ** -0.75 * math.exp(-params.t / 2.0)
         assert math.isclose(vertex_evaluation(state, Stratum.MINUS, params).real, expected)
 
     def test_vertex_state_does_not_vanish_at_its_vertex(self, params):
-        state = stratum_state(Stratum.PLUS, params)
+        state = stratum_state(Stratum.PLUS, T)
         assert abs(vertex_evaluation(state, Stratum.PLUS, params)) > 0.1
 
     @pytest.mark.parametrize("stratum", [Stratum.PLUS, Stratum.MINUS])
     def test_vanishing_basis_evaluates_to_zero(self, params, stratum):
-        basis = vanishing_basis(stratum, params, trunc=30)
+        basis = vanishing_basis(stratum, T, trunc=30)
         for column in basis.T:
-            value = vertex_evaluation(StateVector(column, params), stratum, params)
+            value = vertex_evaluation(StateVector(column, T), stratum, params)
             assert abs(value) < 1e-12
 
     @pytest.mark.parametrize("t", [1e-4, 400.0, 700.0])
@@ -170,67 +172,66 @@ class TestVertexEvaluation:
         params = ModelParams.from_reduced(t, 0.0)
         weights = costratified.vertex_weights(stratum, t, 30)
         size = (params.hbar * math.pi) ** -0.75 * np.max(np.abs(weights))
-        basis = vanishing_basis(stratum, params, trunc=30)
+        basis = vanishing_basis(stratum, t, trunc=30)
         assert basis.shape == (30, 29)
         assert np.all(np.isfinite(basis))
         assert np.allclose(np.linalg.norm(basis, axis=0), 1.0, rtol=0.0, atol=1e-15)
         for column in basis.T:
-            value = vertex_evaluation(StateVector(column, params), stratum, params)
+            value = vertex_evaluation(StateVector(column, t), stratum, params)
             assert abs(value) <= 1e-14 * size
 
 
 class TestProjection:
-    def test_idempotent_on_vertex_state(self, params):
-        psi = stratum_state(Stratum.PLUS, params)
-        projected = project(psi, Stratum.PLUS, params)
+    def test_idempotent_on_vertex_state(self):
+        psi = stratum_state(Stratum.PLUS, T)
+        projected = project(psi, Stratum.PLUS, T)
         m = min(psi.trunc, projected.trunc)
         assert np.max(np.abs(projected.coeffs[:m] - psi.coeffs[:m])) < 1e-12
 
-    def test_annihilates_vanishing_subspace(self, params):
-        basis = vanishing_basis(Stratum.PLUS, params, trunc=30)
+    def test_annihilates_vanishing_subspace(self):
+        basis = vanishing_basis(Stratum.PLUS, T, trunc=30)
         for column in basis.T:
-            projected = project(StateVector(column, params), Stratum.PLUS, params)
+            projected = project(StateVector(column, T), Stratum.PLUS, T)
             assert projected.norm() < 1e-12
 
-    def test_projection_squared_equals_projection(self, params):
+    def test_projection_squared_equals_projection(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             raw = rng.standard_normal(25) + 1j * rng.standard_normal(25)
-            state = StateVector(raw / np.linalg.norm(raw), params)
-            once = project(state, Stratum.MINUS, params)
-            twice = project(once, Stratum.MINUS, params)
+            state = StateVector(raw / np.linalg.norm(raw), T)
+            once = project(state, Stratum.MINUS, T)
+            twice = project(once, Stratum.MINUS, T)
             assert np.max(np.abs(np.asarray(twice.coeffs) - np.asarray(once.coeffs))) < 1e-12
 
-    def test_mismatched_parameters_rejected(self, params):
-        other = ModelParams.from_reduced(0.5, 0.0)
-        state = StateVector.basis_state(0, other, trunc=10)
-        with pytest.raises(ValueError):
-            project(state, Stratum.PLUS, params)
+    def test_mismatched_parameters_rejected(self):
+        state = StateVector(np.eye(10)[0], 0.5)
+        with pytest.raises(ValueError, match="t=0.5, not t=0.125"):
+            project(state, Stratum.PLUS, T)
 
 
 class TestSubspaceDimension:
     @pytest.mark.parametrize("stratum", [Stratum.PLUS, Stratum.MINUS])
-    def test_complement_of_vanishing_subspace_is_one_dimensional(self, params, stratum):
+    def test_complement_of_vanishing_subspace_is_one_dimensional(self, stratum):
         trunc = 40
-        basis = vanishing_basis(stratum, params, trunc)
+        basis = vanishing_basis(stratum, T, trunc)
         q, _ = np.linalg.qr(basis)
         complement = np.eye(trunc) - q @ q.T
         singular_values = np.linalg.svd(complement, compute_uv=False)
         assert abs(singular_values[0] - 1.0) < 1e-10
         assert singular_values[1] < 1e-10
         # and the single leftover direction is the vertex state
-        psi = np.asarray(stratum_state(stratum, params, trunc=trunc).coeffs, dtype=float)
+        psi = np.asarray(stratum_state(stratum, T, trunc=trunc).coeffs, dtype=float)
         assert np.linalg.norm(complement @ psi - psi) < 1e-10
 
     def test_reproducing_property(self, params):
         # the overlap with the vertex state is a fixed multiple of the vertex
         # evaluation, for every state
         rng = np.random.default_rng(5)
-        psi = stratum_state(Stratum.PLUS, params, trunc=30)
+        psi = stratum_state(Stratum.PLUS, T, trunc=30)
         ratios = []
         for _ in range(20):
             raw = rng.standard_normal(30)
-            state = StateVector(raw / np.linalg.norm(raw), params)
+            state = StateVector(raw / np.linalg.norm(raw), T)
             overlap = psi.inner(state)
             evaluation = vertex_evaluation(state, Stratum.PLUS, params)
             ratios.append(complex(overlap) / complex(evaluation))

@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from plaquette_qgauge import ModelParams, characters, mathieu, spectrum
+from plaquette_qgauge import characters, mathieu, spectrum
 
 from oracles import shooting_characteristic_values
 
@@ -147,8 +147,7 @@ class TestSolve:
         assert sols[0].trunc > 16 and max(s.tail for s in sols) <= 1e-12
 
     def test_one_eigensolve_for_all_levels_at_one_q(self, eigensolves):
-        params = ModelParams.from_reduced(1.0, 2000.0)
-        energies = spectrum.energy(np.arange(41), params)
+        energies = spectrum.energy(np.arange(41), 2000.0)
         assert len(energies) == 41 and len(eigensolves) == 1
 
     @pytest.mark.parametrize("rows", [1, 2, 60, 128, 129, 512])

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from plaquette_qgauge import ModelParams, Stratum, cli, costratified, mathieu, spectrum
+from plaquette_qgauge import Stratum, cli, costratified, mathieu, spectrum
+from plaquette_qgauge.params import ModelParams
 
 from oracles import (
     character_hamiltonian,
@@ -15,68 +16,60 @@ from oracles import (
 
 class TestHamiltonianMatrix:
     def test_formula_instantiation(self):
-        # hbar^2 beta2 = 2, nu = 2: diagonal k(k+2) + 3, off-diagonal -1
-        params = ModelParams(hbar=1.0, beta2=2.0, coupling_g=1.0 / math.sqrt(2.0))
-        h = spectrum.hamiltonian_matrix(params, 2)
-        assert np.allclose(h, [[3.0, -1.0], [-1.0, 6.0]], atol=1e-12)
+        # nu_tilde = 1, in units of hbar^2 beta2: diagonal k(k+2)/2 + 3/2,
+        # off-diagonal -1/2
+        h = spectrum.hamiltonian_matrix(1.0, 2)
+        assert np.allclose(h, [[1.5, -0.5], [-0.5, 3.0]], atol=1e-12)
 
     def test_symmetry_exact(self):
-        params = ModelParams.from_reduced(0.25, 3.0)
-        h = spectrum.hamiltonian_matrix(params, 12)
+        h = spectrum.hamiltonian_matrix(3.0, 12)
         assert np.array_equal(h, h.T)
 
     def test_free_theory_is_diagonal(self):
-        params = ModelParams.from_reduced(0.5, 0.0)
-        h = spectrum.hamiltonian_matrix(params, 6)
+        h = spectrum.hamiltonian_matrix(0.0, 6)
         k = np.arange(6)
-        assert np.array_equal(h, np.diag(0.5 * params.hbar2_beta2 * k * (k + 2)))
+        assert np.array_equal(h, np.diag(0.5 * k * (k + 2)))
 
     def test_dim_validation(self):
-        params = ModelParams.from_reduced(0.5, 0.0)
         with pytest.raises(ValueError):
-            spectrum.hamiltonian_matrix(params, 1)
+            spectrum.hamiltonian_matrix(0.0, 1)
 
 
 class TestEnergies:
     def test_free_theory_values(self):
-        params = ModelParams.from_reduced(0.125, 0.0)
         for n in range(10):
-            value = spectrum.energy(n, params) / params.hbar2_beta2
+            value = spectrum.energy(n, 0.0)
             assert abs(value - 0.5 * n * (n + 2)) < 1e-12
 
     @pytest.mark.parametrize("nut", [0.0, 3.0, 6.0, 12.0, 24.0])
     def test_nondegenerate_ordering(self, nut):
-        params = ModelParams.from_reduced(0.125, nut)
-        values = [spectrum.energy(n, params) for n in range(8)]
+        values = [spectrum.energy(n, nut) for n in range(8)]
         assert all(a < b for a, b in zip(values, values[1:]))
 
     @pytest.mark.parametrize("nut", [3.0, 12.0])
     def test_matrix_route_agreement(self, nut):
-        params = ModelParams.from_reduced(0.5, nut)
-        reference = spectrum.matrix_energies(params, 8)
+        reference = spectrum.matrix_energies(nut, 8)
         for n in range(8):
-            value = spectrum.energy(n, params)
+            value = spectrum.energy(n, nut)
             assert abs(value - reference[n]) / max(1.0, abs(reference[n])) < 1e-8
 
 
     @pytest.mark.parametrize("nut", [500.0, 2000.0])
     def test_large_q_against_dense_eigvalsh(self, nut):
-        params = ModelParams.from_reduced(0.5, nut)
         reference = np.linalg.eigvalsh(character_hamiltonian(nut, dense_dim(nut)))
         for n in range(41):
-            value = spectrum.energy(n, params) / params.hbar2_beta2
+            value = spectrum.energy(n, nut)
             assert abs(value - reference[n]) <= 1e-12 * abs(reference[n])
 
     @pytest.mark.parametrize("nut", [0.0, 0.3, 6.0, 100.0, 2000.0])
     def test_level_array_equals_levels_of_its_eigensystem(self, nut):
-        params = ModelParams.from_reduced(1.0, nut)
-        q = 4.0 * params.nu_tilde
-        energies = spectrum.energy(np.arange(41), params)
+        q = 4.0 * nut
+        energies = spectrum.energy(np.arange(41), nut)
         trunc = mathieu.solve(np.arange(41), q).trunc
         for n in range(41):
-            single = spectrum._energy_from_b(mathieu.solve(n, q, trunc=trunc).b, params)
+            single = spectrum._energy_from_b(mathieu.solve(n, q, trunc=trunc).b, nut)
             assert energies[n] == single
-        assert isinstance(spectrum.energy(3, params), float)
+        assert isinstance(spectrum.energy(3, nut), float)
 
     def test_spectrum_sweep_makes_one_eigensolve_per_q(self, eigensolves, tmp_path):
         # levels 0..40 at 20 nu_tilde; per-level truncations made 168 solves
@@ -119,63 +112,55 @@ class TestSturmOracle:
 
 class TestEigenstates:
     def test_free_theory_states_are_exact_basis_vectors(self):
-        params = ModelParams.from_reduced(0.125, 0.0)
-        result = spectrum.eigenstate(2, params)
+        result = spectrum.eigenstate(2, 0.125, 0.0)
         expected = np.zeros(result.state.trunc)
         expected[2] = 1.0
         assert np.array_equal(np.asarray(result.state.coeffs, dtype=float), expected)
 
     def test_orthonormality(self):
-        params = ModelParams.from_reduced(0.125, 6.0)
         vectors = np.column_stack(
-            [spectrum.eigenstate(n, params, trunc=40).state.coeffs for n in range(8)]
+            [spectrum.eigenstate(n, 0.125, 6.0, trunc=40).state.coeffs for n in range(8)]
         )
         gram = vectors.T @ vectors
         assert np.max(np.abs(gram - np.eye(8))) < 1e-9
 
     def test_eigenvector_residual_against_matrix(self):
-        params = ModelParams.from_reduced(0.25, 6.0)
-        h = spectrum.hamiltonian_matrix(params, 40)
+        h = spectrum.hamiltonian_matrix(6.0, 40)
         for n in range(6):
-            result = spectrum.eigenstate(n, params, trunc=40)
+            result = spectrum.eigenstate(n, 0.25, 6.0, trunc=40)
             vec = np.asarray(result.state.coeffs, dtype=float)
             assert np.linalg.norm(h @ vec - result.energy * vec) < 1e-7
 
     def test_unit_norm(self):
-        params = ModelParams.from_reduced(0.5, 24.0)
-        assert abs(spectrum.eigenstate(4, params).state.norm() - 1.0) < 1e-10
+        assert abs(spectrum.eigenstate(4, 0.5, 24.0).state.norm() - 1.0) < 1e-10
 
     def test_energy_and_state_share_one_eigensolve(self, eigensolves):
-        params = ModelParams.from_reduced(0.125, 6.0)
-        result = spectrum.eigenstate(2, params, trunc=40)
+        result = spectrum.eigenstate(2, 0.125, 6.0, trunc=40)
         assert [size for size, _ in eigensolves] == [40]
-        expected = spectrum.energy(2, params)
+        expected = spectrum.energy(2, 6.0)
         assert abs(result.energy - expected) <= 1e-12 * abs(expected)
 
 
 class TestEigenfunctions:
     def test_free_theory_reduces_to_sine(self):
-        params = ModelParams.from_reduced(0.125, 0.0)
         x = np.linspace(0.0, math.pi, 33)
         for n in range(4):
             expected = math.sqrt(2.0) * np.sin((n + 1) * x)
-            assert np.max(np.abs(spectrum.eigenfunction_x(n, params, x) - expected)) < 1e-12
+            assert np.max(np.abs(spectrum.eigenfunction_x(n, 0.0, x) - expected)) < 1e-12
 
     def test_boundary_values_vanish(self):
-        params = ModelParams.from_reduced(0.125, 12.0)
         for n in range(5):
-            assert abs(spectrum.eigenfunction_x(n, params, 0.0)) < 1e-10
-            assert abs(spectrum.eigenfunction_x(n, params, math.pi)) < 1e-10
+            assert abs(spectrum.eigenfunction_x(n, 12.0, 0.0)) < 1e-10
+            assert abs(spectrum.eigenfunction_x(n, 12.0, math.pi)) < 1e-10
 
     def test_expansion_consistency(self):
         # the interval realization equals the coefficient expansion in the
         # sine basis
-        params = ModelParams.from_reduced(0.125, 12.0)
         rng = np.random.default_rng(17)
         pairs = [(int(n), float(x)) for n, x in zip(rng.integers(0, 6, 50), rng.uniform(0, math.pi, 50))]
         for n, x in pairs:
-            direct = spectrum.eigenfunction_x(n, params, x)
-            coeffs = np.asarray(spectrum.eigenstate(n, params).state.coeffs, dtype=float)
+            direct = spectrum.eigenfunction_x(n, 12.0, x)
+            coeffs = np.asarray(spectrum.eigenstate(n, 0.125, 12.0).state.coeffs, dtype=float)
             k = np.arange(len(coeffs))
             expansion = float(np.sum(coeffs * math.sqrt(2.0) * np.sin((k + 1) * x)))
             assert abs(direct - expansion) < 1e-9
@@ -185,20 +170,18 @@ class TestProjectorExpectations:
     def test_values_in_unit_interval(self):
         for t in (0.5, 0.125):
             for nut in (0.0, 1.0, 10.0, 100.0):
-                params = ModelParams.from_reduced(t, nut)
                 for n in range(6):
                     for stratum in (Stratum.PLUS, Stratum.MINUS):
-                        value = spectrum.projector_expectation(n, params, stratum)
+                        value = spectrum.projector_expectation(n, t, nut, stratum)
                         assert 0.0 <= value <= 1.0
 
     @pytest.mark.parametrize("t", [0.5, 0.125, 0.03125])
     def test_free_theory_closed_form(self, t):
-        params = ModelParams.from_reduced(t, 0.0)
         n2 = costratified.norm_squared(t)
         for n in range(10):
             closed = (n + 1.0) ** 2 * math.exp(-t * (n + 1.0) ** 2) / n2
             for stratum in (Stratum.PLUS, Stratum.MINUS):
-                value = spectrum.projector_expectation(n, params, stratum)
+                value = spectrum.projector_expectation(n, t, 0.0, stratum)
                 assert abs(value - closed) < 1e-10
 
     def test_completeness(self):
@@ -207,9 +190,8 @@ class TestProjectorExpectations:
         assert completeness[0, 0] >= 1.0 - 1e-6
 
     def test_parity_inequality_at_coupling(self):
-        params = ModelParams.from_reduced(0.125, 6.0)
-        plus = spectrum.projector_expectation(0, params, Stratum.PLUS)
-        minus = spectrum.projector_expectation(0, params, Stratum.MINUS)
+        plus = spectrum.projector_expectation(0, 0.125, 6.0, Stratum.PLUS)
+        minus = spectrum.projector_expectation(0, 0.125, 6.0, Stratum.MINUS)
         assert abs(plus - minus) > 1e-6
 
     def test_parameter_collapse_is_exact(self):
@@ -219,17 +201,16 @@ class TestProjectorExpectations:
         assert a.t == b.t and a.nu_tilde == b.nu_tilde
         for n in range(5):
             for stratum in (Stratum.PLUS, Stratum.MINUS):
-                assert spectrum.projector_expectation(n, a, stratum) == spectrum.projector_expectation(
-                    n, b, stratum
-                )
+                assert spectrum.projector_expectation(
+                    n, a.t, a.nu_tilde, stratum
+                ) == spectrum.projector_expectation(n, b.t, b.nu_tilde, stratum)
 
     def test_overlap_formula_matches_state_vectors(self):
-        params = ModelParams.from_reduced(0.125, 6.0)
-        vertex = costratified.stratum_state(Stratum.PLUS, params)
+        vertex = costratified.stratum_state(Stratum.PLUS, 0.125)
         for n in range(5):
-            state = spectrum.eigenstate(n, params, trunc=vertex.trunc).state
+            state = spectrum.eigenstate(n, 0.125, 6.0, trunc=vertex.trunc).state
             direct = abs(vertex.inner(state)) ** 2
-            assert abs(direct - spectrum.projector_expectation(n, params, Stratum.PLUS)) < 1e-12
+            assert abs(direct - spectrum.projector_expectation(n, 0.125, 6.0, Stratum.PLUS)) < 1e-12
 
     def test_one_normalization_per_call(self, monkeypatch):
         # 3 t x 5 nu_tilde: each t recurs at every nu_tilde and is
@@ -255,7 +236,7 @@ class TestProjectorExpectations:
         # reference: one 1-D sum per level and stratum, the formula the
         # batched overlaps must reproduce bit for bit
         plus, minus, _ = spectrum.projector_expectations((t,), (nut,), 60)
-        q = 4.0 * ModelParams.from_reduced(1.0, nut).nu_tilde
+        q = 4.0 * nut
         sols = mathieu.solve_many(60, q, trunc=spectrum._state_trunc(59, q, t))
         n_const = costratified.normalization_constant(t)
         for sol in sols:
@@ -269,13 +250,11 @@ class TestProjectorExpectations:
     def test_single_level_reads_the_batch(self, t):
         # one value per quantity: level n of a one-level call is level n of
         # the batch, bit for bit, exponentially small P_minus included
-        for nut in np.geomspace(0.1, 100.0, 7):
-            # a power of two t keeps q = 4 nu_tilde bit for bit in params
-            params = ModelParams.from_reduced(t, float(nut))
+        for nut in map(float, np.geomspace(0.1, 100.0, 7)):
             for n in range(6):
-                plus, minus, _ = spectrum.projector_expectations((t,), (float(nut),), n + 1)
+                plus, minus, _ = spectrum.projector_expectations((t,), (nut,), n + 1)
                 for stratum, values in ((Stratum.PLUS, plus[0, 0]), (Stratum.MINUS, minus[0, 0])):
-                    assert spectrum.projector_expectation(n, params, stratum) == values[n]
+                    assert spectrum.projector_expectation(n, t, nut, stratum) == values[n]
 
     @pytest.mark.parametrize(
         "t_values, nut",
@@ -319,14 +298,12 @@ class TestProjectorExpectations:
         assert completeness.shape == (2, 3)
         for i, t in enumerate(t_values):
             for j, nut in enumerate(nu_tildes):
-                # a power of two t keeps q = 4 nu_tilde bit for bit in params
-                params = ModelParams.from_reduced(t, nut)
                 for n in range(4):
-                    assert plus[i, j, n] == spectrum.projector_expectation(n, params, Stratum.PLUS)
-                    assert minus[i, j, n] == spectrum.projector_expectation(n, params, Stratum.MINUS)
+                    assert plus[i, j, n] == spectrum.projector_expectation(n, t, nut, Stratum.PLUS)
+                    assert minus[i, j, n] == spectrum.projector_expectation(n, t, nut, Stratum.MINUS)
 
     def test_vertex_weights_can_set_the_truncation(self):
-        q = 4.0 * ModelParams.from_reduced(1.0, 1.0).nu_tilde
+        q = 4.0
         assert spectrum._state_trunc(59, q, 0.001) == costratified.default_trunc(0.001) == 291
         assert spectrum._state_trunc(59, q, 0.125) == mathieu.default_trunc(59, q)
 
@@ -343,11 +320,11 @@ class TestProjectorExpectations:
     @pytest.mark.parametrize("n", [-1, -2])
     def test_negative_level_raises(self, n):
         with pytest.raises(ValueError):
-            spectrum.projector_expectation(n, ModelParams.from_reduced(0.125, 6.0), Stratum.PLUS)
+            spectrum.projector_expectation(n, 0.125, 6.0, Stratum.PLUS)
 
     def test_top_stratum_raises(self):
         with pytest.raises(ValueError, match="top stratum"):
-            spectrum.projector_expectation(0, ModelParams.from_reduced(0.125, 6.0), Stratum.TOP)
+            spectrum.projector_expectation(0, 0.125, 6.0, Stratum.TOP)
 
     def test_short_vertex_truncation_raises(self, monkeypatch):
         # the t = 0.001 vertex state needs 291 coefficients; with 20 asked
