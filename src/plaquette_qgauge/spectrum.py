@@ -117,23 +117,27 @@ def _state_trunc(n: int, q: float, t: float) -> int:
     return max(mathieu.default_trunc(n, q), costratified.default_trunc(t))
 
 
-def _signed_coeffs(sol: mathieu.MathieuSolution) -> np.ndarray:
-    k = np.arange(sol.trunc)
-    return (-1.0) ** (sol.n + k) * sol.coeffs
+def eigenstates(levels, t: float, nu_tilde: float, trunc: int | None = None):
+    """Energies and orthonormal-basis coefficient rows of an integer array of levels.
+
+    Returns the energies E_n / (hbar^2 beta2) and a (levels, trunc) array
+    whose row i is the eigenstate of ``levels[i]``, all from one eigensolve.
+    t sets only the default truncation, which also holds the vertex states
+    of t.  At nu_tilde = 0 each row is exactly its basis vector.
+    """
+    levels = np.asarray(levels)
+    q = 4.0 * nu_tilde
+    if trunc is None:
+        trunc = _state_trunc(int(levels.max()), q, t)
+    sols = mathieu.solve(levels, q, trunc=trunc)
+    signs = (-1.0) ** (sols.n[:, None] + np.arange(sols.trunc))
+    return _energy_from_b(sols.b, nu_tilde), signs * sols.coeffs
 
 
 def eigenstate(n: int, t: float, nu_tilde: float, trunc: int | None = None) -> SpectralResult:
-    """Eigenstate of level n as a coefficient vector in the orthonormal basis.
-
-    The energy and the coefficients come from the same eigensolve; t sets
-    only the default truncation, which also holds the vertex states of t,
-    and the state's stamp.  At nu_tilde = 0 the result is exactly the n-th
-    basis vector.
-    """
-    if trunc is None:
-        trunc = _state_trunc(n, 4.0 * nu_tilde, t)
-    sol = mathieu.solve(n, 4.0 * nu_tilde, trunc=trunc)
-    return SpectralResult(n, _energy_from_b(sol.b, nu_tilde), StateVector(_signed_coeffs(sol), t))
+    """Eigenstate of level n, stamped with t: row 0 of ``eigenstates([n], ...)``."""
+    energies, coeffs = eigenstates([n], t, nu_tilde, trunc)
+    return SpectralResult(n, float(energies[0]), StateVector(coeffs[0], t))
 
 
 def eigenfunction_x(n: int, nu_tilde: float, x):

@@ -115,15 +115,10 @@ def geometry_checks() -> list[CheckResult]:
 def spectral_checks() -> list[CheckResult]:
     out = []
 
-    worst = 0.0
-    anchored = True
-    for n in range(10):
-        value = spectrum.energy(n, 0.0)
-        worst = max(worst, abs(value - 0.5 * characters.laplace_eigenvalue(n)))
-        state = spectrum.eigenstate(n, 0.125, 0.0).state.coeffs
-        expected = np.zeros(len(state))
-        expected[n] = 1.0
-        anchored = anchored and np.array_equal(np.asarray(state, dtype=float), expected)
+    levels = np.arange(10)
+    energies, states = spectrum.eigenstates(levels, 0.125, 0.0)
+    worst = float(np.max(np.abs(energies - 0.5 * characters.laplace_eigenvalue(levels))))
+    anchored = np.array_equal(states, np.eye(10, states.shape[1]))
     out.append(
         CheckResult(
             "free-theory-anchor",
@@ -140,10 +135,8 @@ def spectral_checks() -> list[CheckResult]:
         worst = max(worst, float(np.max(errors / np.maximum(1.0, np.abs(reference)))))
     out.append(_residual_check("dual-oracle-spectrum", worst, 1e-8))
 
-    vectors = np.column_stack(
-        [spectrum.eigenstate(n, 0.125, 6.0, trunc=40).state.coeffs for n in range(8)]
-    )
-    gram = vectors.T @ vectors
+    _, states = spectrum.eigenstates(np.arange(8), 0.125, 6.0, trunc=40)
+    gram = states @ states.T
     out.append(
         _residual_check(
             "eigenstate-orthonormality", float(np.max(np.abs(gram - np.eye(8)))), 1e-9
@@ -156,7 +149,8 @@ def spectral_checks() -> list[CheckResult]:
     # rounding
     x, w = characters.quadrature_rule(128)
     y = (x - math.pi) / 2.0
-    funcs = np.column_stack([math.sqrt(2.0) * mathieu.se(n, 24.0, y) for n in range(8)])
+    levels = mathieu.solve(np.arange(8), 24.0)
+    funcs = np.column_stack([math.sqrt(2.0) * level.se(y) for level in levels])
     gram = (funcs * w[:, None]).T @ funcs / math.pi
     out.append(
         _residual_check(
@@ -211,12 +205,13 @@ def state_checks() -> list[CheckResult]:
     worst = 0.0
     nu_tildes = (0.0, 6.0, 24.0)
     plus, minus, _ = spectrum.projector_expectations((0.125,), nu_tildes, 6)
+    vertices = [costratified.stratum_state(stratum, 0.125) for stratum in (Stratum.PLUS, Stratum.MINUS)]
     for j, nut in enumerate(nu_tildes):
-        for stratum, via_formula in ((Stratum.PLUS, plus[0, j]), (Stratum.MINUS, minus[0, j])):
-            vertex = costratified.stratum_state(stratum, 0.125)
+        # the two vertex states share a truncation, so one solve serves both
+        _, states = spectrum.eigenstates(np.arange(6), 0.125, nut, trunc=vertices[0].trunc)
+        for vertex, via_formula in zip(vertices, (plus[0, j], minus[0, j])):
             for n in range(6):
-                state = spectrum.eigenstate(n, 0.125, nut, trunc=vertex.trunc).state
-                via_vectors = abs(vertex.inner(state)) ** 2
+                via_vectors = float(np.vdot(vertex.coeffs, states[n])) ** 2
                 worst = max(worst, abs(via_vectors - via_formula[n]))
     out.append(_residual_check("projector-route-consistency", worst, 1e-12))
 

@@ -140,6 +140,16 @@ class TestEigenstates:
         expected = spectrum.energy(2, 6.0)
         assert abs(result.energy - expected) <= 1e-12 * abs(expected)
 
+    def test_levels_share_one_eigensolve_and_equal_single_levels(self, eigensolves):
+        energies, coeffs = spectrum.eigenstates(np.arange(6), 0.125, 6.0, trunc=40)
+        assert [size for size, _ in eigensolves] == [40]
+        assert coeffs.shape == (6, 40)
+        for n in range(6):
+            single = spectrum.eigenstate(n, 0.125, 6.0, trunc=40)
+            assert single.energy == energies[n]
+            assert single.state.coeffs.tobytes() == coeffs[n].tobytes()
+            assert single.state.t == 0.125
+
 
 class TestEigenfunctions:
     def test_free_theory_reduces_to_sine(self):
