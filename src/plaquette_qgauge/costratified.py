@@ -61,7 +61,7 @@ _SQRT_PI = math.sqrt(math.pi)
 
 @dataclass(frozen=True)
 class StateVector:
-    """Coefficient vector in the orthonormal basis, stamped with the t = hbar beta2 it was built for."""
+    """Coefficient vector in the orthonormal basis, stamped with its t = hbar beta2."""
 
     coeffs: np.ndarray
     t: float

@@ -30,13 +30,14 @@ the Mathieu Fourier coefficient.
 
 Both sweeps read one Mathieu eigensystem per q.  ``energy`` takes one level
 or an integer array of levels, and an array is served by one eigensolve, so
-a spectrum sweep costs one eigensolve per nu_tilde.  Projector expectations
-are squared overlaps of eigenstates with the two vertex states.
+a spectrum sweep costs one eigensolve per nu_tilde; ``eigenstates`` serves
+the states of an array of levels the same way.  Projector expectations are
+squared overlaps of eigenstates with the two vertex states.
 ``projector_expectations`` serves a whole (t, nu_tilde) sweep in one call,
 at q = 4 nu_tilde (multiplying by 4 is exact), which does not depend on t.
-At each q the t that share a
-truncation read one eigensystem, and each t's overlaps are row sums over
-that eigensystem's (levels, trunc) coefficient block, read in place.  The
+At each q the t that share a truncation read one eigensystem, and each t's
+overlaps are row sums over that eigensystem's (levels, trunc) coefficient
+block, read in place.  The
 normalization N is computed once per distinct t in a call, and the signed
 vertex weights with their tail check once per distinct (t, truncation).
 So a projector sweep whose t share a truncation costs one eigensolve per

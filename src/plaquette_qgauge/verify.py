@@ -205,7 +205,7 @@ def state_checks() -> list[CheckResult]:
     worst = 0.0
     nu_tildes = (0.0, 6.0, 24.0)
     plus, minus, _ = spectrum.projector_expectations((0.125,), nu_tildes, 6)
-    vertices = [costratified.stratum_state(stratum, 0.125) for stratum in (Stratum.PLUS, Stratum.MINUS)]
+    vertices = [costratified.stratum_state(s, 0.125) for s in (Stratum.PLUS, Stratum.MINUS)]
     for j, nut in enumerate(nu_tildes):
         # the two vertex states share a truncation, so one solve serves both
         _, states = spectrum.eigenstates(np.arange(6), 0.125, nut, trunc=vertices[0].trunc)
