@@ -10,10 +10,17 @@ full solve and of the first block of the Mathieu tridiagonal (diagonal
 (2k+2)^2, off-diagonal q) at each size and q, the full solve's eigenvector
 matrix in MB, and how many blocks cost as much as one full solve: the
 levels a request may ask for before a full solve is the cheaper entry.
-The two solves alternate within each repeat, so a drift of the host's
-speed reaches both.  Loading the LAPACK extension is done before timing.
+A second table times the layer around LAPACK at spectrum-sweep's sizes
+(the default truncations of level 40 for q from 0 to about 8,080, with 41
+levels): the median time of one full ``eigh_tridiagonal`` call, of one
+``_eigensystem`` request for the 41 levels, and the median of their
+difference within a repeat, the per-solve cost of building the matrix and
+of checking, normalizing and anchoring the levels kept.  The timed calls
+alternate within each repeat, so a drift of the host's speed reaches them
+alike.  Loading the LAPACK extension is done before timing.
 
-    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python scripts/time_eigensolve.py [--repeats 21]
+    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python scripts/time_eigensolve.py \
+        [--repeats 21] [--request-repeats 301]
 """
 
 from __future__ import annotations
@@ -28,37 +35,68 @@ from plaquette_qgauge import mathieu
 
 ROWS = (128, 256, 512, 768, 1024, 1707, 3000)
 QS = (1e4, 2e6, 4e8)
+#: spectrum-sweep's truncations, q and level count (``--n-max 40``)
+SWEEP_ROWS = (45, 91, 114)
+SWEEP_QS = (0.0, 500.0, 8064.0)
+SWEEP_LEVELS = 41
 
 
-def median_times(rows: int, q: float, repeats: int) -> tuple[float, float]:
-    """Median seconds of one full solve and of the levels [0, 16) alone."""
-    freqs = 2.0 * np.arange(rows) + 2.0
-    d, e = freqs * freqs, np.full(rows - 1, q)
-    block = (0, mathieu._LEVEL_BLOCK - 1)
-    solves = (lambda: mathieu.eigh_tridiagonal(d, e), lambda: mathieu.eigh_tridiagonal(d, e, block))
-    times: tuple[list[float], list[float]] = ([], [])
-    for solve in solves:  # warm up
-        solve()
+def sample_times(calls, repeats: int) -> list[list[float]]:
+    """Seconds of each call per repeat, the calls alternating within each repeat."""
+    times: list[list[float]] = [[] for _ in calls]
+    for call in calls:  # warm up
+        call()
     for _ in range(repeats):
-        for solve, samples in zip(solves, times):
+        for call, samples in zip(calls, times):
             start = time.perf_counter()
-            solve()
+            call()
             samples.append(time.perf_counter() - start)
-    return statistics.median(times[0]), statistics.median(times[1])
+    return times
+
+
+def mathieu_tridiagonal(rows: int, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal (2k+2)^2 and off-diagonal q of the Mathieu tridiagonal."""
+    freqs = 2.0 * np.arange(rows) + 2.0
+    return freqs * freqs, np.full(rows - 1, q)
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=21, help="timed solves per entry and point")
+    parser.add_argument(
+        "--request-repeats", type=int, default=301, help="timed calls per point of the second table"
+    )
     args = parser.parse_args()
     print(f"_FULL_MAX = {mathieu._FULL_MAX}, _LEVEL_BLOCK = {mathieu._LEVEL_BLOCK}")
     print(f"{'rows':>5} {'q':>6} {'full ms':>9} {'block ms':>9} {'blocks/full':>11} {'full MB':>8}")
+    block = (0, mathieu._LEVEL_BLOCK - 1)
     for rows in ROWS:
         for q in QS:
-            full, block = median_times(rows, q, args.repeats)
+            d, e = mathieu_tridiagonal(rows, q)
+            full, first = map(
+                statistics.median,
+                sample_times(
+                    (lambda: mathieu.eigh_tridiagonal(d, e), lambda: mathieu.eigh_tridiagonal(d, e, block)),
+                    args.repeats,
+                ),
+            )
             print(
-                f"{rows:5d} {q:6.0e} {1e3 * full:9.3f} {1e3 * block:9.3f} "
-                f"{full / block:11.1f} {8 * rows * rows / 1e6:8.2f}"
+                f"{rows:5d} {q:6.0e} {1e3 * full:9.3f} {1e3 * first:9.3f} "
+                f"{full / first:11.1f} {8 * rows * rows / 1e6:8.2f}"
+            )
+    print(f"\n{SWEEP_LEVELS} levels per request")
+    print(f"{'rows':>5} {'q':>6} {'LAPACK us':>10} {'request us':>11} {'outside us':>11}")
+    for rows in SWEEP_ROWS:
+        for q in SWEEP_QS:
+            d, e = mathieu_tridiagonal(rows, q)
+            lapack, request = sample_times(
+                (lambda: mathieu.eigh_tridiagonal(d, e), lambda: mathieu._eigensystem(q, rows, SWEEP_LEVELS)),
+                args.request_repeats,
+            )
+            outside = statistics.median(b - a for a, b in zip(lapack, request))
+            print(
+                f"{rows:5d} {q:6.0f} {1e6 * statistics.median(lapack):10.1f} "
+                f"{1e6 * statistics.median(request):11.1f} {1e6 * outside:11.1f}"
             )
 
 

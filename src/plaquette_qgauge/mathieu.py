@@ -33,7 +33,9 @@ request.  Every eigensolve goes through
 ``eigh_tridiagonal``, which calls LAPACK's tridiagonal routines in scipy's
 wrapper extension without importing ``scipy.linalg`` (see its docstring):
 
-* up to 512 rows (``_FULL_MAX``), the full eigendecomposition (``dstevd``);
+* up to 512 rows (``_FULL_MAX``), the full eigendecomposition (``dstevd``),
+  of which exactly the levels up to the highest one asked for are kept:
+  LAPACK's eigenvector matrix (at most 2 MB) lives only during the call;
   that covers the start for levels up to 40 at q up to about 3.7e6
   (nu_tilde about 9e5);
 * above 512 rows, only the lowest levels, by bisection and inverse
@@ -43,11 +45,13 @@ wrapper extension without importing ``scipy.linalg`` (see its docstring):
 
 The eigensystem holds its levels as arrays: the characteristic values, and
 a read-only, C-contiguous (levels, trunc) block of unit-normalized,
-sign-anchored coefficients.  Each block of levels is solved, checked,
-normalized and anchored in one step, written straight into arrays
-allocated at the size the request needs.  The blocks are fixed by the
-truncation, so a level's bits depend on (q, trunc, n) alone: results do
-not depend on which other levels a request asks for, or on earlier calls.
+sign-anchored coefficients.  Each block of levels is solved, and its kept
+levels checked, normalized and anchored in one step, row by row, written
+straight into arrays allocated at the size the request needs.  A full
+solve's levels come from the whole decomposition and the blocks are fixed
+by the truncation, so a level's bits depend on (q, trunc, n) alone: results
+do not depend on which other levels a request asks for, or on earlier
+calls.
 
 ``solve`` takes one level or an integer array of levels, and one rule sets
 the truncation: it starts at ``trunc`` or, without one, at ``default_trunc``
@@ -98,7 +102,8 @@ _WELL = (2.77, 0.97, 4)
 _FREE = (5, 4.8)
 _SHARED_LEVELS = 40
 #: truncations up to this size are diagonalized in full (an eigenvector
-#: matrix of at most 2 MB); larger ones compute only the levels asked for
+#: matrix of at most 2 MB, kept only for the call); larger ones compute only
+#: the levels asked for
 _FULL_MAX = 512
 #: levels per eigensolve above ``_FULL_MAX`` rows: a partial eigensystem
 #: solves levels [0, 16), [16, 32), ..., up to the block a request needs
@@ -283,17 +288,19 @@ def default_trunc(n: int, q: float) -> int:
 
 
 def _eigensystem(q: float, trunc: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Characteristic values and coefficient rows of at least the lowest ``count`` levels at (q, trunc).
+    """Characteristic values and coefficient rows of the lowest levels at (q, trunc).
 
-    A truncation up to ``_FULL_MAX`` is one block, diagonalized in full.  A
-    larger one is solved in blocks of ``_LEVEL_BLOCK`` levels, [0, 16),
-    [16, 32), ..., up to the block that holds level ``count - 1``, one
-    bisection call each, so memory stays O(trunc * levels used).  Every
-    block is one ``eigh_tridiagonal`` call; it is solved, its residuals
-    checked, and its rows normalized and sign-anchored (see the module
-    docstring) in one step, written into read-only arrays allocated here.
-    The blocks are fixed by the truncation, so a level's bits depend on
-    (q, trunc, n) alone.
+    A truncation up to ``_FULL_MAX`` is diagonalized in full, and exactly
+    the lowest ``count`` levels are kept.  A larger one is solved in whole
+    blocks of ``_LEVEL_BLOCK`` levels, [0, 16), [16, 32), ..., up to the
+    block that holds level ``count - 1``, one bisection call each, so
+    memory stays O(trunc * levels used).  Every block is one
+    ``eigh_tridiagonal`` call; it is solved, the residuals of its kept
+    levels checked, and their rows normalized and sign-anchored (see the
+    module docstring) in one step, written into read-only arrays allocated
+    here.  Normalization and anchor work row by row, and the blocks are
+    fixed by the truncation, so a level's bits depend on (q, trunc, n)
+    alone.
     """
     freqs = 2.0 * np.arange(trunc) + 2.0
     d = freqs**2
@@ -302,12 +309,15 @@ def _eigensystem(q: float, trunc: int, count: int) -> tuple[np.ndarray, np.ndarr
     wall_slope = freqs * alternating
     off = np.full(trunc - 1, q)
     scale = max(1.0, float(d[-1]) + 2.0 * abs(q))
-    width = trunc if trunc <= _FULL_MAX else _LEVEL_BLOCK
-    stop = min(-(-count // width) * width, trunc)
+    full = trunc <= _FULL_MAX
+    width = count if full else _LEVEL_BLOCK
+    stop = count if full else min(-(-count // width) * width, trunc)
     values, block = np.empty(stop), np.empty((stop, trunc))
     for start in range(0, stop, width):
         end = min(start + width, stop)
-        w, v = eigh_tridiagonal(d, off, None if width == trunc else (start, end - 1))
+        w, v = eigh_tridiagonal(d, off, None if full else (start, end - 1))
+        # a full solve returns every level; only the lowest ``count`` are kept
+        w, v = w[: end - start], v[:, : end - start]
         tv = d[:, None] * v
         tv[1:] += q * v[:-1]
         tv[:-1] += q * v[1:]

@@ -21,11 +21,22 @@ import math
 from dataclasses import dataclass
 
 
+#: the derived combinations, each with its formula, in the order they are checked
+_DERIVED = {
+    "t": "hbar * beta2",
+    "hbar2_beta2": "hbar^2 * beta2",
+    "nu": "1 / coupling_g^2",
+    "nu_tilde": "nu / (hbar^2 * beta2)",
+}
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Immutable parameter set; derived combinations are exposed as properties.
 
     coupling_g = math.inf is allowed and encodes the free theory (nu = 0).
+    A set is refused with ``ValueError`` when t, hbar2_beta2, nu or nu_tilde
+    underflows to 0 or overflows in double precision.
     """
 
     hbar: float
@@ -39,6 +50,20 @@ class ModelParams:
             raise ValueError(f"beta2 must be positive and finite, got {self.beta2}")
         if not self.coupling_g > 0:
             raise ValueError(f"coupling_g must be positive, got {self.coupling_g}")
+        # every derived combination must be a positive finite double, apart
+        # from nu = nu_tilde = 0 at coupling_g = inf
+        derived = ("t", "hbar2_beta2") if self.coupling_g == math.inf else _DERIVED
+        for name in derived:
+            try:
+                value = getattr(self, name)
+            except ZeroDivisionError:  # coupling_g**2 underflows to 0
+                value = math.inf
+            if not 0.0 < value < math.inf:
+                raise ValueError(
+                    f"hbar={self.hbar!r}, beta2={self.beta2!r}, coupling_g={self.coupling_g!r}: "
+                    f"{name} = {_DERIVED[name]} {'overflows' if value else 'underflows to 0'} "
+                    "in double precision"
+                )
 
     @property
     def nu(self) -> float:
@@ -59,20 +84,3 @@ class ModelParams:
     def hbar2_beta2(self) -> float:
         """Energy unit hbar^2 * beta2 of the spectrum."""
         return self.hbar * self.hbar * self.beta2
-
-    @classmethod
-    def from_reduced(cls, hbar_beta2: float, nu_tilde: float = 0.0) -> "ModelParams":
-        """Build a representative parameter set with the given (t, nu_tilde).
-
-        Uses hbar = t, beta2 = 1; any other representative gives identical
-        physical outputs.
-        """
-        if not hbar_beta2 > 0:
-            raise ValueError(f"hbar_beta2 must be positive, got {hbar_beta2}")
-        if nu_tilde < 0:
-            raise ValueError(f"nu_tilde must be non-negative, got {nu_tilde}")
-        if nu_tilde == 0.0:
-            g = math.inf
-        else:
-            g = 1.0 / math.sqrt(nu_tilde * hbar_beta2 * hbar_beta2)
-        return cls(hbar=hbar_beta2, beta2=1.0, coupling_g=g)

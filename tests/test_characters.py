@@ -161,14 +161,9 @@ class TestModelParams:
         assert math.isclose(params.nu_tilde, 0.25 / (0.25 * 0.25), rel_tol=1e-15)
 
     def test_free_theory_uses_infinite_coupling(self):
-        params = ModelParams.from_reduced(0.125, 0.0)
+        params = ModelParams(hbar=0.125, beta2=1.0, coupling_g=math.inf)
         assert params.coupling_g == math.inf
         assert params.nu == 0.0 and params.nu_tilde == 0.0
-
-    def test_from_reduced_roundtrip(self):
-        params = ModelParams.from_reduced(0.25, 6.0)
-        assert params.t == 0.25
-        assert math.isclose(params.nu_tilde, 6.0, rel_tol=1e-14)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -176,6 +171,13 @@ class TestModelParams:
             {"hbar": 0.0, "beta2": 1.0, "coupling_g": 1.0},
             {"hbar": 1.0, "beta2": -1.0, "coupling_g": 1.0},
             {"hbar": 1.0, "beta2": 1.0, "coupling_g": 0.0},
+            # derived combinations that underflow to 0 or overflow
+            {"hbar": 1e-200, "beta2": 1e-200, "coupling_g": math.inf},
+            {"hbar": 1e200, "beta2": 1e200, "coupling_g": math.inf},
+            {"hbar": 1e-200, "beta2": 1.0, "coupling_g": 1.0},
+            {"hbar": 1.0, "beta2": 1.0, "coupling_g": 1e-170},
+            {"hbar": 1.0, "beta2": 1.0, "coupling_g": 1e200},
+            {"hbar": 1e-100, "beta2": 1e-120, "coupling_g": 1.0},
         ],
     )
     def test_invalid_parameters_rejected(self, kwargs):

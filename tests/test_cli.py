@@ -173,6 +173,29 @@ class TestDomain:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "args, derived",
+        [
+            (["spectrum", "--coupling-g", "1e-170"], "nu"),
+            (["spectrum", "--hbar", "1", "--beta2", "1", "--coupling-g", "1e-200"], "nu"),
+            (["spectrum", "--hbar", "1e-200", "--beta2", "1", "--coupling-g", "1"], "hbar2_beta2"),
+            (["states", "--state", "xi", "--hbar", "1", "--beta2", "1", "--coupling-g", "1e-170"], "nu"),
+            (["spectrum", "--hbar", "1e-100", "--beta2", "1e-120", "--coupling-g", "1"], "nu_tilde"),
+            (["tunneling", "--hbar", "1e-200", "--beta2", "1e-200"], "t"),
+            (["tunneling", "--hbar", "1e200", "--beta2", "1e200"], "t"),
+        ],
+    )
+    def test_parameters_out_of_double_range_exit_2(self, args, derived):
+        # a derived combination that underflows to 0 or overflows is
+        # refused when the parameter set is built, never divided by
+        result = subprocess.run(
+            [sys.executable, "-m", "plaquette_qgauge", *args],
+            capture_output=True, text=True, env=package_env(OPENBLAS_NUM_THREADS="1"), timeout=120,
+        )
+        assert result.returncode == 2 and result.stdout == ""
+        assert "Traceback" not in result.stderr and result.stderr.count("\n") == 1
+        assert result.stderr.startswith("error: hbar=") and f": {derived} = " in result.stderr
+
     @pytest.mark.parametrize("nu_tilde", ["1e20", "1e300"])
     @pytest.mark.parametrize(
         "command", [["spectrum"], ["states", "--state", "xi"], ["projector-expectations"]]

@@ -31,7 +31,7 @@ T = 0.125
 @pytest.fixture
 def params():
     """Physical parameters at t = T, for ``vertex_evaluation``, whose scale depends on hbar."""
-    return ModelParams.from_reduced(T, 0.0)
+    return ModelParams(hbar=T, beta2=1.0, coupling_g=math.inf)
 
 
 class TestNormalization:
@@ -169,7 +169,7 @@ class TestVertexEvaluation:
     @pytest.mark.parametrize("stratum", [Stratum.PLUS, Stratum.MINUS])
     def test_vanishing_basis_is_finite_over_the_domain(self, stratum, t):
         # the evaluation's own size at this t: the largest weight, scaled
-        params = ModelParams.from_reduced(t, 0.0)
+        params = ModelParams(hbar=t, beta2=1.0, coupling_g=math.inf)
         weights = costratified.vertex_weights(stratum, t, 30)
         size = (params.hbar * math.pi) ** -0.75 * np.max(np.abs(weights))
         basis = vanishing_basis(stratum, t, trunc=30)

@@ -281,6 +281,43 @@ class TestSolve:
         assert first.b.tobytes() == alone.b[:17].tobytes()
         assert first.coeffs.tobytes() == alone.coeffs[:17].tobytes()
 
+    def test_full_solve_bits_do_not_depend_on_the_request(self):
+        # 81 rows at q = 2000, up to _FULL_MAX: every top level up to 40
+        # gets this one truncation, and a full solve keeps exactly the
+        # levels a request reads, each normalized and anchored on its own
+        q = 2000.0
+        some, one, most = mathieu.solve(np.arange(17), q), mathieu.solve(5, q), mathieu.solve(np.arange(41), q)
+        assert some.trunc == one.trunc == most.trunc == 81 <= mathieu._FULL_MAX
+        assert some.b.tobytes() == most.b[:17].tobytes()
+        assert some.coeffs.tobytes() == most.coeffs[:17].tobytes()
+        assert same_bits(one, some[5]) and same_bits(one, most[5])
+        for count in (1, 6, 41, 81):
+            values, block = mathieu._eigensystem(q, 81, count)
+            assert values.shape == (count,) and block.shape == (count, 81)
+            assert values[:41].tobytes() == most.b[:count].tobytes()
+            assert block[:41].tobytes() == most.coeffs[:count].tobytes()
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_residual_check_guards_every_returned_level(self, offset, monkeypatch):
+        # a full solve returns every level; the residual check covers the
+        # lowest ``count``, which are all that the request reads
+        q, count = 2000.0, 17
+        clean = mathieu.solve(np.arange(count), q)
+        original = mathieu.eigh_tridiagonal
+
+        def perturbed(*args):
+            w, v = original(*args)
+            v[:, count + offset] += 1e-6
+            return w, v
+
+        monkeypatch.setattr(mathieu, "eigh_tridiagonal", perturbed)
+        if offset < 0:
+            with pytest.raises(mathieu.ConvergenceError, match="residual"):
+                mathieu.solve(np.arange(count), q)
+        else:
+            levels = mathieu.solve(np.arange(count), q)
+            assert levels.b.tobytes() + levels.coeffs.tobytes() == clean.b.tobytes() + clean.coeffs.tobytes()
+
     @pytest.mark.parametrize(
         "n, q, trunc",
         [(0, 4e20, None), (0, 4e300, None), (0, 1.0, mathieu._MAX_ROWS + 1), (2**20, 0.0, None)],
