@@ -19,8 +19,7 @@ of checking, normalizing and anchoring the levels kept.  The timed calls
 alternate within each repeat, so a drift of the host's speed reaches them
 alike.  Loading the LAPACK extension is done before timing.
 
-    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python scripts/time_eigensolve.py \
-        [--repeats 21] [--request-repeats 301]
+    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python scripts/time_eigensolve.py [--repeats 21]
 """
 
 from __future__ import annotations
@@ -39,6 +38,8 @@ QS = (1e4, 2e6, 4e8)
 SWEEP_ROWS = (45, 91, 114)
 SWEEP_QS = (0.0, 500.0, 8064.0)
 SWEEP_LEVELS = 41
+#: timed calls per point of the second table
+REQUEST_REPEATS = 1001
 
 
 def sample_times(calls, repeats: int) -> list[list[float]]:
@@ -63,9 +64,6 @@ def mathieu_tridiagonal(rows: int, q: float) -> tuple[np.ndarray, np.ndarray]:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=21, help="timed solves per entry and point")
-    parser.add_argument(
-        "--request-repeats", type=int, default=301, help="timed calls per point of the second table"
-    )
     args = parser.parse_args()
     print(f"_FULL_MAX = {mathieu._FULL_MAX}, _LEVEL_BLOCK = {mathieu._LEVEL_BLOCK}")
     print(f"{'rows':>5} {'q':>6} {'full ms':>9} {'block ms':>9} {'blocks/full':>11} {'full MB':>8}")
@@ -91,7 +89,7 @@ def main() -> None:
             d, e = mathieu_tridiagonal(rows, q)
             lapack, request = sample_times(
                 (lambda: mathieu.eigh_tridiagonal(d, e), lambda: mathieu._eigensystem(q, rows, SWEEP_LEVELS)),
-                args.request_repeats,
+                REQUEST_REPEATS,
             )
             outside = statistics.median(b - a for a, b in zip(lapack, request))
             print(

@@ -34,9 +34,10 @@ _DERIVED = {
 class ModelParams:
     """Immutable parameter set; derived combinations are exposed as properties.
 
-    coupling_g = math.inf is allowed and encodes the free theory (nu = 0).
-    A set is refused with ``ValueError`` when t, hbar2_beta2, nu or nu_tilde
-    underflows to 0 or overflows in double precision.
+    coupling_g = math.inf is allowed and encodes the free theory (nu =
+    nu_tilde = 0 exactly).  A set is refused with ``ValueError`` when t, or at
+    a finite coupling_g hbar2_beta2, nu or nu_tilde, underflows to 0 or
+    overflows in double precision.
     """
 
     hbar: float
@@ -50,9 +51,9 @@ class ModelParams:
             raise ValueError(f"beta2 must be positive and finite, got {self.beta2}")
         if not self.coupling_g > 0:
             raise ValueError(f"coupling_g must be positive, got {self.coupling_g}")
-        # every derived combination must be a positive finite double, apart
-        # from nu = nu_tilde = 0 at coupling_g = inf
-        derived = ("t", "hbar2_beta2") if self.coupling_g == math.inf else _DERIVED
+        # every derived combination must be a positive finite double; at
+        # coupling_g = inf nu_tilde is 0 whatever hbar2_beta2 is
+        derived = ("t",) if self.coupling_g == math.inf else _DERIVED
         for name in derived:
             try:
                 value = getattr(self, name)
@@ -73,7 +74,8 @@ class ModelParams:
     @property
     def nu_tilde(self) -> float:
         """Dimensionless coupling nu / (hbar^2 beta2)."""
-        return self.nu / self.hbar2_beta2
+        nu = self.nu
+        return nu / self.hbar2_beta2 if nu else 0.0
 
     @property
     def t(self) -> float:

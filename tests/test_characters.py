@@ -165,6 +165,12 @@ class TestModelParams:
         assert params.coupling_g == math.inf
         assert params.nu == 0.0 and params.nu_tilde == 0.0
 
+    @pytest.mark.parametrize("hbar, beta2", [(1e-200, 1e200), (1e200, 1e-200)])
+    def test_free_theory_needs_only_t_in_range(self, hbar, beta2):
+        # hbar^2 * beta2 under- or overflows, but nu_tilde = 0 does not read it
+        params = ModelParams(hbar=hbar, beta2=beta2, coupling_g=math.inf)
+        assert params.t == 1.0 and params.nu_tilde == 0.0
+
     @pytest.mark.parametrize(
         "kwargs",
         [

@@ -188,13 +188,26 @@ class TestDomain:
     def test_parameters_out_of_double_range_exit_2(self, args, derived):
         # a derived combination that underflows to 0 or overflows is
         # refused when the parameter set is built, never divided by
-        result = subprocess.run(
-            [sys.executable, "-m", "plaquette_qgauge", *args],
-            capture_output=True, text=True, env=package_env(OPENBLAS_NUM_THREADS="1"), timeout=120,
-        )
-        assert result.returncode == 2 and result.stdout == ""
-        assert "Traceback" not in result.stderr and result.stderr.count("\n") == 1
-        assert result.stderr.startswith("error: hbar=") and f": {derived} = " in result.stderr
+        code, out, err = run_quiet(args)
+        assert code == 2 and out == ""
+        assert err.startswith("error: hbar=") and err.count("\n") == 1
+        assert f": {derived} = " in err
+
+    @pytest.mark.parametrize(
+        "args, reduced",
+        [
+            (["tunneling"], ["tunneling", "--hbar-beta2", "1.0"]),
+            (["states", "--state", "psi-plus"], ["states", "--state", "psi-plus", "--hbar-beta2", "1.0"]),
+            (["projector-expectations"], ["projector-expectations", "--hbar-beta2", "1.0"]),
+            (["spectrum", "--coupling-g", "inf"], ["spectrum", "--nu-tilde", "0"]),
+        ],
+    )
+    @pytest.mark.parametrize("hbar, beta2", [("1e-200", "1e200"), ("1e200", "1e-200")])
+    def test_free_theory_needs_only_t_in_range(self, args, reduced, hbar, beta2):
+        # hbar^2 * beta2 under- or overflows, but the free theory reads only
+        # t = 1 and nu_tilde = 0, so the run is that of the reduced inputs
+        code, out, err = run_quiet([*args, "--hbar", hbar, "--beta2", beta2])
+        assert code == 0 and (code, out, err) == run_quiet(reduced)
 
     @pytest.mark.parametrize("nu_tilde", ["1e20", "1e300"])
     @pytest.mark.parametrize(
