@@ -12,7 +12,8 @@ commands that solve past 128 rows (``LARGE_Q``), a projector sweep at t
 that are not powers of two (``Q_PER_NU_TILDE``), a projector sweep whose t
 need different truncations (``MIXED_TRUNCATION``), an eigenfunction at a t
 that is not a power of two (``XI_AT_T``), three commands at the edges
-of the vertex-state domain (``DOMAIN_EDGES``), and
+of the vertex-state domain (``DOMAIN_EDGES``), two ranges whose step is
+below the spacing of doubles (``GRID_EDGES``), and
 ``scripts/make_figure_data.py`` (the working tree's script on both sides,
 so only ``src/`` differs).  Each runs as a fresh ``python -m
 plaquette_qgauge`` process under ``OPENBLAS_NUM_THREADS=1`` and ``=2``.  A
@@ -90,6 +91,12 @@ DOMAIN_EDGES = [
     ["tunneling", "--hbar-beta2", "4e-206"],
     ["states", "--state", "psi-plus", "--hbar-beta2", "1e-200"],
     ["states", "--state", "psi-minus", "--hbar-beta2", "1e-8"],
+]
+#: ranges whose step is below the spacing of doubles, so they would repeat a
+#: value; a grid must be strictly increasing
+GRID_EDGES = [
+    ["spectrum", "--nu-tilde", "1:1.0000000000000004:5"],
+    ["tunneling", "--hbar-beta2", "1:1.0000000000000004:4"],
 ]
 DEFAULTS = [
     ["tunneling"],
@@ -234,6 +241,7 @@ def main() -> int:
             *MIXED_TRUNCATION,
             *XI_AT_T,
             *DOMAIN_EDGES,
+            *GRID_EDGES,
         ]
         failures, compared = [], 0
         for threads in THREADS:

@@ -14,15 +14,18 @@ Every data command emits deterministic CSV: a comment line
 rows with floats printed as their shortest round-trip decimal.  A command
 hands ``emit`` numeric columns: the swept ones as ``Axis`` objects, whose
 values are formatted once for the config and every row, and the computed
-ones as arrays, formatted and written a block of rows at a time.  Each option
-is declared once, in ``OPTIONS``; a flat ``key = value`` config file can
-provide any of them, read with the flag's type, and command-line flags win.
-Grid values must be finite.  ``coupling_g`` with ``nu_tilde``, ``hbar`` or
-``beta2`` with ``hbar_beta2``, and ``coupling_g`` with ``hbar_beta2`` but
-without ``hbar`` or ``beta2`` (nu_tilde = 1/(g^2 hbar t) then depends on an
-unset hbar) are refused as ambiguous; ``hbar``, ``beta2`` and
-``coupling_g`` are checked as a ``ModelParams``, which turns them into the
-(t, nu_tilde) that every numerical layer takes.
+ones as arrays.  The rows are the product of the axes, the last axis
+varying fastest, written a block at a time from the pre-formatted axis
+cells and that block's computed cells.  Each option is declared once, in
+``OPTIONS``; a flat ``key = value`` config file can provide any of them,
+read with the flag's type, and command-line flags win.  Grid values, a
+range's included, must be finite and strictly increasing.  ``coupling_g``
+with ``nu_tilde``, ``hbar`` or ``beta2`` with ``hbar_beta2``, and
+``coupling_g`` with ``hbar_beta2`` but without ``hbar`` or ``beta2``
+(nu_tilde = 1/(g^2 hbar t) then depends on an unset hbar) are refused as
+ambiguous; ``hbar``, ``beta2`` and ``coupling_g`` are checked as a
+``ModelParams``, which turns them into the (t, nu_tilde) that every
+numerical layer takes.
 
 Importing this module loads only the ``params``, ``strata``, ``theta`` and
 ``costratified`` layers, which ``tunneling`` needs.  Each other command
@@ -40,6 +43,7 @@ before the output was written (as by ``| head``), with no message.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -74,7 +78,11 @@ OPTIONS = {
 
 
 def parse_value_list(text: str) -> list[float]:
-    """Parse 'a,b,c' or 'lo:hi:count' (linear) or 'lo:hi:count:log' into finite values."""
+    """Parse 'a,b,c' or 'lo:hi:count' (linear) or 'lo:hi:count:log' into finite values.
+
+    Either form must give strictly increasing values: a range whose step is
+    below the spacing of doubles would repeat one.
+    """
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
@@ -88,19 +96,19 @@ def parse_value_list(text: str) -> list[float]:
             raise UsageError(f"bad range {text!r}; need finite ends a finite distance apart")
         if count < 1 or not hi > lo:
             raise UsageError(f"bad range {text!r}; need hi > lo and count >= 1")
-        if len(parts) == 4:
-            if lo <= 0:
-                raise UsageError(f"log range {text!r} needs lo > 0")
-            return [float(v) for v in np.geomspace(lo, hi, count)]
-        return [float(v) for v in np.linspace(lo, hi, count)]
-    try:
-        values = [float(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError as exc:
-        raise UsageError(f"bad value list {text!r}: {exc}") from exc
-    if not values:
-        raise UsageError(f"empty value list {text!r}")
-    if not all(map(math.isfinite, values)):
-        raise UsageError(f"values must be finite, got {text!r}")
+        if len(parts) == 4 and lo <= 0:
+            raise UsageError(f"log range {text!r} needs lo > 0")
+        space = np.geomspace if len(parts) == 4 else np.linspace
+        values = space(lo, hi, count).tolist()
+    else:
+        try:
+            values = [float(v) for v in text.split(",") if v.strip() != ""]
+        except ValueError as exc:
+            raise UsageError(f"bad value list {text!r}: {exc}") from exc
+        if not values:
+            raise UsageError(f"empty value list {text!r}")
+        if not all(map(math.isfinite, values)):
+            raise UsageError(f"values must be finite, got {text!r}")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise UsageError(f"values must be strictly increasing, got {text!r}")
     return values
@@ -184,8 +192,8 @@ def _cells(column) -> list[str]:
 class Axis:
     """A swept column: its values in order, and their cells, each formatted once.
 
-    ``emit`` writes the rows of the product of its axes, and a config entry
-    that is an axis is written from the same cells.
+    ``emit`` writes the rows of the product of its axes, and every grid a
+    config holds is an axis, written from the same cells.
     """
 
     def __init__(self, values):
@@ -196,8 +204,7 @@ class Axis:
 def canonical_config(command: str, **entries) -> str:
     """The command and its settings as JSON with sorted keys and no spaces.
 
-    A list of floats is written as ``fmt`` writes it, and an ``Axis`` from
-    its cells.
+    An ``Axis`` is written from its cells.
     """
     payload = {"command": command, **entries}
     items = []
@@ -205,8 +212,6 @@ def canonical_config(command: str, **entries) -> str:
         value = payload[key]
         if isinstance(value, Axis):
             text = "[" + ",".join(value.cells) + "]"
-        elif isinstance(value, list):
-            text = "[" + ",".join(fmt(value)) + "]"
         else:
             text = json.dumps(value)
         items.append(f"{json.dumps(key)}:{text}")
@@ -297,34 +302,14 @@ class Plot:
 _BLOCK_ROWS = 512
 
 
-def _axis_indices(axes: dict, count: int, rows: np.ndarray):
-    """For each axis, the index of its value in each of ``rows``, of ``count`` in all."""
-    repeat = count
-    for axis in axes.values():
-        repeat //= len(axis.values)
-        yield (rows // repeat % len(axis.values)).tolist()
-
-
 def _csv_blocks(config_json: str, axes: dict, data: dict, count: int):
     """The CSV text: the comment and header lines, then blocks of ``_BLOCK_ROWS`` rows."""
     yield f"# plaquette-qgauge v{__version__} config={config_json}\n{','.join([*axes, *data])}\n"
+    rows = itertools.product(*(axis.cells for axis in axes.values()))
     for start in range(0, count, _BLOCK_ROWS):
-        rows = np.arange(start, min(start + _BLOCK_ROWS, count))
-        indices = _axis_indices(axes, count, rows)
-        columns = [[axis.cells[i] for i in index] for axis, index in zip(axes.values(), indices)]
+        columns = list(zip(*itertools.islice(rows, _BLOCK_ROWS)))
         columns += [_cells(column[start : start + _BLOCK_ROWS]) for column in data.values()]
         yield csv_text(columns)
-
-
-def _row_values(axes: dict, data: dict, count: int) -> dict[str, list]:
-    """Every column's value in each row."""
-    indices = _axis_indices(axes, count, np.arange(count))
-    values = {
-        name: [axis.values[i] for i in index]
-        for (name, axis), index in zip(axes.items(), indices)
-    }
-    values.update((name, np.asarray(column).tolist()) for name, column in data.items())
-    return values
 
 
 def emit(settings: dict, command: str, config: dict, axes: dict, data: dict, plot=None) -> int:
@@ -345,7 +330,9 @@ def emit(settings: dict, command: str, config: dict, axes: dict, data: dict, plo
     config_json = canonical_config(command, **config)
     count = math.prod(len(axis.values) for axis in axes.values())
     if fmt_name == "svg":
-        values = _row_values(axes, data, count)
+        rows = itertools.product(*(axis.values for axis in axes.values()))
+        values = dict(zip(axes, zip(*rows)))
+        values.update((name, np.asarray(column).tolist()) for name, column in data.items())
         keys = [values[name] for name in plot.series]
         groups: dict[tuple, tuple[list, list]] = {}
         for row in range(count):
@@ -386,9 +373,9 @@ def cmd_spectrum(args, settings) -> int:
 
 
 def cmd_states(args, settings) -> int:
-    t_values = resolve_t_values(settings, default="0.125")
-    nut_values = resolve_nut_values(settings, default="0")
-    if len(t_values) != 1 or len(nut_values) != 1:
+    t_axis = Axis(resolve_t_values(settings, default="0.125"))
+    nut_axis = Axis(resolve_nut_values(settings, default="0"))
+    if len(t_axis.values) != 1 or len(nut_axis.values) != 1:
         raise UsageError("states needs a single hbar_beta2 and a single nu_tilde")
     grid = settings.get("grid", 257)
     if grid < 2:
@@ -398,7 +385,7 @@ def cmd_states(args, settings) -> int:
         from . import characters
 
         stratum = Stratum.PLUS if args.state == "psi-plus" else Stratum.MINUS
-        state = costratified.stratum_state(stratum, t_values[0])
+        state = costratified.stratum_state(stratum, t_axis.values[0])
         values = math.sqrt(2.0) * characters.sine_series(x, state.coeffs)
         label = args.state
     else:
@@ -408,9 +395,9 @@ def cmd_states(args, settings) -> int:
         if level < 0:
             raise UsageError("level must be >= 0")
         # eigenfunctions do not depend on t
-        values = spectrum.eigenfunction_x(level, nut_values[0], x)
+        values = spectrum.eigenfunction_x(level, nut_axis.values[0], x)
         label = f"xi_{level}"
-    config = {"state": label, "hbar_beta2": t_values, "nu_tilde": nut_values, "grid": grid}
+    config = {"state": label, "hbar_beta2": t_axis, "nu_tilde": nut_axis, "grid": grid}
     plot = Plot("x", "value", (), label, "x", label)
     return emit(settings, "states", config, {"x": Axis(x)}, {"value": values}, plot)
 

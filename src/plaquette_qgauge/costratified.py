@@ -55,6 +55,8 @@ _BAND = (0.25, 2.0)
 _DUAL_CUTOFF = 1e-20
 #: no vertex state past this many rows is built (``mathieu._MAX_ROWS``)
 _MAX_ROWS = 2**19
+#: the largest last vertex weight a truncation may leave, relative to N
+_TAIL_TOL = 1e-12
 _PI2 = math.pi**2
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -202,11 +204,26 @@ def vertex_weights(stratum: Stratum, t: float, count: int) -> np.ndarray:
     return weights
 
 
+def check_tail(t: float, weights: np.ndarray, norm: float) -> None:
+    """Raise ``TruncationError`` where the last vertex weight is above ``_TAIL_TOL`` of N.
+
+    The one rule for whether a truncation holds the vertex state at t, for
+    the state itself and for its overlaps with eigenstates.
+    """
+    tail = abs(weights[-1]) / norm
+    if tail > _TAIL_TOL:
+        raise TruncationError(
+            f"vertex-state weight tail {tail:.2e} of N exceeds {_TAIL_TOL} at t={t} "
+            f"with {len(weights)} rows; need at least {default_trunc(t)}"
+        )
+
+
 def stratum_state(stratum: Stratum, t: float, trunc: int | None = None) -> StateVector:
     """Unit state spanning the quantum subspace of the given vertex stratum at t = hbar beta2.
 
     A truncation past ``_MAX_ROWS`` rows, which the default one is below
-    t ~ 2.91e-10, raises ``TruncationError`` before anything is allocated.
+    t ~ 2.91e-10, raises ``TruncationError`` before anything is allocated;
+    one whose last weight fails ``check_tail`` raises it too.
     """
     if trunc is None:
         trunc = default_trunc(t)
@@ -214,12 +231,9 @@ def stratum_state(stratum: Stratum, t: float, trunc: int | None = None) -> State
     if trunc > _MAX_ROWS:
         raise TruncationError(f"trunc={trunc:.4g} at t={t} is past {_MAX_ROWS} rows")
     weights = vertex_weights(stratum, t, trunc)
-    if trunc * trunc * math.exp(-t * trunc * trunc) >= 1e-16 * n2:
-        raise TruncationError(
-            f"trunc={trunc} leaves a tail above 1e-16 * N^2 at t={t}; "
-            f"need at least {default_trunc(t)}"
-        )
-    return StateVector(weights / math.sqrt(n2), t)
+    state = StateVector(weights / math.sqrt(n2), t)  # first: it refuses an empty truncation
+    check_tail(t, weights, math.sqrt(n2))
+    return state
 
 
 def vertex_evaluation(state: StateVector, stratum: Stratum, params: ModelParams) -> complex:

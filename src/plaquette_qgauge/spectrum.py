@@ -56,7 +56,6 @@ from . import characters, costratified, mathieu
 from .costratified import StateVector, TruncationError, vertex_weights
 from .strata import Stratum
 
-_TAIL_TOL = 1e-12
 #: projector_expectations sums P_plus over _COMPLETENESS_START levels, doubling
 #: the count until the sum is within _COMPLETENESS_TOL of 1, up to _COMPLETENESS_MAX
 _COMPLETENESS_START = 60
@@ -238,11 +237,7 @@ def _projector_batch(t_values, q_values, count: int) -> tuple[np.ndarray, np.nda
                         vertex_weights(Stratum.MINUS, t, levels.trunc),
                         vertex_weights(Stratum.PLUS, t, levels.trunc),
                     )
-                    weight_tail = abs(weights[key][0][-1]) / norms[t]
-                    if weight_tail > _TAIL_TOL:
-                        raise TruncationError(
-                            f"vertex-state weight tail {weight_tail:.2e} exceeds {_TAIL_TOL}"
-                        )
+                    costratified.check_tail(t, weights[key][0], norms[t])
                 plus_weights, minus_weights = weights[key]
                 scale = 1.0 / norms[t]
                 plus = (scale * np.sum(plus_weights * levels.coeffs, axis=1)) ** 2

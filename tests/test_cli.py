@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -166,6 +167,9 @@ class TestDomain:
             ["tunneling", "--hbar-beta2=-inf:1:3"],
             ["tunneling", "--hbar-beta2=-1e308:1e308:3"],
             ["projector-expectations", "--hbar-beta2", "0.125", "--nu-tilde", "1,1e400"],
+            # steps below the spacing of doubles: the ranges would repeat a value
+            ["spectrum", "--nu-tilde", "1:1.0000000000000004:5"],
+            ["tunneling", "--hbar-beta2", "1:1.0000000000000004:4"],
         ],
     )
     def test_non_finite_grid_exits_2(self, args):
@@ -389,22 +393,26 @@ class TestProjectorExpectations:
             assert total >= 1.0 - 1e-6
 
 
-    def test_rows_run_t_nu_tilde_level(self, capsys):
+    @pytest.mark.parametrize(
+        "args, t_values, nu_tildes, n_max",
+        [
+            (["--hbar-beta2", "0.125,0.5", "--nu-tilde", "1,6,24", "--n-max", "2"],
+             [0.125, 0.5], [1.0, 6.0, 24.0], 2),
+            # the defaults: 3 x 30 x 6 = 540 rows, past cli._BLOCK_ROWS = 512
+            ([], [0.03125, 0.125, 0.5], np.geomspace(0.1, 100.0, 30).tolist(), 6),
+        ],
+        ids=["12-rows", "540-rows"],
+    )
+    def test_rows_run_t_nu_tilde_level(self, args, t_values, nu_tildes, n_max, capsys):
         # rows are the grid call's arrays raveled in (t, nu_tilde, n) order
-        t_values, nu_tildes = (0.125, 0.5), (1.0, 6.0, 24.0)
-        args = ["projector-expectations", "--hbar-beta2", "0.125,0.5", "--nu-tilde", "1,6,24"]
-        code, out = run_cli([*args, "--n-max", "2"], capsys)
+        code, out = run_cli(["projector-expectations", *args], capsys)
         assert code == 0
         _, rows = parse_csv(out)
-        plus, minus, completeness = spectrum.projector_expectations(t_values, nu_tildes, 2)
-        expected = [
-            [repr(t), repr(nut), str(n)]
-            + [repr(float(v)) for v in (plus[i, j, n], minus[i, j, n], completeness[i, j])]
-            for i, t in enumerate(t_values)
-            for j, nut in enumerate(nu_tildes)
-            for n in range(2)
-        ]
-        assert rows == expected
+        plus, minus, completeness = spectrum.projector_expectations(t_values, nu_tildes, n_max)
+        axes = itertools.product(map(repr, t_values), map(repr, nu_tildes), map(str, range(n_max)))
+        columns = (plus.ravel(), minus.ravel(), np.repeat(completeness.ravel(), n_max))
+        data = zip(*(column.tolist() for column in columns))
+        assert rows == [[*cells, *map(repr, values)] for cells, values in zip(axes, data)]
 
     def test_rows_are_the_batch_at_exactly_four_nu_tilde(self, capsys):
         t_values = (0.125, 0.3)

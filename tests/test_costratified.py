@@ -111,9 +111,11 @@ class TestVertexStates:
         with pytest.raises(ValueError):
             stratum_state(Stratum.TOP, T)
 
-    def test_insufficient_truncation_rejected(self):
-        with pytest.raises(TruncationError):
-            stratum_state(Stratum.PLUS, T, trunc=5)
+    # at trunc=20 the last weight is 8.8e-11 of N, above the 1e-12 that check_tail allows
+    @pytest.mark.parametrize("trunc", [5, 20])
+    def test_insufficient_truncation_rejected(self, trunc):
+        with pytest.raises(TruncationError, match=f"at t={T} with {trunc} rows; need at least 34"):
+            stratum_state(Stratum.PLUS, T, trunc=trunc)
 
     def test_overflowing_normalization_raises_before_allocating(self):
         # the default truncation at t = 1e-300 is about 9e150 weights
