@@ -159,8 +159,8 @@ def certify(table: np.ndarray) -> list[str]:
         n, needed = int(n), int(needed)
         start = mathieu.default_trunc(n, q)
         if (n + 1) * start <= BLOCK_MAX:
-            levels = mathieu.solve(np.arange(n + 1), q)
-            tail = float(np.max(levels.tail)) if levels.trunc == start else math.inf
+            coeffs = mathieu.solve(np.arange(n + 1), q).coeffs
+            tail = float(np.max(np.abs(coeffs[:, -1]))) if coeffs.shape[1] == start else math.inf
         else:
             tail = level_tail(n, q, start)
         if tail > TAIL_TOL:

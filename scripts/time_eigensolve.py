@@ -10,14 +10,9 @@ full solve and of the first block of the Mathieu tridiagonal (diagonal
 (2k+2)^2, off-diagonal q) at each size and q, the full solve's eigenvector
 matrix in MB, and how many blocks cost as much as one full solve: the
 levels a request may ask for before a full solve is the cheaper entry.
-A second table times the layer around LAPACK at spectrum-sweep's sizes
-(the default truncations of level 40 for q from 0 to about 8,080, with 41
-levels): the median time of one full ``eigh_tridiagonal`` call, of one
-``_eigensystem`` request for the 41 levels, and the median of their
-difference within a repeat, the per-solve cost of building the matrix and
-of checking, normalizing and anchoring the levels kept.  The timed calls
-alternate within each repeat, so a drift of the host's speed reaches them
-alike.  Loading the LAPACK extension is done before timing.
+The two timed calls alternate within each repeat, so a drift of the host's
+speed reaches them alike.  Loading the LAPACK extension is done before
+timing.
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python scripts/time_eigensolve.py [--repeats 21]
 """
@@ -34,12 +29,6 @@ from plaquette_qgauge import mathieu
 
 ROWS = (128, 256, 512, 768, 1024, 1707, 3000)
 QS = (1e4, 2e6, 4e8)
-#: spectrum-sweep's truncations, q and level count (``--n-max 40``)
-SWEEP_ROWS = (45, 91, 114)
-SWEEP_QS = (0.0, 500.0, 8064.0)
-SWEEP_LEVELS = 41
-#: timed calls per point of the second table
-REQUEST_REPEATS = 1001
 
 
 def sample_times(calls, repeats: int) -> list[list[float]]:
@@ -81,20 +70,6 @@ def main() -> None:
             print(
                 f"{rows:5d} {q:6.0e} {1e3 * full:9.3f} {1e3 * first:9.3f} "
                 f"{full / first:11.1f} {8 * rows * rows / 1e6:8.2f}"
-            )
-    print(f"\n{SWEEP_LEVELS} levels per request")
-    print(f"{'rows':>5} {'q':>6} {'LAPACK us':>10} {'request us':>11} {'outside us':>11}")
-    for rows in SWEEP_ROWS:
-        for q in SWEEP_QS:
-            d, e = mathieu_tridiagonal(rows, q)
-            lapack, request = sample_times(
-                (lambda: mathieu.eigh_tridiagonal(d, e), lambda: mathieu._eigensystem(q, rows, SWEEP_LEVELS)),
-                REQUEST_REPEATS,
-            )
-            outside = statistics.median(b - a for a, b in zip(lapack, request))
-            print(
-                f"{rows:5d} {q:6.0f} {1e6 * statistics.median(lapack):10.1f} "
-                f"{1e6 * statistics.median(request):11.1f} {1e6 * outside:11.1f}"
             )
 
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, TruncationError
+from .errors import MAX_ROWS, ConsistencyError, TruncationError
 from .params import ModelParams
 from .strata import Stratum
 from .theta import theta3_prime
@@ -53,8 +53,6 @@ _DUAL_BELOW = 1.0
 _BAND = (0.25, 2.0)
 #: a dual sum stops at the first k whose exponential ratio is below this
 _DUAL_CUTOFF = 1e-20
-#: no vertex state past this many rows is built (``mathieu._MAX_ROWS``)
-_MAX_ROWS = 2**19
 #: the largest last vertex weight a truncation may leave, relative to N
 _TAIL_TOL = 1e-12
 _PI2 = math.pi**2
@@ -221,15 +219,15 @@ def check_tail(t: float, weights: np.ndarray, norm: float) -> None:
 def stratum_state(stratum: Stratum, t: float, trunc: int | None = None) -> StateVector:
     """Unit state spanning the quantum subspace of the given vertex stratum at t = hbar beta2.
 
-    A truncation past ``_MAX_ROWS`` rows, which the default one is below
+    A truncation past ``MAX_ROWS`` rows, which the default one is below
     t ~ 2.91e-10, raises ``TruncationError`` before anything is allocated;
     one whose last weight fails ``check_tail`` raises it too.
     """
     if trunc is None:
         trunc = default_trunc(t)
     n2 = norm_squared(t)  # first: below the N^2 edge the truncation is too large to allocate
-    if trunc > _MAX_ROWS:
-        raise TruncationError(f"trunc={trunc:.4g} at t={t} is past {_MAX_ROWS} rows")
+    if trunc > MAX_ROWS:
+        raise TruncationError(f"trunc={trunc:.4g} at t={t} is past {MAX_ROWS} rows")
     weights = vertex_weights(stratum, t, trunc)
     state = StateVector(weights / math.sqrt(n2), t)  # first: it refuses an empty truncation
     check_tail(t, weights, math.sqrt(n2))

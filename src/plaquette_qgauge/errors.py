@@ -2,8 +2,13 @@
 
 They live apart from the layers that raise them, so the command line can
 catch them without importing the Mathieu layer.  ``mathieu`` and
-``costratified`` re-export the names they raise.
+``costratified`` re-export the names they raise.  The row cap both layers
+refuse past lives here for the same reason: ``costratified`` reads it
+without loading ``mathieu``.
 """
+
+#: no Mathieu truncation and no vertex state past this many rows is built
+MAX_ROWS = 2**19
 
 
 class ConvergenceError(RuntimeError):

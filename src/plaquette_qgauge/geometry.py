@@ -31,6 +31,7 @@ import numpy as np
 
 _VARIETY_TOL = 1e-10  # on-variety precondition, relative to the relation's term sizes
 _RANK_RTOL = 1e-10  # singular values below this fraction of the largest count as zero
+_SAMPLE_SCALE = 10.0  # the samplers draw plane coordinates in [-10, 10]
 
 
 class OffVarietyError(ValueError):
@@ -138,22 +139,6 @@ class PolyFunction:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyFunction):
-            return NotImplemented
-        return self.generators == other.generators and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for exps, coeff in sorted(self.terms.items(), reverse=True):
-            mono = "*".join(
-                f"{g}^{e}" if e > 1 else g for g, e in zip(self.generators, exps) if e
-            )
-            parts.append(f"{coeff:+g}{'*' + mono if mono else ''}")
-        return "".join(parts)
 
 
 @dataclass(frozen=True)
@@ -280,23 +265,23 @@ def canoe_tau(X, Y):
     return 0.5 * np.sqrt(Y * Y + s * s / 16.0) - s / 8.0
 
 
-def sample_semicone(rng, count: int, scale: float = 10.0) -> np.ndarray:
-    """On-variety semicone points (x, y, r) with plane coordinates in [-scale, scale].
+def sample_semicone(rng, count: int) -> np.ndarray:
+    """On-variety semicone points (x, y, r) with plane coordinates in [-10, 10].
 
     ``rng`` is a numpy ``Generator`` or anything with its ``uniform(low,
     high, size)``.
     """
-    xy = rng.uniform(-scale, scale, size=(count, 2))
+    xy = rng.uniform(-_SAMPLE_SCALE, _SAMPLE_SCALE, size=(count, 2))
     r = np.hypot(xy[:, 0], xy[:, 1])
     return np.column_stack([xy, r])
 
 
-def sample_canoe(rng, count: int, scale: float = 10.0) -> np.ndarray:
-    """On-variety canoe points (X, Y, tau) with plane coordinates in [-scale, scale].
+def sample_canoe(rng, count: int) -> np.ndarray:
+    """On-variety canoe points (X, Y, tau) with plane coordinates in [-10, 10].
 
     ``rng`` is as for ``sample_semicone``.
     """
-    xy = rng.uniform(-scale, scale, size=(count, 2))
+    xy = rng.uniform(-_SAMPLE_SCALE, _SAMPLE_SCALE, size=(count, 2))
     return np.column_stack([xy, canoe_tau(xy[:, 0], xy[:, 1])])
 
 

@@ -62,14 +62,19 @@ spread over k up to about sqrt(2n+1) q^(1/4) (DLMF 28.8(i)), and the levels
 above the barrier sit near k = n.  Its constants are fitted by
 scripts/fit_truncation.py, so that on the scanned levels and q the start
 already holds every tail below 1e-12.  The solve gives up past 32 times the
-start or, before allocating, past ``_MAX_ROWS`` rows or past |q| = 6.8e10
-(nu_tilde = q / 4 of 1.7e10), the edge of the valid domain.  An array of
-levels comes back as ``MathieuLevels``, which holds the b and tail arrays
-and the block rows and builds a per-level ``MathieuSolution`` on indexing;
-one level as row 0 of such a request.  ``solve_many(count, ...)`` is
-``solve(range(count), ...)``; it stays a separate name only because the
-benchmark's call contract (``EXPECTED_CALLS`` in perfbench/workloads.py)
-counts it on the projector sweep.
+start or, before allocating, past ``MAX_ROWS`` rows (2**19, set in
+``errors``) or past |q| = 6.8e10 (nu_tilde = q / 4 of 1.7e10), the edge of
+the valid domain.  A solve returns arrays alone, as a ``MathieuLevels`` record
+``(b, coeffs)``: an array of levels gives the b array and the block rows,
+one level the float b and its 1-D row.  The caller knows n and q, since it
+passed them; the truncation is ``coeffs.shape[-1]`` and the tail
+``abs(coeffs[..., -1])``.  ``se`` evaluates the sine-elliptic functions of
+one level or of an array of levels from one solve, and
+``se_second_derivative`` and ``recurrence_residual`` take coefficient rows.
+``solve_many(count, ...)`` is ``solve(range(count), ...)``; it stays a
+separate name only because the benchmark's call contract
+(``EXPECTED_CALLS`` in perfbench/workloads.py) counts it on the projector
+sweep.
 """
 
 from __future__ import annotations
@@ -77,15 +82,15 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import find_spec, module_from_spec
+from typing import NamedTuple
 
 import numpy as np
 
 from .characters import sine_series
-from .errors import ConvergenceError
+from .errors import MAX_ROWS, ConvergenceError
 
 #: residual threshold, relative to the matrix norm, past which the
 #: eigendecomposition is rejected
@@ -108,8 +113,6 @@ _FULL_MAX = 512
 #: levels per eigensolve above ``_FULL_MAX`` rows: a partial eigensystem
 #: solves levels [0, 16), [16, 32), ..., up to the block a request needs
 _LEVEL_BLOCK = 16
-#: no truncation past this many rows is tried, explicit or grown
-_MAX_ROWS = 2**19
 #: no |q| past this is solved (nu_tilde = q / 4 of 1.7e10): there E_gap, the
 #: difference of two energies near nu_tilde / 2, keeps only about 11 digits
 _MAX_Q = 6.8e10
@@ -119,81 +122,19 @@ _MAX_Q = 6.8e10
 _FLAPACK = "scipy.linalg._flapack"
 
 
-@dataclass(frozen=True)
-class MathieuSolution:
-    """Level ``n`` solution at parameter ``q``.
+class MathieuLevels(NamedTuple):
+    """Characteristic values ``b`` and Fourier coefficients ``coeffs`` of levels at one q.
 
-    ``b`` is the characteristic value; ``coeffs[k]`` is the Fourier
-    coefficient of sin((2k+2) y), unit-normalized and sign-anchored as
-    described in the module docstring, a read-only row of its eigensystem's
-    coefficient block.
+    ``coeffs[..., k]`` is the coefficient of sin((2k+2) y), unit-normalized
+    and sign-anchored as described in the module docstring.  For one level,
+    ``b`` is a float and ``coeffs`` a read-only row of its eigensystem's
+    coefficient block; for an array of levels, ``b`` is a read-only array
+    and ``coeffs`` the read-only (levels, trunc) rows of the block, a view
+    when the levels are a run of consecutive ones, a copy otherwise.
     """
 
-    n: int
-    q: float
-    b: float
+    b: float | np.ndarray
     coeffs: np.ndarray
-
-    @property
-    def trunc(self) -> int:
-        return len(self.coeffs)
-
-    @property
-    def tail(self) -> float:
-        """Magnitude of the last kept coefficient (truncation diagnostic)."""
-        return abs(float(self.coeffs[-1]))
-
-    def se(self, y):
-        """Evaluate the sine-elliptic function at y (scalar or array)."""
-        # (k+1) * (2y) rounds exactly as (2k+2) * y: doubling is exact
-        return sine_series(2.0 * np.asarray(y, dtype=float), self.coeffs)
-
-    def se_second_derivative(self, y):
-        """Term-by-term second derivative of ``se`` (spectral differentiation)."""
-        freqs = 2.0 * np.arange(self.trunc) + 2.0
-        # negating the sum is exact, so this equals summing the negated terms
-        return -sine_series(2.0 * np.asarray(y, dtype=float), freqs * freqs * self.coeffs)
-
-    def recurrence_residual(self) -> float:
-        """max_k |(b - 4(k+1)^2) c_k - q (c_{k-1} + c_{k+1})| with c_{-1} = c_trunc = 0."""
-        c = self.coeffs
-        k = np.arange(self.trunc)
-        left = (self.b - 4.0 * (k + 1.0) ** 2) * c
-        neighbors = np.zeros_like(c)
-        neighbors[1:] += c[:-1]
-        neighbors[:-1] += c[1:]
-        return float(np.max(np.abs(left - self.q * neighbors)))
-
-
-@dataclass(frozen=True)
-class MathieuLevels:
-    """Levels ``n`` (an integer array) at parameter ``q``, read from one eigensystem.
-
-    ``b[i]`` and ``tail[i]`` are the characteristic value and the tail
-    coefficient magnitude of level ``n[i]``, and ``coeffs[i]`` is its row of
-    the eigensystem's coefficient block: a read-only view when ``n`` is a run
-    of consecutive levels, a read-only copy otherwise.  Indexing and
-    iteration build the per-level ``MathieuSolution`` of row ``i``.
-    """
-
-    n: np.ndarray
-    q: float
-    b: np.ndarray
-    tail: np.ndarray
-    coeffs: np.ndarray
-
-    @property
-    def trunc(self) -> int:
-        return self.coeffs.shape[1]
-
-    def __len__(self) -> int:
-        return len(self.n)
-
-    def __getitem__(self, i: int) -> MathieuSolution:
-        return MathieuSolution(n=int(self.n[i]), q=self.q, b=float(self.b[i]), coeffs=self.coeffs[i])
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
 
 @lru_cache(maxsize=None)
@@ -351,7 +292,7 @@ def _converged(q: float, trunc: int | None, n: np.ndarray) -> MathieuLevels:
     level if None), which must hold that level, and doubles until the tails
     fall.  It gives up past 2**_MAX_DOUBLINGS times the default truncation,
     so a small explicit start grows as far as the default one.  A size past
-    ``_MAX_ROWS`` and a |q| past ``_MAX_Q`` are refused before anything is
+    ``MAX_ROWS`` and a |q| past ``_MAX_Q`` are refused before anything is
     allocated.
     """
     q = float(q)
@@ -366,8 +307,8 @@ def _converged(q: float, trunc: int | None, n: np.ndarray) -> MathieuLevels:
     consecutive = hi - lo == len(n) and (len(n) == 1 or bool(np.all(n[1:] > n[:-1])))
     rows = slice(lo, hi) if consecutive else n
     while True:
-        if size > _MAX_ROWS:
-            raise ConvergenceError(f"levels {bottom}..{top} at q={q} need over {_MAX_ROWS} rows")
+        if size > MAX_ROWS:
+            raise ConvergenceError(f"levels {bottom}..{top} at q={q} need over {MAX_ROWS} rows")
         if abs(q) > _MAX_Q:
             raise ConvergenceError(
                 f"q={q} is past the domain edge |q| <= {_MAX_Q:g} (nu_tilde <= {_MAX_Q / 4:g})"
@@ -375,8 +316,8 @@ def _converged(q: float, trunc: int | None, n: np.ndarray) -> MathieuLevels:
         values, block = _eigensystem(q, size, top + 1)
         tail = np.abs(block[rows, -1])
         if tail.max() <= _TAIL_TOL:
-            levels = MathieuLevels(n=n.copy(), q=q, b=values[rows], tail=tail, coeffs=block[rows])
-            for array in (levels.n, levels.b, levels.tail, levels.coeffs):
+            levels = MathieuLevels(values[rows], block[rows])
+            for array in levels:
                 array.flags.writeable = False
             return levels
         size *= 2
@@ -386,23 +327,24 @@ def _converged(q: float, trunc: int | None, n: np.ndarray) -> MathieuLevels:
             )
 
 
-def solve(n, q: float, trunc: int | None = None):
+def solve(n, q: float, trunc: int | None = None) -> MathieuLevels:
     """Characteristic values and Fourier coefficients of level(s) n at parameter q.
 
     ``n`` is one level or a non-empty 1-D integer array of levels (a range
     will do).  All of them come from one eigensystem, whose truncation
     starts at ``trunc`` (or ``default_trunc`` of the highest level) and
     doubles until every requested tail coefficient drops below 1e-12.  One
-    level gives its ``MathieuSolution``, an array of levels a
-    ``MathieuLevels``.  Nothing is kept between calls.
+    level gives a float and a 1-D row, an array of levels a ``b`` array and
+    a (levels, trunc) block (see ``MathieuLevels``).  Nothing is kept
+    between calls.
     """
     levels = np.asarray(n)
     if levels.dtype.kind not in "iu" or levels.ndim > 1 or levels.size == 0:
         raise TypeError(f"levels must be an integer or a non-empty 1-D integer array, got {n!r}")
     if levels.min() < 0:
         raise ValueError(f"level index must be >= 0, got {levels.min()}")
-    result = _converged(q, trunc, levels.reshape(-1))
-    return result[0] if levels.ndim == 0 else result
+    b, coeffs = _converged(q, trunc, levels.reshape(-1))
+    return MathieuLevels(float(b[0]), coeffs[0]) if levels.ndim == 0 else MathieuLevels(b, coeffs)
 
 
 def solve_many(count: int, q: float, trunc: int | None = None) -> MathieuLevels:
@@ -412,6 +354,32 @@ def solve_many(count: int, q: float, trunc: int | None = None) -> MathieuLevels:
     return solve(range(count), q, trunc)
 
 
-def se(n: int, q: float, y):
-    """Sine-elliptic function for level n at parameter q, evaluated at y."""
-    return solve(n, q).se(y)
+def se(n, q: float, y):
+    """Sine-elliptic function of level(s) n at parameter q, evaluated at y (scalar or array).
+
+    One level gives the values at y; an integer array of levels gives one
+    row per level, all from one solve.
+    """
+    coeffs = solve(n, q).coeffs
+    # (k+1) * (2y) rounds exactly as (2k+2) * y: doubling is exact
+    x = 2.0 * np.asarray(y, dtype=float)
+    if coeffs.ndim == 1:
+        return sine_series(x, coeffs)
+    return np.array([sine_series(x, row) for row in coeffs])
+
+
+def se_second_derivative(coeffs: np.ndarray, y):
+    """Term-by-term second derivative, at y, of the sine series with coefficients ``coeffs``."""
+    freqs = 2.0 * np.arange(len(coeffs)) + 2.0
+    # negating the sum is exact, so this equals summing the negated terms
+    return -sine_series(2.0 * np.asarray(y, dtype=float), freqs * freqs * coeffs)
+
+
+def recurrence_residual(b: float, q: float, coeffs: np.ndarray) -> float:
+    """max_k |(b - 4(k+1)^2) c_k - q (c_{k-1} + c_{k+1})| with c_{-1} = c_trunc = 0."""
+    k = np.arange(len(coeffs))
+    left = (b - 4.0 * (k + 1.0) ** 2) * coeffs
+    neighbors = np.zeros_like(coeffs)
+    neighbors[1:] += coeffs[:-1]
+    neighbors[:-1] += coeffs[1:]
+    return float(np.max(np.abs(left - q * neighbors)))

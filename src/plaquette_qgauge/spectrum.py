@@ -31,8 +31,10 @@ the Mathieu Fourier coefficient.
 Both sweeps read one Mathieu eigensystem per q.  ``energy`` takes one level
 or an integer array of levels, and an array is served by one eigensolve, so
 a spectrum sweep costs one eigensolve per nu_tilde; ``eigenstates`` serves
-the states of an array of levels the same way.  Projector expectations are
-squared overlaps of eigenstates with the two vertex states.
+the energies and state rows of an array of levels the same way, and
+``eigenstate`` returns one level's ``(energy, StateVector)``.  Projector
+expectations are squared overlaps of eigenstates with the two vertex
+states.
 ``projector_expectations`` serves a whole (t, nu_tilde) sweep in one call,
 at q = 4 nu_tilde (multiplying by 4 is exact), which does not depend on t.
 At each q the t that share a truncation read one eigensystem, and each t's
@@ -48,7 +50,6 @@ bit-identical to the per-level formula at the same q and truncation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,15 +62,6 @@ from .strata import Stratum
 _COMPLETENESS_START = 60
 _COMPLETENESS_TOL = 1e-6
 _COMPLETENESS_MAX = 960
-
-
-@dataclass(frozen=True)
-class SpectralResult:
-    """Energy level n: eigenvalue, in units of hbar^2 beta2, and eigenstate coefficients."""
-
-    n: int
-    energy: float
-    state: StateVector
 
 
 def _tridiagonal(nu_tilde: float, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -88,15 +80,16 @@ def hamiltonian_matrix(nu_tilde: float, dim: int) -> np.ndarray:
     return h
 
 
-def matrix_energies(nu_tilde: float, count: int, dim: int | None = None) -> np.ndarray:
+def matrix_energies(nu_tilde: float, count: int) -> np.ndarray:
     """First ``count`` eigenvalues of the truncated ``hamiltonian_matrix`` (oracle route).
 
-    numpy's dense ``eigvalsh`` (LAPACK ``dsyevd`` without vectors) reaches
-    the values through ``dsterf``'s root-free QL/QR iteration; the Mathieu
-    route takes them, with the vectors, from ``dstedc``.
+    The matrix has the Mathieu route's default truncation of the top level
+    at q = 4 nu_tilde.  numpy's dense ``eigvalsh`` (LAPACK ``dsyevd``
+    without vectors) reaches the values through ``dsterf``'s root-free
+    QL/QR iteration; the Mathieu route takes them, with the vectors, from
+    ``dstedc``.
     """
-    if dim is None:
-        dim = mathieu.default_trunc(count - 1, 4.0 * nu_tilde)
+    dim = mathieu.default_trunc(count - 1, 4.0 * nu_tilde)
     return np.linalg.eigvalsh(hamiltonian_matrix(nu_tilde, dim))[:count]
 
 
@@ -129,15 +122,17 @@ def eigenstates(levels, t: float, nu_tilde: float, trunc: int | None = None):
     q = 4.0 * nu_tilde
     if trunc is None:
         trunc = _state_trunc(int(levels.max()), q, t)
-    sols = mathieu.solve(levels, q, trunc=trunc)
-    signs = (-1.0) ** (sols.n[:, None] + np.arange(sols.trunc))
-    return _energy_from_b(sols.b, nu_tilde), signs * sols.coeffs
+    b, coeffs = mathieu.solve(levels, q, trunc=trunc)
+    signs = (-1.0) ** (levels[:, None] + np.arange(coeffs.shape[1]))
+    return _energy_from_b(b, nu_tilde), signs * coeffs
 
 
-def eigenstate(n: int, t: float, nu_tilde: float, trunc: int | None = None) -> SpectralResult:
-    """Eigenstate of level n, stamped with t: row 0 of ``eigenstates([n], ...)``."""
+def eigenstate(
+    n: int, t: float, nu_tilde: float, trunc: int | None = None
+) -> tuple[float, StateVector]:
+    """Energy and eigenstate of level n, stamped with t: row 0 of ``eigenstates([n], ...)``."""
     energies, coeffs = eigenstates([n], t, nu_tilde, trunc)
-    return SpectralResult(n, float(energies[0]), StateVector(coeffs[0], t))
+    return float(energies[0]), StateVector(coeffs[0], t)
 
 
 def eigenfunction_x(n: int, nu_tilde: float, x):
@@ -147,8 +142,8 @@ def eigenfunction_x(n: int, nu_tilde: float, x):
     sqrt(2) sin((n+1)x) in the free theory.
     """
     x = np.asarray(x, dtype=float)
-    sol = mathieu.solve(n, 4.0 * nu_tilde)
-    out = (-1.0) ** (n + 1) * math.sqrt(2.0) * np.asarray(sol.se((x - math.pi) / 2.0))
+    se = np.asarray(mathieu.se(n, 4.0 * nu_tilde, (x - math.pi) / 2.0))
+    out = (-1.0) ** (n + 1) * math.sqrt(2.0) * se
     return float(out) if out.ndim == 0 else out
 
 
@@ -229,13 +224,14 @@ def _projector_batch(t_values, q_values, count: int) -> tuple[np.ndarray, np.nda
                     levels = solved[total, trunc] = mathieu.solve_many(total, q, trunc=trunc)
                 if t not in norms:
                     norms[t] = costratified.normalization_constant(t)
-                key = (t, levels.trunc)
+                size = levels.coeffs.shape[1]
+                key = (t, size)
                 if key not in weights:
                     # (-1)^k flips the odd signs of the plus weights, giving the
                     # minus weights, and flips those of the minus weights back
                     weights[key] = (
-                        vertex_weights(Stratum.MINUS, t, levels.trunc),
-                        vertex_weights(Stratum.PLUS, t, levels.trunc),
+                        vertex_weights(Stratum.MINUS, t, size),
+                        vertex_weights(Stratum.PLUS, t, size),
                     )
                     costratified.check_tail(t, weights[key][0], norms[t])
                 plus_weights, minus_weights = weights[key]

@@ -149,8 +149,7 @@ def spectral_checks() -> list[CheckResult]:
     # rounding
     x, w = characters.quadrature_rule(128)
     y = (x - math.pi) / 2.0
-    levels = mathieu.solve(np.arange(8), 24.0)
-    funcs = np.column_stack([math.sqrt(2.0) * level.se(y) for level in levels])
+    funcs = np.column_stack([math.sqrt(2.0) * row for row in mathieu.se(np.arange(8), 24.0, y)])
     gram = (funcs * w[:, None]).T @ funcs / math.pi
     out.append(
         _residual_check(

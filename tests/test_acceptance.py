@@ -50,7 +50,7 @@ def test_criterion_1_free_theory_anchor():
             for n in range(10):
                 value = spectrum.energy(n, 0.0)
                 assert abs(value - 0.5 * n * (n + 2)) <= 1e-12
-                state = np.asarray(spectrum.eigenstate(n, t, 0.0).state.coeffs, dtype=float)
+                state = np.asarray(spectrum.eigenstate(n, t, 0.0)[1].coeffs, dtype=float)
                 expected = np.zeros(len(state))
                 expected[n] = 1.0
                 assert np.array_equal(state, expected)
@@ -76,11 +76,11 @@ def test_criterion_3_mathieu_vs_shooting_oracle():
             for n in range(6):
                 sol = mathieu.solve(n, q)
                 assert abs(roots[q][n] - sol.b) <= 1e-8 * abs(sol.b)
-                assert abs(sol.se(0.0)) < 1e-10
-                assert abs(sol.se(-math.pi / 2)) < 1e-10
-                ode = sol.se_second_derivative(y_samples) + (
+                assert abs(mathieu.se(n, q, 0.0)) < 1e-10
+                assert abs(mathieu.se(n, q, -math.pi / 2)) < 1e-10
+                ode = mathieu.se_second_derivative(sol.coeffs, y_samples) + (
                     sol.b - 2.0 * q * np.cos(2.0 * y_samples)
-                ) * sol.se(y_samples)
+                ) * mathieu.se(n, q, y_samples)
                 assert np.max(np.abs(ode)) < 1e-7
 
 
@@ -167,7 +167,7 @@ def test_criterion_8_decomposition_counts():
 def test_criterion_9_orthonormality():
     with criterion(9, "orthonormality of eigenbases"):
         vectors = np.column_stack(
-            [spectrum.eigenstate(n, 0.125, 6.0, trunc=40).state.coeffs for n in range(8)]
+            [spectrum.eigenstate(n, 0.125, 6.0, trunc=40)[1].coeffs for n in range(8)]
         )
         gram = vectors.T @ vectors
         assert np.max(np.abs(gram - np.eye(8))) <= 1e-9

@@ -291,7 +291,7 @@ class TestStates:
         code, out = run_cli(args, capsys)
         assert code == 0
         x = np.linspace(0.0, math.pi, 33)
-        expected = (-1.0) ** 3 * math.sqrt(2.0) * mathieu.solve(2, 24.0).se((x - math.pi) / 2.0)
+        expected = (-1.0) ** 3 * math.sqrt(2.0) * mathieu.se(2, 24.0, (x - math.pi) / 2.0)
         _, rows = parse_csv(out)
         assert [row[1] for row in rows] == [repr(float(v)) for v in expected]
 

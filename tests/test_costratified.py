@@ -125,7 +125,7 @@ class TestVertexStates:
     def test_default_truncation_up_to_the_row_bound_is_built(self):
         # default_trunc is 524,241 rows here, just inside 2**19
         state = stratum_state(Stratum.PLUS, 2.911e-10)
-        assert state.trunc == costratified.default_trunc(2.911e-10) <= costratified._MAX_ROWS
+        assert state.trunc == costratified.default_trunc(2.911e-10) <= costratified.MAX_ROWS
 
     @pytest.mark.parametrize("t", [2.91e-10, 1e-200])
     def test_truncation_past_the_row_bound_refuses_before_allocating(self, t, monkeypatch):

@@ -19,8 +19,13 @@ SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
 
 
 def same_bits(a, b):
-    """Whether two ``MathieuSolution``s hold the same level, bit for bit."""
-    return (a.n, a.q, a.b) == (b.n, b.q, b.b) and a.coeffs.tobytes() == b.coeffs.tobytes()
+    """Whether two one-level solves hold the same level, bit for bit."""
+    return a.b == b.b and a.coeffs.tobytes() == b.coeffs.tobytes()
+
+
+def row(levels, i):
+    """Row ``i`` of an array solve, as a one-level solve returns it."""
+    return mathieu.MathieuLevels(float(levels.b[i]), levels.coeffs[i])
 
 
 def _load_fit_script():
@@ -39,7 +44,7 @@ class TestFreeCase:
     def test_coefficients_are_exact_basis_vectors(self):
         for n in (0, 2, 5):
             sol = mathieu.solve(n, 0.0)
-            expected = np.zeros(sol.trunc)
+            expected = np.zeros(len(sol.coeffs))
             expected[n] = 1.0
             assert np.array_equal(sol.coeffs, expected)
 
@@ -52,7 +57,8 @@ class TestSolve:
     @pytest.mark.parametrize("q", [1.0, 4.0, 16.0, 48.0, 96.0])
     def test_recurrence_residual(self, q):
         for n in range(10):
-            assert mathieu.solve(n, q).recurrence_residual() < 1e-10
+            b, coeffs = mathieu.solve(n, q)
+            assert mathieu.recurrence_residual(b, q, coeffs) < 1e-10
 
     @pytest.mark.parametrize("q", [0.0, 1.0, 4.0, 16.0, 48.0, 96.0])
     def test_characteristic_values_strictly_ordered(self, q):
@@ -85,12 +91,12 @@ class TestSolve:
         # neighbouring q (the smallest neighbour overlap here is 0.86)
         previous = None
         for q in np.geomspace(0.01, 2e6, 200):
-            sols = mathieu.solve_many(12, float(q))
+            coeffs = mathieu.solve_many(12, float(q)).coeffs
             if previous is not None:
-                for before, after in zip(previous, sols):
-                    m = min(before.trunc, after.trunc)
-                    assert float(np.dot(before.coeffs[:m], after.coeffs[:m])) > 0.5
-            previous = sols
+                m = min(previous.shape[1], coeffs.shape[1])
+                for before, after in zip(previous, coeffs):
+                    assert float(np.dot(before[:m], after[:m])) > 0.5
+            previous = coeffs
 
     def test_small_trunc_rejected(self):
         # a truncation must hold the highest requested level
@@ -101,13 +107,13 @@ class TestSolve:
 
     def test_explicit_small_trunc_grows(self):
         sol = mathieu.solve(0, 200.0, trunc=16)
-        assert sol.trunc == 32 and sol.tail <= 1e-12
+        assert len(sol.coeffs) == 32 and abs(sol.coeffs[-1]) <= 1e-12
 
     def test_tiny_explicit_trunc_grows_as_far_as_the_default(self):
         # growth is capped by size, 32 x default_trunc (64,512 rows here),
         # so even a one-row start reaches a converged truncation
         sol = mathieu.solve(0, 1e6, trunc=1)
-        assert sol.tail <= 1e-12
+        assert abs(sol.coeffs[-1]) <= 1e-12
         assert abs(sol.b - mathieu.solve(0, 1e6).b) <= 1e-13 * abs(sol.b)
 
     def test_explicit_trunc_shares_the_default_eigensystem(self):
@@ -117,7 +123,13 @@ class TestSolve:
         assert same_bits(mathieu.solve(5, 8.0, trunc=12), mathieu.solve(5, 8.0))
 
     def test_auto_trunc_keeps_tail_small(self):
-        assert mathieu.solve(0, 200.0).tail <= 1e-12
+        assert abs(mathieu.solve(0, 200.0).coeffs[-1]) <= 1e-12
+
+    def test_one_level_is_a_float_and_a_read_only_row(self):
+        b, coeffs = mathieu.solve(2, 24.0)
+        assert type(b) is float and coeffs.ndim == 1 and not coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            coeffs[0] = 0.0
 
     def test_solutions_are_reproducible_and_frozen(self):
         first = mathieu.solve(1, 4.0)
@@ -137,14 +149,14 @@ class TestSolve:
             many = mathieu.solve_many(6, q)
             for n in range(6):
                 single = mathieu.solve(n, q)
-                assert math.isclose(many[n].b, single.b, rel_tol=1e-13)
-                m = min(many[n].trunc, single.trunc)
-                assert np.max(np.abs(many[n].coeffs[:m] - single.coeffs[:m])) < 1e-12
+                assert math.isclose(many.b[n], single.b, rel_tol=1e-13)
+                m = min(many.coeffs.shape[1], len(single.coeffs))
+                assert np.max(np.abs(many.coeffs[n, :m] - single.coeffs[:m])) < 1e-12
 
     def test_solve_many_grows_an_explicit_starting_trunc(self):
         # trunc=16 leaves a fat tail at q = 200, so it doubles
         sols = mathieu.solve_many(3, 200.0, trunc=16)
-        assert sols[0].trunc > 16 and max(s.tail for s in sols) <= 1e-12
+        assert sols.coeffs.shape[1] > 16 and np.max(np.abs(sols.coeffs[:, -1])) <= 1e-12
 
     def test_one_eigensolve_for_all_levels_at_one_q(self, eigensolves):
         energies = spectrum.energy(np.arange(41), 2000.0)
@@ -194,7 +206,7 @@ class TestSolve:
         solve = (
             "full = mathieu.solve(np.arange(41), 1e4)\n"
             "block = mathieu.solve(np.arange(40), 4e8)\n"
-            "assert full.trunc <= mathieu._FULL_MAX < block.trunc\n"
+            "assert full.coeffs.shape[1] <= mathieu._FULL_MAX < block.coeffs.shape[1]\n"
         )
         write = (
             "sys.stdout.buffer.write(b''.join(\n"
@@ -224,7 +236,7 @@ class TestSolve:
                 partial = mathieu.solve(n, q, trunc=600)
                 full = mathieu.solve(n, q)
                 assert abs(partial.b - full.b) <= 1e-13 * max(1.0, abs(full.b))
-                assert np.max(np.abs(partial.coeffs[: full.trunc] - full.coeffs)) < 1e-12
+                assert np.max(np.abs(partial.coeffs[: len(full.coeffs)] - full.coeffs)) < 1e-12
 
     def test_large_q_memory_and_work_stay_bounded(self, monkeypatch):
         # default_trunc at q = 4e8 is 1631 rows, past _FULL_MAX; a full
@@ -250,7 +262,7 @@ class TestSolve:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sols[0].trunc == levels.trunc == 1631 > mathieu._FULL_MAX
+        assert len(sols[0].coeffs) == levels.coeffs.shape[1] == 1631 > mathieu._FULL_MAX
         # each request on its own: one 16-level block for one level, three
         # blocks for 40 levels
         assert per_level == [[16]] * 4 and columns == [16, 16, 16]
@@ -267,7 +279,7 @@ class TestSolve:
                 - (5 * s**4 + 34 * s * s + 9) / (2**12 * q)
             )
             assert math.isclose(sol.b, expected, rel_tol=1e-12)
-            assert sol.tail <= 1e-12
+            assert abs(sol.coeffs[-1]) <= 1e-12
 
     def test_request_order_does_not_change_bits(self):
         # 1631 rows at q = 4e8, past _FULL_MAX: the levels come in fixed
@@ -276,7 +288,7 @@ class TestSolve:
         alone = mathieu.solve(np.arange(40), 4e8)
         first = mathieu.solve(np.arange(17), 4e8)
         after = mathieu.solve(np.arange(40), 4e8)
-        assert alone.trunc == first.trunc == after.trunc > mathieu._FULL_MAX
+        assert alone.coeffs.shape[1] == first.coeffs.shape[1] == after.coeffs.shape[1] > mathieu._FULL_MAX
         assert alone.b.tobytes() + alone.coeffs.tobytes() == after.b.tobytes() + after.coeffs.tobytes()
         assert first.b.tobytes() == alone.b[:17].tobytes()
         assert first.coeffs.tobytes() == alone.coeffs[:17].tobytes()
@@ -287,10 +299,10 @@ class TestSolve:
         # levels a request reads, each normalized and anchored on its own
         q = 2000.0
         some, one, most = mathieu.solve(np.arange(17), q), mathieu.solve(5, q), mathieu.solve(np.arange(41), q)
-        assert some.trunc == one.trunc == most.trunc == 81 <= mathieu._FULL_MAX
+        assert some.coeffs.shape[1] == len(one.coeffs) == most.coeffs.shape[1] == 81 <= mathieu._FULL_MAX
         assert some.b.tobytes() == most.b[:17].tobytes()
         assert some.coeffs.tobytes() == most.coeffs[:17].tobytes()
-        assert same_bits(one, some[5]) and same_bits(one, most[5])
+        assert same_bits(one, row(some, 5)) and same_bits(one, row(most, 5))
         for count in (1, 6, 41, 81):
             values, block = mathieu._eigensystem(q, 81, count)
             assert values.shape == (count,) and block.shape == (count, 81)
@@ -320,14 +332,14 @@ class TestSolve:
 
     @pytest.mark.parametrize(
         "n, q, trunc",
-        [(0, 4e20, None), (0, 4e300, None), (0, 1.0, mathieu._MAX_ROWS + 1), (2**20, 0.0, None)],
+        [(0, 4e20, None), (0, 4e300, None), (0, 1.0, mathieu.MAX_ROWS + 1), (2**20, 0.0, None)],
     )
     def test_row_bound_refuses_before_allocating(self, n, q, trunc, monkeypatch):
         def unexpected(*args):
             raise AssertionError("eigensystem built past the row bound")
 
         monkeypatch.setattr(mathieu, "_eigensystem", unexpected)
-        with pytest.raises(mathieu.ConvergenceError, match=f"over {mathieu._MAX_ROWS} rows"):
+        with pytest.raises(mathieu.ConvergenceError, match=f"over {mathieu.MAX_ROWS} rows"):
             mathieu.solve(n, q, trunc=trunc)
 
     def test_row_bound_holds_the_default_truncation_at_nu_tilde_1e10(self, monkeypatch):
@@ -335,8 +347,8 @@ class TestSolve:
         # it the start of the highest level the program asks for by itself
         # (the completeness count, 960) is far inside the row bound
         assert mathieu._MAX_Q == 4 * 1.7e10
-        assert mathieu.default_trunc(960, mathieu._MAX_Q) <= mathieu._MAX_ROWS
-        assert mathieu.solve(0, 4e10).tail <= 1e-12
+        assert mathieu.default_trunc(960, mathieu._MAX_Q) <= mathieu.MAX_ROWS
+        assert abs(mathieu.solve(0, 4e10).coeffs[-1]) <= 1e-12
 
         def unexpected(*args):
             raise AssertionError("eigensystem built past the domain edge")
@@ -352,7 +364,7 @@ class TestSolve:
     @given(st.integers(min_value=0, max_value=6), st.floats(min_value=0.0, max_value=30.0))
     def test_solution_properties_hold_generically(self, n, q):
         sol = mathieu.solve(n, q)
-        assert sol.recurrence_residual() < 1e-10
+        assert mathieu.recurrence_residual(sol.b, q, sol.coeffs) < 1e-10
         assert abs(float(np.sum(sol.coeffs**2)) - 1.0) < 1e-12
         if n > 0:
             assert mathieu.solve(n - 1, q).b < sol.b
@@ -362,21 +374,24 @@ class TestLevelBlock:
     @pytest.mark.parametrize("q", [0.0, 24.0, 2000.0, 4e6])
     def test_levels_index_to_per_level_solutions(self, q):
         levels = mathieu.solve_many(20, q)
-        assert len(levels) == 20 and list(levels.n) == list(range(20))
+        # rows come in the order of the levels, whose b strictly increase
+        assert len(levels.b) == 20 and bool(np.all(np.diff(levels.b) > 0))
         block = levels.coeffs
-        assert block.shape == (20, levels.trunc)
+        trunc = block.shape[1]
+        assert block.shape == (20, trunc)
         assert block.flags.c_contiguous and not block.flags.writeable
-        for n, sol in enumerate(levels):
-            assert same_bits(sol, levels[n]) and same_bits(sol, mathieu.solve(n, q, trunc=levels.trunc))
+        for n in range(20):
+            sol = row(levels, n)
+            assert same_bits(sol, mathieu.solve(n, q, trunc=trunc))
             assert np.shares_memory(sol.coeffs, block) and np.array_equal(sol.coeffs, block[n])
-            assert levels.b[n] == sol.b and levels.tail[n] == sol.tail
-        for array in (levels.b, levels.tail, block):
+            assert levels.b[n] == sol.b and abs(levels.coeffs[n, -1]) == abs(sol.coeffs[-1])
+        for array in (levels.b, block):
             with pytest.raises(ValueError):
                 array[0] = 0.0
 
     def test_solve_of_a_range_is_solve_many(self):
         many, ranged = mathieu.solve_many(7, 24.0), mathieu.solve(range(7), 24.0)
-        assert all(same_bits(a, b) for a, b in zip(many, ranged))
+        assert all(same_bits(row(many, i), row(ranged, i)) for i in range(7))
         assert np.array_equal(many.coeffs, ranged.coeffs)
 
     @pytest.mark.parametrize("trunc", [60, 128, 129])
@@ -386,7 +401,7 @@ class TestLevelBlock:
         # column of scipy's dstevd on its own would be
         q, count = 300.0, 30
         levels = mathieu.solve(np.arange(count), q, trunc=trunc)
-        assert levels.trunc == trunc
+        assert levels.coeffs.shape[1] == trunc
         k = np.arange(trunc)
         w, v = scipy.linalg.eigh_tridiagonal((2.0 * k + 2.0) ** 2, np.full(trunc - 1, q))
         slope = (2.0 * k + 2.0) * (-1.0) ** k
@@ -425,10 +440,11 @@ class TestLevelBlock:
     def test_levels_in_any_order(self):
         q = 24.0
         levels = mathieu.solve(np.array([5, 1, 3]), q)
-        assert [sol.n for sol in levels] == [5, 1, 3]
+        # rows come in the order asked for: b rises with the level
+        assert list(np.argsort(levels.b)) == [1, 2, 0]
         for i, n in enumerate((5, 1, 3)):
-            single = mathieu.solve(n, q, trunc=levels.trunc)
-            assert same_bits(levels[i], single) and levels.b[i] == single.b
+            single = mathieu.solve(n, q, trunc=levels.coeffs.shape[1])
+            assert same_bits(row(levels, i), single) and levels.b[i] == single.b
             assert np.array_equal(levels.coeffs[i], single.coeffs)
         assert levels.coeffs.flags.c_contiguous and not levels.coeffs.flags.writeable
 
@@ -445,23 +461,23 @@ class TestLevelBlock:
         # the request starts at default_trunc of its highest level, so at
         # small q all 41 levels come from the 52-row eigensystem
         levels = mathieu.solve(np.arange(41), 4.0)
-        assert levels.trunc == mathieu.default_trunc(40, 4.0) == 52
-        assert same_bits(levels[0], mathieu.solve(0, 4.0, trunc=52))
+        assert levels.coeffs.shape[1] == mathieu.default_trunc(40, 4.0) == 52
+        assert same_bits(row(levels, 0), mathieu.solve(0, 4.0, trunc=52))
 
     def test_fat_starting_tail_grows_or_raises(self, monkeypatch):
         # at q = 2000, 16 rows leave level tails up to 0.1 and 32 rows up to
         # 4e-7; 64 rows bring them below 1e-22
         levels = mathieu.solve(np.arange(3), 2000.0, trunc=16)
-        assert levels.trunc == 64 and np.max(levels.tail) <= 1e-12
-        monkeypatch.setattr(mathieu, "_MAX_ROWS", 32)
+        assert levels.coeffs.shape[1] == 64 and np.max(np.abs(levels.coeffs[:, -1])) <= 1e-12
+        monkeypatch.setattr(mathieu, "MAX_ROWS", 32)
         with pytest.raises(mathieu.ConvergenceError, match="over 32 rows"):
             mathieu.solve(np.arange(3), 2000.0, trunc=16)
 
     def test_every_requested_tail_is_checked(self):
         # at q = 4 and 40 rows level 0's tail is 0, level 35's is 1.4e-9
-        assert mathieu.solve(np.array([0]), 4.0, trunc=40).trunc == 40
+        assert mathieu.solve(np.array([0]), 4.0, trunc=40).coeffs.shape[1] == 40
         levels = mathieu.solve(np.array([0, 35]), 4.0, trunc=40)
-        assert levels.trunc == 80 and np.max(levels.tail) <= 1e-12
+        assert levels.coeffs.shape[1] == 80 and np.max(np.abs(levels.coeffs[:, -1])) <= 1e-12
 
 
 class TestStartingTruncation:
@@ -480,8 +496,8 @@ class TestStartingTruncation:
             for q in self.QS:
                 start = mathieu.default_trunc(n, q)
                 if (n + 1) * start <= 2**18:
-                    levels = mathieu.solve(np.arange(n + 1), q)
-                    tail = float(np.max(levels.tail)) if levels.trunc == start else math.inf
+                    coeffs = mathieu.solve(np.arange(n + 1), q).coeffs
+                    tail = float(np.max(np.abs(coeffs[:, -1]))) if coeffs.shape[1] == start else math.inf
                 else:
                     tail = fit.level_tail(n, q, start)
                 if tail > 1e-12:
@@ -511,9 +527,8 @@ class TestSineElliptic:
     @pytest.mark.parametrize("q", [1.0, 4.0, 16.0])
     def test_boundary_conditions(self, q):
         for n in range(9):
-            sol = mathieu.solve(n, q)
-            assert abs(sol.se(0.0)) < 1e-10
-            assert abs(sol.se(-math.pi / 2)) < 1e-10
+            assert abs(mathieu.se(n, q, 0.0)) < 1e-10
+            assert abs(mathieu.se(n, q, -math.pi / 2)) < 1e-10
 
     @pytest.mark.parametrize("q", [1.0, 16.0, 96.0])
     def test_ode_residual(self, q):
@@ -521,8 +536,18 @@ class TestSineElliptic:
         y = rng.uniform(-math.pi / 2, 0.0, 50)
         for n in range(6):
             sol = mathieu.solve(n, q)
-            residual = sol.se_second_derivative(y) + (sol.b - 2.0 * q * np.cos(2.0 * y)) * sol.se(y)
+            second = mathieu.se_second_derivative(sol.coeffs, y)
+            residual = second + (sol.b - 2.0 * q * np.cos(2.0 * y)) * mathieu.se(n, q, y)
             assert np.max(np.abs(residual)) < 1e-7
+
+    def test_levels_evaluate_as_each_level(self):
+        # every level up to 7 starts at the same 30-row truncation at q = 24,
+        # so the rows of one solve are each level's own bits
+        y = np.linspace(-math.pi / 2, 0.0, 33)
+        rows = mathieu.se(np.arange(8), 24.0, y)
+        assert rows.shape == (8, 33)
+        for n in range(8):
+            assert rows[n].tobytes() == mathieu.se(n, 24.0, y).tobytes()
 
     def test_orthonormality_at_q24(self):
         nodes, weights = np.polynomial.legendre.leggauss(512)
@@ -533,27 +558,27 @@ class TestSineElliptic:
         assert np.max(np.abs(gram - np.eye(8))) < 1e-9
 
     def test_chunked_evaluation_matches_one_product(self, monkeypatch):
-        sol = mathieu.solve(3, 24.0)
+        coeffs = mathieu.solve(3, 24.0).coeffs
         y = np.linspace(-math.pi / 2, 0.0, 101)
-        freqs = 2.0 * np.arange(sol.trunc) + 2.0
+        freqs = 2.0 * np.arange(len(coeffs)) + 2.0
         sines = np.sin(np.multiply.outer(y, freqs))
         # chunks of 16 points: six full ones and a short last one
-        monkeypatch.setattr(characters, "_SERIES_CHUNK", 16 * sol.trunc)
-        assert np.array_equal(sol.se(y), np.sum(sines * sol.coeffs, axis=1))
-        second = -np.sum(sines * (freqs * freqs * sol.coeffs), axis=1)
-        assert np.array_equal(sol.se_second_derivative(y), second)
+        monkeypatch.setattr(characters, "_SERIES_CHUNK", 16 * len(coeffs))
+        assert np.array_equal(mathieu.se(3, 24.0, y), np.sum(sines * coeffs, axis=1))
+        second = -np.sum(sines * (freqs * freqs * coeffs), axis=1)
+        assert np.array_equal(mathieu.se_second_derivative(coeffs, y), second)
 
-    def test_memory_is_bounded_at_large_truncation(self):
+    def test_memory_is_bounded_at_large_truncation(self, monkeypatch):
         # 1025 points at the 40,016-row truncation of nu_tilde = 1e8: one
         # sine matrix would take 328 MB
         coeffs = np.zeros(40016)
         coeffs[:20] = 0.2
-        sol = mathieu.MathieuSolution(n=0, q=4e8, b=0.0, coeffs=coeffs)
+        monkeypatch.setattr(mathieu, "solve", lambda n, q: mathieu.MathieuLevels(0.0, coeffs))
         y = np.linspace(-math.pi / 2, 0.0, 1025)
         tracemalloc.start()
         try:
-            values = sol.se(y)
-            second = sol.se_second_derivative(y)
+            values = mathieu.se(0, 4e8, y)
+            second = mathieu.se_second_derivative(coeffs, y)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
