@@ -13,9 +13,10 @@ that are not powers of two (``Q_PER_NU_TILDE``), a projector sweep whose t
 need different truncations (``MIXED_TRUNCATION``), an eigenfunction at a t
 that is not a power of two (``XI_AT_T``), three commands at the edges
 of the vertex-state domain (``DOMAIN_EDGES``), two ranges whose step is
-below the spacing of doubles (``GRID_EDGES``), and
-``scripts/make_figure_data.py`` (the working tree's script on both sides,
-so only ``src/`` differs).  Each runs as a fresh ``python -m
+below the spacing of doubles (``GRID_EDGES``), a log-x SVG with an x of 0
+and a ``decomp`` whose rank bound is far above its degree (``CLI_EDGES``),
+and ``scripts/make_figure_data.py`` (the working tree's script on both
+sides, so only ``src/`` differs).  Each runs as a fresh ``python -m
 plaquette_qgauge`` process under ``OPENBLAS_NUM_THREADS=1`` and ``=2``.  A
 command's result is its exit code, stdout and stderr; a figure-data run's
 is every file it writes.
@@ -97,6 +98,13 @@ DOMAIN_EDGES = [
 GRID_EDGES = [
     ["spectrum", "--nu-tilde", "1:1.0000000000000004:5"],
     ["tunneling", "--hbar-beta2", "1:1.0000000000000004:4"],
+]
+#: a log-x SVG with nu_tilde = 0, which has no logarithm, refused with exit
+#: 2; and a rank bound of 2000 with degree 1, one row of 2000 exponents
+CLI_EDGES = [
+    ["projector-expectations", "--hbar-beta2", "0.125", "--nu-tilde", "0,1,10", "--n-max", "1",
+     "--format", "svg"],
+    ["decomp", "--s", "2000", "--k", "1"],
 ]
 DEFAULTS = [
     ["tunneling"],
@@ -242,6 +250,7 @@ def main() -> int:
             *XI_AT_T,
             *DOMAIN_EDGES,
             *GRID_EDGES,
+            *CLI_EDGES,
         ]
         failures, compared = [], 0
         for threads in THREADS:

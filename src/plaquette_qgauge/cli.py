@@ -16,7 +16,10 @@ hands ``emit`` numeric columns: the swept ones as ``Axis`` objects, whose
 values are formatted once for the config and every row, and the computed
 ones as arrays.  The rows are the product of the axes, the last axis
 varying fastest, written a block at a time from the pre-formatted axis
-cells and that block's computed cells.  Each option is declared once, in
+cells and that block's computed cells.  Every data command but ``decomp``
+also hands ``emit`` a plot for ``--format svg``: ``svg_text``'s keyword
+arguments, with one ``(label, xs, ys)`` series per polyline sliced from
+the command's own arrays.  Each option is declared once, in
 ``OPTIONS``; a flat ``key = value`` config file can provide any of them,
 read with the flag's type, and command-line flags win.  Grid values, a
 range's included, must be finite and strictly increasing.  ``coupling_g``
@@ -48,7 +51,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -227,11 +229,17 @@ _SVG_COLORS = ("#1f6fb2", "#c23b22", "#2e8b57", "#8a2be2", "#d4880c", "#3a3a3a")
 
 
 def svg_text(config_json: str, series, xlabel: str, ylabel: str, logx: bool = False) -> str:
-    """Minimal static line plot: labelled polylines in a 640x480 frame."""
+    """Minimal static line plot: labelled polylines in a 640x480 frame.
+
+    ``series`` holds one ``(label, xs, ys)`` per polyline.  A log-x plot
+    refuses an x <= 0, which has no logarithm.
+    """
     width, height, margin = 640.0, 480.0, 60.0
     xs_all = np.concatenate([np.asarray(xs, dtype=float) for _, xs, _ in series])
     ys_all = np.concatenate([np.asarray(ys, dtype=float) for _, _, ys in series])
     if logx:
+        if np.any(xs_all <= 0):
+            raise UsageError(f"the {xlabel} axis needs x > 0, got {float(np.min(xs_all))!r}")
         xs_all = np.log10(xs_all)
     x_lo, x_hi = float(np.min(xs_all)), float(np.max(xs_all))
     y_lo, y_hi = float(np.min(ys_all)), float(np.max(ys_all))
@@ -282,19 +290,6 @@ def write_output(path: str, chunks):
             raise UsageError(f"cannot write output: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class Plot:
-    """SVG of rows: an (x, y) polyline per ``series`` value, labelled ``label.format(*value)``."""
-
-    x: str
-    y: str
-    series: tuple[str, ...]
-    label: str
-    xlabel: str
-    ylabel: str
-    logx: bool = False
-
-
 #: rows formatted and written at a time.  Only one block's strings are alive
 #: at once, so writing adds little to the peak memory however many rows the
 #: command has: on projector-grid (3,600 rows) 512-row blocks peak 0.5 MB
@@ -318,9 +313,10 @@ def emit(settings: dict, command: str, config: dict, axes: dict, data: dict, plo
     The rows run over the product of the ``axes`` (each an ``Axis``), the
     last varying fastest, and ``data`` gives each further column as one
     value per row, an array or a list.  An axis cell is formatted once, and
-    the CSV is formatted and written a block of rows at a time.  SVG series
-    are drawn in order of first appearance.  Only a command with a plot
-    takes ``--format svg``, and only its config records the format.
+    the CSV is formatted and written a block of rows at a time.  A ``plot``
+    is ``svg_text``'s keyword arguments, its series built by the command
+    from its own arrays.  Only a command with a plot takes ``--format
+    svg``, and only its config records the format.
     """
     fmt_name = settings.get("format", "csv")
     if plot is not None:
@@ -328,20 +324,10 @@ def emit(settings: dict, command: str, config: dict, axes: dict, data: dict, plo
     elif fmt_name != "csv":
         raise UsageError(f"{command} only supports csv output")
     config_json = canonical_config(command, **config)
-    count = math.prod(len(axis.values) for axis in axes.values())
     if fmt_name == "svg":
-        rows = itertools.product(*(axis.values for axis in axes.values()))
-        values = dict(zip(axes, zip(*rows)))
-        values.update((name, np.asarray(column).tolist()) for name, column in data.items())
-        keys = [values[name] for name in plot.series]
-        groups: dict[tuple, tuple[list, list]] = {}
-        for row in range(count):
-            xs, ys = groups.setdefault(tuple(key[row] for key in keys), ([], []))
-            xs.append(values[plot.x][row])
-            ys.append(values[plot.y][row])
-        series = [(plot.label.format(*key), xs, ys) for key, (xs, ys) in groups.items()]
-        chunks = [svg_text(config_json, series, plot.xlabel, plot.ylabel, plot.logx)]
+        chunks = [svg_text(config_json, **plot)]
     else:
+        count = math.prod(len(axis.values) for axis in axes.values())
         chunks = _csv_blocks(config_json, axes, data, count)
     write_output(settings.get("out", "-"), chunks)
     return 0
@@ -350,11 +336,9 @@ def emit(settings: dict, command: str, config: dict, axes: dict, data: dict, plo
 def cmd_tunneling(args, settings) -> int:
     t_axis = Axis(resolve_t_values(settings, default="0.01:5:200:log"))
     overlaps = np.array([costratified.tunneling_overlap(t) for t in t_axis.values])
-    plot = Plot(
-        "hbar_beta2", "probability", (), "probability", "log10 hbar_beta2", "tunneling probability",
-        logx=True,
-    )
     data = {"overlap": overlaps, "probability": overlaps * overlaps}
+    series = [("probability", t_axis.values, data["probability"])]
+    plot = dict(series=series, xlabel="log10 hbar_beta2", ylabel="tunneling probability", logx=True)
     return emit(settings, "tunneling", {"hbar_beta2": t_axis}, {"hbar_beta2": t_axis}, data, plot)
 
 
@@ -366,7 +350,8 @@ def cmd_spectrum(args, settings) -> int:
     if n_max < 1:
         raise UsageError("n_max must be >= 1")
     energies = np.array([spectrum.energy(np.arange(n_max + 1), nut) for nut in nut_axis.values])
-    plot = Plot("nu_tilde", "E_n", ("n",), "E_{}", "nu_tilde", "E_n / hbar^2 beta2")
+    series = [(f"E_{n}", nut_axis.values, energies[:, n]) for n in range(n_max)]
+    plot = dict(series=series, xlabel="nu_tilde", ylabel="E_n / hbar^2 beta2")
     axes = {"nu_tilde": nut_axis, "n": Axis(range(n_max))}
     data = {"E_n": energies[:, :-1].ravel(), "E_gap": np.diff(energies).ravel()}
     return emit(settings, "spectrum", {"nu_tilde": nut_axis, "n_max": n_max}, axes, data, plot)
@@ -398,7 +383,7 @@ def cmd_states(args, settings) -> int:
         values = spectrum.eigenfunction_x(level, nut_axis.values[0], x)
         label = f"xi_{level}"
     config = {"state": label, "hbar_beta2": t_axis, "nu_tilde": nut_axis, "grid": grid}
-    plot = Plot("x", "value", (), label, "x", label)
+    plot = dict(series=[(label, x, values)], xlabel="x", ylabel=label)
     return emit(settings, "states", config, {"x": Axis(x)}, {"value": values}, plot)
 
 
@@ -412,10 +397,12 @@ def cmd_projector_expectations(args, settings) -> int:
         raise UsageError("n_max must be >= 1")
     # one call serves the sweep, its arrays in the (t, nu_tilde, n) order of the rows
     plus, minus, completeness = spectrum.projector_expectations(t_axis.values, nut_axis.values, n_max)
-    plot = Plot(
-        "nu_tilde", "P_plus", ("n", "hbar_beta2"), "P+ n={} t={:g}", "log10 nu_tilde", "P_plus",
-        logx=True,
-    )
+    series = [
+        (f"P+ n={n} t={t:g}", nut_axis.values, plus[i, :, n])
+        for i, t in enumerate(t_axis.values)
+        for n in range(n_max)
+    ]
+    plot = dict(series=series, xlabel="log10 nu_tilde", ylabel="P_plus", logx=True)
     config = {"hbar_beta2": t_axis, "nu_tilde": nut_axis, "n_max": n_max}
     axes = {"hbar_beta2": t_axis, "nu_tilde": nut_axis, "n": Axis(range(n_max))}
     data = {

@@ -325,6 +325,9 @@ def monomial_decomposition(s: int, k: int) -> list[tuple[int, ...]]:
         raise ValueError(f"k must be >= 0, got {k}")
 
     def rec(part: int, remaining: int) -> list[tuple[int, ...]]:
+        # no later part fits: the rest of the exponents are 0, or nothing completes
+        if remaining < part:
+            return [(0,) * (s - part + 1)] if remaining == 0 else []
         if part == s:
             if remaining % s == 0:
                 return [(remaining // s,)]

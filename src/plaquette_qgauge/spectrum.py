@@ -57,11 +57,10 @@ from . import characters, costratified, mathieu
 from .costratified import StateVector, TruncationError, vertex_weights
 from .strata import Stratum
 
-#: projector_expectations sums P_plus over _COMPLETENESS_START levels, doubling
-#: the count until the sum is within _COMPLETENESS_TOL of 1, up to _COMPLETENESS_MAX
-_COMPLETENESS_START = 60
+#: projector_expectations sums P_plus over the level counts of these rungs, in
+#: turn, until the sum is within _COMPLETENESS_TOL of 1
+_COMPLETENESS_COUNTS = (60, 120, 240, 480, 960)
 _COMPLETENESS_TOL = 1e-6
-_COMPLETENESS_MAX = 960
 
 
 def _tridiagonal(nu_tilde: float, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -150,12 +149,12 @@ def eigenfunction_x(n: int, nu_tilde: float, x):
 def projector_expectation(n: int, t: float, nu_tilde: float, stratum: Stratum) -> float:
     """Probability of finding energy level n in the given vertex subspace.
 
-    Level n of a batch of ``n + 1`` levels at (t, nu_tilde), read at that
-    batch's truncation, so the value is the batch's bit for bit and one call
-    costs one batch of at least 60 levels.
+    Level n of ``projector_expectations((t,), (nu_tilde,), n + 1)``, so the
+    value is the sweep's bit for bit and one call costs one batch of at
+    least 60 levels.
     """
     sign = stratum.sign  # rejects Stratum.TOP; n < 0 is a count below 1
-    plus, minus, _ = _projector_batch((t,), (4.0 * nu_tilde,), n + 1)
+    plus, minus, _ = projector_expectations((t,), (nu_tilde,), n + 1)
     return float((plus if sign > 0 else minus)[0, 0, n])
 
 
@@ -170,30 +169,21 @@ def projector_expectations(
     q = 4 nu_tilde, as ``energy`` solves it, so q does not depend on t.
 
     The completeness diagnostic sums the plus expectations over the first
-    ``_COMPLETENESS_START`` (60) levels; it approaches 1 because the
-    eigenstates are a complete orthonormal family and the vertex state has
-    unit norm.  At strong coupling the vertex state spreads over more
-    levels, so each point's count doubles until its sum reaches 1 - 1e-6;
-    past ``_COMPLETENESS_MAX`` levels a ``TruncationError`` is raised.
-    """
-    t_values = [float(t) for t in t_values]
-    for t in t_values:
-        if not t > 0:
-            raise ValueError(f"hbar_beta2 must be positive, got {t}")
-    return _projector_batch(t_values, [4.0 * float(nut) for nut in nu_tilde_values], count)
-
-
-def _projector_batch(t_values, q_values, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``projector_expectations`` at every t of ``t_values`` and every q of ``q_values``.
+    60 levels; it approaches 1 because the eigenstates are a complete
+    orthonormal family and the vertex state has unit norm.  At strong
+    coupling the vertex state spreads over more levels, so each point
+    climbs the rungs of ``_COMPLETENESS_COUNTS`` (60, 120, 240, 480, 960
+    levels) until its sum reaches 1 - 1e-6; past the last rung a
+    ``TruncationError`` is raised.
 
     The sweep runs q-major: all t at one q before the next q.  At each q,
-    each t runs its own completeness ladder at its own truncation
-    (``_state_trunc``); the t that share a truncation on a rung read one
-    ``mathieu.solve_many`` result, so a q costs one eigensolve per distinct
-    truncation, not one per t.  Each t's normalization N is computed once
-    per call, and its signed vertex weights (-1)^k v_k, with their tail
-    check, once per (t, truncation), when the sweep first reaches them, so
-    errors are raised in the order of the grid.
+    each t climbs its own ladder at its own truncation (``_state_trunc``);
+    the t that share a truncation on a rung read one ``mathieu.solve_many``
+    result, so a q costs one eigensolve per distinct truncation, not one
+    per t.  Each t's normalization N is computed once per call, and its
+    signed vertex weights (-1)^k v_k, with their tail check, once per
+    (t, truncation), when the sweep first reaches them, so errors are
+    raised in the order of the grid.
 
     Level n's overlap with a stratum's vertex state is
     ((-1)^n / N) sum_k (-1)^k v_k c_k, with v the stratum's vertex weights
@@ -205,8 +195,13 @@ def _projector_batch(t_values, q_values, count: int) -> tuple[np.ndarray, np.nda
     are summed for the first ``count`` levels only, since the completeness
     ladder reads the plus ones alone.
     """
+    t_values = [float(t) for t in t_values]
+    for t in t_values:
+        if not t > 0:
+            raise ValueError(f"hbar_beta2 must be positive, got {t}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    q_values = [4.0 * float(nut) for nut in nu_tilde_values]
     shape = (len(t_values), len(q_values))
     plus_rows, minus_rows = np.empty((2, *shape, count))
     completeness_sums = np.empty(shape)
@@ -215,8 +210,7 @@ def _projector_batch(t_values, q_values, count: int) -> tuple[np.ndarray, np.nda
     for j, q in enumerate(q_values):
         solved: dict[tuple[int, int], mathieu.MathieuLevels] = {}
         for i, t in enumerate(t_values):
-            completeness_count = _COMPLETENESS_START
-            while True:
+            for completeness_count in _COMPLETENESS_COUNTS:
                 total = max(count, completeness_count)
                 trunc = _state_trunc(total - 1, q, t)
                 levels = solved.get((total, trunc))
@@ -240,12 +234,11 @@ def _projector_batch(t_values, q_values, count: int) -> tuple[np.ndarray, np.nda
                 completeness = float(np.sum(plus[:completeness_count]))
                 if completeness >= 1.0 - _COMPLETENESS_TOL:
                     break
-                if completeness_count >= _COMPLETENESS_MAX:
-                    raise TruncationError(
-                        f"projector completeness {completeness!r} below 1 - {_COMPLETENESS_TOL} "
-                        f"with {completeness_count} levels (t={t}, nu_tilde={q / 4.0})"
-                    )
-                completeness_count = min(2 * completeness_count, _COMPLETENESS_MAX)
+            else:
+                raise TruncationError(
+                    f"projector completeness {completeness!r} below 1 - {_COMPLETENESS_TOL} "
+                    f"with {completeness_count} levels (t={t}, nu_tilde={q / 4.0})"
+                )
             minus = (scale * np.sum(minus_weights * levels.coeffs[:count], axis=1)) ** 2
             plus_rows[i, j], minus_rows[i, j] = plus[:count], minus
             completeness_sums[i, j] = completeness

@@ -364,8 +364,8 @@ class TestStates:
 
 class TestProjectorExpectations:
     def test_truncation_failure_exits_3(self, monkeypatch, capsys):
-        # 60 levels sum to 0.97146 here, and the cap forbids doubling them
-        monkeypatch.setattr(spectrum, "_COMPLETENESS_MAX", 60)
+        # 60 levels sum to 0.97146 here, and the ladder has no rung past them
+        monkeypatch.setattr(spectrum, "_COMPLETENESS_COUNTS", (60,))
         code = cli.main(["projector-expectations", "--hbar-beta2", "2", "--nu-tilde", "3000"])
         assert code == 3
         assert capsys.readouterr().err.startswith("numerical failure: ")
@@ -414,13 +414,23 @@ class TestProjectorExpectations:
         data = zip(*(column.tolist() for column in columns))
         assert rows == [[*cells, *map(repr, values)] for cells, values in zip(axes, data)]
 
-    def test_rows_are_the_batch_at_exactly_four_nu_tilde(self, capsys):
+    def test_rows_are_the_batch_at_exactly_four_nu_tilde(self, monkeypatch, capsys):
+        # every solve the command and the direct call make is at q = 24 exactly
+        qs = []
+        original = mathieu.solve_many
+
+        def recording(n, q, **kwargs):
+            qs.append(q)
+            return original(n, q, **kwargs)
+
+        monkeypatch.setattr(mathieu, "solve_many", recording)
         t_values = (0.125, 0.3)
         args = ["projector-expectations", "--hbar-beta2", "0.125,0.3", "--nu-tilde", "6"]
         code, out = run_cli([*args, "--n-max", "6"], capsys)
         assert code == 0
         _, rows = parse_csv(out)
-        plus, minus, completeness = spectrum._projector_batch(t_values, (24.0,), 6)
+        plus, minus, completeness = spectrum.projector_expectations(t_values, (6.0,), 6)
+        assert set(qs) == {24.0}
         expected = [
             [repr(t), "6.0", str(n)]
             + [repr(float(v)) for v in (plus[i, 0, n], minus[i, 0, n], completeness[i, 0])]
@@ -485,6 +495,15 @@ class TestDecomp:
     def test_svg_not_supported(self, capsys):
         assert cli.main(["decomp", "--s", "2", "--k", "2", "--format", "svg"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("s, k, rows", [(1500, 0, 1), (2000, 1, 1), (100000, 3, 3)])
+    def test_large_rank_bound(self, s, k, rows, capsys):
+        # s far above k: a level of recursion per part would pass Python's limit
+        code, out = run_cli(["decomp", "--s", str(s), "--k", str(k)], capsys)
+        assert code == 0
+        _, table = parse_csv(out)
+        assert len(table) == rows
+        assert all(len(row[3].split()) == s for row in table)
 
 
 class TestConfigFile:
@@ -690,6 +709,26 @@ class TestSvgOutput:
         assert labels == [f"P+ n={n} t={t}" for t in ("0.125", "0.5") for n in range(3)]
         assert len(polylines) == 6
         assert all(len(points.split()) == 2 for points in polylines)
+
+    def test_spectrum_svg_has_one_polyline_per_level(self, capsys):
+        code, out = run_cli(
+            ["spectrum", "--nu-tilde", "0,3,6,12,24", "--n-max", "4", "--format", "svg"], capsys
+        )
+        assert code == 0
+        polylines = re.findall(r'<polyline [^>]*points="([^"]*)"/>', out)
+        labels = re.findall(r'font-size="11" fill="[^"]*">([^<]*)</text>', out)
+        assert labels == [f"E_{n}" for n in range(4)]
+        assert [len(points.split()) for points in polylines] == [5] * 4
+
+    def test_log_x_svg_refuses_non_positive_x(self, tmp_path):
+        # log10(0) has no place on the axis; the run writes nothing
+        path = tmp_path / "p.svg"
+        args = ["--hbar-beta2", "0.125", "--nu-tilde", "0,1,10", "--n-max", "1", "--format", "svg"]
+        code, out, err = run_quiet(["projector-expectations", *args, "--out", str(path)])
+        assert code == 2
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: ") and "x > 0" in err
+        assert not path.exists()
 
     def test_svg_series_are_keyed_by_value_not_label(self, capsys):
         # both t print as "0.1" under :g; they stay two polylines of two points

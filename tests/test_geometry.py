@@ -326,7 +326,7 @@ class TestMonomialDecomposition:
         assert len(monomial_decomposition(5, 5)) == 7
 
     def test_counts_match_partition_oracle(self):
-        for s in range(1, 7):
+        for s in range(1, 9):
             for k in range(0, 21):
                 assert len(monomial_decomposition(s, k)) == len(bounded_partitions(k, s))
 
@@ -336,6 +336,16 @@ class TestMonomialDecomposition:
             assert sum((m + 1) * a for m, a in enumerate(exps)) == 9
         assert monomials == sorted(monomials, reverse=True)
         assert len(set(monomials)) == len(monomials)
+
+    def test_rank_bound_far_above_degree(self):
+        # parts above the degree get exponent 0 without a level of recursion each
+        assert monomial_decomposition(2000, 0) == [(0,) * 2000]
+        assert monomial_decomposition(2000, 1) == [(1,) + (0,) * 1999]
+        assert monomial_decomposition(100000, 3) == [
+            (3,) + (0,) * 99999,
+            (1, 1) + (0,) * 99998,
+            (0, 0, 1) + (0,) * 99997,
+        ]
 
     @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=14))
     def test_counts_property(self, s, k):

@@ -353,7 +353,7 @@ class TestProjectorExpectations:
         assert np.max(np.abs(minus[0, 0] - ref_minus)) <= 1e-10
 
     def test_completeness_past_the_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(spectrum, "_COMPLETENESS_MAX", 120)
+        monkeypatch.setattr(spectrum, "_COMPLETENESS_COUNTS", (60, 120))
         with pytest.raises(costratified.TruncationError, match="completeness"):
             spectrum.projector_expectations((2.0,), (1e4,), 6)
 
@@ -367,7 +367,7 @@ class TestProjectorExpectations:
         ],
     )
     def test_errors_come_in_sweep_order(self, monkeypatch, t_values, error, message):
-        monkeypatch.setattr(spectrum, "_COMPLETENESS_MAX", 120)
+        monkeypatch.setattr(spectrum, "_COMPLETENESS_COUNTS", (60, 120))
         with pytest.raises(error, match=message):
             spectrum.projector_expectations(t_values, (1e4,), 6)
 
