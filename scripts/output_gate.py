@@ -13,13 +13,14 @@ that are not powers of two (``Q_PER_NU_TILDE``), a projector sweep whose t
 need different truncations (``MIXED_TRUNCATION``), an eigenfunction at a t
 that is not a power of two (``XI_AT_T``), three commands at the edges
 of the vertex-state domain (``DOMAIN_EDGES``), two ranges whose step is
-below the spacing of doubles (``GRID_EDGES``), a log-x SVG with an x of 0
-and a ``decomp`` whose rank bound is far above its degree (``CLI_EDGES``),
-and ``scripts/make_figure_data.py`` (the working tree's script on both
-sides, so only ``src/`` differs).  Each runs as a fresh ``python -m
-plaquette_qgauge`` process under ``OPENBLAS_NUM_THREADS=1`` and ``=2``.  A
-command's result is its exit code, stdout and stderr; a figure-data run's
-is every file it writes.
+below the spacing of doubles (``GRID_EDGES``), the tunneling route switch
+and cross-check band ends with the doubles either side (``BAND_EDGES``), a
+log-x SVG with an x of 0 and a ``decomp`` whose rank bound is far above its
+degree (``CLI_EDGES``), and ``scripts/make_figure_data.py`` (the working
+tree's script on both sides, so only ``src/`` differs).  Each runs as a
+fresh ``python -m plaquette_qgauge`` process under
+``OPENBLAS_NUM_THREADS=1`` and ``=2``.  A command's result is its exit
+code, stdout and stderr; a figure-data run's is every file it writes.
 
 Prints each result that differs between the two sides, and exits 1 if any
 does, else 0.  For a text part (exit code, stdout, stderr, a CSV or SVG
@@ -98,6 +99,14 @@ DOMAIN_EDGES = [
 GRID_EDGES = [
     ["spectrum", "--nu-tilde", "1:1.0000000000000004:5"],
     ["tunneling", "--hbar-beta2", "1:1.0000000000000004:4"],
+]
+#: the tunneling routes' edges, each t and the double on either side: the
+#: cross-check band's ends 0.25 and 2, and the switch from the dual route to
+#: the direct one at 1
+BAND_EDGES = [
+    ["tunneling", "--hbar-beta2",
+     "0.24999999999999997,0.25,0.25000000000000006,0.9999999999999999,1,1.0000000000000002,"
+     "1.9999999999999998,2,2.0000000000000004"],
 ]
 #: a log-x SVG with nu_tilde = 0, which has no logarithm, refused with exit
 #: 2; and a rank bound of 2000 with degree 1, one row of 2000 exponents
@@ -250,6 +259,7 @@ def main() -> int:
             *XI_AT_T,
             *DOMAIN_EDGES,
             *GRID_EDGES,
+            *BAND_EDGES,
             *CLI_EDGES,
         ]
         failures, compared = [], 0

@@ -419,12 +419,11 @@ def cmd_decomp(args, settings) -> int:
     s, k = args.s, args.k
     if s < 1 or k < 0:
         raise UsageError("need s >= 1 and k >= 0")
-    kernel = set(geometry.restriction_kernel(s, k)[0]) if s >= 2 else set()
     monomials = geometry.monomial_decomposition(s, k)
     axes = {"s": Axis([s]), "k": Axis([k]), "index": Axis(range(len(monomials)))}
     data = {
         "exponents": [" ".join(map(str, exps)) for exps in monomials],
-        "in_kernel": [int(exps in kernel) for exps in monomials],
+        "in_kernel": [int(geometry.in_restriction_kernel(exps)) for exps in monomials],
     }
     return emit(settings, "decomp", {"s": s, "k": k}, axes, data)
 

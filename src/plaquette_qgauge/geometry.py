@@ -341,15 +341,20 @@ def monomial_decomposition(s: int, k: int) -> list[tuple[int, ...]]:
     return rec(1, k)
 
 
-def restriction_kernel(s: int, k: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """Split the degree-k monomials into the restriction kernel and its complement.
+def in_restriction_kernel(exps: tuple[int, ...]) -> bool:
+    """Whether the monomial with exponents (a_1, ..., a_s) dies under restriction to rank <= s-1.
 
-    Monomials with a positive last exponent die under restriction to rank
-    <= s-1; the rest map isomorphically onto the rank s-1 enumeration.
+    It does when s >= 2 and its last exponent is positive; the rest map
+    isomorphically onto the rank s-1 enumeration.
     """
+    return len(exps) >= 2 and exps[-1] >= 1
+
+
+def restriction_kernel(s: int, k: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Split the degree-k monomials (s >= 2) into the restriction kernel and its complement."""
     if s < 2:
         raise ValueError(f"s must be >= 2, got {s}")
     kernel, image = [], []
     for exps in monomial_decomposition(s, k):
-        (kernel if exps[-1] >= 1 else image).append(exps)
+        (kernel if in_restriction_kernel(exps) else image).append(exps)
     return kernel, image

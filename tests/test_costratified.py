@@ -82,7 +82,7 @@ class TestNormalization:
 class TestVertexStates:
     def test_unit_norm(self):
         for stratum in (Stratum.PLUS, Stratum.MINUS):
-            assert abs(stratum_state(stratum, T).norm() - 1.0) < 1e-12
+            assert abs(np.linalg.norm(stratum_state(stratum, T).coeffs) - 1.0) < 1e-12
 
     def test_leading_coefficient_positive(self):
         state = stratum_state(Stratum.PLUS, T)
@@ -137,9 +137,11 @@ class TestVertexStates:
         with pytest.raises(TruncationError, match=f"at t={t} is past 524288 rows"):
             stratum_state(Stratum.MINUS, t)
 
-    def test_tail_is_reported(self):
+    def test_tail_is_within_the_truncation_rule(self):
+        # the last unit-state coefficient is the vertex-weight tail relative to N
         state = stratum_state(Stratum.PLUS, T)
-        assert state.tail == abs(float(state.coeffs[-1]))
+        assert abs(state.coeffs[-1]) == abs(float(state.coeffs[-1]))
+        assert 0.0 < abs(state.coeffs[-1]) <= costratified._TAIL_TOL
 
     @settings(deadline=None, max_examples=25)
     @given(st.floats(min_value=0.02, max_value=5.0))
@@ -194,7 +196,7 @@ class TestProjection:
         basis = vanishing_basis(Stratum.PLUS, T, trunc=30)
         for column in basis.T:
             projected = project(StateVector(column, T), Stratum.PLUS, T)
-            assert projected.norm() < 1e-12
+            assert np.linalg.norm(projected.coeffs) < 1e-12
 
     def test_projection_squared_equals_projection(self):
         rng = np.random.default_rng(11)
@@ -234,7 +236,7 @@ class TestSubspaceDimension:
         for _ in range(20):
             raw = rng.standard_normal(30)
             state = StateVector(raw / np.linalg.norm(raw), T)
-            overlap = psi.inner(state)
+            overlap = np.vdot(psi.coeffs, state.coeffs)
             evaluation = vertex_evaluation(state, Stratum.PLUS, params)
             ratios.append(complex(overlap) / complex(evaluation))
         spread = max(abs(r - ratios[0]) for r in ratios)
@@ -312,3 +314,66 @@ class TestTunneling:
         assert norm_squared(1.0) > 0.0
         with pytest.raises(ConsistencyError):
             tunneling_overlap(1.0)
+
+
+#: each end of the cross-check band and the route switch, with the double on either side
+BELOW_ONE = [math.nextafter(0.25, 0.0), 0.25, math.nextafter(0.25, 1.0), math.nextafter(1.0, 0.0)]
+AT_OR_ABOVE_ONE = [1.0, math.nextafter(1.0, 2.0), math.nextafter(2.0, 0.0), 2.0, math.nextafter(2.0, 3.0)]
+#: the route names of N^2 and of S, dual first
+ROUTES = {
+    "dual": ("_norm_squared_dual", "_alternating_dual"),
+    "direct": ("_norm_squared_direct", "_alternating_direct"),
+}
+
+
+def _chosen(t: float) -> tuple[str, str]:
+    return ROUTES["dual" if t in BELOW_ONE else "direct"]
+
+
+class TestRouteDispatchEdges:
+    @pytest.mark.parametrize("t", BELOW_ONE + AT_OR_ABOVE_ONE)
+    def test_value_is_the_chosen_route_bit_for_bit(self, t):
+        norm_route, alternating_route = (getattr(costratified, name) for name in _chosen(t))
+        assert norm_squared(t) == norm_route(t)
+        assert tunneling_overlap(t) == alternating_route(t) / norm_route(t)
+
+    @pytest.mark.parametrize("nudged", [name for pair in ROUTES.values() for name in pair])
+    @pytest.mark.parametrize("t", BELOW_ONE + AT_OR_ABOVE_ONE)
+    def test_a_nudge_within_the_tolerance_shows_only_through_the_chosen_route(
+        self, t, nudged, monkeypatch
+    ):
+        # the routes agree to the last bit at some edges, where the test above
+        # cannot tell them apart; a 1e-13 nudge passes the cross-check and moves
+        # exactly the values that read the nudged route
+        pristine = (norm_squared(t), tunneling_overlap(t))
+        original = getattr(costratified, nudged)
+        monkeypatch.setattr(costratified, nudged, lambda t: original(t) * (1 + 1e-13))
+        values = (norm_squared(t), tunneling_overlap(t))
+        if nudged not in _chosen(t):
+            assert values == pristine
+        elif nudged.startswith("_norm_squared"):
+            assert values[0] != pristine[0] and values[1] != pristine[1]
+        else:
+            assert values[0] == pristine[0] and values[1] != pristine[1]
+
+    @pytest.mark.parametrize("corrupted", [name for pair in ROUTES.values() for name in pair])
+    @pytest.mark.parametrize("t", BELOW_ONE + AT_OR_ABOVE_ONE)
+    def test_corruption_raises_exactly_inside_the_closed_band(self, t, corrupted, monkeypatch):
+        pristine = (norm_squared(t), tunneling_overlap(t))
+        original = getattr(costratified, corrupted)
+        monkeypatch.setattr(costratified, corrupted, lambda t: original(t) * (1 + 1e-9))
+        reaches_norm = corrupted.startswith("_norm_squared")
+        if 0.25 <= t <= 2.0:
+            if reaches_norm:
+                with pytest.raises(ConsistencyError, match="norm_squared"):
+                    norm_squared(t)
+            else:
+                assert norm_squared(t) == pristine[0]
+            with pytest.raises(ConsistencyError):
+                tunneling_overlap(t)
+        else:
+            norm_route, alternating_route = (getattr(costratified, name) for name in _chosen(t))
+            values = (norm_squared(t), tunneling_overlap(t))
+            assert values == (norm_route(t), alternating_route(t) / norm_route(t))
+            if corrupted not in _chosen(t):
+                assert values == pristine

@@ -28,6 +28,30 @@ def test_theta3_prime_matches_partial_sum():
     assert math.isclose(theta3_prime(0.5), expected, rel_tol=1e-15)
 
 
+def left_to_right_prime(Q: float, extra: int = 5) -> float:
+    """2 k^2 Q^(k^2 - 1) summed in order of k from 1 to ``extra`` terms past the series' stop."""
+    total, k, stop = 0.0, 1, None
+    while stop is None or k <= stop + extra:
+        term = 2.0 * k * k * Q ** (k * k - 1)
+        total += term
+        if stop is None and k >= 4 and abs(term) < 1e-18 * abs(total):
+            stop = k
+        k += 1
+    return total
+
+
+@pytest.mark.parametrize(
+    "Q", [0.0] + [sign * math.exp(-t) for t in (0.25, 1.0, 2.0, 5.0) for sign in (1.0, -1.0)]
+)
+def test_theta3_prime_is_the_left_to_right_sum_bit_for_bit(Q):
+    assert theta3_prime(Q) == left_to_right_prime(Q)
+
+
+@given(st.floats(min_value=-math.exp(-0.25), max_value=math.exp(-0.25)))
+def test_theta3_prime_summation_order_over_the_direct_domain(Q):
+    assert theta3_prime(Q) == left_to_right_prime(Q)
+
+
 @pytest.mark.parametrize("Q", [0.1, -0.1, 0.5, -0.5, 0.9])
 def test_derivative_consistency_by_finite_differences(Q):
     h = 1e-6
