@@ -431,6 +431,8 @@ def cmd_decomp(args, settings) -> int:
 def cmd_verify(args, settings) -> int:
     from . import verify
 
+    if settings.get("format", "csv") != "csv":
+        raise UsageError(f"{args.command} writes a text report, not {settings['format']}")
     results = verify.all_checks() if args.command == "verify" else verify.geometry_checks()
     write_output(settings.get("out", "-"), [verify.render_report(results, args.command)])
     return 0 if all(r.passed for r in results) else 1

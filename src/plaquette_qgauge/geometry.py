@@ -12,10 +12,15 @@ Poisson structures on their generators:
   {X, Y} = X^2 + Y^2 + 4(2 tau - 1), {X, tau} = 2(1 - tau) Y,
   {Y, tau} = 2 tau X.
 
-Brackets of arbitrary polynomials follow from the generator table by the
-Leibniz rule.  Phase points are plain float vectors in generator order; a
-polynomial, the on-variety guard and the residual checks also take an
-(m, generators) array with one point per row.
+A table stores each generator bracket once, as Pi_ij = {x_i, x_j} for the
+pairs i < j.  Brackets of arbitrary polynomials follow by the Leibniz rule,
+as the sum over those pairs
+
+    {f, g} = sum_{i<j} (d_i f d_j g - d_j f d_i g) Pi_ij,
+
+with each partial derivative taken once.  Phase points are plain float
+vectors in generator order; a polynomial, the on-variety guard and the
+residual checks also take an (m, generators) array with one point per row.
 
 The module also carries the rank-stratified projection of ell particles in
 R^s onto complex symmetric ell x ell matrices, over stacks of
@@ -38,10 +43,6 @@ class OffVarietyError(ValueError):
     """A phase point violates the defining relations of the reduced space."""
 
 
-def _clean(terms: dict) -> dict:
-    return {e: c for e, c in terms.items() if c != 0.0}
-
-
 @dataclass(frozen=True)
 class PolyFunction:
     """Real polynomial in named generators, stored as {exponent tuple: coefficient}."""
@@ -53,7 +54,7 @@ class PolyFunction:
         for exps in self.terms:
             if len(exps) != len(self.generators):
                 raise ValueError(f"exponent tuple {exps} does not match {self.generators}")
-        object.__setattr__(self, "terms", _clean(dict(self.terms)))
+        object.__setattr__(self, "terms", {e: c for e, c in self.terms.items() if c != 0.0})
 
     @classmethod
     def zero(cls, generators) -> "PolyFunction":
@@ -95,9 +96,6 @@ class PolyFunction:
             other = PolyFunction.constant(self.generators, other)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return PolyFunction(self.generators, {e: other * c for e, c in self.terms.items()})
@@ -137,13 +135,10 @@ class PolyFunction:
             total += coeff * np.prod(values ** np.array(exps), axis=-1)
         return float(total) if values.ndim == 1 else total
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
 
 @dataclass(frozen=True)
 class PoissonTable:
-    """Generator names, pairwise generator brackets, and defining relations."""
+    """Generator names, the brackets {x_i, x_j} keyed by (i, j) with i < j, and the relations."""
 
     generators: tuple[str, ...]
     pair_brackets: dict
@@ -151,13 +146,6 @@ class PoissonTable:
 
     def variable(self, name: str) -> PolyFunction:
         return PolyFunction.variable(self.generators, name)
-
-    def generator_bracket(self, i: int, j: int) -> PolyFunction:
-        if i == j:
-            return PolyFunction.zero(self.generators)
-        if i < j:
-            return self.pair_brackets[(i, j)]
-        return -self.pair_brackets[(j, i)]
 
     def require_on_variety(self, points):
         """Raise OffVarietyError unless every point (or array row) satisfies the relations."""
@@ -200,22 +188,14 @@ def canoe_table() -> PoissonTable:
 
 
 def bracket(table: PoissonTable, f: PolyFunction, g: PolyFunction) -> PolyFunction:
-    """Poisson bracket {f, g}: Leibniz extension of the generator table."""
+    """Poisson bracket {f, g}: sum over the pairs i < j of (d_i f d_j g - d_j f d_i g) Pi_ij."""
     if f.generators != table.generators or g.generators != table.generators:
         raise ValueError("polynomials must be over the table's generators")
+    df = [f.diff(name) for name in table.generators]
+    dg = [g.diff(name) for name in table.generators]
     out = PolyFunction.zero(table.generators)
-    names = table.generators
-    for i in range(len(names)):
-        dfi = f.diff(names[i])
-        if dfi.is_zero():
-            continue
-        for j in range(len(names)):
-            if i == j:
-                continue
-            dgj = g.diff(names[j])
-            if dgj.is_zero():
-                continue
-            out = out + dfi * dgj * table.generator_bracket(i, j)
+    for (i, j), pair in table.pair_brackets.items():
+        out = out + (df[i] * dg[j] - df[j] * dg[i]) * pair
     return out
 
 
@@ -248,10 +228,9 @@ def poisson_tensor(table: PoissonTable, points) -> np.ndarray:
     values = np.asarray(points, dtype=float)
     m = len(table.generators)
     out = np.zeros(values.shape[:-1] + (m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            out[..., i, j] = table.generator_bracket(i, j)(values)
-            out[..., j, i] = -out[..., i, j]
+    for (i, j), pair in table.pair_brackets.items():
+        out[..., i, j] = pair(values)
+        out[..., j, i] = -out[..., i, j]
     return out
 
 
@@ -348,13 +327,3 @@ def in_restriction_kernel(exps: tuple[int, ...]) -> bool:
     isomorphically onto the rank s-1 enumeration.
     """
     return len(exps) >= 2 and exps[-1] >= 1
-
-
-def restriction_kernel(s: int, k: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """Split the degree-k monomials (s >= 2) into the restriction kernel and its complement."""
-    if s < 2:
-        raise ValueError(f"s must be >= 2, got {s}")
-    kernel, image = [], []
-    for exps in monomial_decomposition(s, k):
-        (kernel if in_restriction_kernel(exps) else image).append(exps)
-    return kernel, image

@@ -63,18 +63,12 @@ _COMPLETENESS_COUNTS = (60, 120, 240, 480, 960)
 _COMPLETENESS_TOL = 1e-6
 
 
-def _tridiagonal(nu_tilde: float, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of H / (hbar^2 beta2) on the first dim basis states."""
-    diag = 0.5 * characters.laplace_eigenvalue(np.arange(dim)) + 1.5 * nu_tilde
-    return diag, np.full(dim - 1, -0.5 * nu_tilde)
-
-
 def hamiltonian_matrix(nu_tilde: float, dim: int) -> np.ndarray:
     """Dense H / (hbar^2 beta2), symmetric tridiagonal, truncated to the first dim basis states."""
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
-    diag, off = _tridiagonal(nu_tilde, dim)
-    h = np.diag(diag)
+    off = np.full(dim - 1, -0.5 * nu_tilde)
+    h = np.diag(0.5 * characters.laplace_eigenvalue(np.arange(dim)) + 1.5 * nu_tilde)
     h += np.diag(off, 1) + np.diag(off, -1)
     return h
 

@@ -13,11 +13,11 @@ import pytest
 from plaquette_qgauge import Stratum, cli, costratified, mathieu, spectrum
 from plaquette_qgauge.geometry import (
     canoe_table,
+    in_restriction_kernel,
     jacobi_residual,
     monomial_decomposition,
     poisson_tensor,
     relation_casimir_residual,
-    restriction_kernel,
     sample_canoe,
     sample_semicone,
     semicone_table,
@@ -159,9 +159,13 @@ def test_criterion_8_decomposition_counts():
                 assert len(monomial_decomposition(s, k)) == len(bounded_partitions(k, s))
         for s in range(2, 7):
             for k in range(0, 21):
-                kernel, image = restriction_kernel(s, k)
+                monomials = monomial_decomposition(s, k)
+                kernel = [exps for exps in monomials if in_restriction_kernel(exps)]
+                image = [exps for exps in monomials if not in_restriction_kernel(exps)]
                 assert len(image) == len(monomial_decomposition(s - 1, k))
-                assert sorted(kernel + image) == sorted(monomial_decomposition(s, k))
+                # a kernel monomial is one part of size s on a degree k - s monomial
+                expected = len(monomial_decomposition(s, k - s)) if k >= s else 0
+                assert len(kernel) == expected
 
 
 def test_criterion_9_orthonormality():

@@ -142,6 +142,21 @@ class TestConstants:
         with pytest.raises(ValueError):
             laplace_eigenvalue(np.array([0, 2, -1]))
 
+    @pytest.mark.parametrize(
+        "realize",
+        [
+            lambda n: char_real(n, 0.5),
+            lambda n: char_l2(n, 0.5),
+            lambda n: char_complex(n, 1j),
+            lambda n: peter_weyl_constant(n, ModelParams(hbar=1.0, beta2=1.0, coupling_g=1.0)),
+        ],
+        ids=["char_real", "char_l2", "char_complex", "peter_weyl_constant"],
+    )
+    def test_negative_basis_index_rejected(self, realize):
+        assert realize(0) is not None
+        with pytest.raises(ValueError, match="basis index must be >= 0, got -1"):
+            realize(-1)
+
 
 class TestHaarDensity:
     def test_pointwise(self):

@@ -657,6 +657,23 @@ class TestVerifyCommands:
         assert "[FAIL] projector-route-consistency" in out
         assert "[FAIL] parity-separation" in out
 
+    @pytest.mark.parametrize("command", ["verify", "geometry-verify"])
+    def test_svg_is_refused_before_any_check(self, command, tmp_path, monkeypatch):
+        # the report is text: exit 2 with one error line, no check run, nothing written
+        from plaquette_qgauge import verify
+
+        def never(*args, **kwargs):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(verify, "all_checks", never)
+        monkeypatch.setattr(verify, "geometry_checks", never)
+        path = tmp_path / "report.svg"
+        code, out, err = run_quiet([command, "--format", "svg", "--out", str(path)])
+        assert code == 2
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: ") and "text report" in err
+        assert not path.exists()
+
 
 class TestDispatch:
     def test_main_calls_the_handler_bound_on_the_module(self, monkeypatch):

@@ -107,6 +107,10 @@ class TestVertexStates:
             with pytest.raises(ValueError, match="finite"):
                 StateVector(np.array(coeffs), T)
 
+    def test_empty_coefficients_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            StateVector(np.array([]), T)
+
     def test_top_stratum_rejected(self):
         with pytest.raises(ValueError):
             stratum_state(Stratum.TOP, T)
@@ -168,6 +172,11 @@ class TestVertexEvaluation:
         for column in basis.T:
             value = vertex_evaluation(StateVector(column, T), stratum, params)
             assert abs(value) < 1e-12
+
+    def test_vanishing_basis_needs_two_rows(self):
+        # one row holds only the vertex direction, so nothing vanishes there
+        with pytest.raises(ValueError, match="trunc >= 2"):
+            vanishing_basis(Stratum.PLUS, T, trunc=1)
 
     @pytest.mark.parametrize("t", [1e-4, 400.0, 700.0])
     @pytest.mark.parametrize("stratum", [Stratum.PLUS, Stratum.MINUS])

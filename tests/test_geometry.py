@@ -11,12 +11,12 @@ from plaquette_qgauge.geometry import (
     bracket,
     canoe_table,
     canoe_tau,
+    in_restriction_kernel,
     jacobi_residual,
     monomial_decomposition,
     poisson_tensor,
     reduce_point,
     relation_casimir_residual,
-    restriction_kernel,
     sample_canoe,
     sample_semicone,
     semicone_table,
@@ -55,7 +55,7 @@ class TestPolyFunction:
     def test_zero_coefficients_are_dropped(self):
         gens = ("x", "y")
         x = PolyFunction.variable(gens, "x")
-        assert (x - x).is_zero()
+        assert not (x - x).terms
 
     def test_array_evaluation_matches_points(self):
         rng = np.random.default_rng(19)
@@ -66,6 +66,15 @@ class TestPolyFunction:
         assert values.shape == (40,)
         assert np.array_equal(values, [poly(pt) for pt in points])
         assert isinstance(poly(points[0]), float)
+
+    def test_generator_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="does not match"):
+            PolyFunction(("x", "y"), {(1,): 1.0})
+        x = PolyFunction.variable(("x", "y"), "x")
+        other = PolyFunction.variable(("x", "r"), "x")
+        for combine in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+            with pytest.raises(ValueError, match="generator mismatch"):
+                combine(x, other)
 
     def test_bad_point_shape_rejected(self):
         x = PolyFunction.variable(("x", "y"), "x")
@@ -79,7 +88,7 @@ class TestBrackets:
         table = semicone_table()
         relation = table.relations[0]
         for name in table.generators:
-            assert bracket(table, table.variable(name), relation).is_zero()
+            assert not bracket(table, table.variable(name), relation).terms
 
     def test_canoe_generator_bracket(self):
         table = canoe_table()
@@ -97,7 +106,7 @@ class TestBrackets:
         table = canoe_table()
         relation = table.relations[0]
         for name in table.generators:
-            assert bracket(table, table.variable(name), relation).is_zero()
+            assert not bracket(table, table.variable(name), relation).terms
 
     def test_antisymmetry_on_random_polynomials(self):
         rng = np.random.default_rng(23)
@@ -110,11 +119,18 @@ class TestBrackets:
                 point = rng.uniform(-2, 2, 3)
                 assert math.isclose(lhs(point), rhs(point), rel_tol=1e-9, abs_tol=1e-9)
 
+    def test_polynomials_over_other_generators_rejected(self):
+        table = semicone_table()
+        foreign = PolyFunction.variable(("X", "Y", "tau"), "X")
+        for f, g in ((foreign, table.variable("x")), (table.variable("x"), foreign)):
+            with pytest.raises(ValueError, match="table's generators"):
+                bracket(table, f, g)
+
     def test_bracket_with_self_vanishes(self):
         table = canoe_table()
         rng = np.random.default_rng(29)
         f = random_polynomial(rng, table.generators)
-        assert bracket(table, f, f).is_zero()
+        assert not bracket(table, f, f).terms
 
 
 class TestJacobiAndCasimir:
@@ -347,31 +363,43 @@ class TestMonomialDecomposition:
             (0, 0, 1) + (0,) * 99997,
         ]
 
+    @pytest.mark.parametrize("s, k, message", [(0, 3, "s must be >= 1"), (2, -1, "k must be >= 0")])
+    def test_invalid_rank_or_degree_rejected(self, s, k, message):
+        with pytest.raises(ValueError, match=message):
+            monomial_decomposition(s, k)
+
     @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=14))
     def test_counts_property(self, s, k):
         assert len(monomial_decomposition(s, k)) == len(bounded_partitions(k, s))
 
 
+def restriction_split(s, k):
+    """The degree-k monomials of rank bound s, split by ``in_restriction_kernel``."""
+    monomials = monomial_decomposition(s, k)
+    kernel = [exps for exps in monomials if in_restriction_kernel(exps)]
+    return kernel, [exps for exps in monomials if not in_restriction_kernel(exps)]
+
+
 class TestRestrictionKernel:
     def test_degree_two_split(self):
-        kernel, image = restriction_kernel(2, 2)
+        kernel, image = restriction_split(2, 2)
         assert kernel == [(0, 1)]
         assert image == [(2, 0)]
 
     def test_partition_by_predicate(self):
+        # a kernel monomial has a_s >= 1: removing one part of size s leaves
+        # a degree k - s monomial of the same rank bound
         for s in (2, 3, 4):
             for k in (0, 3, 7, 12):
-                kernel, image = restriction_kernel(s, k)
-                full = monomial_decomposition(s, k)
-                assert sorted(kernel + image) == sorted(full)
-                assert not set(kernel) & set(image)
+                kernel, _ = restriction_split(s, k)
+                expected = monomial_decomposition(s, k - s) if k >= s else []
+                assert kernel == [(*exps[:-1], exps[-1] + 1) for exps in expected]
 
     def test_image_bijects_with_lower_rank(self):
         for s in (2, 3, 4, 5):
             for k in (1, 4, 9, 15):
-                _, image = restriction_kernel(s, k)
-                assert len(image) == len(monomial_decomposition(s - 1, k))
+                _, image = restriction_split(s, k)
+                assert [exps[:-1] for exps in image] == monomial_decomposition(s - 1, k)
 
-    def test_requires_two_generators(self):
-        with pytest.raises(ValueError):
-            restriction_kernel(1, 3)
+    def test_rank_one_has_no_kernel(self):
+        assert all(not in_restriction_kernel(exps) for exps in monomial_decomposition(1, 5))

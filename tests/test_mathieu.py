@@ -105,6 +105,31 @@ class TestSolve:
         with pytest.raises(ValueError, match="cannot hold level"):
             mathieu.solve_many(6, 4.0, trunc=5)
 
+    def test_growth_gives_up_past_the_doubling_cap(self, monkeypatch, eigensolves, capsys):
+        # no tail meets a negative tolerance, so the truncation doubles from
+        # 30 rows to 32 x 30 and gives up; a tolerance of 0 would not do, as
+        # level 0's 30-row tail at q = 24 is exactly 0.0
+        from plaquette_qgauge import cli
+
+        monkeypatch.setattr(mathieu, "_TAIL_TOL", -1.0)
+        with pytest.raises(mathieu.ConvergenceError, match="did not fall below"):
+            mathieu.solve(0, 24.0)
+        assert [rows for rows, _ in eigensolves] == [30, 60, 120, 240, 480, 960]
+        assert cli.main(["spectrum", "--nu-tilde", "6", "--n-max", "1"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("numerical failure: coefficient tail did not fall below")
+
+    @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+    def test_non_finite_q_rejected(self, q, eigensolves):
+        with pytest.raises(ValueError, match="q must be finite"):
+            mathieu.solve(0, q)
+        assert eigensolves == []
+
+    def test_solve_many_needs_a_level(self):
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            mathieu.solve_many(0, 4.0)
+
     def test_explicit_small_trunc_grows(self):
         sol = mathieu.solve(0, 200.0, trunc=16)
         assert len(sol.coeffs) == 32 and abs(sol.coeffs[-1]) <= 1e-12

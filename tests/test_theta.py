@@ -52,6 +52,13 @@ def test_theta3_prime_summation_order_over_the_direct_domain(Q):
     assert theta3_prime(Q) == left_to_right_prime(Q)
 
 
+@pytest.mark.parametrize("series", [theta3, theta3_prime])
+def test_series_refuses_past_its_term_cap(series):
+    # at Q = 1 - 2**-40 even the last allowed term, k^2 ~ 1e10, is Q^(k^2) ~ 0.99
+    with pytest.raises(FloatingPointError, match="did not converge"):
+        series(1.0 - 2.0**-40)
+
+
 @pytest.mark.parametrize("Q", [0.1, -0.1, 0.5, -0.5, 0.9])
 def test_derivative_consistency_by_finite_differences(Q):
     h = 1e-6
