@@ -32,17 +32,17 @@ certified for level n alone, by the LAPACK bisection the package uses past
 
 Levels 0, 1, 5, 10, 20, 40, 59, 97, 150, 240, 480 and 960 (960 is the
 projector completeness cap), q = 0 and a log grid from 1e-2 to the domain
-edge 6.8e10.  With the default 20 points per decade it runs in about four
-minutes on a 2-core x86 host, most of them in the check.
+edge 6.8e10, ``PER_DECADE`` (20) points per decade: the grid that certifies
+the committed constants.  It runs in about four minutes on a 2-core x86
+host, most of them in the check.
 
-    PYTHONPATH=src python scripts/fit_truncation.py [--per-decade 20]
+    PYTHONPATH=src python scripts/fit_truncation.py
 
 It exits 1 if the committed constants fail the check.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 
@@ -56,14 +56,16 @@ TAIL_TOL = 1e-12
 MARGIN = 2
 RATIO_MAX = 1.3
 RATIO_FROM = 64
+#: log-grid points per decade of q
+PER_DECADE = 20
 #: coefficients of the largest block certified through the package's solve
 BLOCK_MAX = 2**20
 
 
-def q_grid(per_decade: int) -> list[float]:
-    """q = 0 and a log grid from 1e-2 to the domain edge."""
+def q_grid() -> list[float]:
+    """q = 0 and a log grid of ``PER_DECADE`` points per decade from 1e-2 to the domain edge."""
     lo, hi = 1e-2, mathieu._MAX_Q
-    count = round(per_decade * math.log10(hi / lo)) + 1
+    count = round(PER_DECADE * math.log10(hi / lo)) + 1
     return [0.0, *map(float, np.geomspace(lo, hi, count))]
 
 
@@ -170,11 +172,8 @@ def certify(table: np.ndarray) -> list[str]:
     return problems
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--per-decade", type=int, default=20, help="log-grid points per decade of q")
-    args = parser.parse_args(argv)
-    table = scan(LEVELS, q_grid(args.per_decade))
+def main() -> int:
+    table = scan(LEVELS, q_grid())
     print(f"scanned {len(table)} points: {len(LEVELS)} levels x {len(table) // len(LEVELS)} q")
     cost, well, free = fit(table)
     print(f"fitted:    well (alpha, beta, gamma) = {well}, free (a, b) = {free}, mean ratio {cost:.4f}")

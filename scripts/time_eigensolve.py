@@ -11,15 +11,14 @@ full solve and of the first block of the Mathieu tridiagonal (diagonal
 matrix in MB, and how many blocks cost as much as one full solve: the
 levels a request may ask for before a full solve is the cheaper entry.
 The two timed calls alternate within each repeat, so a drift of the host's
-speed reaches them alike.  Loading the LAPACK extension is done before
-timing.
+speed reaches them alike.  Each median is over ``REPEATS`` (21) timed
+solves.  Loading the LAPACK extension is done before timing.
 
-    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python scripts/time_eigensolve.py [--repeats 21]
+    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python scripts/time_eigensolve.py
 """
 
 from __future__ import annotations
 
-import argparse
 import statistics
 import time
 
@@ -29,6 +28,8 @@ from plaquette_qgauge import mathieu
 
 ROWS = (128, 256, 512, 768, 1024, 1707, 3000)
 QS = (1e4, 2e6, 4e8)
+#: timed solves per entry and point
+REPEATS = 21
 
 
 def sample_times(calls, repeats: int) -> list[list[float]]:
@@ -51,9 +52,6 @@ def mathieu_tridiagonal(rows: int, q: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=21, help="timed solves per entry and point")
-    args = parser.parse_args()
     print(f"_FULL_MAX = {mathieu._FULL_MAX}, _LEVEL_BLOCK = {mathieu._LEVEL_BLOCK}")
     print(f"{'rows':>5} {'q':>6} {'full ms':>9} {'block ms':>9} {'blocks/full':>11} {'full MB':>8}")
     block = (0, mathieu._LEVEL_BLOCK - 1)
@@ -64,7 +62,7 @@ def main() -> None:
                 statistics.median,
                 sample_times(
                     (lambda: mathieu.eigh_tridiagonal(d, e), lambda: mathieu.eigh_tridiagonal(d, e, block)),
-                    args.repeats,
+                    REPEATS,
                 ),
             )
             print(

@@ -37,10 +37,11 @@ for ``spectrum``, ``projector-expectations`` and ``states --state xi``,
 ``characters`` for ``states --state psi-*``, ``geometry`` for ``decomp``,
 and ``verify`` (every layer) for the two verify commands.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
-failure or out of memory (a grid or truncation too large to allocate, with a
-one-line ``out of memory:`` message), 141 stdout closed by its reader
-before the output was written (as by ``| head``), with no message.
+Exit codes: 0 success, 1 verification failure, 2 usage error (any
+``ValueError`` but ``TruncationError``), 3 numerical failure or out of
+memory (a grid or truncation too large to allocate, with a one-line ``out
+of memory:`` message), 141 stdout closed by its reader before the output
+was written (as by ``| head``), with no message.
 """
 
 from __future__ import annotations
@@ -58,10 +59,6 @@ from . import __version__, costratified
 from .errors import ConsistencyError, ConvergenceError, TruncationError
 from .params import ModelParams
 from .strata import Stratum
-
-
-class UsageError(Exception):
-    pass
 
 
 #: every option a flag or a config-file line can set, as argparse keywords;
@@ -89,30 +86,30 @@ def parse_value_list(text: str) -> list[float]:
     if ":" in text:
         parts = text.split(":")
         if len(parts) not in (3, 4) or (len(parts) == 4 and parts[3] != "log"):
-            raise UsageError(f"bad range {text!r}; expected lo:hi:count[:log]")
+            raise ValueError(f"bad range {text!r}; expected lo:hi:count[:log]")
         try:
             lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError as exc:
-            raise UsageError(f"bad range {text!r}: {exc}") from exc
+            raise ValueError(f"bad range {text!r}: {exc}") from exc
         if not math.isfinite(hi - lo):
-            raise UsageError(f"bad range {text!r}; need finite ends a finite distance apart")
+            raise ValueError(f"bad range {text!r}; need finite ends a finite distance apart")
         if count < 1 or not hi > lo:
-            raise UsageError(f"bad range {text!r}; need hi > lo and count >= 1")
+            raise ValueError(f"bad range {text!r}; need hi > lo and count >= 1")
         if len(parts) == 4 and lo <= 0:
-            raise UsageError(f"log range {text!r} needs lo > 0")
+            raise ValueError(f"log range {text!r} needs lo > 0")
         space = np.geomspace if len(parts) == 4 else np.linspace
         values = space(lo, hi, count).tolist()
     else:
         try:
             values = [float(v) for v in text.split(",") if v.strip() != ""]
         except ValueError as exc:
-            raise UsageError(f"bad value list {text!r}: {exc}") from exc
+            raise ValueError(f"bad value list {text!r}: {exc}") from exc
         if not values:
-            raise UsageError(f"empty value list {text!r}")
+            raise ValueError(f"empty value list {text!r}")
         if not all(map(math.isfinite, values)):
-            raise UsageError(f"values must be finite, got {text!r}")
+            raise ValueError(f"values must be finite, got {text!r}")
     if any(b <= a for a, b in zip(values, values[1:])):
-        raise UsageError(f"values must be strictly increasing, got {text!r}")
+        raise ValueError(f"values must be strictly increasing, got {text!r}")
     return values
 
 
@@ -122,24 +119,24 @@ def read_config_file(path: str) -> dict:
         with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
     except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}") from exc
+        raise ValueError(f"cannot read config file: {exc}") from exc
     out = {}
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, text = (part.strip() for part in line.partition("="))
         if key not in OPTIONS:
-            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         choices = OPTIONS[key].get("choices", (text,))
         if text not in choices:
-            raise UsageError(f"{path}:{lineno}: {key} must be {' or '.join(choices)}, got {text!r}")
+            raise ValueError(f"{path}:{lineno}: {key} must be {' or '.join(choices)}, got {text!r}")
         try:
             out[key] = OPTIONS[key]["type"](text)
         except ValueError as exc:
-            raise UsageError(f"{path}:{lineno}: {key}: {exc}") from exc
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from exc
     return out
 
 
@@ -153,7 +150,7 @@ def _resolve(settings: dict, key: str, sources, derive, default: str) -> list[fl
     """The ``key`` grid, else one value from ``sources`` via ``ModelParams``, else ``default``."""
     given = any(source in settings for source in sources)
     if key in settings and given:
-        raise UsageError(f"supply either {'/'.join(sources)} or {key}, not both")
+        raise ValueError(f"supply either {'/'.join(sources)} or {key}, not both")
     if given:
         hbar, beta2 = settings.get("hbar", 1.0), settings.get("beta2", 1.0)
         return [derive(ModelParams(hbar, beta2, settings.get("coupling_g", math.inf)))]
@@ -163,20 +160,20 @@ def _resolve(settings: dict, key: str, sources, derive, default: str) -> list[fl
 def resolve_t_values(settings: dict, default: str) -> list[float]:
     values = _resolve(settings, "hbar_beta2", ("hbar", "beta2"), lambda p: p.t, default)
     if any(v <= 0 for v in values):
-        raise UsageError("hbar_beta2 values must be positive")
+        raise ValueError("hbar_beta2 values must be positive")
     return values
 
 
 def resolve_nut_values(settings: dict, default: str) -> list[float]:
     # nu_tilde = 1 / (g^2 hbar t) needs an hbar that hbar_beta2 does not fix
     if {"coupling_g", "hbar_beta2"} <= set(settings) and not {"hbar", "beta2"} & set(settings):
-        raise UsageError(
+        raise ValueError(
             "coupling_g with hbar_beta2 is ambiguous; "
             "supply nu_tilde, or hbar and beta2 instead of hbar_beta2"
         )
     values = _resolve(settings, "nu_tilde", ("coupling_g",), lambda p: p.nu_tilde, default)
     if any(v < 0 for v in values):
-        raise UsageError("nu_tilde values must be non-negative")
+        raise ValueError("nu_tilde values must be non-negative")
     return values
 
 
@@ -239,7 +236,7 @@ def svg_text(config_json: str, series, xlabel: str, ylabel: str, logx: bool = Fa
     ys_all = np.concatenate([np.asarray(ys, dtype=float) for _, _, ys in series])
     if logx:
         if np.any(xs_all <= 0):
-            raise UsageError(f"the {xlabel} axis needs x > 0, got {float(np.min(xs_all))!r}")
+            raise ValueError(f"the {xlabel} axis needs x > 0, got {float(np.min(xs_all))!r}")
         xs_all = np.log10(xs_all)
     x_lo, x_hi = float(np.min(xs_all)), float(np.max(xs_all))
     y_lo, y_hi = float(np.min(ys_all)), float(np.max(ys_all))
@@ -287,7 +284,7 @@ def write_output(path: str, chunks):
             with open(path, "w", encoding="utf-8", newline="") as handle:
                 handle.writelines(chunks)
         except OSError as exc:
-            raise UsageError(f"cannot write output: {exc}") from exc
+            raise ValueError(f"cannot write output: {exc}") from exc
 
 
 #: rows formatted and written at a time.  Only one block's strings are alive
@@ -322,7 +319,7 @@ def emit(settings: dict, command: str, config: dict, axes: dict, data: dict, plo
     if plot is not None:
         config = {**config, "format": fmt_name}
     elif fmt_name != "csv":
-        raise UsageError(f"{command} only supports csv output")
+        raise ValueError(f"{command} only supports csv output")
     config_json = canonical_config(command, **config)
     if fmt_name == "svg":
         chunks = [svg_text(config_json, **plot)]
@@ -348,7 +345,7 @@ def cmd_spectrum(args, settings) -> int:
     nut_axis = Axis(resolve_nut_values(settings, default="0:24:49"))
     n_max = settings.get("n_max", 8)
     if n_max < 1:
-        raise UsageError("n_max must be >= 1")
+        raise ValueError("n_max must be >= 1")
     energies = np.array([spectrum.energy(np.arange(n_max + 1), nut) for nut in nut_axis.values])
     series = [(f"E_{n}", nut_axis.values, energies[:, n]) for n in range(n_max)]
     plot = dict(series=series, xlabel="nu_tilde", ylabel="E_n / hbar^2 beta2")
@@ -361,24 +358,24 @@ def cmd_states(args, settings) -> int:
     t_axis = Axis(resolve_t_values(settings, default="0.125"))
     nut_axis = Axis(resolve_nut_values(settings, default="0"))
     if len(t_axis.values) != 1 or len(nut_axis.values) != 1:
-        raise UsageError("states needs a single hbar_beta2 and a single nu_tilde")
+        raise ValueError("states needs a single hbar_beta2 and a single nu_tilde")
     grid = settings.get("grid", 257)
     if grid < 2:
-        raise UsageError("grid must be >= 2")
+        raise ValueError("grid must be >= 2")
     x = np.linspace(0.0, math.pi, grid)
     if args.state in ("psi-plus", "psi-minus"):
         from . import characters
 
         stratum = Stratum.PLUS if args.state == "psi-plus" else Stratum.MINUS
         state = costratified.stratum_state(stratum, t_axis.values[0])
-        values = math.sqrt(2.0) * characters.sine_series(x, state.coeffs)
+        values = math.sqrt(2.0) * characters.sine_series(x, state)
         label = args.state
     else:
         from . import spectrum
 
         level = args.level
         if level < 0:
-            raise UsageError("level must be >= 0")
+            raise ValueError("level must be >= 0")
         # eigenfunctions do not depend on t
         values = spectrum.eigenfunction_x(level, nut_axis.values[0], x)
         label = f"xi_{level}"
@@ -394,7 +391,7 @@ def cmd_projector_expectations(args, settings) -> int:
     nut_axis = Axis(resolve_nut_values(settings, default="0.1:100:30:log"))
     n_max = settings.get("n_max", 6)
     if n_max < 1:
-        raise UsageError("n_max must be >= 1")
+        raise ValueError("n_max must be >= 1")
     # one call serves the sweep, its arrays in the (t, nu_tilde, n) order of the rows
     plus, minus, completeness = spectrum.projector_expectations(t_axis.values, nut_axis.values, n_max)
     series = [
@@ -418,7 +415,7 @@ def cmd_decomp(args, settings) -> int:
 
     s, k = args.s, args.k
     if s < 1 or k < 0:
-        raise UsageError("need s >= 1 and k >= 0")
+        raise ValueError("need s >= 1 and k >= 0")
     monomials = geometry.monomial_decomposition(s, k)
     axes = {"s": Axis([s]), "k": Axis([k]), "index": Axis(range(len(monomials)))}
     data = {
@@ -431,8 +428,8 @@ def cmd_decomp(args, settings) -> int:
 def cmd_verify(args, settings) -> int:
     from . import verify
 
-    if settings.get("format", "csv") != "csv":
-        raise UsageError(f"{args.command} writes a text report, not {settings['format']}")
+    if "format" in settings:
+        raise ValueError(f"{args.command} writes a text report, not {settings['format']}")
     results = verify.all_checks() if args.command == "verify" else verify.geometry_checks()
     write_output(settings.get("out", "-"), [verify.render_report(results, args.command)])
     return 0 if all(r.passed for r in results) else 1
@@ -499,9 +496,6 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (
         ConvergenceError,
         TruncationError,

@@ -11,6 +11,9 @@ unit states (built in the abstract orthonormal basis, t = hbar * beta2)
 with N^2 = sum_{n>=1} n^2 exp(-t n^2).  Their overlap is S / N^2 with the
 alternating sum S = sum_{n>=1} (-1)^(n+1) n^2 exp(-t n^2).
 
+A state is a 1-D array of its coefficients in that basis, as a Mathieu
+row is: ``stratum_state`` returns the vertex state's read-only unit float
+array, and ``project`` and ``vertex_evaluation`` take any such array.
 The vertex state, its evaluation functional, its vanishing subspace and its
 overlaps with eigenstates all read their signed weights from ``vertex_weights``.
 
@@ -45,7 +48,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,29 +68,6 @@ _DUAL_CUTOFF = 1e-20
 _TAIL_TOL = 1e-12
 _PI2 = math.pi**2
 _SQRT_PI = math.sqrt(math.pi)
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Coefficient vector in the orthonormal basis, stamped with its t = hbar beta2."""
-
-    coeffs: np.ndarray
-    t: float
-
-    def __post_init__(self):
-        vec = np.array(self.coeffs)
-        if vec.ndim != 1 or len(vec) == 0:
-            raise ValueError("coeffs must be a non-empty vector")
-        if not np.all(np.isfinite(vec)):
-            raise ValueError("coeffs must be finite")
-        if vec.dtype.kind in "iu":
-            vec = vec.astype(float)
-        vec.setflags(write=False)
-        object.__setattr__(self, "coeffs", vec)
-
-    @property
-    def trunc(self) -> int:
-        return len(self.coeffs)
 
 
 def _agree(a: float, b: float, what: str) -> None:
@@ -216,46 +195,53 @@ def check_tail(t: float, weights: np.ndarray, norm: float) -> None:
         )
 
 
-def stratum_state(stratum: Stratum, t: float, trunc: int | None = None) -> StateVector:
-    """Unit state spanning the quantum subspace of the given vertex stratum at t = hbar beta2.
+def stratum_state(stratum: Stratum, t: float, trunc: int | None = None) -> np.ndarray:
+    """Unit coefficients of the state spanning the stratum's quantum subspace at t = hbar beta2.
 
-    A truncation past ``MAX_ROWS`` rows, which the default one is below
-    t ~ 2.91e-10, raises ``TruncationError`` before anything is allocated;
-    one whose last weight fails ``check_tail`` raises it too.
+    A read-only 1-D float array in the orthonormal basis.  A truncation
+    below one row raises ``ValueError``; one past ``MAX_ROWS`` rows, which
+    the default one is below t ~ 2.91e-10, raises ``TruncationError``
+    before anything is allocated; one whose last weight fails
+    ``check_tail`` raises it too.
     """
     if trunc is None:
         trunc = default_trunc(t)
+    elif trunc < 1:
+        raise ValueError(f"a vertex state needs trunc >= 1, got {trunc}")
     n2 = norm_squared(t)  # first: below the N^2 edge the truncation is too large to allocate
     if trunc > MAX_ROWS:
         raise TruncationError(f"trunc={trunc:.4g} at t={t} is past {MAX_ROWS} rows")
     weights = vertex_weights(stratum, t, trunc)
-    state = StateVector(weights / math.sqrt(n2), t)  # first: it refuses an empty truncation
-    check_tail(t, weights, math.sqrt(n2))
+    norm = math.sqrt(n2)
+    check_tail(t, weights, norm)
+    state = weights / norm
+    state.setflags(write=False)
     return state
 
 
-def vertex_evaluation(state: StateVector, stratum: Stratum, params: ModelParams) -> complex:
-    """Evaluate the holomorphic realization of ``state`` at the stratum's vertex.
+def vertex_evaluation(coeffs: np.ndarray, stratum: Stratum, params: ModelParams) -> complex:
+    """Evaluate the holomorphic realization of the state ``coeffs`` at the stratum's vertex.
 
-    The n-th basis vector corresponds to the holomorphic character scaled by
-    C_n^(-1/2), and the complex character at the +/- identity equals
-    (+/-1)^n (n+1), so this sums the coefficients against ``vertex_weights``;
-    it is zero exactly when the state belongs to that vertex's vanishing subspace.
-    The scale (hbar pi)^(-3/4) depends on hbar itself, not on t alone, so this
-    takes the physical ``params``.
+    ``coeffs`` is a 1-D array in the orthonormal basis.  The n-th basis
+    vector corresponds to the holomorphic character scaled by C_n^(-1/2),
+    and the complex character at the +/- identity equals (+/-1)^n (n+1), so
+    this sums the coefficients against ``vertex_weights``; it is zero
+    exactly when the state belongs to that vertex's vanishing subspace.
+    The scale (hbar pi)^(-3/4) depends on hbar itself, not on t alone, so
+    this takes the physical ``params``.
     """
-    weights = vertex_weights(stratum, params.t, state.trunc)
+    weights = vertex_weights(stratum, params.t, len(coeffs))
     scale = (params.hbar * math.pi) ** -0.75
-    return complex(scale * np.sum(state.coeffs * weights))
+    return complex(scale * np.sum(coeffs * weights))
 
 
-def project(state: StateVector, stratum: Stratum, t: float) -> StateVector:
-    """Orthogonal (rank-one) projection of ``state`` onto the stratum subspace at t."""
-    if abs(state.t - t) > 1e-12 * max(1.0, t):
-        raise ValueError(f"state was built for t={state.t}, not t={t}")
-    basis = stratum_state(stratum, t, trunc=max(state.trunc, default_trunc(t)))
-    amplitude = complex(np.vdot(basis.coeffs[: state.trunc], state.coeffs))
-    return StateVector(basis.coeffs * amplitude, t)
+def project(coeffs: np.ndarray, stratum: Stratum, t: float) -> np.ndarray:
+    """Orthogonal (rank-one) projection of the 1-D state ``coeffs`` onto the stratum subspace at t.
+
+    The result has the larger of ``len(coeffs)`` and ``default_trunc(t)`` rows.
+    """
+    basis = stratum_state(stratum, t, trunc=max(len(coeffs), default_trunc(t)))
+    return basis * complex(np.vdot(basis[: len(coeffs)], coeffs))
 
 
 def vanishing_basis(stratum: Stratum, t: float, trunc: int) -> np.ndarray:

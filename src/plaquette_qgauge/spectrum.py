@@ -32,7 +32,7 @@ Both sweeps read one Mathieu eigensystem per q.  ``energy`` takes one level
 or an integer array of levels, and an array is served by one eigensolve, so
 a spectrum sweep costs one eigensolve per nu_tilde; ``eigenstates`` serves
 the energies and state rows of an array of levels the same way, and
-``eigenstate`` returns one level's ``(energy, StateVector)``.  Projector
+``eigenstate`` returns one level's ``(energy, row)``.  Projector
 expectations are squared overlaps of eigenstates with the two vertex
 states.
 ``projector_expectations`` serves a whole (t, nu_tilde) sweep in one call,
@@ -54,7 +54,7 @@ import math
 import numpy as np
 
 from . import characters, costratified, mathieu
-from .costratified import StateVector, TruncationError, vertex_weights
+from .costratified import TruncationError, vertex_weights
 from .strata import Stratum
 
 #: projector_expectations sums P_plus over the level counts of these rungs, in
@@ -106,8 +106,8 @@ def _state_trunc(n: int, q: float, t: float) -> int:
 def eigenstates(levels, t: float, nu_tilde: float, trunc: int | None = None):
     """Energies and orthonormal-basis coefficient rows of an integer array of levels.
 
-    Returns the energies E_n / (hbar^2 beta2) and a (levels, trunc) array
-    whose row i is the eigenstate of ``levels[i]``, all from one eigensolve.
+    Returns the energies E_n / (hbar^2 beta2) and a read-only (levels, trunc)
+    array whose row i is the eigenstate of ``levels[i]``, all from one eigensolve.
     t sets only the default truncation, which also holds the vertex states
     of t.  At nu_tilde = 0 each row is exactly its basis vector.
     """
@@ -116,16 +116,17 @@ def eigenstates(levels, t: float, nu_tilde: float, trunc: int | None = None):
     if trunc is None:
         trunc = _state_trunc(int(levels.max()), q, t)
     b, coeffs = mathieu.solve(levels, q, trunc=trunc)
-    signs = (-1.0) ** (levels[:, None] + np.arange(coeffs.shape[1]))
-    return _energy_from_b(b, nu_tilde), signs * coeffs
+    rows = (-1.0) ** (levels[:, None] + np.arange(coeffs.shape[1])) * coeffs
+    rows.setflags(write=False)
+    return _energy_from_b(b, nu_tilde), rows
 
 
 def eigenstate(
     n: int, t: float, nu_tilde: float, trunc: int | None = None
-) -> tuple[float, StateVector]:
-    """Energy and eigenstate of level n, stamped with t: row 0 of ``eigenstates([n], ...)``."""
+) -> tuple[float, np.ndarray]:
+    """Energy and read-only coefficient row of level n, as ``eigenstates([n], ...)`` gives them."""
     energies, coeffs = eigenstates([n], t, nu_tilde, trunc)
-    return float(energies[0]), StateVector(coeffs[0], t)
+    return float(energies[0]), coeffs[0]
 
 
 def eigenfunction_x(n: int, nu_tilde: float, x):

@@ -207,10 +207,10 @@ def state_checks() -> list[CheckResult]:
     vertices = [costratified.stratum_state(s, 0.125) for s in (Stratum.PLUS, Stratum.MINUS)]
     for j, nut in enumerate(nu_tildes):
         # the two vertex states share a truncation, so one solve serves both
-        _, states = spectrum.eigenstates(np.arange(6), 0.125, nut, trunc=vertices[0].trunc)
+        _, states = spectrum.eigenstates(np.arange(6), 0.125, nut, trunc=len(vertices[0]))
         for vertex, via_formula in zip(vertices, (plus[0, j], minus[0, j])):
             for n in range(6):
-                via_vectors = float(np.vdot(vertex.coeffs, states[n])) ** 2
+                via_vectors = float(np.vdot(vertex, states[n])) ** 2
                 worst = max(worst, abs(via_vectors - via_formula[n]))
     out.append(_residual_check("projector-route-consistency", worst, 1e-12))
 

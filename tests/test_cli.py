@@ -657,9 +657,12 @@ class TestVerifyCommands:
         assert "[FAIL] projector-route-consistency" in out
         assert "[FAIL] parity-separation" in out
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("fmt", ["svg", "csv"])
     @pytest.mark.parametrize("command", ["verify", "geometry-verify"])
-    def test_svg_is_refused_before_any_check(self, command, tmp_path, monkeypatch):
-        # the report is text: exit 2 with one error line, no check run, nothing written
+    def test_svg_is_refused_before_any_check(self, command, fmt, source, tmp_path, monkeypatch):
+        # the report is text, so any explicit format, csv included, is refused:
+        # exit 2 with one error line, no check run, nothing written
         from plaquette_qgauge import verify
 
         def never(*args, **kwargs):
@@ -667,8 +670,14 @@ class TestVerifyCommands:
 
         monkeypatch.setattr(verify, "all_checks", never)
         monkeypatch.setattr(verify, "geometry_checks", never)
-        path = tmp_path / "report.svg"
-        code, out, err = run_quiet([command, "--format", "svg", "--out", str(path)])
+        path = tmp_path / f"report.{fmt}"
+        if source == "flag":
+            given = ["--format", fmt]
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text(f"format = {fmt}\n")
+            given = ["--config", str(config)]
+        code, out, err = run_quiet([command, *given, "--out", str(path)])
         assert code == 2
         assert out == "" and err.count("\n") == 1
         assert err.startswith("error: ") and "text report" in err

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from plaquette_qgauge import Stratum, costratified
 from plaquette_qgauge.costratified import (
     ConsistencyError,
-    StateVector,
     TruncationError,
     norm_squared,
     normalization_constant,
@@ -82,34 +81,37 @@ class TestNormalization:
 class TestVertexStates:
     def test_unit_norm(self):
         for stratum in (Stratum.PLUS, Stratum.MINUS):
-            assert abs(np.linalg.norm(stratum_state(stratum, T).coeffs) - 1.0) < 1e-12
+            assert abs(np.linalg.norm(stratum_state(stratum, T)) - 1.0) < 1e-12
 
     def test_leading_coefficient_positive(self):
         state = stratum_state(Stratum.PLUS, T)
         expected = math.exp(-T / 2.0) / normalization_constant(T)
-        assert math.isclose(float(state.coeffs[0]), expected, rel_tol=1e-13)
-        assert state.coeffs[0] > 0.0
+        assert math.isclose(float(state[0]), expected, rel_tol=1e-13)
+        assert state[0] > 0.0
 
     def test_minus_is_parity_flip_of_plus(self):
         plus = stratum_state(Stratum.PLUS, T)
         minus = stratum_state(Stratum.MINUS, T)
-        signs = (-1.0) ** np.arange(plus.trunc)
-        assert np.array_equal(np.asarray(minus.coeffs), signs * np.asarray(plus.coeffs))
+        signs = (-1.0) ** np.arange(len(plus))
+        assert np.array_equal(minus, signs * plus)
 
-    def test_integer_coefficients_are_kept_as_floats(self):
-        negative = StateVector(np.array([-1, 0]), T)
-        assert negative.coeffs.dtype == np.float64
-        assert np.array_equal(negative.coeffs, [-1.0, 0.0])
-        assert StateVector(np.array([1, 0]), T).coeffs.dtype == np.float64
+    @pytest.mark.parametrize("stratum", [Stratum.PLUS, Stratum.MINUS])
+    @pytest.mark.parametrize("trunc", [None, 40])
+    def test_state_is_the_read_only_unit_weight_array(self, stratum, trunc):
+        # the weights over N, bit for bit, as one read-only 1-D float64 array
+        state = stratum_state(stratum, T, trunc=trunc)
+        count = costratified.default_trunc(T) if trunc is None else trunc
+        expected = costratified.vertex_weights(stratum, T, count) / math.sqrt(norm_squared(T))
+        assert isinstance(state, np.ndarray) and state.dtype == np.float64 and state.ndim == 1
+        assert state.tobytes() == expected.tobytes()
+        assert not state.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            state[0] = 0.0
 
-    def test_non_finite_coefficients_rejected(self):
-        for coeffs in ([1.0, math.nan], [math.inf, 0.0], [1.0 + 0.0j, complex(0.0, math.inf)]):
-            with pytest.raises(ValueError, match="finite"):
-                StateVector(np.array(coeffs), T)
-
-    def test_empty_coefficients_rejected(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            StateVector(np.array([]), T)
+    @pytest.mark.parametrize("trunc", [0, -1])
+    def test_empty_truncation_rejected(self, trunc):
+        with pytest.raises(ValueError, match=f"trunc >= 1, got {trunc}$"):
+            stratum_state(Stratum.PLUS, T, trunc=trunc)
 
     def test_top_stratum_rejected(self):
         with pytest.raises(ValueError):
@@ -129,7 +131,7 @@ class TestVertexStates:
     def test_default_truncation_up_to_the_row_bound_is_built(self):
         # default_trunc is 524,241 rows here, just inside 2**19
         state = stratum_state(Stratum.PLUS, 2.911e-10)
-        assert state.trunc == costratified.default_trunc(2.911e-10) <= costratified.MAX_ROWS
+        assert len(state) == costratified.default_trunc(2.911e-10) <= costratified.MAX_ROWS
 
     @pytest.mark.parametrize("t", [2.91e-10, 1e-200])
     def test_truncation_past_the_row_bound_refuses_before_allocating(self, t, monkeypatch):
@@ -144,21 +146,21 @@ class TestVertexStates:
     def test_tail_is_within_the_truncation_rule(self):
         # the last unit-state coefficient is the vertex-weight tail relative to N
         state = stratum_state(Stratum.PLUS, T)
-        assert abs(state.coeffs[-1]) == abs(float(state.coeffs[-1]))
-        assert 0.0 < abs(state.coeffs[-1]) <= costratified._TAIL_TOL
+        assert abs(state[-1]) == abs(float(state[-1]))
+        assert 0.0 < abs(state[-1]) <= costratified._TAIL_TOL
 
     @settings(deadline=None, max_examples=25)
     @given(st.floats(min_value=0.02, max_value=5.0))
     def test_parity_relation_any_t(self, t):
         plus = stratum_state(Stratum.PLUS, t)
         minus = stratum_state(Stratum.MINUS, t)
-        signs = (-1.0) ** np.arange(plus.trunc)
-        assert np.array_equal(np.asarray(minus.coeffs), signs * np.asarray(plus.coeffs))
+        signs = (-1.0) ** np.arange(len(plus))
+        assert np.array_equal(minus, signs * plus)
 
 
 class TestVertexEvaluation:
     def test_basis_state_at_minus_vertex(self, params):
-        state = StateVector(np.eye(20)[0], T)
+        state = np.eye(20)[0]
         expected = (params.hbar * math.pi) ** -0.75 * math.exp(-params.t / 2.0)
         assert math.isclose(vertex_evaluation(state, Stratum.MINUS, params).real, expected)
 
@@ -170,7 +172,7 @@ class TestVertexEvaluation:
     def test_vanishing_basis_evaluates_to_zero(self, params, stratum):
         basis = vanishing_basis(stratum, T, trunc=30)
         for column in basis.T:
-            value = vertex_evaluation(StateVector(column, T), stratum, params)
+            value = vertex_evaluation(column, stratum, params)
             assert abs(value) < 1e-12
 
     def test_vanishing_basis_needs_two_rows(self):
@@ -190,7 +192,7 @@ class TestVertexEvaluation:
         assert np.all(np.isfinite(basis))
         assert np.allclose(np.linalg.norm(basis, axis=0), 1.0, rtol=0.0, atol=1e-15)
         for column in basis.T:
-            value = vertex_evaluation(StateVector(column, t), stratum, params)
+            value = vertex_evaluation(column, stratum, params)
             assert abs(value) <= 1e-14 * size
 
 
@@ -198,28 +200,23 @@ class TestProjection:
     def test_idempotent_on_vertex_state(self):
         psi = stratum_state(Stratum.PLUS, T)
         projected = project(psi, Stratum.PLUS, T)
-        m = min(psi.trunc, projected.trunc)
-        assert np.max(np.abs(projected.coeffs[:m] - psi.coeffs[:m])) < 1e-12
+        m = min(len(psi), len(projected))
+        assert np.max(np.abs(projected[:m] - psi[:m])) < 1e-12
 
     def test_annihilates_vanishing_subspace(self):
         basis = vanishing_basis(Stratum.PLUS, T, trunc=30)
         for column in basis.T:
-            projected = project(StateVector(column, T), Stratum.PLUS, T)
-            assert np.linalg.norm(projected.coeffs) < 1e-12
+            projected = project(column, Stratum.PLUS, T)
+            assert np.linalg.norm(projected) < 1e-12
 
     def test_projection_squared_equals_projection(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             raw = rng.standard_normal(25) + 1j * rng.standard_normal(25)
-            state = StateVector(raw / np.linalg.norm(raw), T)
+            state = raw / np.linalg.norm(raw)
             once = project(state, Stratum.MINUS, T)
             twice = project(once, Stratum.MINUS, T)
-            assert np.max(np.abs(np.asarray(twice.coeffs) - np.asarray(once.coeffs))) < 1e-12
-
-    def test_mismatched_parameters_rejected(self):
-        state = StateVector(np.eye(10)[0], 0.5)
-        with pytest.raises(ValueError, match="t=0.5, not t=0.125"):
-            project(state, Stratum.PLUS, T)
+            assert np.max(np.abs(twice - once)) < 1e-12
 
 
 class TestSubspaceDimension:
@@ -233,7 +230,7 @@ class TestSubspaceDimension:
         assert abs(singular_values[0] - 1.0) < 1e-10
         assert singular_values[1] < 1e-10
         # and the single leftover direction is the vertex state
-        psi = np.asarray(stratum_state(stratum, T, trunc=trunc).coeffs, dtype=float)
+        psi = stratum_state(stratum, T, trunc=trunc)
         assert np.linalg.norm(complement @ psi - psi) < 1e-10
 
     def test_reproducing_property(self, params):
@@ -244,8 +241,8 @@ class TestSubspaceDimension:
         ratios = []
         for _ in range(20):
             raw = rng.standard_normal(30)
-            state = StateVector(raw / np.linalg.norm(raw), T)
-            overlap = np.vdot(psi.coeffs, state.coeffs)
+            state = raw / np.linalg.norm(raw)
+            overlap = np.vdot(psi, state)
             evaluation = vertex_evaluation(state, Stratum.PLUS, params)
             ratios.append(complex(overlap) / complex(evaluation))
         spread = max(abs(r - ratios[0]) for r in ratios)

@@ -113,13 +113,13 @@ class TestSturmOracle:
 class TestEigenstates:
     def test_free_theory_states_are_exact_basis_vectors(self):
         _, state = spectrum.eigenstate(2, 0.125, 0.0)
-        expected = np.zeros(state.trunc)
+        expected = np.zeros(len(state))
         expected[2] = 1.0
-        assert np.array_equal(np.asarray(state.coeffs, dtype=float), expected)
+        assert np.array_equal(state, expected)
 
     def test_orthonormality(self):
         vectors = np.column_stack(
-            [spectrum.eigenstate(n, 0.125, 6.0, trunc=40)[1].coeffs for n in range(8)]
+            [spectrum.eigenstate(n, 0.125, 6.0, trunc=40)[1] for n in range(8)]
         )
         gram = vectors.T @ vectors
         assert np.max(np.abs(gram - np.eye(8))) < 1e-9
@@ -127,12 +127,11 @@ class TestEigenstates:
     def test_eigenvector_residual_against_matrix(self):
         h = spectrum.hamiltonian_matrix(6.0, 40)
         for n in range(6):
-            energy, state = spectrum.eigenstate(n, 0.25, 6.0, trunc=40)
-            vec = np.asarray(state.coeffs, dtype=float)
+            energy, vec = spectrum.eigenstate(n, 0.25, 6.0, trunc=40)
             assert np.linalg.norm(h @ vec - energy * vec) < 1e-7
 
     def test_unit_norm(self):
-        assert abs(np.linalg.norm(spectrum.eigenstate(4, 0.5, 24.0)[1].coeffs) - 1.0) < 1e-10
+        assert abs(np.linalg.norm(spectrum.eigenstate(4, 0.5, 24.0)[1]) - 1.0) < 1e-10
 
     def test_energy_and_state_share_one_eigensolve(self, eigensolves):
         energy, _ = spectrum.eigenstate(2, 0.125, 6.0, trunc=40)
@@ -147,8 +146,18 @@ class TestEigenstates:
         for n in range(6):
             energy, state = spectrum.eigenstate(n, 0.125, 6.0, trunc=40)
             assert energy == energies[n]
-            assert state.coeffs.tobytes() == coeffs[n].tobytes()
-            assert state.t == 0.125
+            assert state.tobytes() == coeffs[n].tobytes()
+
+    @pytest.mark.parametrize("trunc", [None, 40])
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_row_is_the_single_level_eigenstates_row(self, n, trunc):
+        # a read-only 1-D float64 row, bit for bit the row eigenstates([n]) builds
+        energy, state = spectrum.eigenstate(n, 0.125, 6.0, trunc=trunc)
+        energies, rows = spectrum.eigenstates([n], 0.125, 6.0, trunc=trunc)
+        assert energy == energies[0]
+        assert state.dtype == np.float64 and state.ndim == 1
+        assert state.tobytes() == rows[0].tobytes()
+        assert not state.flags.writeable and not rows.flags.writeable
 
 
 class TestEigenfunctions:
@@ -170,7 +179,7 @@ class TestEigenfunctions:
         pairs = [(int(n), float(x)) for n, x in zip(rng.integers(0, 6, 50), rng.uniform(0, math.pi, 50))]
         for n, x in pairs:
             direct = spectrum.eigenfunction_x(n, 12.0, x)
-            coeffs = np.asarray(spectrum.eigenstate(n, 0.125, 12.0)[1].coeffs, dtype=float)
+            coeffs = spectrum.eigenstate(n, 0.125, 12.0)[1]
             k = np.arange(len(coeffs))
             expansion = float(np.sum(coeffs * math.sqrt(2.0) * np.sin((k + 1) * x)))
             assert abs(direct - expansion) < 1e-9
@@ -218,8 +227,8 @@ class TestProjectorExpectations:
     def test_overlap_formula_matches_state_vectors(self):
         vertex = costratified.stratum_state(Stratum.PLUS, 0.125)
         for n in range(5):
-            _, state = spectrum.eigenstate(n, 0.125, 6.0, trunc=vertex.trunc)
-            direct = abs(np.vdot(vertex.coeffs, state.coeffs)) ** 2
+            _, state = spectrum.eigenstate(n, 0.125, 6.0, trunc=len(vertex))
+            direct = abs(np.vdot(vertex, state)) ** 2
             assert abs(direct - spectrum.projector_expectation(n, 0.125, 6.0, Stratum.PLUS)) < 1e-12
 
     def test_one_normalization_per_call(self, monkeypatch):
