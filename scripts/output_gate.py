@@ -7,7 +7,7 @@ Exports REV's ``src/`` with ``git archive`` into a temporary directory and
 runs one fixed list of commands against that export and against the
 working tree's ``src/``: the four benchmark workloads at seeds 0 and 1 (their
 arguments from ``perfbench/workloads.py``), the determinism configs of
-``tests/test_acceptance.py``, every command at its defaults, three
+``tests/test_acceptance.py``, every command at its defaults, five
 commands that solve past 128 rows (``LARGE_Q``), a projector sweep at t
 that are not powers of two (``Q_PER_NU_TILDE``), a projector sweep whose t
 need different truncations (``MIXED_TRUNCATION``), an eigenfunction at a t
@@ -15,8 +15,9 @@ that is not a power of two (``XI_AT_T``), three commands at the edges
 of the vertex-state domain (``DOMAIN_EDGES``), two ranges whose step is
 below the spacing of doubles (``GRID_EDGES``), the tunneling route switch
 and cross-check band ends with the doubles either side (``BAND_EDGES``), a
-log-x SVG with an x of 0 and a ``decomp`` whose rank bound is far above its
-degree (``CLI_EDGES``), and ``scripts/make_figure_data.py`` (the working
+log-x SVG with an x of 0, a ``decomp`` whose rank bound is far above its
+degree and an eigenfunction at level 100,000 (``CLI_EDGES``), and
+``scripts/make_figure_data.py`` (the working
 tree's script on both sides, so only ``src/`` differs).  Each runs as a
 fresh ``python -m plaquette_qgauge`` process under
 ``OPENBLAS_NUM_THREADS=1`` and ``=2``.  A command's result is its exit
@@ -63,10 +64,14 @@ ACCEPTANCE = [
 ]
 #: commands with large truncations: the partial solve past
 #: ``mathieu._FULL_MAX`` rows in blocks of 16 levels, the first block alone,
-#: and full solves past 128 rows from the completeness doubling
+#: lone levels whose block is not the first (levels 700 and 2000 at q = 4,
+#: 712 and 2012 rows), and full solves past 128 rows from the completeness
+#: doubling
 LARGE_Q = [
     ["spectrum", "--nu-tilde", "1e4:1e8:40:log", "--n-max", "40"],
     ["states", "--state", "xi", "--level", "3", "--nu-tilde", "1e8"],
+    ["states", "--state", "xi", "--level", "700", "--nu-tilde", "1"],
+    ["states", "--state", "xi", "--level", "2000", "--nu-tilde", "1"],
     ["projector-expectations", "--hbar-beta2", "2", "--nu-tilde", "3000,10000"],
 ]
 #: a projector sweep at t that are not powers of two: there q = 4 nu_tilde
@@ -109,11 +114,14 @@ BAND_EDGES = [
      "1.9999999999999998,2,2.0000000000000004"],
 ]
 #: a log-x SVG with nu_tilde = 0, which has no logarithm, refused with exit
-#: 2; and a rank bound of 2000 with degree 1, one row of 2000 exponents
+#: 2; a rank bound of 2000 with degree 1, one row of 2000 exponents; and
+#: level 100,000 at q = 4, whose 100,012-row truncation is solved in the one
+#: block that holds it
 CLI_EDGES = [
     ["projector-expectations", "--hbar-beta2", "0.125", "--nu-tilde", "0,1,10", "--n-max", "1",
      "--format", "svg"],
     ["decomp", "--s", "2000", "--k", "1"],
+    ["states", "--state", "xi", "--level", "100000", "--nu-tilde", "1"],
 ]
 DEFAULTS = [
     ["tunneling"],

@@ -38,10 +38,10 @@ wrapper extension without importing ``scipy.linalg`` (see its docstring):
   LAPACK's eigenvector matrix (at most 2 MB) lives only during the call;
   that covers the start for levels up to 40 at q up to about 3.7e6
   (nu_tilde about 9e5);
-* above 512 rows, only the lowest levels, by bisection and inverse
-  iteration, in fixed blocks of 16 levels, [0, 16), [16, 32), ..., up to
-  the block that holds the highest level asked for, so memory grows with
-  the levels used, not with the square of the truncation.
+* above 512 rows, by bisection and inverse iteration, in fixed blocks of
+  16 levels, [0, 16), [16, 32), ...: only the blocks that hold the
+  requested levels, so memory and work grow with those blocks, not with
+  the square of the truncation or with the highest level's index.
 
 The eigensystem holds its levels as arrays: the characteristic values, and
 a read-only, C-contiguous (levels, trunc) block of unit-normalized,
@@ -111,7 +111,7 @@ _SHARED_LEVELS = 40
 #: the levels asked for
 _FULL_MAX = 512
 #: levels per eigensolve above ``_FULL_MAX`` rows: a partial eigensystem
-#: solves levels [0, 16), [16, 32), ..., up to the block a request needs
+#: solves those of the blocks [0, 16), [16, 32), ... that a request reads
 _LEVEL_BLOCK = 16
 #: no |q| past this is solved (nu_tilde = q / 4 of 1.7e10): there E_gap, the
 #: difference of two energies near nu_tilde / 2, keeps only about 11 digits
@@ -228,20 +228,22 @@ def default_trunc(n: int, q: float) -> int:
     return max(well, n + a + math.ceil(b * r))
 
 
-def _eigensystem(q: float, trunc: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Characteristic values and coefficient rows of the lowest levels at (q, trunc).
+def _eigensystem(
+    q: float, trunc: int, count: int, starts: list[int] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Characteristic values and coefficient rows of levels at (q, trunc).
 
     A truncation up to ``_FULL_MAX`` is diagonalized in full, and exactly
     the lowest ``count`` levels are kept.  A larger one is solved in whole
-    blocks of ``_LEVEL_BLOCK`` levels, [0, 16), [16, 32), ..., up to the
-    block that holds level ``count - 1``, one bisection call each, so
-    memory stays O(trunc * levels used).  Every block is one
-    ``eigh_tridiagonal`` call; it is solved, the residuals of its kept
-    levels checked, and their rows normalized and sign-anchored (see the
-    module docstring) in one step, written into read-only arrays allocated
-    here.  Normalization and anchor work row by row, and the blocks are
-    fixed by the truncation, so a level's bits depend on (q, trunc, n)
-    alone.
+    blocks of ``_LEVEL_BLOCK`` levels, one bisection call each: the blocks
+    that begin at ``starts`` (ascending multiples of the block size below
+    the truncation), stacked in that order, so memory stays O(trunc *
+    levels solved).  Every block is one ``eigh_tridiagonal`` call; it is
+    solved, the residuals of its kept levels checked, and their rows
+    normalized and sign-anchored (see the module docstring) in one step,
+    written into read-only arrays allocated here.  Normalization and anchor
+    work row by row, and the blocks are fixed by the truncation, so a
+    level's bits depend on (q, trunc, n) alone.
     """
     freqs = 2.0 * np.arange(trunc) + 2.0
     d = freqs**2
@@ -251,11 +253,14 @@ def _eigensystem(q: float, trunc: int, count: int) -> tuple[np.ndarray, np.ndarr
     off = np.full(trunc - 1, q)
     scale = max(1.0, float(d[-1]) + 2.0 * abs(q))
     full = trunc <= _FULL_MAX
-    width = count if full else _LEVEL_BLOCK
-    stop = count if full else min(-(-count // width) * width, trunc)
-    values, block = np.empty(stop), np.empty((stop, trunc))
-    for start in range(0, stop, width):
-        end = min(start + width, stop)
+    if full:
+        spans = ((0, count),)
+    else:
+        spans = [(start, min(start + _LEVEL_BLOCK, trunc)) for start in starts]
+    size = sum(end - start for start, end in spans)
+    values, block = np.empty(size), np.empty((size, trunc))
+    at = 0
+    for start, end in spans:
         w, v = eigh_tridiagonal(d, off, None if full else (start, end - 1))
         # a full solve returns every level; only the lowest ``count`` are kept
         w, v = w[: end - start], v[:, : end - start]
@@ -269,7 +274,7 @@ def _eigensystem(q: float, trunc: int, count: int) -> tuple[np.ndarray, np.ndarr
                 f"tridiagonal eigensolve residual {residual:.3e} exceeds "
                 f"{_RESIDUAL_RTOL:.0e} * {scale:.3e} (q={q}, trunc={trunc})"
             )
-        rows = block[start:end]
+        rows = block[at : at + end - start]
         rows[...] = v.T
         # the anchor's sign does not depend on the row's positive scale, and
         # an elementwise sum, unlike a BLAS product, not on the thread count
@@ -279,7 +284,8 @@ def _eigensystem(q: float, trunc: int, count: int) -> tuple[np.ndarray, np.ndarr
         # quotient exactly
         norms = np.sqrt(np.sum(rows * rows, axis=1))
         rows /= np.where(flip, -norms, norms)[:, None]
-        values[start:end] = w
+        values[at : at + end - start] = w
+        at += end - start
     for array in (values, block):
         array.flags.writeable = False
     return values, block
@@ -313,10 +319,23 @@ def _converged(q: float, trunc: int | None, n: np.ndarray) -> MathieuLevels:
             raise ConvergenceError(
                 f"q={q} is past the domain edge |q| <= {_MAX_Q:g} (nu_tilde <= {_MAX_Q / 4:g})"
             )
-        values, block = _eigensystem(q, size, top + 1)
-        tail = np.abs(block[rows, -1])
+        if size <= _FULL_MAX:
+            values, block = _eigensystem(q, size, top + 1)
+            picked = rows
+        else:
+            # only the blocks that hold a requested level, stacked in order
+            within = n % _LEVEL_BLOCK
+            starts = np.unique(n - within)
+            first = int(starts[0])
+            picked = (
+                slice(lo - first, hi - first)
+                if consecutive
+                else np.searchsorted(starts, n - within) * _LEVEL_BLOCK + within
+            )
+            values, block = _eigensystem(q, size, top + 1, starts.tolist())
+        tail = np.abs(block[picked, -1])
         if tail.max() <= _TAIL_TOL:
-            levels = MathieuLevels(values[rows], block[rows])
+            levels = MathieuLevels(values[picked], block[picked])
             for array in levels:
                 array.flags.writeable = False
             return levels

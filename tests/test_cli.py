@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import itertools
 import json
@@ -7,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from importlib import import_module
 
 import numpy as np
 import pytest
@@ -294,6 +296,15 @@ class TestStates:
         expected = (-1.0) ** 3 * math.sqrt(2.0) * mathieu.se(2, 24.0, (x - math.pi) / 2.0)
         _, rows = parse_csv(out)
         assert [row[1] for row in rows] == [repr(float(v)) for v in expected]
+
+    def test_lone_high_level_solves_its_block(self, eigensolves, capsys):
+        # level 100,000 at q = 4 takes 100,012 rows; the levels below it
+        # would take a 75 GB coefficient block
+        code, out = run_cli(["states", "--state", "xi", "--level", "100000", "--nu-tilde", "1"], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 257 and all(math.isfinite(float(row[1])) for row in rows)
+        assert eigensolves == [(100012, 4.0)]
 
     def test_bad_selector_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -692,6 +703,32 @@ class TestDispatch:
         monkeypatch.setattr(cli, "cmd_tunneling", lambda args, settings: calls.append(settings) or 0)
         assert cli.main(["tunneling", "--hbar-beta2", "1"]) == 0
         assert calls == [{"hbar_beta2": "1"}]
+
+
+class TestEntryPoint:
+    def test_run_keeps_the_collector_off_long_lived_objects(self, monkeypatch):
+        # the import runs with the collector off, the command with it on,
+        # and what is alive before and after the command is frozen
+        from plaquette_qgauge import __main__ as entry
+
+        calls = []
+        for name in ("disable", "freeze", "enable"):
+            monkeypatch.setattr(gc, name, lambda name=name: calls.append(name))
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 7)
+        with pytest.raises(SystemExit) as excinfo:
+            entry.run()
+        assert calls == ["disable", "freeze", "enable", "main", "freeze"]
+        assert excinfo.value.code == 7
+
+    def test_console_script_target_is_the_entry_function(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml"), "rb") as handle:
+            scripts = tomllib.load(handle)["project"]["scripts"]
+        module, _, name = scripts["plaquette-qgauge"].partition(":")
+        target = getattr(import_module(module), name)
+        assert callable(target)
+        assert target is import_module("plaquette_qgauge.__main__").run
 
 
 class TestSvgOutput:

@@ -318,6 +318,30 @@ class TestSolve:
         assert first.b.tobytes() == alone.b[:17].tobytes()
         assert first.coeffs.tobytes() == alone.coeffs[:17].tobytes()
 
+    @pytest.mark.parametrize("levels", [700, [700], [3, 700], [700, 3], [700, 690, 3, 700]])
+    def test_sparse_levels_solve_only_their_blocks(self, levels, monkeypatch):
+        # 712 rows for level 700 at q = 4, past _FULL_MAX: the request reads
+        # the blocks that hold its levels, [688, 704) and [0, 16), and each
+        # level keeps the bits it has among all 701 levels
+        everything = mathieu.solve(np.arange(701), 4.0)
+        ranges = []
+        original = mathieu.eigh_tridiagonal
+
+        def recording(d, e, select_range=None):
+            ranges.append((len(d), select_range))
+            return original(d, e, select_range)
+
+        monkeypatch.setattr(mathieu, "eigh_tridiagonal", recording)
+        got = mathieu.solve(levels, 4.0)
+        wanted = np.atleast_1d(levels)
+        assert everything.coeffs.shape[1] == got.coeffs.shape[-1] == 712 > mathieu._FULL_MAX
+        assert ranges == [(712, (start, start + 15)) for start in sorted({n // 16 * 16 for n in wanted})]
+        if np.ndim(levels) == 0:
+            assert same_bits(got, row(everything, levels))
+        else:
+            assert got.b.tobytes() == everything.b[wanted].tobytes()
+            assert got.coeffs.tobytes() == everything.coeffs[wanted].tobytes()
+
     def test_full_solve_bits_do_not_depend_on_the_request(self):
         # 81 rows at q = 2000, up to _FULL_MAX: every top level up to 40
         # gets this one truncation, and a full solve keeps exactly the
