@@ -7,7 +7,7 @@ Exports REV's ``src/`` with ``git archive`` into a temporary directory and
 runs one fixed list of commands against that export and against the
 working tree's ``src/``: the four benchmark workloads at seeds 0 and 1 (their
 arguments from ``perfbench/workloads.py``), the determinism configs of
-``tests/test_acceptance.py``, every command at its defaults, five
+``tests/test_acceptance.py``, every command at its defaults, six
 commands that solve past 128 rows (``LARGE_Q``), a projector sweep at t
 that are not powers of two (``Q_PER_NU_TILDE``), a projector sweep whose t
 need different truncations (``MIXED_TRUNCATION``), an eigenfunction at a t
@@ -16,7 +16,8 @@ of the vertex-state domain (``DOMAIN_EDGES``), two ranges whose step is
 below the spacing of doubles (``GRID_EDGES``), the tunneling route switch
 and cross-check band ends with the doubles either side (``BAND_EDGES``), a
 log-x SVG with an x of 0, a ``decomp`` whose rank bound is far above its
-degree and an eigenfunction at level 100,000 (``CLI_EDGES``), and
+degree, an eigenfunction at level 100,000 and two sweeps at a nu_tilde so
+far past the domain edge that 4 nu_tilde overflows (``CLI_EDGES``), and
 ``scripts/make_figure_data.py`` (the working
 tree's script on both sides, so only ``src/`` differs).  Each runs as a
 fresh ``python -m plaquette_qgauge`` process under
@@ -65,14 +66,16 @@ ACCEPTANCE = [
 #: commands with large truncations: the partial solve past
 #: ``mathieu._FULL_MAX`` rows in blocks of 16 levels, the first block alone,
 #: lone levels whose block is not the first (levels 700 and 2000 at q = 4,
-#: 712 and 2012 rows), and full solves past 128 rows from the completeness
-#: doubling
+#: 712 and 2012 rows), full solves past 128 rows from the completeness
+#: doubling, and the one range of 960 levels on the block path (60 blocks
+#: of about 1,707 rows)
 LARGE_Q = [
     ["spectrum", "--nu-tilde", "1e4:1e8:40:log", "--n-max", "40"],
     ["states", "--state", "xi", "--level", "3", "--nu-tilde", "1e8"],
     ["states", "--state", "xi", "--level", "700", "--nu-tilde", "1"],
     ["states", "--state", "xi", "--level", "2000", "--nu-tilde", "1"],
     ["projector-expectations", "--hbar-beta2", "2", "--nu-tilde", "3000,10000"],
+    ["projector-expectations", "--hbar-beta2", "8", "--nu-tilde", "5e5"],
 ]
 #: a projector sweep at t that are not powers of two: there q = 4 nu_tilde
 #: read from each (t, nu_tilde) parameter set would differ between the t by
@@ -116,12 +119,15 @@ BAND_EDGES = [
 #: a log-x SVG with nu_tilde = 0, which has no logarithm, refused with exit
 #: 2; a rank bound of 2000 with degree 1, one row of 2000 exponents; and
 #: level 100,000 at q = 4, whose 100,012-row truncation is solved in the one
-#: block that holds it
+#: block that holds it; and nu_tilde = 1e308, past the domain edge, where
+#: q = 4 nu_tilde would overflow to inf
 CLI_EDGES = [
     ["projector-expectations", "--hbar-beta2", "0.125", "--nu-tilde", "0,1,10", "--n-max", "1",
      "--format", "svg"],
     ["decomp", "--s", "2000", "--k", "1"],
     ["states", "--state", "xi", "--level", "100000", "--nu-tilde", "1"],
+    ["spectrum", "--nu-tilde", "1e308"],
+    ["projector-expectations", "--hbar-beta2", "0.125", "--nu-tilde", "1e308"],
 ]
 DEFAULTS = [
     ["tunneling"],

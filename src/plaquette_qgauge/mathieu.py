@@ -43,11 +43,13 @@ wrapper extension without importing ``scipy.linalg`` (see its docstring):
   requested levels, so memory and work grow with those blocks, not with
   the square of the truncation or with the highest level's index.
 
-The eigensystem holds its levels as arrays: the characteristic values, and
-a read-only, C-contiguous (levels, trunc) block of unit-normalized,
-sign-anchored coefficients.  Each block of levels is solved, and its kept
-levels checked, normalized and anchored in one step, row by row, written
-straight into arrays allocated at the size the request needs.  A full
+That layout, the full span [0, top + 1) or the 16-level blocks that hold
+the requested levels, is chosen in ``_eigensystem`` alone.  It returns
+exactly the requested levels, in request order, as two arrays of their own:
+the characteristic values, and a read-only, C-contiguous (levels, trunc)
+block of unit-normalized, sign-anchored coefficients that holds no other
+rows.  Each span is solved, its levels checked, and the requested rows
+normalized and anchored row by row and written to their positions.  A full
 solve's levels come from the whole decomposition and the blocks are fixed
 by the truncation, so a level's bits depend on (q, trunc, n) alone: results
 do not depend on which other levels a request asks for, or on earlier
@@ -61,13 +63,14 @@ at large q the low levels are oscillator states in the well at the wall,
 spread over k up to about sqrt(2n+1) q^(1/4) (DLMF 28.8(i)), and the levels
 above the barrier sit near k = n.  Its constants are fitted by
 scripts/fit_truncation.py, so that on the scanned levels and q the start
-already holds every tail below 1e-12.  The solve gives up past 32 times the
-start or, before allocating, past ``MAX_ROWS`` rows (2**19, set in
-``errors``) or past |q| = 6.8e10 (nu_tilde = q / 4 of 1.7e10), the edge of
-the valid domain.  A solve returns arrays alone, as a ``MathieuLevels`` record
-``(b, coeffs)``: an array of levels gives the b array and the block rows,
-one level the float b and its 1-D row.  The caller knows n and q, since it
-passed them; the truncation is ``coeffs.shape[-1]`` and the tail
+already holds every tail below 1e-12.  The solve refuses a |q| past 6.8e10
+(nu_tilde = q / 4 of 1.7e10), the edge of the valid domain, before anything
+else, and gives up past 32 times the start or, before allocating, past
+``MAX_ROWS`` rows (2**19, set in ``errors``).  A solve returns arrays
+alone, as a ``MathieuLevels`` record ``(b, coeffs)``: an array of levels
+gives the b array and the block rows, one level the float b and its 1-D
+row.  The caller knows n and q, since it passed them; the truncation is
+``coeffs.shape[-1]`` and the tail
 ``abs(coeffs[..., -1])``.  ``se`` evaluates the sine-elliptic functions of
 one level or of an array of levels from one solve, and
 ``se_second_derivative`` and ``recurrence_residual`` take coefficient rows.
@@ -126,11 +129,11 @@ class MathieuLevels(NamedTuple):
     """Characteristic values ``b`` and Fourier coefficients ``coeffs`` of levels at one q.
 
     ``coeffs[..., k]`` is the coefficient of sin((2k+2) y), unit-normalized
-    and sign-anchored as described in the module docstring.  For one level,
-    ``b`` is a float and ``coeffs`` a read-only row of its eigensystem's
-    coefficient block; for an array of levels, ``b`` is a read-only array
-    and ``coeffs`` the read-only (levels, trunc) rows of the block, a view
-    when the levels are a run of consecutive ones, a copy otherwise.
+    and sign-anchored as described in the module docstring.  For an array
+    of levels, ``b`` is a read-only array and ``coeffs`` a read-only,
+    C-contiguous (levels, trunc) array, both in request order and holding
+    the requested levels alone; for one level, ``b`` is a float and
+    ``coeffs`` the read-only row of such a one-level array.
     """
 
     b: float | np.ndarray
@@ -228,22 +231,21 @@ def default_trunc(n: int, q: float) -> int:
     return max(well, n + a + math.ceil(b * r))
 
 
-def _eigensystem(
-    q: float, trunc: int, count: int, starts: list[int] | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Characteristic values and coefficient rows of levels at (q, trunc).
+def _eigensystem(q: float, trunc: int, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Characteristic values and coefficient rows of levels ``n`` at (q, trunc), in request order.
 
-    A truncation up to ``_FULL_MAX`` is diagonalized in full, and exactly
-    the lowest ``count`` levels are kept.  A larger one is solved in whole
-    blocks of ``_LEVEL_BLOCK`` levels, one bisection call each: the blocks
-    that begin at ``starts`` (ascending multiples of the block size below
-    the truncation), stacked in that order, so memory stays O(trunc *
-    levels solved).  Every block is one ``eigh_tridiagonal`` call; it is
-    solved, the residuals of its kept levels checked, and their rows
-    normalized and sign-anchored (see the module docstring) in one step,
-    written into read-only arrays allocated here.  Normalization and anchor
-    work row by row, and the blocks are fixed by the truncation, so a
-    level's bits depend on (q, trunc, n) alone.
+    The one place that knows the solve's layout.  A truncation up to
+    ``_FULL_MAX`` is diagonalized in full, as one span of levels
+    [0, top + 1), ``top`` the highest level in ``n``.  A larger one is
+    solved in the spans [16g, 16g + 16) of ``_LEVEL_BLOCK`` levels, one
+    bisection call for each block g that holds a requested level, so memory
+    stays O(trunc * levels solved).  Each span is one ``eigh_tridiagonal``
+    call: it is solved, the residuals of all its levels are checked, and the
+    requested rows are normalized, sign-anchored (see the module docstring)
+    and written to their positions in two arrays allocated here at
+    ``len(n)`` rows and frozen once.  Normalization and anchor work row by
+    row, and the blocks are fixed by the truncation, so a level's bits
+    depend on (q, trunc, n) alone.
     """
     freqs = 2.0 * np.arange(trunc) + 2.0
     d = freqs**2
@@ -253,16 +255,16 @@ def _eigensystem(
     off = np.full(trunc - 1, q)
     scale = max(1.0, float(d[-1]) + 2.0 * abs(q))
     full = trunc <= _FULL_MAX
-    if full:
-        spans = ((0, count),)
-    else:
-        spans = [(start, min(start + _LEVEL_BLOCK, trunc)) for start in starts]
-    size = sum(end - start for start, end in spans)
-    values, block = np.empty(size), np.empty((size, trunc))
-    at = 0
-    for start, end in spans:
+    # the layout: one span [0, top + 1) for a full solve, else each block
+    # [16g, 16g + 16) that holds a requested level
+    starts = [0] if full else sorted(set((n - n % _LEVEL_BLOCK).tolist()))
+    values, block = np.empty(len(n)), np.empty((len(n), trunc))
+    for start in starts:
+        end = int(n.max()) + 1 if full else min(start + _LEVEL_BLOCK, trunc)
+        # the requested levels in the span; a full span holds them all
+        at = slice(None) if full else np.flatnonzero((n >= start) & (n < end))
         w, v = eigh_tridiagonal(d, off, None if full else (start, end - 1))
-        # a full solve returns every level; only the lowest ``count`` are kept
+        # a full solve returns every level; only those up to the top are kept
         w, v = w[: end - start], v[:, : end - start]
         tv = d[:, None] * v
         tv[1:] += q * v[:-1]
@@ -274,18 +276,20 @@ def _eigensystem(
                 f"tridiagonal eigensolve residual {residual:.3e} exceeds "
                 f"{_RESIDUAL_RTOL:.0e} * {scale:.3e} (q={q}, trunc={trunc})"
             )
-        rows = block[at : at + end - start]
-        rows[...] = v.T
+        levels = n[at]
+        kept = levels - start
+        # C-ordered rows, so each sum below runs along one row as it would
+        # for that level alone
+        rows = np.ascontiguousarray(v.T[kept])
         # the anchor's sign does not depend on the row's positive scale, and
         # an elementwise sum, unlike a BLAS product, not on the thread count
-        flip = alternating[start:end] * np.sum(rows * wall_slope, axis=1) < 0
+        flip = alternating[levels] * np.sum(rows * wall_slope, axis=1) < 0
         # an elementwise sum, not a BLAS dot product, whose split across
         # threads would change the bits; dividing by -norm negates that
         # quotient exactly
         norms = np.sqrt(np.sum(rows * rows, axis=1))
         rows /= np.where(flip, -norms, norms)[:, None]
-        values[at : at + end - start] = w
-        at += end - start
+        values[at], block[at] = w[kept], rows
     for array in (values, block):
         array.flags.writeable = False
     return values, block
@@ -294,51 +298,31 @@ def _eigensystem(
 def _converged(q: float, trunc: int | None, n: np.ndarray) -> MathieuLevels:
     """Levels ``n`` (a 1-D integer array) at q, with tails below ``_TAIL_TOL``.
 
-    The truncation starts at ``trunc`` rows (``default_trunc`` of the highest
-    level if None), which must hold that level, and doubles until the tails
-    fall.  It gives up past 2**_MAX_DOUBLINGS times the default truncation,
-    so a small explicit start grows as far as the default one.  A size past
-    ``MAX_ROWS`` and a |q| past ``_MAX_Q`` are refused before anything is
-    allocated.
+    A |q| past ``_MAX_Q`` is refused first.  The truncation starts at
+    ``trunc`` rows (``default_trunc`` of the highest level if None), which
+    must hold that level, and doubles until the tails fall.  It gives up
+    past 2**_MAX_DOUBLINGS times the default truncation, so a small explicit
+    start grows as far as the default one.  A size past ``MAX_ROWS`` is
+    refused before anything is allocated.
     """
     q = float(q)
     if not math.isfinite(q):
         raise ValueError(f"q must be finite, got {q}")
+    if abs(q) > _MAX_Q:
+        raise ConvergenceError(
+            f"q={q} is past the domain edge |q| <= {_MAX_Q:g} (nu_tilde <= {_MAX_Q / 4:g})"
+        )
     bottom, top = int(n.min()), int(n.max())
     default = default_trunc(top, q)
     size = default if trunc is None else trunc
     if size <= top:
         raise ValueError(f"trunc={size} cannot hold level n={top}")
-    lo, hi = int(n[0]), int(n[-1]) + 1
-    consecutive = hi - lo == len(n) and (len(n) == 1 or bool(np.all(n[1:] > n[:-1])))
-    rows = slice(lo, hi) if consecutive else n
     while True:
         if size > MAX_ROWS:
             raise ConvergenceError(f"levels {bottom}..{top} at q={q} need over {MAX_ROWS} rows")
-        if abs(q) > _MAX_Q:
-            raise ConvergenceError(
-                f"q={q} is past the domain edge |q| <= {_MAX_Q:g} (nu_tilde <= {_MAX_Q / 4:g})"
-            )
-        if size <= _FULL_MAX:
-            values, block = _eigensystem(q, size, top + 1)
-            picked = rows
-        else:
-            # only the blocks that hold a requested level, stacked in order
-            within = n % _LEVEL_BLOCK
-            starts = np.unique(n - within)
-            first = int(starts[0])
-            picked = (
-                slice(lo - first, hi - first)
-                if consecutive
-                else np.searchsorted(starts, n - within) * _LEVEL_BLOCK + within
-            )
-            values, block = _eigensystem(q, size, top + 1, starts.tolist())
-        tail = np.abs(block[picked, -1])
-        if tail.max() <= _TAIL_TOL:
-            levels = MathieuLevels(values[picked], block[picked])
-            for array in levels:
-                array.flags.writeable = False
-            return levels
+        values, block = _eigensystem(q, size, n)
+        if np.abs(block[:, -1]).max() <= _TAIL_TOL:
+            return MathieuLevels(values, block)
         size *= 2
         if size > 2**_MAX_DOUBLINGS * default:
             raise ConvergenceError(

@@ -3,8 +3,10 @@
 The Hamiltonian is the free Laplace term plus the potential (nu/2)(3 - chi_1).
 Everything here takes the reduced coordinates t = hbar beta2 and nu_tilde
 as plain floats, computes at exactly the values it is given, and gives
-energies in units of hbar^2 beta2.  Two independent routes to the spectrum
-are kept side by side:
+energies in units of hbar^2 beta2.  Every Mathieu parameter q = 4 nu_tilde
+is formed by ``_q``, which refuses a nu_tilde past the Mathieu domain edge
+(|nu_tilde| > 1.7e10) with ``ConvergenceError`` before the product can
+overflow.  Two independent routes to the spectrum are kept side by side:
 
 * the Mathieu route: separation in the interval realization turns the
   stationary problem into the odd pi-periodic Mathieu equation with
@@ -73,6 +75,15 @@ def hamiltonian_matrix(nu_tilde: float, dim: int) -> np.ndarray:
     return h
 
 
+def _q(nu_tilde: float) -> float:
+    """The Mathieu parameter q = 4 nu_tilde, refused past the domain edge before it can overflow."""
+    if abs(nu_tilde) > mathieu._MAX_Q / 4:
+        raise mathieu.ConvergenceError(
+            f"nu_tilde={nu_tilde} is past the domain edge |nu_tilde| <= {mathieu._MAX_Q / 4:g}"
+        )
+    return 4.0 * nu_tilde
+
+
 def matrix_energies(nu_tilde: float, count: int) -> np.ndarray:
     """First ``count`` eigenvalues of the truncated ``hamiltonian_matrix`` (oracle route).
 
@@ -82,7 +93,7 @@ def matrix_energies(nu_tilde: float, count: int) -> np.ndarray:
     QL/QR iteration; the Mathieu route takes them, with the vectors, from
     ``dstedc``.
     """
-    dim = mathieu.default_trunc(count - 1, 4.0 * nu_tilde)
+    dim = mathieu.default_trunc(count - 1, _q(nu_tilde))
     return np.linalg.eigvalsh(hamiltonian_matrix(nu_tilde, dim))[:count]
 
 
@@ -96,7 +107,7 @@ def energy(n, nu_tilde: float):
     ``n`` may also be an integer array of levels; their energies, an array,
     all come from one eigensystem (see ``mathieu.solve``).
     """
-    return _energy_from_b(mathieu.solve(n, 4.0 * nu_tilde).b, nu_tilde)
+    return _energy_from_b(mathieu.solve(n, _q(nu_tilde)).b, nu_tilde)
 
 
 def _state_trunc(n: int, q: float, t: float) -> int:
@@ -112,7 +123,7 @@ def eigenstates(levels, t: float, nu_tilde: float, trunc: int | None = None):
     of t.  At nu_tilde = 0 each row is exactly its basis vector.
     """
     levels = np.asarray(levels)
-    q = 4.0 * nu_tilde
+    q = _q(nu_tilde)
     if trunc is None:
         trunc = _state_trunc(int(levels.max()), q, t)
     b, coeffs = mathieu.solve(levels, q, trunc=trunc)
@@ -136,7 +147,7 @@ def eigenfunction_x(n: int, nu_tilde: float, x):
     sqrt(2) sin((n+1)x) in the free theory.
     """
     x = np.asarray(x, dtype=float)
-    se = np.asarray(mathieu.se(n, 4.0 * nu_tilde, (x - math.pi) / 2.0))
+    se = np.asarray(mathieu.se(n, _q(nu_tilde), (x - math.pi) / 2.0))
     out = (-1.0) ** (n + 1) * math.sqrt(2.0) * se
     return float(out) if out.ndim == 0 else out
 
@@ -196,13 +207,16 @@ def projector_expectations(
             raise ValueError(f"hbar_beta2 must be positive, got {t}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    q_values = [4.0 * float(nut) for nut in nu_tilde_values]
-    shape = (len(t_values), len(q_values))
+    nu_tilde_values = [float(nut) for nut in nu_tilde_values]
+    shape = (len(t_values), len(nu_tilde_values))
     plus_rows, minus_rows = np.empty((2, *shape, count))
     completeness_sums = np.empty(shape)
     norms: dict[float, float] = {}
     weights: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
-    for j, q in enumerate(q_values):
+    for j, nu_tilde in enumerate(nu_tilde_values):
+        # formed as the sweep reaches it, so a nu_tilde past the domain
+        # edge raises in the order of the grid
+        q = _q(nu_tilde)
         solved: dict[tuple[int, int], mathieu.MathieuLevels] = {}
         for i, t in enumerate(t_values):
             for completeness_count in _COMPLETENESS_COUNTS:
@@ -232,7 +246,7 @@ def projector_expectations(
             else:
                 raise TruncationError(
                     f"projector completeness {completeness!r} below 1 - {_COMPLETENESS_TOL} "
-                    f"with {completeness_count} levels (t={t}, nu_tilde={q / 4.0})"
+                    f"with {completeness_count} levels (t={t}, nu_tilde={nu_tilde})"
                 )
             minus = (scale * np.sum(minus_weights * levels.coeffs[:count], axis=1)) ** 2
             plus_rows[i, j], minus_rows[i, j] = plus[:count], minus

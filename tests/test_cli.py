@@ -215,16 +215,18 @@ class TestDomain:
         code, out, err = run_quiet([*args, "--hbar", hbar, "--beta2", beta2])
         assert code == 0 and (code, out, err) == run_quiet(reduced)
 
-    @pytest.mark.parametrize("nu_tilde", ["1e20", "1e300"])
+    @pytest.mark.parametrize("nu_tilde", ["1e11", "1e20", "1e300", "1e308"])
     @pytest.mark.parametrize(
         "command", [["spectrum"], ["states", "--state", "xi"], ["projector-expectations"]]
     )
     def test_huge_nu_tilde_exits_3(self, command, nu_tilde):
-        # the truncation needed is far past the row bound; it is refused
-        # before anything of that size is allocated
+        # past nu_tilde = 1.7e10, however far, the domain edge is refused
+        # before q = 4 nu_tilde is formed, so it cannot overflow, and
+        # before any truncation is sized
         code, out, err = run_quiet([*command, "--nu-tilde", nu_tilde])
         assert code == 3 and out == ""
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        assert "past the domain edge" in err
 
 
 class TestSpectrum:

@@ -353,7 +353,7 @@ class TestSolve:
         assert some.coeffs.tobytes() == most.coeffs[:17].tobytes()
         assert same_bits(one, row(some, 5)) and same_bits(one, row(most, 5))
         for count in (1, 6, 41, 81):
-            values, block = mathieu._eigensystem(q, 81, count)
+            values, block = mathieu._eigensystem(q, 81, np.arange(count))
             assert values.shape == (count,) and block.shape == (count, 81)
             assert values[:41].tobytes() == most.b[:count].tobytes()
             assert block[:41].tobytes() == most.coeffs[:count].tobytes()
@@ -381,7 +381,7 @@ class TestSolve:
 
     @pytest.mark.parametrize(
         "n, q, trunc",
-        [(0, 4e20, None), (0, 4e300, None), (0, 1.0, mathieu.MAX_ROWS + 1), (2**20, 0.0, None)],
+        [(2**19 - 16, mathieu._MAX_Q, None), (0, 1.0, mathieu.MAX_ROWS + 1), (2**20, 0.0, None)],
     )
     def test_row_bound_refuses_before_allocating(self, n, q, trunc, monkeypatch):
         def unexpected(*args):
@@ -403,7 +403,8 @@ class TestSolve:
             raise AssertionError("eigensystem built past the domain edge")
 
         monkeypatch.setattr(mathieu, "_eigensystem", unexpected)
-        for q in (4 * 1.72e10, -4 * 1.72e10):
+        # |q| is checked before the row bound, however far past the edge
+        for q in (4 * 1.72e10, -4 * 1.72e10, 4e20, 4e300, -1.7e308):
             with pytest.raises(mathieu.ConvergenceError, match="past the domain edge"):
                 mathieu.solve(0, q)
         with pytest.raises(mathieu.ConvergenceError, match="past the domain edge"):
@@ -486,16 +487,39 @@ class TestLevelBlock:
             outputs.append(result.stdout)
         assert len(outputs[0]) == count * (trunc + 1) * 8 and outputs[0] == outputs[1]
 
-    def test_levels_in_any_order(self):
+    def test_levels_in_any_order(self, eigensolves):
         q = 24.0
-        levels = mathieu.solve(np.array([5, 1, 3]), q)
-        # rows come in the order asked for: b rises with the level
-        assert list(np.argsort(levels.b)) == [1, 2, 0]
-        for i, n in enumerate((5, 1, 3)):
-            single = mathieu.solve(n, q, trunc=levels.coeffs.shape[1])
-            assert same_bits(row(levels, i), single) and levels.b[i] == single.b
-            assert np.array_equal(levels.coeffs[i], single.coeffs)
-        assert levels.coeffs.flags.c_contiguous and not levels.coeffs.flags.writeable
+        everything = mathieu.solve(np.arange(6), q)
+        for request in ([5, 1, 3], [5, 1, 5, 3]):
+            eigensolves.clear()
+            levels = mathieu.solve(np.array(request), q)
+            # one full solve at the truncation of level 5, as for levels 0..5
+            assert eigensolves == [(everything.coeffs.shape[1], q)]
+            assert everything.coeffs.shape[1] <= mathieu._FULL_MAX
+            # rows come in the order asked for: b rises with the level
+            assert list(np.argsort(levels.b, kind="stable")) == list(np.argsort(request, kind="stable"))
+            assert levels.b.tobytes() == everything.b[request].tobytes()
+            assert levels.coeffs.tobytes() == everything.coeffs[request].tobytes()
+            for i, n in enumerate(request):
+                single = mathieu.solve(n, q, trunc=levels.coeffs.shape[1])
+                assert same_bits(row(levels, i), single) and levels.b[i] == single.b
+                assert np.array_equal(levels.coeffs[i], single.coeffs)
+            assert levels.coeffs.flags.c_contiguous and not levels.coeffs.flags.writeable
+
+    @pytest.mark.parametrize(
+        "levels, q", [(np.arange(3, 5), 24.0), (np.arange(700, 702), 4.0)]
+    )
+    def test_array_request_holds_only_its_own_rows(self, levels, q):
+        # a run of levels that does not start at 0, on the full path (30
+        # rows) and on the block path (713 rows, the block [688, 704)): its
+        # arrays are its own, not views of a larger eigensystem
+        got = mathieu.solve(levels, q)
+        assert (got.coeffs.shape[1] <= mathieu._FULL_MAX) == (q == 24.0)
+        assert got.b.shape == (2,) and got.coeffs.shape == (2, got.coeffs.shape[1])
+        for array in got:
+            assert array.base is None and array.flags.c_contiguous and not array.flags.writeable
+        for i, n in enumerate(levels):
+            assert same_bits(row(got, i), mathieu.solve(int(n), q, trunc=got.coeffs.shape[1]))
 
     @pytest.mark.parametrize("bad", [1.5, [], [[0, 1]], np.array([0.0, 1.0]), True])
     def test_levels_must_be_integers(self, bad):

@@ -380,6 +380,20 @@ class TestProjectorExpectations:
         with pytest.raises(error, match=message):
             spectrum.projector_expectations(t_values, (1e4,), 6)
 
+    @pytest.mark.parametrize(
+        "nu_tilde_values, error, message",
+        [
+            # t = 2 fails its ladder at 1e4 before the sweep reaches 1e308
+            ((1e4, 1e308), costratified.TruncationError, "completeness"),
+            # past the domain edge, reached first here, before 4 * 1e308 overflows
+            ((1e308, 1e4), mathieu.ConvergenceError, "past the domain edge"),
+        ],
+    )
+    def test_domain_edge_comes_in_sweep_order(self, monkeypatch, nu_tilde_values, error, message):
+        monkeypatch.setattr(spectrum, "_COMPLETENESS_COUNTS", (60, 120))
+        with pytest.raises(error, match=message):
+            spectrum.projector_expectations((2.0,), nu_tilde_values, 6)
+
 
 class TestVertexStateIsNotAnEigenstate:
     def test_candidate_coefficients_violate_recurrence_for_every_q(self):
