@@ -17,8 +17,9 @@ below the spacing of doubles (``GRID_EDGES``), the tunneling route switch
 and cross-check band ends with the doubles either side (``BAND_EDGES``), a
 log-x SVG with an x of 0, a ``decomp`` whose rank bound is far above its
 degree, an eigenfunction at level 100,000 and two sweeps at a nu_tilde so
-far past the domain edge that 4 nu_tilde overflows (``CLI_EDGES``), and
-``scripts/make_figure_data.py`` (the working
+far past the domain edge that 4 nu_tilde overflows (``CLI_EDGES``), three
+states on grids coarse enough to read the wall cells at x = 0 and x = pi
+(``WALLS``), and ``scripts/make_figure_data.py`` (the working
 tree's script on both sides, so only ``src/`` differs).  Each runs as a
 fresh ``python -m plaquette_qgauge`` process under
 ``OPENBLAS_NUM_THREADS=1`` and ``=2``.  A command's result is its exit
@@ -128,6 +129,14 @@ CLI_EDGES = [
     ["states", "--state", "xi", "--level", "100000", "--nu-tilde", "1"],
     ["spectrum", "--nu-tilde", "1e308"],
     ["projector-expectations", "--hbar-beta2", "0.125", "--nu-tilde", "1e308"],
+]
+#: states whose first and last cells are the walls x = 0 and x = pi, where
+#: every state vanishes: both vertex states, one at t = 1/128, and a strongly
+#: coupled eigenfunction
+WALLS = [
+    ["states", "--state", "psi-minus", "--grid", "5"],
+    ["states", "--state", "psi-plus", "--hbar-beta2", "0.0078125", "--grid", "5"],
+    ["states", "--state", "xi", "--level", "0", "--nu-tilde", "400", "--grid", "9"],
 ]
 DEFAULTS = [
     ["tunneling"],
@@ -275,6 +284,7 @@ def main() -> int:
             *GRID_EDGES,
             *BAND_EDGES,
             *CLI_EDGES,
+            *WALLS,
         ]
         failures, compared = [], 0
         for threads in THREADS:

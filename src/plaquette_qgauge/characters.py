@@ -15,8 +15,9 @@ product on [0, pi] gives the constant function 1 norm 1.
 
 This module is the one implementation of the interval realization
 (``char_l2`` for a basis vector; sqrt(2) ``sine_series(x, c)`` for a
-coefficient vector c, summed without BLAS, so the ``states`` command and the
-Mathieu ``se`` do not depend on the BLAS thread count), of the
+coefficient vector c, a vertex state or an energy eigenstate row alike,
+exactly 0 at both walls and summed without BLAS, so the ``states`` command
+and the Mathieu ``se`` do not depend on the BLAS thread count), of the
 Gauss-Legendre rule on [0, pi] (``quadrature_rule``, used by the
 verification suite) and of the Laplace eigenvalue (``laplace_eigenvalue``,
 the diagonal of the Hamiltonian).
@@ -67,24 +68,34 @@ def char_l2(n: int, x):
 def sine_series(x, coeffs: np.ndarray):
     """sum_k coeffs[k] sin((k+1) x) at x (scalar or array).
 
-    The (points, terms) sine matrix is built in chunks of a multiple of 8
-    points holding at most ``_SERIES_CHUNK`` values (at least 8 points), to
-    bound memory.  ``np.sum`` along the contiguous axis, not a BLAS product,
-    sums each point, so neither the chunk nor the thread count changes it.
+    Each point is evaluated at its nearest multiple of pi: with x = m pi + u,
+    sin((k+1) x) = (-1)^((k+1) m) sin((k+1) u), and u = x - m pi is exact
+    within pi/2 of the wall, so the series is exactly 0 at x = 0 and at
+    x = pi (``math.pi``) and keeps its relative accuracy near them.  An odd
+    m takes the coefficients with the signs of even k flipped, which is
+    exact.  The (points, terms) sine matrix is built in chunks of a multiple
+    of 8 points of one parity of m holding at most ``_SERIES_CHUNK`` values
+    (at least 8 points), to bound memory.  ``np.sum`` along the contiguous
+    axis, not a BLAS product, sums each point, so neither the chunk nor the
+    thread count changes it.
     """
     x = np.asarray(x, dtype=float)
     freqs = np.arange(1.0, len(coeffs) + 1.0)
-    if x.ndim == 0:
-        return float(np.sum(np.sin(x * freqs) * coeffs))
-    points = x.reshape(-1)
+    walls = np.rint(x.reshape(-1) / math.pi)
+    points = x.reshape(-1) - walls * math.pi
+    odd = walls % 2.0 != 0.0
+    flipped = (-1.0) ** freqs * coeffs
     out = np.empty(len(points))
     step = max(8, _SERIES_CHUNK // len(coeffs) // 8 * 8)
-    for lo in range(0, len(points), step):
-        block = np.multiply.outer(points[lo : lo + step], freqs)
-        np.sin(block, out=block)
-        block *= coeffs
-        np.sum(block, axis=1, out=out[lo : lo + step])
-    return out.reshape(x.shape)
+    for signed, at in ((coeffs, ~odd), (flipped, odd)):
+        at = np.flatnonzero(at)
+        for lo in range(0, len(at), step):
+            chunk = at[lo : lo + step]
+            block = np.multiply.outer(points[chunk], freqs)
+            np.sin(block, out=block)
+            block *= signed
+            out[chunk] = np.sum(block, axis=1)
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 def char_complex(n: int, z: complex) -> complex:

@@ -364,7 +364,8 @@ def se(n, q: float, y):
     row per level, all from one solve.
     """
     coeffs = solve(n, q).coeffs
-    # (k+1) * (2y) rounds exactly as (2k+2) * y: doubling is exact
+    # sin((2k+2) y) is sin((k+1) x) at x = 2y; doubling is exact, so the walls
+    # y = -pi/2 and 0 are x = -pi and 0, where sine_series is exactly 0
     x = 2.0 * np.asarray(y, dtype=float)
     if coeffs.ndim == 1:
         return sine_series(x, coeffs)

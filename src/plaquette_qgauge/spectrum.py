@@ -28,15 +28,19 @@ values-only path is ``dsterf``'s root-free QL/QR iteration), the Mathieu
 route takes values and vectors together from ``dstedc`` (bisection past 512
 rows).  Eigenstate coefficients pick up the alternating sign of the change
 of variable y = (x - pi)/2: coefficient k of level n is (-1)^(n+k) times
-the Mathieu Fourier coefficient.
+the Mathieu Fourier coefficient.  ``eigenstates`` is the one place that
+applies that sign to solved rows; ``eigenfunction_x`` evaluates its row on
+[0, pi] through ``characters.sine_series``, the kernel that also evaluates
+the vertex states, so this module never evaluates ``mathieu.se``.
 
 Both sweeps read one Mathieu eigensystem per q.  ``energy`` takes one level
 or an integer array of levels, and an array is served by one eigensolve, so
 a spectrum sweep costs one eigensolve per nu_tilde; ``eigenstates`` serves
-the energies and state rows of an array of levels the same way, and
-``eigenstate`` returns one level's ``(energy, row)``.  Projector
-expectations are squared overlaps of eigenstates with the two vertex
-states.
+the energies and state rows of an array of levels the same way, at
+``mathieu.solve``'s truncation unless given one, and ``eigenstate`` returns
+one level's ``(energy, row)``.  Projector expectations are squared overlaps
+of eigenstates with the two vertex states; their weights fold in the sign
+themselves.
 ``projector_expectations`` serves a whole (t, nu_tilde) sweep in one call,
 at q = 4 nu_tilde (multiplying by 4 is exact), which does not depend on t.
 At each q the t that share a truncation read one eigensystem, and each t's
@@ -114,42 +118,37 @@ def _state_trunc(n: int, q: float, t: float) -> int:
     return max(mathieu.default_trunc(n, q), costratified.default_trunc(t))
 
 
-def eigenstates(levels, t: float, nu_tilde: float, trunc: int | None = None):
+def eigenstates(levels, nu_tilde: float, trunc: int | None = None):
     """Energies and orthonormal-basis coefficient rows of an integer array of levels.
 
     Returns the energies E_n / (hbar^2 beta2) and a read-only (levels, trunc)
-    array whose row i is the eigenstate of ``levels[i]``, all from one eigensolve.
-    t sets only the default truncation, which also holds the vertex states
-    of t.  At nu_tilde = 0 each row is exactly its basis vector.
+    array whose row i is the eigenstate of ``levels[i]``, all from one
+    eigensolve at ``mathieu.solve``'s truncation unless ``trunc`` is given; a
+    caller that dots the rows with a vertex state passes its length.  Row i
+    is (-1)^(n+k) times the Mathieu coefficient k of level n = ``levels[i]``,
+    the sign of the change of variable y = (x - pi)/2.  At nu_tilde = 0 each
+    row is exactly its basis vector.
     """
     levels = np.asarray(levels)
-    q = _q(nu_tilde)
-    if trunc is None:
-        trunc = _state_trunc(int(levels.max()), q, t)
-    b, coeffs = mathieu.solve(levels, q, trunc=trunc)
+    b, coeffs = mathieu.solve(levels, _q(nu_tilde), trunc=trunc)
     rows = (-1.0) ** (levels[:, None] + np.arange(coeffs.shape[1])) * coeffs
     rows.setflags(write=False)
     return _energy_from_b(b, nu_tilde), rows
 
 
-def eigenstate(
-    n: int, t: float, nu_tilde: float, trunc: int | None = None
-) -> tuple[float, np.ndarray]:
+def eigenstate(n: int, nu_tilde: float, trunc: int | None = None) -> tuple[float, np.ndarray]:
     """Energy and read-only coefficient row of level n, as ``eigenstates([n], ...)`` gives them."""
-    energies, coeffs = eigenstates([n], t, nu_tilde, trunc)
+    energies, coeffs = eigenstates([n], nu_tilde, trunc)
     return float(energies[0]), coeffs[0]
 
 
 def eigenfunction_x(n: int, nu_tilde: float, x):
-    """Interval realization of level n on [0, pi].
+    """Interval realization sqrt(2) sum_k c_k sin((k+1)x) of level n's row c on [0, pi].
 
-    Equals (-1)^(n+1) sqrt(2) se(n, 4 nu_tilde, (x - pi)/2), which reduces to
-    sqrt(2) sin((n+1)x) in the free theory.
+    It equals (-1)^(n+1) sqrt(2) se(n, 4 nu_tilde, (x - pi)/2), reduces to
+    sqrt(2) sin((n+1)x) in the free theory, and is exactly 0 at both walls.
     """
-    x = np.asarray(x, dtype=float)
-    se = np.asarray(mathieu.se(n, _q(nu_tilde), (x - math.pi) / 2.0))
-    out = (-1.0) ** (n + 1) * math.sqrt(2.0) * se
-    return float(out) if out.ndim == 0 else out
+    return math.sqrt(2.0) * characters.sine_series(x, eigenstates([n], nu_tilde)[1][0])
 
 
 def projector_expectation(n: int, t: float, nu_tilde: float, stratum: Stratum) -> float:

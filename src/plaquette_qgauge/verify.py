@@ -116,7 +116,7 @@ def spectral_checks() -> list[CheckResult]:
     out = []
 
     levels = np.arange(10)
-    energies, states = spectrum.eigenstates(levels, 0.125, 0.0)
+    energies, states = spectrum.eigenstates(levels, 0.0)
     worst = float(np.max(np.abs(energies - 0.5 * characters.laplace_eigenvalue(levels))))
     anchored = np.array_equal(states, np.eye(10, states.shape[1]))
     out.append(
@@ -135,7 +135,7 @@ def spectral_checks() -> list[CheckResult]:
         worst = max(worst, float(np.max(errors / np.maximum(1.0, np.abs(reference)))))
     out.append(_residual_check("dual-oracle-spectrum", worst, 1e-8))
 
-    _, states = spectrum.eigenstates(np.arange(8), 0.125, 6.0, trunc=40)
+    _, states = spectrum.eigenstates(np.arange(8), 6.0, trunc=40)
     gram = states @ states.T
     out.append(
         _residual_check(
@@ -207,7 +207,7 @@ def state_checks() -> list[CheckResult]:
     vertices = [costratified.stratum_state(s, 0.125) for s in (Stratum.PLUS, Stratum.MINUS)]
     for j, nut in enumerate(nu_tildes):
         # the two vertex states share a truncation, so one solve serves both
-        _, states = spectrum.eigenstates(np.arange(6), 0.125, nut, trunc=len(vertices[0]))
+        _, states = spectrum.eigenstates(np.arange(6), nut, trunc=len(vertices[0]))
         for vertex, via_formula in zip(vertices, (plus[0, j], minus[0, j])):
             for n in range(6):
                 via_vectors = float(np.vdot(vertex, states[n])) ** 2

@@ -50,7 +50,7 @@ def test_criterion_1_free_theory_anchor():
             for n in range(10):
                 value = spectrum.energy(n, 0.0)
                 assert abs(value - 0.5 * n * (n + 2)) <= 1e-12
-                state = spectrum.eigenstate(n, t, 0.0)[1]
+                state = spectrum.eigenstate(n, 0.0, trunc=costratified.default_trunc(t))[1]
                 expected = np.zeros(len(state))
                 expected[n] = 1.0
                 assert np.array_equal(state, expected)
@@ -171,7 +171,7 @@ def test_criterion_8_decomposition_counts():
 def test_criterion_9_orthonormality():
     with criterion(9, "orthonormality of eigenbases"):
         vectors = np.column_stack(
-            [spectrum.eigenstate(n, 0.125, 6.0, trunc=40)[1] for n in range(8)]
+            [spectrum.eigenstate(n, 6.0, trunc=40)[1] for n in range(8)]
         )
         gram = vectors.T @ vectors
         assert np.max(np.abs(gram - np.eye(8))) <= 1e-9

@@ -295,9 +295,36 @@ class TestStates:
         code, out = run_cli(args, capsys)
         assert code == 0
         x = np.linspace(0.0, math.pi, 33)
-        expected = (-1.0) ** 3 * math.sqrt(2.0) * mathieu.se(2, 24.0, (x - math.pi) / 2.0)
+        coeffs = mathieu.solve(2, 24.0).coeffs
+        k = np.arange(len(coeffs))
+        # x = m pi + u with m the nearest integer: sin((k+1) x) is
+        # (-1)^((k+1) m) sin((k+1) u), and row k of level 2 is (-1)^(2+k) c_k
+        m = np.rint(x / math.pi)
+        sines = np.sin(np.multiply.outer(x - m * math.pi, k + 1.0))
+        signs = (-1.0) ** (2.0 + k + np.multiply.outer(m, k + 1.0))
+        expected = math.sqrt(2.0) * np.sum(sines * (signs * coeffs), axis=1)
         _, rows = parse_csv(out)
         assert [row[1] for row in rows] == [repr(float(v)) for v in expected]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            *(["--state", state, "--hbar-beta2", t]
+              for state in ("psi-plus", "psi-minus") for t in ("0.0078125", "0.125", "0.5")),
+            *(["--state", "xi", "--level", str(n), "--nu-tilde", nut]
+              for n in range(4) for nut in ("0", "24", "400")),
+            ["--state", "xi", "--level", "700", "--nu-tilde", "1"],
+        ],
+        ids=lambda args: "-".join(arg.lstrip("-") for arg in args),
+    )
+    def test_walls_are_exactly_zero(self, args, capsys):
+        # every state vanishes at x = 0 and x = pi; the series is summed in
+        # the nearer wall's coordinate, so no rounding noise is left there
+        code, out = run_cli(["states", *args], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert float(rows[0][0]) == 0.0 and float(rows[-1][0]) == math.pi
+        assert float(rows[0][1]) == 0.0 and float(rows[-1][1]) == 0.0
 
     def test_lone_high_level_solves_its_block(self, eigensolves, capsys):
         # level 100,000 at q = 4 takes 100,012 rows; the levels below it

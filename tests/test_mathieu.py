@@ -50,7 +50,10 @@ class TestFreeCase:
 
     def test_se_reduces_to_sine(self):
         y = np.linspace(-math.pi / 2, 0.0, 25)
-        assert np.max(np.abs(mathieu.se(0, 0.0, y) - np.sin(2.0 * y))) == 0.0
+        # 2y = m pi + u with m the nearest integer, so sin(2y) = (-1)^m sin(u)
+        m = np.rint(2.0 * y / math.pi)
+        expected = (-1.0) ** m * np.sin(2.0 * y - m * math.pi)
+        assert np.max(np.abs(mathieu.se(0, 0.0, y) - expected)) == 0.0
 
 
 class TestSolve:
@@ -634,8 +637,14 @@ class TestSineElliptic:
         coeffs = mathieu.solve(3, 24.0).coeffs
         y = np.linspace(-math.pi / 2, 0.0, 101)
         freqs = 2.0 * np.arange(len(coeffs)) + 2.0
-        sines = np.sin(np.multiply.outer(y, freqs))
-        # chunks of 16 points: six full ones and a short last one
+        # 2y = m pi + u with m the nearest integer, so sin((k+1) 2y) is
+        # (-1)^((k+1) m) sin((k+1) u)
+        m = np.rint(2.0 * y / math.pi)
+        half = freqs / 2.0
+        signs = (-1.0) ** np.multiply.outer(m, half)
+        sines = signs * np.sin(np.multiply.outer(2.0 * y - m * math.pi, half))
+        # the 50 points with m = -1 and the 51 with m = 0, each in chunks of
+        # 16 points: three full ones and a short last one
         monkeypatch.setattr(characters, "_SERIES_CHUNK", 16 * len(coeffs))
         assert np.array_equal(mathieu.se(3, 24.0, y), np.sum(sines * coeffs, axis=1))
         second = -np.sum(sines * (freqs * freqs * coeffs), axis=1)

@@ -112,14 +112,14 @@ class TestSturmOracle:
 
 class TestEigenstates:
     def test_free_theory_states_are_exact_basis_vectors(self):
-        _, state = spectrum.eigenstate(2, 0.125, 0.0)
+        _, state = spectrum.eigenstate(2, 0.0)
         expected = np.zeros(len(state))
         expected[2] = 1.0
         assert np.array_equal(state, expected)
 
     def test_orthonormality(self):
         vectors = np.column_stack(
-            [spectrum.eigenstate(n, 0.125, 6.0, trunc=40)[1] for n in range(8)]
+            [spectrum.eigenstate(n, 6.0, trunc=40)[1] for n in range(8)]
         )
         gram = vectors.T @ vectors
         assert np.max(np.abs(gram - np.eye(8))) < 1e-9
@@ -127,24 +127,24 @@ class TestEigenstates:
     def test_eigenvector_residual_against_matrix(self):
         h = spectrum.hamiltonian_matrix(6.0, 40)
         for n in range(6):
-            energy, vec = spectrum.eigenstate(n, 0.25, 6.0, trunc=40)
+            energy, vec = spectrum.eigenstate(n, 6.0, trunc=40)
             assert np.linalg.norm(h @ vec - energy * vec) < 1e-7
 
     def test_unit_norm(self):
-        assert abs(np.linalg.norm(spectrum.eigenstate(4, 0.5, 24.0)[1]) - 1.0) < 1e-10
+        assert abs(np.linalg.norm(spectrum.eigenstate(4, 24.0)[1]) - 1.0) < 1e-10
 
     def test_energy_and_state_share_one_eigensolve(self, eigensolves):
-        energy, _ = spectrum.eigenstate(2, 0.125, 6.0, trunc=40)
+        energy, _ = spectrum.eigenstate(2, 6.0, trunc=40)
         assert [size for size, _ in eigensolves] == [40]
         expected = spectrum.energy(2, 6.0)
         assert abs(energy - expected) <= 1e-12 * abs(expected)
 
     def test_levels_share_one_eigensolve_and_equal_single_levels(self, eigensolves):
-        energies, coeffs = spectrum.eigenstates(np.arange(6), 0.125, 6.0, trunc=40)
+        energies, coeffs = spectrum.eigenstates(np.arange(6), 6.0, trunc=40)
         assert [size for size, _ in eigensolves] == [40]
         assert coeffs.shape == (6, 40)
         for n in range(6):
-            energy, state = spectrum.eigenstate(n, 0.125, 6.0, trunc=40)
+            energy, state = spectrum.eigenstate(n, 6.0, trunc=40)
             assert energy == energies[n]
             assert state.tobytes() == coeffs[n].tobytes()
 
@@ -152,8 +152,8 @@ class TestEigenstates:
     @pytest.mark.parametrize("n", [0, 3])
     def test_row_is_the_single_level_eigenstates_row(self, n, trunc):
         # a read-only 1-D float64 row, bit for bit the row eigenstates([n]) builds
-        energy, state = spectrum.eigenstate(n, 0.125, 6.0, trunc=trunc)
-        energies, rows = spectrum.eigenstates([n], 0.125, 6.0, trunc=trunc)
+        energy, state = spectrum.eigenstate(n, 6.0, trunc=trunc)
+        energies, rows = spectrum.eigenstates([n], 6.0, trunc=trunc)
         assert energy == energies[0]
         assert state.dtype == np.float64 and state.ndim == 1
         assert state.tobytes() == rows[0].tobytes()
@@ -167,6 +167,17 @@ class TestEigenfunctions:
             expected = math.sqrt(2.0) * np.sin((n + 1) * x)
             assert np.max(np.abs(spectrum.eigenfunction_x(n, 0.0, x) - expected)) < 1e-12
 
+    @pytest.mark.parametrize("nu_tilde", [0.0, 3.0, 24.0, 400.0])
+    def test_agrees_with_the_sine_elliptic_route(self, nu_tilde):
+        # the character-basis row against the Mathieu function in its own
+        # coordinate y = (x - pi)/2, at interior points
+        x = np.linspace(0.0, math.pi, 65)[1:-1]
+        for n in range(6):
+            value = spectrum.eigenfunction_x(n, nu_tilde, x)
+            se = mathieu.se(n, 4.0 * nu_tilde, (x - math.pi) / 2.0)
+            reference = (-1.0) ** (n + 1) * math.sqrt(2.0) * se
+            assert np.max(np.abs(value - reference)) <= 1e-13 * np.max(np.abs(value))
+
     def test_boundary_values_vanish(self):
         for n in range(5):
             assert abs(spectrum.eigenfunction_x(n, 12.0, 0.0)) < 1e-10
@@ -179,7 +190,7 @@ class TestEigenfunctions:
         pairs = [(int(n), float(x)) for n, x in zip(rng.integers(0, 6, 50), rng.uniform(0, math.pi, 50))]
         for n, x in pairs:
             direct = spectrum.eigenfunction_x(n, 12.0, x)
-            coeffs = spectrum.eigenstate(n, 0.125, 12.0)[1]
+            coeffs = spectrum.eigenstate(n, 12.0)[1]
             k = np.arange(len(coeffs))
             expansion = float(np.sum(coeffs * math.sqrt(2.0) * np.sin((k + 1) * x)))
             assert abs(direct - expansion) < 1e-9
@@ -227,7 +238,7 @@ class TestProjectorExpectations:
     def test_overlap_formula_matches_state_vectors(self):
         vertex = costratified.stratum_state(Stratum.PLUS, 0.125)
         for n in range(5):
-            _, state = spectrum.eigenstate(n, 0.125, 6.0, trunc=len(vertex))
+            _, state = spectrum.eigenstate(n, 6.0, trunc=len(vertex))
             direct = abs(np.vdot(vertex, state)) ** 2
             assert abs(direct - spectrum.projector_expectation(n, 0.125, 6.0, Stratum.PLUS)) < 1e-12
 
