@@ -19,7 +19,9 @@ log-x SVG with an x of 0, a ``decomp`` whose rank bound is far above its
 degree, an eigenfunction at level 100,000 and two sweeps at a nu_tilde so
 far past the domain edge that 4 nu_tilde overflows (``CLI_EDGES``), three
 states on grids coarse enough to read the wall cells at x = 0 and x = pi
-(``WALLS``), and ``scripts/make_figure_data.py`` (the working
+(``WALLS``), eight command lines that give a command an option it does
+not read, or an empty value-list entry (``IGNORED_OPTIONS``), and
+``scripts/make_figure_data.py`` (the working
 tree's script on both sides, so only ``src/`` differs).  Each runs as a
 fresh ``python -m plaquette_qgauge`` process under
 ``OPENBLAS_NUM_THREADS=1`` and ``=2``.  A command's result is its exit
@@ -137,6 +139,19 @@ WALLS = [
     ["states", "--state", "psi-minus", "--grid", "5"],
     ["states", "--state", "psi-plus", "--hbar-beta2", "0.0078125", "--grid", "5"],
     ["states", "--state", "xi", "--level", "0", "--nu-tilde", "400", "--grid", "9"],
+]
+#: options a command does not read, and a value list with an empty entry:
+#: a flag or level none of the command's outputs depends on, hbar and beta2
+#: for spectrum without a coupling, a format where there is no plot
+IGNORED_OPTIONS = [
+    ["tunneling", "--hbar-beta2", "0.5", "--nu-tilde", "3", "--n-max", "4"],
+    ["spectrum", "--nu-tilde", "1", "--hbar-beta2", "0.3", "--grid", "5"],
+    ["spectrum", "--hbar", "2", "--beta2", "3", "--nu-tilde", "1"],
+    ["states", "--state", "psi-plus", "--level", "2"],
+    ["projector-expectations", "--nu-tilde", "1", "--grid", "7"],
+    ["decomp", "--s", "2", "--k", "2", "--format", "csv"],
+    ["verify", "--nu-tilde", "5"],
+    ["tunneling", "--hbar-beta2", "1,,2"],
 ]
 DEFAULTS = [
     ["tunneling"],
@@ -285,6 +300,7 @@ def main() -> int:
             *BAND_EDGES,
             *CLI_EDGES,
             *WALLS,
+            *IGNORED_OPTIONS,
         ]
         failures, compared = [], 0
         for threads in THREADS:

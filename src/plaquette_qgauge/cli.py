@@ -20,13 +20,17 @@ cells and that block's computed cells.  Every data command but ``decomp``
 also hands ``emit`` a plot for ``--format svg``: ``svg_text``'s keyword
 arguments, with one ``(label, xs, ys)`` series per polyline sliced from
 the command's own arrays.  Each option is declared once, in
-``OPTIONS``; a flat ``key = value`` config file can provide any of them,
-read with the flag's type, and command-line flags win.  Grid values, a
+``OPTIONS``, and a command takes only the keys its handler reads (the
+table in ``build_parser``; ``--config`` is on every command), as flags or
+as lines of a flat ``key = value`` config file, read with the flag's type;
+command-line flags win, and any other flag or config key exits 2.  Only
+the commands with a plot take ``format``.  Grid values, a
 range's included, must be finite and strictly increasing.  ``coupling_g``
 with ``nu_tilde``, ``hbar`` or ``beta2`` with ``hbar_beta2``, and
 ``coupling_g`` with ``hbar_beta2`` but without ``hbar`` or ``beta2``
 (nu_tilde = 1/(g^2 hbar t) then depends on an unset hbar) are refused as
-ambiguous; ``hbar``, ``beta2`` and ``coupling_g`` are checked as a
+ambiguous, and ``spectrum``, which reads only nu_tilde, refuses ``hbar``
+or ``beta2`` without ``coupling_g``; ``hbar``, ``beta2`` and ``coupling_g`` are checked as a
 ``ModelParams``, which turns them into the (t, nu_tilde) that every
 numerical layer takes.
 
@@ -101,11 +105,9 @@ def parse_value_list(text: str) -> list[float]:
         values = space(lo, hi, count).tolist()
     else:
         try:
-            values = [float(v) for v in text.split(",") if v.strip() != ""]
+            values = [float(v) for v in text.split(",")]
         except ValueError as exc:
             raise ValueError(f"bad value list {text!r}: {exc}") from exc
-        if not values:
-            raise ValueError(f"empty value list {text!r}")
         if not all(map(math.isfinite, values)):
             raise ValueError(f"values must be finite, got {text!r}")
     if any(b <= a for a, b in zip(values, values[1:])):
@@ -113,8 +115,8 @@ def parse_value_list(text: str) -> list[float]:
     return values
 
 
-def read_config_file(path: str) -> dict:
-    """Config-file values, each converted like its flag in ``OPTIONS``."""
+def read_config_file(path: str, keys) -> dict:
+    """Config-file values, each key one of ``keys`` and converted like its flag in ``OPTIONS``."""
     try:
         with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
@@ -128,8 +130,8 @@ def read_config_file(path: str) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, text = (part.strip() for part in line.partition("="))
-        if key not in OPTIONS:
-            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key not in keys:
+            raise ValueError(f"{path}:{lineno}: this command takes no {key!r}, only {', '.join(keys)}")
         choices = OPTIONS[key].get("choices", (text,))
         if text not in choices:
             raise ValueError(f"{path}:{lineno}: {key} must be {' or '.join(choices)}, got {text!r}")
@@ -141,7 +143,13 @@ def read_config_file(path: str) -> dict:
 
 
 def merge_settings(args: argparse.Namespace) -> dict:
-    settings = read_config_file(args.config) if args.config else {}
+    """The config file's settings, then the flags'.
+
+    A command's parser has a flag for each ``OPTIONS`` key the command
+    takes and for no other, so those are the keys its config may hold.
+    """
+    keys = [key for key in OPTIONS if hasattr(args, key)]
+    settings = read_config_file(args.config, keys) if args.config else {}
     settings.update({k: v for k, v in vars(args).items() if k in OPTIONS and v is not None})
     return settings
 
@@ -312,14 +320,12 @@ def emit(settings: dict, command: str, config: dict, axes: dict, data: dict, plo
     value per row, an array or a list.  An axis cell is formatted once, and
     the CSV is formatted and written a block of rows at a time.  A ``plot``
     is ``svg_text``'s keyword arguments, its series built by the command
-    from its own arrays.  Only a command with a plot takes ``--format
-    svg``, and only its config records the format.
+    from its own arrays; only a command with a plot takes ``format``, and
+    its config records it.
     """
     fmt_name = settings.get("format", "csv")
     if plot is not None:
         config = {**config, "format": fmt_name}
-    elif fmt_name != "csv":
-        raise ValueError(f"{command} only supports csv output")
     config_json = canonical_config(command, **config)
     if fmt_name == "svg":
         chunks = [svg_text(config_json, **plot)]
@@ -342,6 +348,10 @@ def cmd_tunneling(args, settings) -> int:
 def cmd_spectrum(args, settings) -> int:
     from . import spectrum
 
+    # the energies are in units of hbar^2 beta2: hbar and beta2 enter only
+    # through nu_tilde, with coupling_g
+    if {"hbar", "beta2"} & settings.keys() and "coupling_g" not in settings:
+        raise ValueError("hbar and beta2 derive nu_tilde only with coupling_g; supply it, or nu_tilde alone")
     nut_axis = Axis(resolve_nut_values(settings, default="0:24:49"))
     n_max = settings.get("n_max", 8)
     if n_max < 1:
@@ -364,6 +374,8 @@ def cmd_states(args, settings) -> int:
         raise ValueError("grid must be >= 2")
     x = np.linspace(0.0, math.pi, grid)
     if args.state in ("psi-plus", "psi-minus"):
+        if args.level is not None:
+            raise ValueError(f"--level selects an eigenfunction of --state xi, not of {args.state}")
         from . import characters
 
         stratum = Stratum.PLUS if args.state == "psi-plus" else Stratum.MINUS
@@ -373,7 +385,7 @@ def cmd_states(args, settings) -> int:
     else:
         from . import spectrum
 
-        level = args.level
+        level = 0 if args.level is None else args.level
         if level < 0:
             raise ValueError("level must be >= 0")
         # eigenfunctions do not depend on t
@@ -428,8 +440,6 @@ def cmd_decomp(args, settings) -> int:
 def cmd_verify(args, settings) -> int:
     from . import verify
 
-    if "format" in settings:
-        raise ValueError(f"{args.command} writes a text report, not {settings['format']}")
     results = verify.all_checks() if args.command == "verify" else verify.geometry_checks()
     write_output(settings.get("out", "-"), [verify.render_report(results, args.command)])
     return 0 if all(r.passed for r in results) else 1
@@ -444,33 +454,35 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # built on each call, not at import, so the handler that runs is the one
-    # bound on the module now, a patched or traced one included
+    # bound on the module now, a patched or traced one included.  A command
+    # takes --config, the OPTIONS keys its handler reads and its own flags
+    model = ("hbar", "beta2", "coupling_g", "nu_tilde", "hbar_beta2")
     states = {
         "--state": {
             "required": True,
             "choices": ["psi-plus", "psi-minus", "xi"],
             "help": "which state to sample",
         },
-        "--level": {"type": int, "default": 0, "help": "level n for xi"},
+        "--level": {"type": int, "help": "level n for xi (default 0)"},
     }
     decomp = {
         "--s": {"type": int, "required": True, "help": "rank bound"},
         "--k": {"type": int, "required": True, "help": "polynomial degree"},
     }
     commands = {
-        "tunneling": (cmd_tunneling, {}),
-        "spectrum": (cmd_spectrum, {}),
-        "states": (cmd_states, states),
-        "projector-expectations": (cmd_projector_expectations, {}),
-        "decomp": (cmd_decomp, decomp),
-        "geometry-verify": (cmd_verify, {}),
-        "verify": (cmd_verify, {}),
+        "tunneling": (cmd_tunneling, ("out", "format", "hbar", "beta2", "hbar_beta2"), {}),
+        "spectrum": (cmd_spectrum, ("out", "format", "hbar", "beta2", "coupling_g", "nu_tilde", "n_max"), {}),
+        "states": (cmd_states, ("out", "format", *model, "grid"), states),
+        "projector-expectations": (cmd_projector_expectations, ("out", "format", *model, "n_max"), {}),
+        "decomp": (cmd_decomp, ("out",), decomp),
+        "geometry-verify": (cmd_verify, ("out",), {}),
+        "verify": (cmd_verify, ("out",), {}),
     }
-    for name, (func, extra) in commands.items():
+    for name, (func, keys, extra) in commands.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="flat key = value config file")
-        for key, spec in OPTIONS.items():
-            p.add_argument("--" + key.replace("_", "-"), dest=key, **spec)
+        for key in keys:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, **OPTIONS[key])
         for flag, spec in extra.items():
             p.add_argument(flag, **spec)
         p.set_defaults(func=func)

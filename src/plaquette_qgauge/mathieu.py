@@ -48,7 +48,8 @@ the requested levels, is chosen in ``_eigensystem`` alone.  It returns
 exactly the requested levels, in request order, as two arrays of their own:
 the characteristic values, and a read-only, C-contiguous (levels, trunc)
 block of unit-normalized, sign-anchored coefficients that holds no other
-rows.  Each span is solved, its levels checked, and the requested rows
+rows.  Each span is solved, its levels checked (``recurrence_residual`` of
+the whole span), and the requested rows
 normalized and anchored row by row and written to their positions.  A full
 solve's levels come from the whole decomposition and the blocks are fixed
 by the truncation, so a level's bits depend on (q, trunc, n) alone: results
@@ -72,8 +73,9 @@ gives the b array and the block rows, one level the float b and its 1-D
 row.  The caller knows n and q, since it passed them; the truncation is
 ``coeffs.shape[-1]`` and the tail
 ``abs(coeffs[..., -1])``.  ``se`` evaluates the sine-elliptic functions of
-one level or of an array of levels from one solve, and
-``se_second_derivative`` and ``recurrence_residual`` take coefficient rows.
+one level or of an array of levels from one solve,
+``se_second_derivative`` takes a coefficient row, and
+``recurrence_residual`` a row or a block of them.
 ``solve_many(count, ...)`` is ``solve(range(count), ...)``; it stays a
 separate name only because the benchmark's call contract
 (``EXPECTED_CALLS`` in perfbench/workloads.py) counts it on the projector
@@ -266,11 +268,7 @@ def _eigensystem(q: float, trunc: int, n: np.ndarray) -> tuple[np.ndarray, np.nd
         w, v = eigh_tridiagonal(d, off, None if full else (start, end - 1))
         # a full solve returns every level; only those up to the top are kept
         w, v = w[: end - start], v[:, : end - start]
-        tv = d[:, None] * v
-        tv[1:] += q * v[:-1]
-        tv[:-1] += q * v[1:]
-        tv -= v * w
-        residual = float(np.max(np.abs(tv)))
+        residual = recurrence_residual(w, q, v.T)
         if residual > _RESIDUAL_RTOL * scale:
             raise ConvergenceError(
                 f"tridiagonal eigensolve residual {residual:.3e} exceeds "
@@ -379,11 +377,14 @@ def se_second_derivative(coeffs: np.ndarray, y):
     return -sine_series(2.0 * np.asarray(y, dtype=float), freqs * freqs * coeffs)
 
 
-def recurrence_residual(b: float, q: float, coeffs: np.ndarray) -> float:
-    """max_k |(b - 4(k+1)^2) c_k - q (c_{k-1} + c_{k+1})| with c_{-1} = c_trunc = 0."""
-    k = np.arange(len(coeffs))
-    left = (b - 4.0 * (k + 1.0) ** 2) * coeffs
-    neighbors = np.zeros_like(coeffs)
-    neighbors[1:] += coeffs[:-1]
-    neighbors[:-1] += coeffs[1:]
-    return float(np.max(np.abs(left - q * neighbors)))
+def recurrence_residual(b, q: float, coeffs: np.ndarray) -> float:
+    """max_k |(b - 4(k+1)^2) c_k - q (c_{k-1} + c_{k+1})| with c_{-1} = c_trunc = 0.
+
+    ``coeffs`` is one row with its value ``b``, or a (levels, trunc) block
+    with one ``b`` per row; the maximum runs over every row.
+    """
+    k = np.arange(coeffs.shape[-1])
+    residual = (np.asarray(b)[..., None] - 4.0 * (k + 1.0) ** 2) * coeffs
+    residual[..., 1:] -= q * coeffs[..., :-1]
+    residual[..., :-1] -= q * coeffs[..., 1:]
+    return float(np.max(np.abs(residual)))

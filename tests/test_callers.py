@@ -28,7 +28,6 @@ ORPHANS = {
     "costratified.vertex_evaluation": "item 6",
     "costratified.project": "item 6",
     "costratified.vanishing_basis": "item 6",
-    "mathieu.recurrence_residual": "item 5",
     "mathieu.se_second_derivative": "item 5",
 }
 

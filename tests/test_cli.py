@@ -34,6 +34,14 @@ def run_quiet(args):
     return code, out.getvalue(), err.getvalue()
 
 
+def run_refused(args):
+    """Exit code, stdout and stderr of an in-process run whose arguments argparse refuses."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.raises(SystemExit) as excinfo, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        cli.main(args)
+    return excinfo.value.code, out.getvalue(), err.getvalue()
+
+
 def package_env(**overrides):
     """The environment for a subprocess that imports this package."""
     package_root = os.path.dirname(os.path.dirname(plaquette_qgauge.__file__))
@@ -532,9 +540,11 @@ class TestDecomp:
         assert header == ["s", "k", "index", "exponents", "in_kernel"]
         assert rows == [["2", "2", "0", "2 0", "0"], ["2", "2", "1", "0 1", "1"]]
 
-    def test_svg_not_supported(self, capsys):
-        assert cli.main(["decomp", "--s", "2", "--k", "2", "--format", "svg"]) == 2
-        capsys.readouterr()
+    def test_svg_not_supported(self):
+        # decomp has no plot and takes no --format: argparse refuses the flag
+        code, out, err = run_refused(["decomp", "--s", "2", "--k", "2", "--format", "svg"])
+        assert code == 2 and out == ""
+        assert err.endswith("error: unrecognized arguments: --format svg\n")
 
     @pytest.mark.parametrize("s, k, rows", [(1500, 0, 1), (2000, 1, 1), (100000, 3, 3)])
     def test_large_rank_bound(self, s, k, rows, capsys):
@@ -544,6 +554,137 @@ class TestDecomp:
         _, table = parse_csv(out)
         assert len(table) == rows
         assert all(len(row[3].split()) == s for row in table)
+
+
+#: the ``OPTIONS`` keys each command takes, as a flag or a config line,
+#: besides ``--config``: exactly those its handler reads
+SHARED_OPTIONS = {
+    "tunneling": ("out", "format", "hbar", "beta2", "hbar_beta2"),
+    "spectrum": ("out", "format", "hbar", "beta2", "coupling_g", "nu_tilde", "n_max"),
+    "states": ("out", "format", "hbar", "beta2", "coupling_g", "nu_tilde", "hbar_beta2", "grid"),
+    "projector-expectations": (
+        "out", "format", "hbar", "beta2", "coupling_g", "nu_tilde", "hbar_beta2", "n_max",
+    ),
+    "decomp": ("out",),
+    "geometry-verify": ("out",),
+    "verify": ("out",),
+}
+#: each command's handler, and the flags it requires
+HANDLERS = {
+    "tunneling": ("cmd_tunneling", []),
+    "spectrum": ("cmd_spectrum", []),
+    "states": ("cmd_states", ["--state", "xi"]),
+    "projector-expectations": ("cmd_projector_expectations", []),
+    "decomp": ("cmd_decomp", ["--s", "2", "--k", "2"]),
+    "geometry-verify": ("cmd_verify", []),
+    "verify": ("cmd_verify", []),
+}
+#: a value for each key, spelled as its flag and its config line take it
+OPTION_VALUES = {
+    "out": "-", "format": "csv", "hbar": "2.0", "beta2": "0.5", "coupling_g": "1.5",
+    "nu_tilde": "1", "hbar_beta2": "0.25", "n_max": "3", "grid": "5",
+}
+
+
+class TestOptionScope:
+    def test_tables_cover_every_command_and_key(self):
+        code, out, _ = run_refused(["--help"])
+        commands = re.search(r"\{([a-z,-]+)\}", out).group(1).split(",")
+        assert code == 0 and set(SHARED_OPTIONS) == set(HANDLERS) == set(commands)
+        assert set(OPTION_VALUES) == set(cli.OPTIONS)
+        assert sum(map(len, SHARED_OPTIONS.values())) == 31
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("key", sorted(OPTION_VALUES))
+    @pytest.mark.parametrize("command", sorted(SHARED_OPTIONS))
+    def test_command_takes_exactly_the_keys_it_reads(self, command, key, source, tmp_path, monkeypatch):
+        # a key the command takes reaches its handler with the flag's type;
+        # any other exits 2 before the handler runs, naming the key
+        calls = []
+        handler, required = HANDLERS[command]
+        monkeypatch.setattr(cli, handler, lambda args, settings: calls.append(settings) or 0)
+        if source == "flag":
+            given = ["--" + key.replace("_", "-"), OPTION_VALUES[key]]
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text(f"{key} = {OPTION_VALUES[key]}\n")
+            given = ["--config", str(config)]
+        argv = [command, *required, *given]
+        if key in SHARED_OPTIONS[command]:
+            assert run_quiet(argv) == (0, "", "")
+            assert calls == [{key: cli.OPTIONS[key]["type"](OPTION_VALUES[key])}]
+            return
+        if source == "flag":
+            code, out, err = run_refused(argv)
+            assert err.endswith(f"error: unrecognized arguments: {' '.join(given)}\n")
+        else:
+            code, out, err = run_quiet(argv)
+            only = ", ".join(SHARED_OPTIONS[command])
+            assert err == f"error: {config}:1: this command takes no {key!r}, only {only}\n"
+        assert code == 2 and out == "" and calls == []
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_spectrum_takes_no_hbar_beta2_with_coupling(self, source, tmp_path):
+        # the energies do not depend on t, so hbar_beta2 is refused before
+        # the coupling could make it ambiguous
+        if source == "flag":
+            code, out, err = run_refused(["spectrum", "--coupling-g", "0.5", "--hbar-beta2", "0.25"])
+            assert err.endswith("error: unrecognized arguments: --hbar-beta2 0.25\n")
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text("coupling_g = 0.5\nhbar_beta2 = 0.25\n")
+            code, out, err = run_quiet(["spectrum", "--config", str(config)])
+            assert err.startswith(f"error: {config}:2: this command takes no 'hbar_beta2'")
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("state", ["psi-plus", "psi-minus"])
+    def test_level_of_a_vertex_state_exits_2(self, state):
+        code, out, err = run_quiet(["states", "--state", state, "--level", "2"])
+        assert code == 2 and out == ""
+        assert err == f"error: --level selects an eigenfunction of --state xi, not of {state}\n"
+
+    def test_xi_without_level_is_level_0(self):
+        args = ["states", "--state", "xi", "--nu-tilde", "6", "--grid", "9"]
+        result = run_quiet(args)
+        assert result[0] == 0 and result == run_quiet([*args, "--level", "0"])
+        assert '"state":"xi_0"' in result[1].split("\n")[0]
+
+    @pytest.mark.parametrize(
+        "args, config_text",
+        [
+            (["--hbar", "2", "--beta2", "3", "--nu-tilde", "1"], None),
+            (["--hbar", "2"], None),
+            (["--beta2", "3", "--n-max", "2"], None),
+            ([], "hbar = 2\nnu_tilde = 1\n"),
+        ],
+    )
+    def test_spectrum_hbar_or_beta2_without_coupling_exits_2(self, args, config_text, tmp_path):
+        # with no coupling, hbar and beta2 derive nothing the energies read
+        if config_text is not None:
+            config = tmp_path / "run.cfg"
+            config.write_text(config_text)
+            args = [*args, "--config", str(config)]
+        code, out, err = run_quiet(["spectrum", *args])
+        assert code == 2 and out == ""
+        assert err == (
+            "error: hbar and beta2 derive nu_tilde only with coupling_g; supply it, or nu_tilde alone\n"
+        )
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["tunneling", "--hbar-beta2", "1,,2"],
+            ["spectrum", "--nu-tilde", "1,,2,"],
+            ["spectrum", "--nu-tilde", ",1"],
+            ["spectrum", "--nu-tilde", " "],
+            ["projector-expectations", "--nu-tilde", "1,"],
+            ["states", "--state", "psi-plus", "--hbar-beta2", ""],
+        ],
+    )
+    def test_empty_list_entry_exits_2(self, args):
+        code, out, err = run_quiet(args)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: bad value list {args[-1].strip()!r}: ") and err.count("\n") == 1
 
 
 class TestConfigFile:
@@ -583,7 +724,7 @@ class TestConfigFile:
     def test_values_take_the_flag_type(self, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("n_max = 2\nhbar = 0.5\nnu_tilde = 0,6\nformat = svg\nout = -\n")
-        assert cli.read_config_file(str(config)) == {
+        assert cli.read_config_file(str(config), SHARED_OPTIONS["spectrum"]) == {
             "n_max": 2,
             "hbar": 0.5,
             "nu_tilde": "0,6",
@@ -640,7 +781,6 @@ class TestConfigFile:
         "args, config_text",
         [
             (["states", "--state", "xi", "--coupling-g", "0.5", "--hbar-beta2", "0.25"], None),
-            (["spectrum", "--coupling-g", "0.5", "--hbar-beta2", "0.25"], None),
             (["states", "--state", "xi"], "coupling_g = 0.5\nhbar_beta2 = 0.25\n"),
             (["projector-expectations", "--hbar-beta2", "0.25"], "coupling_g = 0.5\n"),
         ],
@@ -701,8 +841,9 @@ class TestVerifyCommands:
     @pytest.mark.parametrize("fmt", ["svg", "csv"])
     @pytest.mark.parametrize("command", ["verify", "geometry-verify"])
     def test_svg_is_refused_before_any_check(self, command, fmt, source, tmp_path, monkeypatch):
-        # the report is text, so any explicit format, csv included, is refused:
-        # exit 2 with one error line, no check run, nothing written
+        # the report is text, so the command takes no format, csv included:
+        # exit 2, no check run, nothing written.  argparse refuses the flag,
+        # and the config reader the line, in one error line naming the key
         from plaquette_qgauge import verify
 
         def never(*args, **kwargs):
@@ -712,15 +853,14 @@ class TestVerifyCommands:
         monkeypatch.setattr(verify, "geometry_checks", never)
         path = tmp_path / f"report.{fmt}"
         if source == "flag":
-            given = ["--format", fmt]
+            code, out, err = run_refused([command, "--format", fmt, "--out", str(path)])
+            assert err.endswith(f"error: unrecognized arguments: --format {fmt}\n")
         else:
             config = tmp_path / "run.cfg"
             config.write_text(f"format = {fmt}\n")
-            given = ["--config", str(config)]
-        code, out, err = run_quiet([command, *given, "--out", str(path)])
-        assert code == 2
-        assert out == "" and err.count("\n") == 1
-        assert err.startswith("error: ") and "text report" in err
+            code, out, err = run_quiet([command, "--config", str(config), "--out", str(path)])
+            assert err == f"error: {config}:1: this command takes no 'format', only out\n"
+        assert code == 2 and out == ""
         assert not path.exists()
 
 

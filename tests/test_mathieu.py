@@ -63,6 +63,14 @@ class TestSolve:
             b, coeffs = mathieu.solve(n, q)
             assert mathieu.recurrence_residual(b, q, coeffs) < 1e-10
 
+    @pytest.mark.parametrize("q", [1.0, 48.0])
+    def test_recurrence_residual_of_a_block_is_its_worst_row(self, q):
+        # every cell of a (levels, trunc) block is computed as for its row
+        # alone, so the block's residual is exactly the largest row's
+        levels = mathieu.solve(np.arange(10), q)
+        rows = [mathieu.recurrence_residual(b, q, c) for b, c in zip(levels.b, levels.coeffs)]
+        assert mathieu.recurrence_residual(levels.b, q, levels.coeffs) == max(rows) > 0.0
+
     @pytest.mark.parametrize("q", [0.0, 1.0, 4.0, 16.0, 48.0, 96.0])
     def test_characteristic_values_strictly_ordered(self, q):
         values = [mathieu.solve(n, q).b for n in range(10)]
