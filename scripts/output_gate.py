@@ -10,8 +10,7 @@ arguments from ``perfbench/workloads.py``), the determinism configs of
 ``tests/test_acceptance.py``, every command at its defaults, six
 commands that solve past 128 rows (``LARGE_Q``), a projector sweep at t
 that are not powers of two (``Q_PER_NU_TILDE``), a projector sweep whose t
-need different truncations (``MIXED_TRUNCATION``), an eigenfunction at a t
-that is not a power of two (``XI_AT_T``), three commands at the edges
+need different truncations (``MIXED_TRUNCATION``), three commands at the edges
 of the vertex-state domain (``DOMAIN_EDGES``), two ranges whose step is
 below the spacing of doubles (``GRID_EDGES``), the tunneling route switch
 and cross-check band ends with the doubles either side (``BAND_EDGES``), a
@@ -19,8 +18,8 @@ log-x SVG with an x of 0, a ``decomp`` whose rank bound is far above its
 degree, an eigenfunction at level 100,000 and two sweeps at a nu_tilde so
 far past the domain edge that 4 nu_tilde overflows (``CLI_EDGES``), three
 states on grids coarse enough to read the wall cells at x = 0 and x = pi
-(``WALLS``), eight command lines that give a command an option it does
-not read, or an empty value-list entry (``IGNORED_OPTIONS``), and
+(``WALLS``), sixteen command lines that give a command an option it does
+not read, an empty value-list entry, or a key twice (``IGNORED_OPTIONS``), and
 ``scripts/make_figure_data.py`` (the working
 tree's script on both sides, so only ``src/`` differs).  Each runs as a
 fresh ``python -m plaquette_qgauge`` process under
@@ -92,11 +91,6 @@ Q_PER_NU_TILDE = [
 MIXED_TRUNCATION = [
     ["projector-expectations", "--hbar-beta2", "0.001,0.125,2", "--nu-tilde", "0.1:1e4:9:log"],
 ]
-#: an eigenfunction, which does not depend on t, at a t that is not a power
-#: of two: nu_tilde recovered through t and coupling_g would move an ulp
-XI_AT_T = [
-    ["states", "--state", "xi", "--level", "2", "--hbar-beta2", "0.3", "--nu-tilde", "6"],
-]
 #: the edges of the vertex-state domain: the tunneling overlap underflows
 #: to 0 just above the N^2 overflow, the psi-plus truncation is past 2**19
 #: rows, and psi-minus at 89,451 rows still runs
@@ -140,9 +134,12 @@ WALLS = [
     ["states", "--state", "psi-plus", "--hbar-beta2", "0.0078125", "--grid", "5"],
     ["states", "--state", "xi", "--level", "0", "--nu-tilde", "400", "--grid", "9"],
 ]
-#: options a command does not read, and a value list with an empty entry:
-#: a flag or level none of the command's outputs depends on, hbar and beta2
-#: for spectrum without a coupling, a format where there is no plot
+#: options a command does not read, a value list with an empty entry, and
+#: a key set twice: a flag or level none of the command's outputs depends
+#: on, hbar and beta2 for spectrum or an eigenfunction without a coupling, a
+#: coupling or nu_tilde for a vertex state, t for an eigenfunction, a format
+#: where there is no plot; two lines of one config file (``{twice}``) that
+#: set one key, a flag given twice, and ``--config`` given twice
 IGNORED_OPTIONS = [
     ["tunneling", "--hbar-beta2", "0.5", "--nu-tilde", "3", "--n-max", "4"],
     ["spectrum", "--nu-tilde", "1", "--hbar-beta2", "0.3", "--grid", "5"],
@@ -152,6 +149,14 @@ IGNORED_OPTIONS = [
     ["decomp", "--s", "2", "--k", "2", "--format", "csv"],
     ["verify", "--nu-tilde", "5"],
     ["tunneling", "--hbar-beta2", "1,,2"],
+    ["states", "--state", "xi", "--level", "2", "--hbar-beta2", "0.3", "--nu-tilde", "6"],
+    ["states", "--state", "psi-plus", "--grid", "5", "--nu-tilde", "5"],
+    ["states", "--state", "psi-plus", "--grid", "5", "--coupling-g", "2"],
+    ["states", "--state", "xi", "--grid", "5", "--hbar", "2", "--beta2", "3"],
+    ["spectrum", "--config", "{twice}"],
+    ["spectrum", "--nu-tilde", "1", "--nu-tilde", "2"],
+    ["states", "--state", "xi", "--grid", "3", "--grid", "4"],
+    ["spectrum", "--config", "{config}", "--config", "{config}"],
 ]
 DEFAULTS = [
     ["tunneling"],
@@ -285,22 +290,22 @@ def main() -> int:
         sides = {"rev": tmp / "rev", "tree": tmp / "tree"}
         export_src(args.rev, sides["rev"])
         shutil.copytree(ROOT / "src", sides["tree"] / "src", ignore=shutil.ignore_patterns("__pycache__"))
-        config = tmp / "sweep.cfg"
-        config.write_text("n_max = 2\n")
+        files = {"config": tmp / "sweep.cfg", "twice": tmp / "twice.cfg"}
+        files["config"].write_text("n_max = 2\n")
+        files["twice"].write_text("nu_tilde = 1\nnu_tilde = 2\n")
         commands = [
             *workload_commands(),
-            *([part.format(config=config) for part in argv] for argv in ACCEPTANCE),
+            *([part.format(**files) for part in argv] for argv in ACCEPTANCE),
             *DEFAULTS,
             *LARGE_Q,
             *Q_PER_NU_TILDE,
             *MIXED_TRUNCATION,
-            *XI_AT_T,
             *DOMAIN_EDGES,
             *GRID_EDGES,
             *BAND_EDGES,
             *CLI_EDGES,
             *WALLS,
-            *IGNORED_OPTIONS,
+            *([part.format(**files) for part in argv] for argv in IGNORED_OPTIONS),
         ]
         failures, compared = [], 0
         for threads in THREADS:

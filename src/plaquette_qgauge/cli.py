@@ -23,14 +23,19 @@ the command's own arrays.  Each option is declared once, in
 ``OPTIONS``, and a command takes only the keys its handler reads (the
 table in ``build_parser``; ``--config`` is on every command), as flags or
 as lines of a flat ``key = value`` config file, read with the flag's type;
-command-line flags win, and any other flag or config key exits 2.  Only
-the commands with a plot take ``format``.  Grid values, a
-range's included, must be finite and strictly increasing.  ``coupling_g``
-with ``nu_tilde``, ``hbar`` or ``beta2`` with ``hbar_beta2``, and
-``coupling_g`` with ``hbar_beta2`` but without ``hbar`` or ``beta2``
-(nu_tilde = 1/(g^2 hbar t) then depends on an unset hbar) are refused as
-ambiguous, and ``spectrum``, which reads only nu_tilde, refuses ``hbar``
-or ``beta2`` without ``coupling_g``; ``hbar``, ``beta2`` and ``coupling_g`` are checked as a
+command-line flags win, and any other flag or config key exits 2, as does
+a flag given twice or a key set on two config lines.  Only the commands
+with a plot take ``format``.  Grid values, a range's included, must be
+finite and strictly increasing.  ``resolve_axes`` turns the model options
+into the reduced coordinates a run reads, t (``tunneling``, ``states``
+of a vertex state) or nu_tilde (``spectrum``, ``states`` of an
+eigenfunction) or both (``projector-expectations``), and refuses any
+model option that feeds no coordinate the run reads: hbar and beta2 feed
+t, and nu_tilde only with coupling_g.  It then refuses as ambiguous
+``coupling_g`` with ``nu_tilde``, ``hbar`` or ``beta2`` with
+``hbar_beta2``, and ``coupling_g`` with ``hbar_beta2`` but without
+``hbar`` or ``beta2`` (nu_tilde = 1/(g^2 hbar t) then depends on an unset
+hbar); ``hbar``, ``beta2`` and ``coupling_g`` are checked as a
 ``ModelParams``, which turns them into the (t, nu_tilde) that every
 numerical layer takes.
 
@@ -116,13 +121,13 @@ def parse_value_list(text: str) -> list[float]:
 
 
 def read_config_file(path: str, keys) -> dict:
-    """Config-file values, each key one of ``keys`` and converted like its flag in ``OPTIONS``."""
+    """Config-file values, each key one of ``keys``, set once and converted like its flag in ``OPTIONS``."""
     try:
         with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
     except OSError as exc:
         raise ValueError(f"cannot read config file: {exc}") from exc
-    out = {}
+    out, set_on = {}, {}
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -132,6 +137,9 @@ def read_config_file(path: str, keys) -> dict:
         key, _, text = (part.strip() for part in line.partition("="))
         if key not in keys:
             raise ValueError(f"{path}:{lineno}: this command takes no {key!r}, only {', '.join(keys)}")
+        if key in set_on:
+            raise ValueError(f"{path}:{lineno}: {key} is already set on line {set_on[key]}")
+        set_on[key] = lineno
         choices = OPTIONS[key].get("choices", (text,))
         if text not in choices:
             raise ValueError(f"{path}:{lineno}: {key} must be {' or '.join(choices)}, got {text!r}")
@@ -152,37 +160,6 @@ def merge_settings(args: argparse.Namespace) -> dict:
     settings = read_config_file(args.config, keys) if args.config else {}
     settings.update({k: v for k, v in vars(args).items() if k in OPTIONS and v is not None})
     return settings
-
-
-def _resolve(settings: dict, key: str, sources, derive, default: str) -> list[float]:
-    """The ``key`` grid, else one value from ``sources`` via ``ModelParams``, else ``default``."""
-    given = any(source in settings for source in sources)
-    if key in settings and given:
-        raise ValueError(f"supply either {'/'.join(sources)} or {key}, not both")
-    if given:
-        hbar, beta2 = settings.get("hbar", 1.0), settings.get("beta2", 1.0)
-        return [derive(ModelParams(hbar, beta2, settings.get("coupling_g", math.inf)))]
-    return parse_value_list(settings.get(key, default))
-
-
-def resolve_t_values(settings: dict, default: str) -> list[float]:
-    values = _resolve(settings, "hbar_beta2", ("hbar", "beta2"), lambda p: p.t, default)
-    if any(v <= 0 for v in values):
-        raise ValueError("hbar_beta2 values must be positive")
-    return values
-
-
-def resolve_nut_values(settings: dict, default: str) -> list[float]:
-    # nu_tilde = 1 / (g^2 hbar t) needs an hbar that hbar_beta2 does not fix
-    if {"coupling_g", "hbar_beta2"} <= set(settings) and not {"hbar", "beta2"} & set(settings):
-        raise ValueError(
-            "coupling_g with hbar_beta2 is ambiguous; "
-            "supply nu_tilde, or hbar and beta2 instead of hbar_beta2"
-        )
-    values = _resolve(settings, "nu_tilde", ("coupling_g",), lambda p: p.nu_tilde, default)
-    if any(v < 0 for v in values):
-        raise ValueError("nu_tilde values must be non-negative")
-    return values
 
 
 def fmt(column) -> list[str]:
@@ -206,6 +183,53 @@ class Axis:
     def __init__(self, values):
         self.values = list(values)
         self.cells = _cells(self.values)
+
+
+#: each reduced coordinate a run can read, by the key of its grid: the
+#: options that derive it through ``ModelParams`` instead of the grid, the
+#: ``ModelParams`` property it is, and the sign its values must have
+COORDINATES = {
+    "hbar_beta2": (("hbar", "beta2"), "t", "positive"),
+    "nu_tilde": (("coupling_g",), "nu_tilde", "non-negative"),
+}
+
+
+def resolve_axes(settings: dict, **defaults: str) -> dict:
+    """One ``Axis`` per reduced coordinate the run reads, keyed and ordered as ``defaults``.
+
+    ``defaults`` maps each coordinate the run reads, ``hbar_beta2`` (t) or
+    ``nu_tilde``, to its default grid.  t is the hbar_beta2 grid, else
+    hbar * beta2; nu_tilde is the nu_tilde grid, else
+    1/(coupling_g^2 hbar^2 beta2), so hbar and beta2 feed nu_tilde only
+    with coupling_g.  A model option that feeds no coordinate the run reads
+    is refused first.  Then, a coordinate at a time, come the ambiguity
+    rules, the ``ModelParams`` checks and the sign of the values.
+    """
+    # hbar and beta2 feed t, and nu_tilde with coupling_g, which feeds only nu_tilde
+    if {"hbar", "beta2"} & settings.keys() and "hbar_beta2" not in defaults and "coupling_g" not in settings:
+        raise ValueError("hbar and beta2 derive nu_tilde only with coupling_g; supply it, or nu_tilde alone")
+    for key in ("coupling_g", *COORDINATES):
+        if key in settings and ("nu_tilde" if key == "coupling_g" else key) not in defaults:
+            raise ValueError(f"{key} does not enter this run, which reads only {' and '.join(defaults)}")
+    axes = {}
+    for key, default in defaults.items():
+        sources, derived, sign = COORDINATES[key]
+        given = any(source in settings for source in sources)
+        # nu_tilde = 1 / (g^2 hbar t) needs an hbar that hbar_beta2 does not fix
+        if key == "nu_tilde" and given and "hbar_beta2" in settings and not {"hbar", "beta2"} & settings.keys():
+            raise ValueError("coupling_g with hbar_beta2 is ambiguous; "
+                             "supply nu_tilde, or hbar and beta2 instead of hbar_beta2")
+        if key in settings and given:
+            raise ValueError(f"supply either {'/'.join(sources)} or {key}, not both")
+        if given:
+            hbar, beta2 = settings.get("hbar", 1.0), settings.get("beta2", 1.0)
+            values = [getattr(ModelParams(hbar, beta2, settings.get("coupling_g", math.inf)), derived)]
+        else:
+            values = parse_value_list(settings.get(key, default))
+        if any(v < 0 or v == 0 and sign == "positive" for v in values):
+            raise ValueError(f"{key} values must be {sign}")
+        axes[key] = Axis(values)
+    return axes
 
 
 def canonical_config(command: str, **entries) -> str:
@@ -337,7 +361,7 @@ def emit(settings: dict, command: str, config: dict, axes: dict, data: dict, plo
 
 
 def cmd_tunneling(args, settings) -> int:
-    t_axis = Axis(resolve_t_values(settings, default="0.01:5:200:log"))
+    t_axis = resolve_axes(settings, hbar_beta2="0.01:5:200:log")["hbar_beta2"]
     overlaps = np.array([costratified.tunneling_overlap(t) for t in t_axis.values])
     data = {"overlap": overlaps, "probability": overlaps * overlaps}
     series = [("probability", t_axis.values, data["probability"])]
@@ -350,9 +374,7 @@ def cmd_spectrum(args, settings) -> int:
 
     # the energies are in units of hbar^2 beta2: hbar and beta2 enter only
     # through nu_tilde, with coupling_g
-    if {"hbar", "beta2"} & settings.keys() and "coupling_g" not in settings:
-        raise ValueError("hbar and beta2 derive nu_tilde only with coupling_g; supply it, or nu_tilde alone")
-    nut_axis = Axis(resolve_nut_values(settings, default="0:24:49"))
+    nut_axis = resolve_axes(settings, nu_tilde="0:24:49")["nu_tilde"]
     n_max = settings.get("n_max", 8)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -365,21 +387,23 @@ def cmd_spectrum(args, settings) -> int:
 
 
 def cmd_states(args, settings) -> int:
-    t_axis = Axis(resolve_t_values(settings, default="0.125"))
-    nut_axis = Axis(resolve_nut_values(settings, default="0"))
-    if len(t_axis.values) != 1 or len(nut_axis.values) != 1:
-        raise ValueError("states needs a single hbar_beta2 and a single nu_tilde")
+    # a vertex state reads t alone, an eigenfunction nu_tilde alone
+    vertex = args.state in ("psi-plus", "psi-minus")
+    coordinate = resolve_axes(settings, **({"hbar_beta2": "0.125"} if vertex else {"nu_tilde": "0"}))
+    ((key, axis),) = coordinate.items()
+    if len(axis.values) != 1:
+        raise ValueError(f"states needs a single {key}")
     grid = settings.get("grid", 257)
     if grid < 2:
         raise ValueError("grid must be >= 2")
     x = np.linspace(0.0, math.pi, grid)
-    if args.state in ("psi-plus", "psi-minus"):
+    if vertex:
         if args.level is not None:
             raise ValueError(f"--level selects an eigenfunction of --state xi, not of {args.state}")
         from . import characters
 
         stratum = Stratum.PLUS if args.state == "psi-plus" else Stratum.MINUS
-        state = costratified.stratum_state(stratum, t_axis.values[0])
+        state = costratified.stratum_state(stratum, axis.values[0])
         values = math.sqrt(2.0) * characters.sine_series(x, state)
         label = args.state
     else:
@@ -388,10 +412,9 @@ def cmd_states(args, settings) -> int:
         level = 0 if args.level is None else args.level
         if level < 0:
             raise ValueError("level must be >= 0")
-        # eigenfunctions do not depend on t
-        values = spectrum.eigenfunction_x(level, nut_axis.values[0], x)
+        values = spectrum.eigenfunction_x(level, axis.values[0], x)
         label = f"xi_{level}"
-    config = {"state": label, "hbar_beta2": t_axis, "nu_tilde": nut_axis, "grid": grid}
+    config = {"state": label, **coordinate, "grid": grid}
     plot = dict(series=[(label, x, values)], xlabel="x", ylabel=label)
     return emit(settings, "states", config, {"x": Axis(x)}, {"value": values}, plot)
 
@@ -399,8 +422,8 @@ def cmd_states(args, settings) -> int:
 def cmd_projector_expectations(args, settings) -> int:
     from . import spectrum
 
-    t_axis = Axis(resolve_t_values(settings, default="0.03125,0.125,0.5"))
-    nut_axis = Axis(resolve_nut_values(settings, default="0.1:100:30:log"))
+    coordinates = resolve_axes(settings, hbar_beta2="0.03125,0.125,0.5", nu_tilde="0.1:100:30:log")
+    t_axis, nut_axis = coordinates.values()
     n_max = settings.get("n_max", 6)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -412,8 +435,8 @@ def cmd_projector_expectations(args, settings) -> int:
         for n in range(n_max)
     ]
     plot = dict(series=series, xlabel="log10 nu_tilde", ylabel="P_plus", logx=True)
-    config = {"hbar_beta2": t_axis, "nu_tilde": nut_axis, "n_max": n_max}
-    axes = {"hbar_beta2": t_axis, "nu_tilde": nut_axis, "n": Axis(range(n_max))}
+    config = {**coordinates, "n_max": n_max}
+    axes = {**coordinates, "n": Axis(range(n_max))}
     data = {
         "P_plus": plus.ravel(),
         "P_minus": minus.ravel(),
@@ -443,6 +466,19 @@ def cmd_verify(args, settings) -> int:
     results = verify.all_checks() if args.command == "verify" else verify.geometry_checks()
     write_output(settings.get("out", "-"), [verify.render_report(results, args.command)])
     return 0 if all(r.passed for r in results) else 1
+
+
+class _Once(argparse.Action):
+    """Store a flag's value, and refuse the flag given a second time.
+
+    Every flag of a subcommand defaults to None, so a value already stored
+    means the flag came before.
+    """
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            raise argparse.ArgumentError(self, "may be given only once")
+        setattr(namespace, self.dest, values)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -480,11 +516,11 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for name, (func, keys, extra) in commands.items():
         p = sub.add_parser(name)
-        p.add_argument("--config", help="flat key = value config file")
+        p.add_argument("--config", action=_Once, help="flat key = value config file")
         for key in keys:
-            p.add_argument("--" + key.replace("_", "-"), dest=key, **OPTIONS[key])
+            p.add_argument("--" + key.replace("_", "-"), dest=key, action=_Once, **OPTIONS[key])
         for flag, spec in extra.items():
-            p.add_argument(flag, **spec)
+            p.add_argument(flag, action=_Once, **spec)
         p.set_defaults(func=func)
     return parser
 

@@ -351,13 +351,12 @@ class TestStates:
 
     @pytest.mark.parametrize("t", ["1e-160", "1e-300", "1e160"])
     def test_eigenfunction_does_not_depend_on_t(self, t):
-        # nu_tilde is read as given, not recovered through t and coupling_g,
-        # so the rows at any t are those at t = 1
+        # an eigenfunction is a function of nu_tilde alone, so a t, which
+        # no row would depend on, is refused instead of ignored
         args = ["states", "--state", "xi", "--level", "0", "--nu-tilde", "6", "--grid", "17"]
         code, out, err = run_quiet([*args, "--hbar-beta2", t])
-        assert code == 0, err
-        reference = run_quiet([*args, "--hbar-beta2", "1"])[1]
-        assert out.split("\n")[1:] == reference.split("\n")[1:]
+        assert code == 2 and out == ""
+        assert err == "error: hbar_beta2 does not enter this run, which reads only nu_tilde\n"
 
     @pytest.mark.parametrize(
         "args",
@@ -586,6 +585,34 @@ OPTION_VALUES = {
 }
 
 
+#: the model keys each ``states`` state takes on their own: a vertex state
+#: reads t alone and an eigenfunction nu_tilde alone, which hbar and beta2
+#: feed only with coupling_g
+STATE_OPTIONS = {
+    "psi-plus": ("hbar", "beta2", "hbar_beta2"),
+    "psi-minus": ("hbar", "beta2", "hbar_beta2"),
+    "xi": ("coupling_g", "nu_tilde"),
+}
+#: the coordinate each state reads, and the value each model key of
+#: ``OPTION_VALUES`` gives it alone, as its config records it
+STATE_COORDINATE = {"psi-plus": "hbar_beta2", "psi-minus": "hbar_beta2", "xi": "nu_tilde"}
+COORDINATE_VALUES = {
+    "hbar": "2.0", "beta2": "0.5", "hbar_beta2": "0.25", "coupling_g": repr(1 / 1.5**2), "nu_tilde": "1.0",
+}
+#: every flag of every command given twice, each with a value its parser
+#: takes, and the flag the refusal names
+TWICE = [
+    *(([command, *HANDLERS[command][1], *[flag, OPTION_VALUES.get(key, "run.cfg")] * 2], flag)
+      for command in sorted(SHARED_OPTIONS) for key in ("config", *SHARED_OPTIONS[command])
+      for flag in ["--" + key.replace("_", "-")]),
+    (["states", "--state", "xi", "--state", "xi"], "--state"),
+    (["states", "--state", "xi", "--level", "1", "--level", "2"], "--level"),
+    (["decomp", "--s", "2", "--s", "3", "--k", "2"], "--s"),
+    (["decomp", "--s", "2", "--k", "2", "--k", "2"], "--k"),
+    (["spectrum", "--nu-tilde=1", "--nu-tilde=2"], "--nu-tilde"),
+]
+
+
 class TestOptionScope:
     def test_tables_cover_every_command_and_key(self):
         code, out, _ = run_refused(["--help"])
@@ -670,6 +697,54 @@ class TestOptionScope:
             "error: hbar and beta2 derive nu_tilde only with coupling_g; supply it, or nu_tilde alone\n"
         )
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("key", sorted(COORDINATE_VALUES))
+    @pytest.mark.parametrize("state", sorted(STATE_OPTIONS))
+    def test_state_takes_only_the_coordinate_it_reads(self, state, key, source, tmp_path):
+        # a model key that feeds the state's coordinate runs; any other
+        # exits 2, where it used to be recorded and then ignored
+        if source == "flag":
+            given = ["--" + key.replace("_", "-"), OPTION_VALUES[key]]
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text(f"{key} = {OPTION_VALUES[key]}\n")
+            given = ["--config", str(config)]
+        code, out, err = run_quiet(["states", "--state", state, "--grid", "3", *given])
+        reads = STATE_COORDINATE[state]
+        if key in STATE_OPTIONS[state]:
+            assert code == 0 and err == ""
+            assert f'"{reads}":[{COORDINATE_VALUES[key]}]' in out.split("\n")[0]
+            return
+        assert code == 2 and out == ""
+        if key in ("hbar", "beta2"):
+            assert err == (
+                "error: hbar and beta2 derive nu_tilde only with coupling_g; supply it, or nu_tilde alone\n"
+            )
+        else:
+            assert err == f"error: {key} does not enter this run, which reads only {reads}\n"
+
+    def test_eigenfunction_takes_hbar_and_beta2_with_coupling(self):
+        # nu_tilde = 1/(g^2 hbar^2 beta2) = 1/3 for g = 0.5, hbar = 2, beta2 = 3
+        args = ["states", "--state", "xi", "--grid", "5"]
+        result = run_quiet([*args, "--hbar", "2", "--beta2", "3", "--coupling-g", "0.5"])
+        assert result[0] == 0 and result == run_quiet([*args, "--nu-tilde", repr(1 / 3)])
+
+    @pytest.mark.parametrize("state", sorted(STATE_OPTIONS))
+    def test_config_records_only_the_coordinate_read(self, state):
+        code, out, _ = run_quiet(["states", "--state", state, "--grid", "3"])
+        config = json.loads(out.split("\n")[0].split(" config=", 1)[1])
+        assert code == 0 and set(config) == {"command", "format", "grid", "state", STATE_COORDINATE[state]}
+
+    @pytest.mark.parametrize("argv, flag", TWICE, ids=[" ".join(argv) for argv, _ in TWICE])
+    def test_flag_given_twice_exits_2(self, argv, flag, monkeypatch):
+        # the last value would win silently; argparse refuses the second
+        # before the handler runs, naming the flag
+        calls = []
+        monkeypatch.setattr(cli, HANDLERS[argv[0]][0], lambda args, settings: calls.append(settings) or 0)
+        code, out, err = run_refused(argv)
+        assert code == 2 and out == "" and calls == []
+        assert err.startswith("usage: ") and err.endswith(f"error: argument {flag}: may be given only once\n")
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -698,6 +773,22 @@ class TestConfigFile:
         _, rows = parse_csv(out)
         assert len(rows) == 2
         assert {row[0] for row in rows} == {"0.0"}
+
+    @pytest.mark.parametrize(
+        "text, key, line, first",
+        [
+            ("nu_tilde = 1\nnu_tilde = 2\n", "nu_tilde", 2, 1),
+            ("nu_tilde = 1\n# again\n\nnu_tilde = 1\n", "nu_tilde", 4, 1),
+            ("n_max = 2\nnu_tilde = 1\nformat = csv\nn_max = 3\n", "n_max", 4, 1),
+        ],
+    )
+    def test_key_set_twice_exits_2(self, text, key, line, first, tmp_path):
+        # the last line would win silently; the refusal names both lines
+        config = tmp_path / "run.cfg"
+        config.write_text(text)
+        code, out, err = run_quiet(["spectrum", "--config", str(config)])
+        assert code == 2 and out == ""
+        assert err == f"error: {config}:{line}: {key} is already set on line {first}\n"
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
@@ -744,9 +835,9 @@ class TestConfigFile:
         "args, config_text",
         [
             (["tunneling", "--hbar", "-1", "--beta2", "-1"], None),
-            (["states", "--state", "xi", "--hbar", "-2", "--beta2", "-0.5"], None),
+            (["states", "--state", "xi", "--hbar", "-2", "--beta2", "-0.5", "--coupling-g", "1"], None),
             (["tunneling"], "hbar = -1\nbeta2 = -1\n"),
-            (["states", "--state", "xi"], "hbar = -2\nbeta2 = -0.5\n"),
+            (["states", "--state", "xi"], "hbar = -2\nbeta2 = -0.5\ncoupling_g = 1\n"),
         ],
     )
     def test_negative_hbar_exits_2(self, args, config_text, tmp_path):
@@ -763,7 +854,7 @@ class TestConfigFile:
         "args, config_text",
         [
             (["tunneling", "--hbar", "0.5", "--hbar-beta2", "1"], None),
-            (["states", "--state", "xi", "--beta2", "2", "--hbar-beta2", "0.125"], None),
+            (["states", "--state", "psi-plus", "--beta2", "2", "--hbar-beta2", "0.125"], None),
             (["tunneling", "--hbar-beta2", "1"], "hbar = 0.5\n"),
             (["projector-expectations"], "hbar_beta2 = 0.125\nbeta2 = 2\ncoupling_g = 1\n"),
         ],
@@ -780,8 +871,8 @@ class TestConfigFile:
     @pytest.mark.parametrize(
         "args, config_text",
         [
-            (["states", "--state", "xi", "--coupling-g", "0.5", "--hbar-beta2", "0.25"], None),
-            (["states", "--state", "xi"], "coupling_g = 0.5\nhbar_beta2 = 0.25\n"),
+            (["projector-expectations", "--coupling-g", "0.5", "--hbar-beta2", "0.25"], None),
+            (["projector-expectations"], "coupling_g = 0.5\nhbar_beta2 = 0.25\n"),
             (["projector-expectations", "--hbar-beta2", "0.25"], "coupling_g = 0.5\n"),
         ],
     )
