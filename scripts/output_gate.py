@@ -19,8 +19,9 @@ degree, an eigenfunction at level 100,000 and two sweeps at a nu_tilde so
 far past the domain edge that 4 nu_tilde overflows (``CLI_EDGES``), three
 states on grids coarse enough to read the wall cells at x = 0 and x = pi
 (``WALLS``), sixteen command lines that give a command an option it does
-not read, an empty value-list entry, or a key twice (``IGNORED_OPTIONS``), and
-``scripts/make_figure_data.py`` (the working
+not read, an empty value-list entry, or a key twice (``IGNORED_OPTIONS``),
+the top-level help, version, bare and unknown-command runs and each
+command's help (``PARSER``), and ``scripts/make_figure_data.py`` (the working
 tree's script on both sides, so only ``src/`` differs).  Each runs as a
 fresh ``python -m plaquette_qgauge`` process under
 ``OPENBLAS_NUM_THREADS=1`` and ``=2``.  A command's result is its exit
@@ -157,6 +158,16 @@ IGNORED_OPTIONS = [
     ["spectrum", "--nu-tilde", "1", "--nu-tilde", "2"],
     ["states", "--state", "xi", "--grid", "3", "--grid", "4"],
     ["spectrum", "--config", "{config}", "--config", "{config}"],
+]
+#: the parser's own output: the top-level help and version, no command, an
+#: unknown command, and the help of each command
+PARSER = [
+    ["--help"],
+    ["--version"],
+    [],
+    ["no-such-command"],
+    *([command, "-h"] for command in ("tunneling", "spectrum", "states", "projector-expectations",
+                                       "decomp", "geometry-verify", "verify")),
 ]
 DEFAULTS = [
     ["tunneling"],
@@ -306,6 +317,7 @@ def main() -> int:
             *CLI_EDGES,
             *WALLS,
             *([part.format(**files) for part in argv] for argv in IGNORED_OPTIONS),
+            *PARSER,
         ]
         failures, compared = [], 0
         for threads in THREADS:

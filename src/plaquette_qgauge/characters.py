@@ -26,10 +26,12 @@ the diagonal of the Hamiltonian).
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .params import ModelParams
+if TYPE_CHECKING:
+    from .params import ModelParams
 
 # below this |sin x| the quotient sin((n+1)x)/sin(x) is replaced by its limit
 _SIN_EPS = 1e-8

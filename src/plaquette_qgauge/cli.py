@@ -39,12 +39,17 @@ hbar); ``hbar``, ``beta2`` and ``coupling_g`` are checked as a
 ``ModelParams``, which turns them into the (t, nu_tilde) that every
 numerical layer takes.
 
-Importing this module loads only the ``params``, ``strata``, ``theta`` and
+Importing this module loads only the ``strata``, ``theta`` and
 ``costratified`` layers, which ``tunneling`` needs.  Each other command
 imports what it uses: ``spectrum`` (with ``mathieu`` and ``characters``)
 for ``spectrum``, ``projector-expectations`` and ``states --state xi``,
 ``characters`` for ``states --state psi-*``, ``geometry`` for ``decomp``,
-and ``verify`` (every layer) for the two verify commands.
+and ``verify`` (every layer) for the two verify commands.  ``params``
+(and ``dataclasses``) loads only on a run given hbar, beta2 or
+coupling_g, and ``json`` at the first config line, so the verify commands
+never load it.  ``main`` builds the parser of the one command its first
+argument names; ``--help``, ``--version``, no command or an unknown one
+build every command's, and both print the same help and usage text.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (any
 ``ValueError`` but ``TruncationError``), 3 numerical failure or out of
@@ -57,7 +62,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import os
 import sys
@@ -66,7 +70,6 @@ import numpy as np
 
 from . import __version__, costratified
 from .errors import ConsistencyError, ConvergenceError, TruncationError
-from .params import ModelParams
 from .strata import Stratum
 
 
@@ -222,6 +225,8 @@ def resolve_axes(settings: dict, **defaults: str) -> dict:
         if key in settings and given:
             raise ValueError(f"supply either {'/'.join(sources)} or {key}, not both")
         if given:
+            from .params import ModelParams
+
             hbar, beta2 = settings.get("hbar", 1.0), settings.get("beta2", 1.0)
             values = [getattr(ModelParams(hbar, beta2, settings.get("coupling_g", math.inf)), derived)]
         else:
@@ -237,6 +242,8 @@ def canonical_config(command: str, **entries) -> str:
 
     An ``Axis`` is written from its cells.
     """
+    import json
+
     payload = {"command": command, **entries}
     items = []
     for key in sorted(payload):
@@ -481,13 +488,19 @@ class _Once(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser with every subcommand, or with ``command``'s alone.
+
+    A parser holding one subcommand parses that command's arguments and
+    prints its help and usage errors exactly as the full parser does; any
+    ``command`` that names no subcommand (None, an option, an unknown
+    word) gets the full parser.
+    """
     parser = argparse.ArgumentParser(
         prog="plaquette-qgauge",
         description="single-plaquette SU(2) gauge model: sweeps, figure data, verification",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
 
     # built on each call, not at import, so the handler that runs is the one
     # bound on the module now, a patched or traced one included.  A command
@@ -514,6 +527,14 @@ def build_parser() -> argparse.ArgumentParser:
         "geometry-verify": (cmd_verify, ("out",), {}),
         "verify": (cmd_verify, ("out",), {}),
     }
+    if command in commands:
+        # the top-level usage line, which an unrecognized argument prints,
+        # still names every command; with no metavar argparse would name
+        # only the one added
+        sub = parser.add_subparsers(dest="command", required=True, metavar="{" + ",".join(commands) + "}")
+        commands = {command: commands[command]}
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
     for name, (func, keys, extra) in commands.items():
         p = sub.add_parser(name)
         p.add_argument("--config", action=_Once, help="flat key = value config file")
@@ -531,8 +552,10 @@ EXIT_BROKEN_PIPE = 141
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a run builds the parser of the command it names; --help, --version, no
+    # command or an unknown one build the full parser
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         code = args.func(args, merge_settings(args))
         sys.stdout.flush()

@@ -48,13 +48,16 @@ from __future__ import annotations
 
 import math
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import MAX_ROWS, ConsistencyError, TruncationError
-from .params import ModelParams
 from .strata import Stratum
 from .theta import theta3_prime
+
+if TYPE_CHECKING:
+    from .params import ModelParams
 
 #: relative tolerance of the direct-vs-dual cross-check
 _CROSSCHECK_RTOL = 1e-12
@@ -195,6 +198,16 @@ def check_tail(t: float, weights: np.ndarray, norm: float) -> None:
         )
 
 
+def check_rows(t: float, trunc: int) -> None:
+    """Raise ``TruncationError`` where a vertex state at t would take more than ``MAX_ROWS`` rows.
+
+    The one rule for the size of a vertex state's truncation, for the state
+    itself and for a projector sweep, which reads the state at each t.
+    """
+    if trunc > MAX_ROWS:
+        raise TruncationError(f"trunc={trunc:.4g} at t={t} is past {MAX_ROWS} rows")
+
+
 def stratum_state(stratum: Stratum, t: float, trunc: int | None = None) -> np.ndarray:
     """Unit coefficients of the state spanning the stratum's quantum subspace at t = hbar beta2.
 
@@ -209,8 +222,7 @@ def stratum_state(stratum: Stratum, t: float, trunc: int | None = None) -> np.nd
     elif trunc < 1:
         raise ValueError(f"a vertex state needs trunc >= 1, got {trunc}")
     n2 = norm_squared(t)  # first: below the N^2 edge the truncation is too large to allocate
-    if trunc > MAX_ROWS:
-        raise TruncationError(f"trunc={trunc:.4g} at t={t} is past {MAX_ROWS} rows")
+    check_rows(t, trunc)
     weights = vertex_weights(stratum, t, trunc)
     norm = math.sqrt(n2)
     check_tail(t, weights, norm)

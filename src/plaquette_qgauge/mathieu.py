@@ -281,11 +281,11 @@ def _eigensystem(q: float, trunc: int, n: np.ndarray) -> tuple[np.ndarray, np.nd
         rows = np.ascontiguousarray(v.T[kept])
         # the anchor's sign does not depend on the row's positive scale, and
         # an elementwise sum, unlike a BLAS product, not on the thread count
-        flip = alternating[levels] * np.sum(rows * wall_slope, axis=1) < 0
+        flip = alternating[levels] * (rows * wall_slope).sum(axis=1) < 0
         # an elementwise sum, not a BLAS dot product, whose split across
         # threads would change the bits; dividing by -norm negates that
         # quotient exactly
-        norms = np.sqrt(np.sum(rows * rows, axis=1))
+        norms = np.sqrt((rows * rows).sum(axis=1))
         rows /= np.where(flip, -norms, norms)[:, None]
         values[at], block[at] = w[kept], rows
     for array in (values, block):
@@ -387,4 +387,4 @@ def recurrence_residual(b, q: float, coeffs: np.ndarray) -> float:
     residual = (np.asarray(b)[..., None] - 4.0 * (k + 1.0) ** 2) * coeffs
     residual[..., 1:] -= q * coeffs[..., :-1]
     residual[..., :-1] -= q * coeffs[..., 1:]
-    return float(np.max(np.abs(residual)))
+    return float(np.abs(residual).max())

@@ -188,7 +188,9 @@ def projector_expectations(
     per t.  Each t's normalization N is computed once per call, and its
     signed vertex weights (-1)^k v_k, with their tail check, once per
     (t, truncation), when the sweep first reaches them, so errors are
-    raised in the order of the grid.
+    raised in the order of the grid.  Before any of that, a t whose vertex
+    state would take more than ``MAX_ROWS`` rows raises ``TruncationError``,
+    as ``costratified.stratum_state`` does (``costratified.check_rows``).
 
     Level n's overlap with a stratum's vertex state is
     ((-1)^n / N) sum_k (-1)^k v_k c_k, with v the stratum's vertex weights
@@ -206,6 +208,10 @@ def projector_expectations(
             raise ValueError(f"hbar_beta2 must be positive, got {t}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    for t in t_values:
+        # a vertex state too large to build is refused before any solve, as
+        # ``stratum_state`` refuses it, not as a Mathieu solve past its rows
+        costratified.check_rows(t, costratified.default_trunc(t))
     nu_tilde_values = [float(nut) for nut in nu_tilde_values]
     shape = (len(t_values), len(nu_tilde_values))
     plus_rows, minus_rows = np.empty((2, *shape, count))
@@ -238,8 +244,8 @@ def projector_expectations(
                     costratified.check_tail(t, weights[key][0], norms[t])
                 plus_weights, minus_weights = weights[key]
                 scale = 1.0 / norms[t]
-                plus = (scale * np.sum(plus_weights * levels.coeffs, axis=1)) ** 2
-                completeness = float(np.sum(plus[:completeness_count]))
+                plus = (scale * (plus_weights * levels.coeffs).sum(axis=1)) ** 2
+                completeness = float(plus[:completeness_count].sum())
                 if completeness >= 1.0 - _COMPLETENESS_TOL:
                     break
             else:
@@ -247,7 +253,7 @@ def projector_expectations(
                     f"projector completeness {completeness!r} below 1 - {_COMPLETENESS_TOL} "
                     f"with {completeness_count} levels (t={t}, nu_tilde={nu_tilde})"
                 )
-            minus = (scale * np.sum(minus_weights * levels.coeffs[:count], axis=1)) ** 2
+            minus = (scale * (minus_weights * levels.coeffs[:count]).sum(axis=1)) ** 2
             plus_rows[i, j], minus_rows[i, j] = plus[:count], minus
             completeness_sums[i, j] = completeness
     return plus_rows, minus_rows, completeness_sums

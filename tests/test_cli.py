@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import gc
 import io
@@ -8,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from importlib import import_module
 
 import numpy as np
@@ -34,11 +36,11 @@ def run_quiet(args):
     return code, out.getvalue(), err.getvalue()
 
 
-def run_refused(args):
-    """Exit code, stdout and stderr of an in-process run whose arguments argparse refuses."""
+def run_refused(args, parse=None):
+    """Exit code, stdout and stderr of an in-process run (or ``parse``) whose arguments argparse refuses."""
     out, err = io.StringIO(), io.StringIO()
     with pytest.raises(SystemExit) as excinfo, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        cli.main(args)
+        (cli.main if parse is None else parse)(args)
     return excinfo.value.code, out.getvalue(), err.getvalue()
 
 
@@ -530,6 +532,17 @@ class TestProjectorExpectations:
         assert len(parse_csv(out)[1]) == 3 * 5 * 6
         assert sorted(calls) == [0.03125, 0.125, 0.5]
 
+    @pytest.mark.parametrize("t_values", ["1e-12", "1e-12,0.125"])
+    def test_vertex_state_past_the_row_bound_is_refused_as_states_refuses_it(self, t_values, monkeypatch):
+        # the 8.9e6 rows are the vertex state's at t = 1e-12, not the
+        # Mathieu levels', and the refusal comes before any solve
+        solves = []
+        monkeypatch.setattr(mathieu, "solve_many", lambda *args, **kwargs: solves.append(args))
+        projector = run_quiet(["projector-expectations", "--hbar-beta2", t_values, "--nu-tilde", "1"])
+        state = run_quiet(["states", "--state", "psi-plus", "--hbar-beta2", "1e-12"])
+        assert projector == state == (3, "", "numerical failure: trunc=8.944e+06 at t=1e-12 is past 524288 rows\n")
+        assert solves == []
+
 
 class TestDecomp:
     def test_degree_two_enumeration(self, capsys):
@@ -966,19 +979,51 @@ class TestDispatch:
 
 
 class TestEntryPoint:
-    def test_run_keeps_the_collector_off_long_lived_objects(self, monkeypatch):
-        # the import runs with the collector off, the command with it on,
-        # and what is alive before and after the command is frozen
-        from plaquette_qgauge import __main__ as entry
-
-        calls = []
+    @staticmethod
+    def _patch_run(monkeypatch, calls, flush=None):
+        """Record the collector calls, ``main``, the stream flushes and ``os._exit`` of ``run``."""
         for name in ("disable", "freeze", "enable"):
             monkeypatch.setattr(gc, name, lambda name=name: calls.append(name))
         monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 7)
+        for name in ("stdout", "stderr"):
+            stream = types.SimpleNamespace(flush=flush or (lambda name=name: calls.append(f"flush {name}")))
+            monkeypatch.setattr(sys, name, stream)
+        monkeypatch.setattr(os, "_exit", lambda code: calls.append(f"_exit {code}"))
+
+    def test_run_keeps_the_collector_off_long_lived_objects(self, monkeypatch):
+        # the import runs with the collector off and the command with it on;
+        # what is alive when the command returns lives until the process
+        # ends, with both streams flushed, without the interpreter's teardown
+        from plaquette_qgauge import __main__ as entry
+
+        calls = []
+        self._patch_run(monkeypatch, calls)
+        entry.run()
+        assert calls == ["disable", "freeze", "enable", "main", "flush stdout", "flush stderr", "_exit 7"]
+
+    def test_a_stream_that_cannot_be_flushed_takes_the_normal_exit(self, monkeypatch):
+        from plaquette_qgauge import __main__ as entry
+
+        def broken():
+            raise BrokenPipeError
+
+        calls = []
+        self._patch_run(monkeypatch, calls, flush=broken)
         with pytest.raises(SystemExit) as excinfo:
             entry.run()
-        assert calls == ["disable", "freeze", "enable", "main", "freeze"]
+        assert calls == ["disable", "freeze", "enable", "main"]
         assert excinfo.value.code == 7
+
+    @pytest.mark.parametrize("t, code", [("0.01:5:2000:log", 0), ("x", 2)])
+    def test_process_keeps_its_output_and_exit_code(self, t, code):
+        # stdout and stderr are pipes, so block-buffered: the flush before
+        # os._exit is what writes them
+        args = ["tunneling", "--hbar-beta2", t]
+        result = subprocess.run(
+            [sys.executable, "-m", "plaquette_qgauge", *args], capture_output=True, text=True, env=package_env()
+        )
+        assert (result.returncode, result.stdout, result.stderr) == run_quiet(args)
+        assert result.returncode == code
 
     def test_console_script_target_is_the_entry_function(self):
         tomllib = pytest.importorskip("tomllib")
@@ -1098,6 +1143,78 @@ class TestImportScope:
             capture_output=True, text=True, env=package_env(),
         )
         assert result.returncode == 0, result.stderr
+
+    @staticmethod
+    def loaded_by(argv, tmp_path, *modules):
+        """Which of ``modules`` a fresh process holds after running ``argv``."""
+        code = (
+            "import sys\n"
+            "import plaquette_qgauge.cli as cli\n"
+            f"assert cli.main({[*argv, '--out', str(tmp_path / 'out')]!r}) == 0\n"
+            f"print(*[name for name in {list(modules)!r} if name in sys.modules])\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=package_env())
+        assert result.returncode == 0, result.stderr
+        return result.stdout.split()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tunneling", "--hbar-beta2", "0.1:2:5"],
+            ["spectrum", "--nu-tilde", "0,1", "--n-max", "2"],
+            ["projector-expectations", "--hbar-beta2", "0.125", "--nu-tilde", "1,2", "--n-max", "2"],
+        ],
+    )
+    def test_grid_runs_load_no_model_parameters(self, argv, tmp_path):
+        # ModelParams (and with it dataclasses) is read only to turn hbar,
+        # beta2 and coupling_g into (t, nu_tilde)
+        assert self.loaded_by(argv, tmp_path, "plaquette_qgauge.params", "dataclasses") == []
+
+    def test_model_options_load_model_parameters(self, tmp_path):
+        argv = ["tunneling", "--hbar", "2", "--beta2", "0.5"]
+        assert self.loaded_by(argv, tmp_path, "plaquette_qgauge.params", "dataclasses") == [
+            "plaquette_qgauge.params", "dataclasses"]
+
+    @pytest.mark.parametrize("command", ["verify", "geometry-verify"])
+    def test_verify_loads_no_json(self, command, tmp_path):
+        # json writes the config line of a data command; a report has none
+        assert self.loaded_by([command], tmp_path, "json", "plaquette_qgauge.params") == []
+
+
+class TestParserScope:
+    """A run builds the parser of the command it names, and prints what the full parser prints."""
+
+    @pytest.mark.parametrize("command", list(SHARED_OPTIONS))
+    @pytest.mark.parametrize("tail", [["-h"], ["--no-such-flag"], ["--config"]])
+    def test_one_command_parser_prints_as_the_full_one(self, command, tail):
+        # -h prints the command's help, --no-such-flag the top-level usage
+        # line (which names every command), --config the command's usage
+        argv = [command, *HANDLERS[command][1], *tail]
+        alone = run_refused(argv, cli.build_parser(command).parse_args)
+        assert alone == run_refused(argv, cli.build_parser().parse_args)
+        assert alone[0] == (0 if tail == ["-h"] else 2)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tunneling", "--hbar-beta2", "1"],
+            ["verify", "--out", os.devnull],
+            ["--version"],
+            ["--help"],
+            [],
+            ["no-such-command"],
+            ["--hbar-beta2", "1", "tunneling"],
+        ],
+    )
+    def test_main_builds_only_the_named_subparser(self, argv, monkeypatch):
+        names = []
+        add_parser = argparse._SubParsersAction.add_parser
+        monkeypatch.setattr(
+            argparse._SubParsersAction, "add_parser", lambda sub, name: names.append(name) or add_parser(sub, name)
+        )
+        with contextlib.suppress(SystemExit):
+            run_quiet(argv)
+        assert names == (argv[:1] if argv[:1] in (["tunneling"], ["verify"]) else list(SHARED_OPTIONS))
 
 
 #: each data command on a small grid, its float columns, and the config key
